@@ -1,6 +1,6 @@
 // avglocal_cli: every bundled LOCAL algorithm on every graph family, by
 // name, through the scenario registries - single runs, batched/adaptive
-// sweeps, sharded sweeps across processes and a local multi-process driver.
+// sweeps, sharded sweeps across processes and a local multi-process fabric.
 //
 // Discover the workload space:
 //   avglocal_cli list
@@ -27,8 +27,9 @@
 //   ... shards 1/4, 2/4, 3/4 on other hosts ...
 //   avglocal_cli merge --json sweep.json s0.json s1.json s2.json s3.json
 //
-// Or let the driver schedule the shards as local subprocesses (failed
-// shards are retried, artefacts merged bit-identically):
+// Or let drive run the fabric below on one machine: an in-process
+// coordinator plus local fabric-worker processes (failed workers are
+// respawned, the report is byte-identical to the monolithic sweep's):
 //   avglocal_cli drive --algo largest-id --graph gnp:avg-degree=6
 //                      --ns 1024,4096 --trials 1000 --shards 4 --json sweep.json
 //
@@ -59,10 +60,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -170,15 +169,6 @@ std::optional<std::vector<std::size_t>> parse_size_list(const std::string& text)
   return values;
 }
 
-std::string join_sizes(const std::vector<std::size_t>& ns) {
-  std::string out;
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ns[i]);
-  }
-  return out;
-}
-
 bool write_text_file(const std::string& path, const std::string& text) {
   std::ofstream file(path);
   if (!file) {
@@ -271,7 +261,7 @@ void usage() {
                "       avglocal_cli list          (enumerate graph families and algorithms)\n"
                "       avglocal_cli sweep ...     (batched/adaptive/sharded sweeps; --help)\n"
                "       avglocal_cli merge ...     (recombine shard artefacts; --help)\n"
-               "       avglocal_cli drive ...     (multi-process sharded sweep; --help)\n"
+               "       avglocal_cli drive ...     (sweep on a local coordinator + workers; --help)\n"
                "       avglocal_cli serve ...     (resident sweep daemon + result cache; --help)\n"
                "       avglocal_cli request ...   (client for a running daemon; --help)\n"
                "       avglocal_cli fabric-serve ...  (distributed sweep coordinator; --help)\n"
@@ -376,10 +366,9 @@ struct SweepCliOptions {
   std::string json_path;  ///< full-report destination (sweep / merge / drive)
 
   // drive only
-  std::size_t shards = 2;
-  std::size_t jobs = 0;     ///< concurrent subprocesses; 0 = min(shards, cores)
-  std::size_t retries = 2;  ///< re-runs of a failed shard before giving up
-  bool keep_artefacts = false;
+  std::size_t shards = 2;   ///< work units per point: trials/shards each (rounded up)
+  std::size_t jobs = 0;     ///< worker processes; 0 = min(units, cores)
+  std::size_t retries = 2;  ///< respawns of a failed worker before giving up
   std::string workdir;
 };
 
@@ -392,7 +381,7 @@ void sweep_usage() {
          "                          [--z Z]] [--shard I/K --out FILE]\n"
          "       avglocal_cli merge [--json FILE] SHARD.json...\n"
          "       avglocal_cli drive ...sweep flags... --shards K [--jobs J] [--retries R]\n"
-         "                          [--workdir DIR] [--keep-artefacts]\n"
+         "                          [--workdir DIR]\n"
          "  `list` enumerates the algorithm and graph-family names. View and message\n"
          "  algorithms both sweep; the registry picks the engine. --threads parallelises\n"
          "  both: view sweeps share vertices across workers, message sweeps run one\n"
@@ -401,7 +390,13 @@ void sweep_usage() {
          "  --trials is the trial count - or, with --target-hw, the adaptive cap: trials\n"
          "  grow in batches until the avg-mean confidence half-width closes below H.\n"
          "  --shard I/K runs trial range I of K and writes a mergeable artefact; merge\n"
-         "  and drive recombine artefacts bit-identically to the monolithic sweep.\n";
+         "  recombines artefacts bit-identically to the monolithic sweep.\n"
+         "  drive runs a fabric coordinator in-process on DIR/drive.sock (DIR defaults\n"
+         "  to a fresh avglocal-drive-XXXXXX) and forks J fabric-worker processes\n"
+         "  (0 = one per core) with cores/J threads each unless --threads is given;\n"
+         "  work units hold ceil(T/K) trials of one point. A worker that fails before\n"
+         "  the sweep completes is respawned up to R times; with no worker left the\n"
+         "  drive gives up (exit 1, no report). The report is byte-identical to sweep's.\n";
 }
 
 std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, bool drive) {
@@ -476,8 +471,6 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
       if (!size_flag(*value, "--retries", options.retries)) return std::nullopt;
     } else if (drive && arg == "--workdir" && (value = next())) {
       options.workdir = *value;
-    } else if (drive && arg == "--keep-artefacts") {
-      options.keep_artefacts = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       return std::nullopt;
@@ -517,31 +510,6 @@ int run_sweep_command_impl(int argc, char** argv) {
       std::cerr << "shard " << index << " is empty: only " << plan.size()
                 << " non-empty shards in this plan\n";
       return 2;
-    }
-    // Test-only failure injection for the drive retry path (exercised by
-    // tests/test_cli_process.cpp and harmless otherwise): with
-    // AVGLOCAL_TEST_FAIL_MARKER set, the first run of each shard drops a
-    // marker file and fails - by nonzero exit, or by SIGKILL with
-    // AVGLOCAL_TEST_FAIL_MODE=kill; retries find the marker and proceed
-    // normally. MODE=always fails every attempt (exhausts the retry
-    // budget).
-    if (const char* marker = std::getenv("AVGLOCAL_TEST_FAIL_MARKER")) {
-      const std::string marker_path = std::string(marker) + ".shard" + std::to_string(index);
-      const char* mode_env = std::getenv("AVGLOCAL_TEST_FAIL_MODE");
-      const std::string mode = mode_env ? mode_env : "";
-      bool fail = mode == "always";
-      if (!fail) {
-        struct stat info;
-        if (::stat(marker_path.c_str(), &info) != 0) {
-          std::ofstream(marker_path).put('x');
-          fail = true;
-        }
-      }
-      if (fail) {
-        if (mode == "kill") ::kill(::getpid(), SIGKILL);
-        std::cerr << "injected failure for shard " << index << "\n";
-        return 33;
-      }
     }
     core::ShardDocument doc;
     doc.meta = core::scenario_plan_meta(resolved);
@@ -680,6 +648,116 @@ pid_t spawn_process(const std::string& exe, const std::vector<std::string>& args
   return pid;
 }
 
+/// The daemon (serve) or the fabric coordinator (fabric-serve, drive)
+/// under the signal handler's hand. request_stop() is the only call the
+/// handler makes - an atomic store plus shutdown(2), both async-signal-
+/// safe. At most one of the two is non-null in any given process.
+core::Server* g_server = nullptr;
+core::RemoteBackend* g_fabric = nullptr;
+
+extern "C" void handle_stop_signal(int) {
+  if (g_server != nullptr) g_server->request_stop();
+  if (g_fabric != nullptr) g_fabric->request_stop();
+}
+
+/// No SA_RESTART: the blocked accept() must return (EINTR) so the accept
+/// loop observes the stop flag the handler just set.
+void install_stop_handlers() {
+  struct sigaction action{};
+  action.sa_handler = handle_stop_signal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  ::sigaction(SIGTERM, &action, nullptr);
+  ::sigaction(SIGINT, &action, nullptr);
+}
+
+/// One of drive's fabric-worker children.
+struct DriveWorker {
+  std::string name;
+  pid_t pid = -1;  ///< > 0 while running
+  std::size_t attempts = 0;
+  bool retired = false;  ///< exited cleanly or out of attempts
+};
+
+/// Launches drive's workers (`args` plus --name) and watches them until
+/// the sweep completes or stops. A worker that fails first is respawned
+/// while its attempts are <= `retries`; with none left running, the
+/// coordinator is stopped. Live children are ended before returning.
+void run_drive_workers(core::RemoteBackend& backend, std::vector<DriveWorker>& workers,
+                       const std::vector<std::string>& args, std::size_t retries) {
+  const auto launch = [&](DriveWorker& worker) {
+    std::vector<std::string> named = args;
+    named.insert(named.end(), {"--name", worker.name});
+    ++worker.attempts;
+    worker.pid = spawn_process(args.front(), named);
+    if (worker.pid < 0) {
+      std::cerr << "cannot fork worker " << worker.name << ": " << std::strerror(errno) << "\n";
+    }
+  };
+  const auto relaunch = [&](DriveWorker& worker, const char* what) {
+    if (worker.attempts > retries) {
+      std::cerr << "worker " << worker.name << " " << what << " after " << worker.attempts
+                << " attempts\n";
+      worker.retired = true;
+      return;
+    }
+    std::cerr << "worker " << worker.name << " " << what << " (attempt " << worker.attempts
+              << "); retrying\n";
+    launch(worker);
+  };
+  for (DriveWorker& worker : workers) launch(worker);
+
+  // Watch exactly OUR children: waitpid(-1) would also collect children
+  // the caller of this code happens to own, so poll the tracked pids with
+  // WNOHANG, napping between rounds. EINTR is a retry, never a failure.
+  // A stop (a signal, or giving up below) ends the watch like completion.
+  while (!backend.coordinator().complete() && !backend.coordinator().stopping()) {
+    bool live = false;
+    for (DriveWorker& worker : workers) {
+      if (worker.retired) continue;
+      if (worker.pid < 0) {
+        relaunch(worker, "could not be forked");
+      } else {
+        int status = 0;
+        const pid_t got = ::waitpid(worker.pid, &status, WNOHANG);
+        if (got == 0 || (got < 0 && errno == EINTR)) {
+          live = true;
+          continue;
+        }
+        // ECHILD means someone else reaped it: status unknown, a failure.
+        worker.pid = -1;
+        if (got > 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+          worker.retired = true;
+          continue;
+        }
+        relaunch(worker, WIFSIGNALED(status) ? "was killed" : "failed");
+      }
+      live = live || worker.pid > 0;
+    }
+    if (!live && !backend.coordinator().complete()) {
+      std::cerr << "no worker left to finish the sweep; giving up\n";
+      backend.request_stop();
+      break;
+    }
+    const timespec nap{0, 20'000'000};
+    ::nanosleep(&nap, nullptr);
+  }
+  // Done either way: children still connecting would spin out their
+  // connect timeout against a closed socket, so end them; their status no
+  // longer matters.
+  for (const DriveWorker& worker : workers) {
+    if (worker.pid <= 0) continue;
+    ::kill(worker.pid, SIGTERM);
+    int status = 0;
+    while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+}
+
+/// drive = a fabric coordinator in this process plus --jobs forked
+/// `fabric-worker` children on a Unix socket in the work directory. The
+/// fabric's dynamic stealing and unit-order merge do the rest, so the
+/// report is byte-identical to `sweep --json`.
 int run_drive_command_impl(int argc, char** argv) {
   const auto parsed = parse_sweep(argc, argv, 2, /*drive=*/true);
   if (!parsed) {
@@ -697,17 +775,6 @@ int run_drive_command_impl(int argc, char** argv) {
     return 2;
   }
 
-  const std::size_t trials = resolved.spec.schedule.max_trials;
-  const auto plan = core::plan_shards(resolved.spec.ns.size(), trials, options.shards);
-
-  const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t jobs =
-      std::max<std::size_t>(1, std::min(options.jobs == 0 ? cores : options.jobs, plan.size()));
-  // Subprocesses share the machine: split the cores across concurrent jobs
-  // unless the user pinned a per-shard thread count explicitly.
-  const std::size_t child_threads =
-      options.threads != 0 ? options.threads : std::max<std::size_t>(1, cores / jobs);
-
   bool created_workdir = false;
   std::string workdir = options.workdir;
   if (workdir.empty()) {
@@ -724,180 +791,59 @@ int run_drive_command_impl(int argc, char** argv) {
     return 1;
   }
 
-  const std::string exe = self_executable(argv[0]);
-  struct ShardJob {
-    std::size_t index = 0;
-    std::string artefact;
-    std::size_t attempts = 0;
-  };
-  std::vector<ShardJob> shard_jobs(plan.size());
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    shard_jobs[i].index = i;
-    shard_jobs[i].artefact = workdir + "/shard-" + std::to_string(i) + ".json";
-    pending.push_back(i);
-  }
+  const std::size_t trials = resolved.spec.schedule.max_trials;
+  core::FabricOptions fabric;
+  fabric.endpoint = support::parse_endpoint("unix:" + workdir + "/drive.sock");
+  fabric.unit_trials = (trials + options.shards - 1) / options.shards;
+  core::RemoteBackend backend(resolved.spec, fabric);
+  const std::size_t units = backend.coordinator().work_units().size();
 
-  const auto shard_args = [&](const ShardJob& job) {
-    std::vector<std::string> args = {
-        exe,
-        "sweep",
-        "--algo",
-        resolved.spec.algorithm,
-        "--graph",
-        graph::family_spec_to_string(resolved.spec.family),
-        "--ns",
-        join_sizes(resolved.spec.ns),
-        "--trials",
-        std::to_string(trials),
-        "--seed",
-        std::to_string(resolved.spec.seed),
-        "--semantics",
-        local::to_string(resolved.spec.semantics),
-        "--threads",
-        std::to_string(child_threads),
-        "--shard",
-        std::to_string(job.index) + "/" + std::to_string(options.shards),
-        "--out",
-        job.artefact,
-    };
-    if (resolved.spec.node_profile) args.push_back("--node-profile");
-    if (options.batch != 0) {
-      args.push_back("--batch");
-      args.push_back(std::to_string(options.batch));
-    }
-    return args;
-  };
+  const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t jobs =
+      std::max<std::size_t>(1, std::min(options.jobs == 0 ? cores : options.jobs, units));
+  std::vector<DriveWorker> workers(jobs);
+  for (std::size_t i = 0; i < jobs; ++i) workers[i].name = "w" + std::to_string(i);
+  // The workers share the machine: split the cores across them unless the
+  // user pinned a per-worker thread count.
+  const std::size_t worker_threads =
+      options.threads != 0 ? options.threads : std::max<std::size_t>(1, cores / jobs);
+  std::vector<std::string> args = {self_executable(argv[0]), "fabric-worker", "--connect",
+                                   fabric.endpoint.to_string(), "--threads",
+                                   std::to_string(worker_threads)};
+  if (options.batch != 0) args.insert(args.end(), {"--batch", std::to_string(options.batch)});
 
-  std::map<pid_t, std::size_t> running;
-  bool failed = false;
-  while ((!pending.empty() || !running.empty()) && !failed) {
-    while (!pending.empty() && running.size() < jobs) {
-      const std::size_t index = pending.front();
-      pending.pop_front();
-      ShardJob& job = shard_jobs[index];
-      ++job.attempts;
-      const pid_t pid = spawn_process(exe, shard_args(job));
-      if (pid < 0) {
-        // A failed fork consumes an attempt exactly like a shard that
-        // died after launching: the usual cause (transient resource
-        // exhaustion) deserves the same retry budget, and exhausting it
-        // fails the drive cleanly instead of aborting on the first EAGAIN.
-        if (job.attempts <= options.retries) {
-          std::cerr << "cannot fork shard " << index << " (attempt " << job.attempts
-                    << "): " << std::strerror(errno) << "; retrying\n";
-          pending.push_back(index);
-          const timespec backoff{0, 50'000'000};  // let the pressure pass
-          ::nanosleep(&backoff, nullptr);
-        } else {
-          std::cerr << "cannot fork shard " << index << " after " << job.attempts
-                    << " attempts: " << std::strerror(errno) << "; giving up\n";
-          failed = true;
-        }
-        break;
-      }
-      running.emplace(pid, index);
-    }
-    if (failed) break;
-    if (running.empty()) {
-      if (pending.empty()) break;
-      continue;  // every fork failed this round; the backoff ran, relaunch
-    }
-
-    // Reap exactly one of OUR shards. waitpid(-1) would also collect
-    // children the caller of this code happens to own (and, embedded in a
-    // larger process, steal their exit statuses), so poll the tracked
-    // pids with WNOHANG instead, napping between rounds. EINTR is a
-    // retry, never a failure.
-    pid_t pid = -1;
-    int status = -1;
-    while (pid < 0) {
-      for (const auto& [candidate, candidate_index] : running) {
-        int candidate_status = 0;
-        const pid_t got = ::waitpid(candidate, &candidate_status, WNOHANG);
-        if (got == candidate) {
-          pid = candidate;
-          status = candidate_status;
-          break;
-        }
-        if (got < 0 && errno != EINTR) {
-          // ECHILD (or anything unexpected) for a pid we believe we own:
-          // someone else reaped it, so its artefact status is unknown -
-          // feed it to the retry path as a failure (status stays -1,
-          // which WIFEXITED rejects).
-          std::cerr << "waitpid(" << candidate << ") failed: " << std::strerror(errno) << "\n";
-          pid = candidate;
-          break;
-        }
-        // got == 0: still running; got < 0 && EINTR: re-poll next round.
-      }
-      if (pid < 0) {
-        const timespec nap{0, 20'000'000};  // 20ms between polling rounds
-        ::nanosleep(&nap, nullptr);
-      }
-    }
-    const auto it = running.find(pid);
-    if (it == running.end()) continue;
-    const std::size_t index = it->second;
-    running.erase(it);
-    const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (ok) {
-      std::cout << "shard " << index << "/" << options.shards << " done ("
-                << shard_jobs[index].attempts << " attempt"
-                << (shard_jobs[index].attempts == 1 ? "" : "s") << ")\n";
-      continue;
-    }
-    if (shard_jobs[index].attempts <= options.retries) {
-      std::cerr << "shard " << index << " failed (attempt " << shard_jobs[index].attempts
-                << "); retrying\n";
-      pending.push_back(index);
-    } else {
-      std::cerr << "shard " << index << " failed after " << shard_jobs[index].attempts
-                << " attempts; giving up\n";
-      failed = true;
-    }
+  backend.start();
+  g_fabric = &backend;
+  install_stop_handlers();
+  core::RemoteSweepOutcome outcome;
+  std::thread coordinator([&] { outcome = backend.run(); });
+  try {
+    run_drive_workers(backend, workers, args, options.retries);
+  } catch (...) {
+    backend.request_stop();  // or the join below could wait forever
+    coordinator.join();
+    throw;
   }
-  // Drain any children still running after a failure so nothing is left
-  // writing into the work directory. Still pid-targeted, still EINTR-safe.
-  for (const auto& [pid, index] : running) {
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-  if (failed) {
-    // Keep whatever the shards produced for post-mortem, but say where -
-    // a silently accumulating mkdtemp directory per failed run would be
-    // worse than the disk it costs.
-    std::cerr << "partial shard artefacts left in " << workdir << " for inspection\n";
+  coordinator.join();
+  g_fabric = nullptr;
+  if (created_workdir) ::rmdir(workdir.c_str());
+  if (!outcome.complete) {
+    std::cerr << "drive stopped before completion\n";
     return 1;
   }
 
-  std::vector<core::ShardDocument> docs;
-  docs.reserve(shard_jobs.size());
-  for (const ShardJob& job : shard_jobs) {
-    docs.push_back(core::parse_shard_json(read_text_file(job.artefact)));
+  std::cout << "drive: " << jobs << " worker(s), " << units << " unit(s), "
+            << outcome.stats.redispatches << " re-dispatch(es)\n";
+  for (const DriveWorker& worker : workers) {
+    std::cout << "  worker " << worker.name << ": " << worker.attempts << " attempt"
+              << (worker.attempts == 1 ? "" : "s") << "\n";
   }
-  const auto points = wrap_merged_points(resolved.spec, core::merge_shards(std::move(docs)));
-  std::cout << "drive merged " << shard_jobs.size() << " shard(s): " << resolved.spec.algorithm
-            << " on " << graph::family_spec_to_string(resolved.spec.family) << ", seed "
-            << resolved.spec.seed << ", " << trials << " trials\n";
-  print_points(points, /*adaptive=*/false);
-
-  int exit_code = 0;
+  print_points(outcome.result.points, /*adaptive=*/false);
   if (!options.json_path.empty()) {
-    if (!write_text_file(options.json_path, core::sweep_report_json(resolved.spec, points))) {
-      exit_code = 1;
-    } else {
-      std::cout << "sweep report written to " << options.json_path << "\n";
-    }
+    if (!write_text_file(options.json_path, outcome.report)) return 1;
+    std::cout << "sweep report written to " << options.json_path << "\n";
   }
-  if (!options.keep_artefacts) {
-    for (const ShardJob& job : shard_jobs) ::unlink(job.artefact.c_str());
-    if (created_workdir) ::rmdir(workdir.c_str());
-  } else {
-    std::cout << "shard artefacts kept in " << workdir << "\n";
-  }
-  return exit_code;
+  return 0;
 }
 
 // ------------------------------------------------------- serve / request ----
@@ -916,29 +862,6 @@ void serve_usage() {
          "  requests are rejected). SIGTERM/SIGINT shut the daemon down cleanly.\n"
          "  request sends one op and prints the response; for sweeps, --json FILE\n"
          "  saves the returned report (cmp-identical to the monolithic file).\n";
-}
-
-/// The daemon under the signal handler's hand. request_stop() is the only
-/// call the handler makes - an atomic store plus shutdown(2), both
-/// async-signal-safe. g_fabric is the fabric-serve coordinator's same
-/// seam; at most one of the two is non-null in any given process.
-core::Server* g_server = nullptr;
-core::RemoteBackend* g_fabric = nullptr;
-
-extern "C" void handle_stop_signal(int) {
-  if (g_server != nullptr) g_server->request_stop();
-  if (g_fabric != nullptr) g_fabric->request_stop();
-}
-
-/// No SA_RESTART: the blocked accept() must return (EINTR) so the accept
-/// loop observes the stop flag the handler just set.
-void install_stop_handlers() {
-  struct sigaction action{};
-  action.sa_handler = handle_stop_signal;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
 }
 
 int run_serve_command_impl(int argc, char** argv) {
@@ -1151,9 +1074,9 @@ int run_fabric_worker_command_impl(int argc, char** argv) {
   }
   options.endpoint = support::parse_endpoint(connect);
 
-  // Test-only failure injection for the straggler re-dispatch path (the
-  // fabric twin of the sweep --shard hooks, exercised by
-  // tests/test_cli_process.cpp): with AVGLOCAL_TEST_FAIL_MARKER set, this
+  // Test-only failure injection for the straggler re-dispatch and drive
+  // respawn paths (exercised by tests/test_cli_process.cpp and the cli-e2e
+  // and fabric-e2e CI jobs): with AVGLOCAL_TEST_FAIL_MARKER set, this
   // worker's first granted unit drops a marker file and dies mid-unit -
   // after the grant, before any artefact - which is exactly the straggler
   // the coordinator must re-dispatch. MODE=kill dies by SIGKILL, anything
@@ -1259,7 +1182,7 @@ int run_request_command_impl(int argc, char** argv) {
   // poll loop; connect_with_retry rides out the ENOENT / ECONNREFUSED
   // window with bounded backoff instead, and throws (-> exit 1) only once
   // --connect-timeout-ms has elapsed with nothing listening.
-  support::UnixStream stream = support::Stream::connect_with_retry(
+  support::Stream stream = support::Stream::connect_with_retry(
       support::parse_endpoint(socket_path), static_cast<long>(connect_timeout_ms));
   if (!stream.write_line(json.str())) {
     std::cerr << "cannot send request to " << socket_path << "\n";

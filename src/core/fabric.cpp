@@ -1,9 +1,8 @@
 #include "core/fabric.hpp"
 
-#include <sys/socket.h>
-
 #include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "core/sweep_driver.hpp"
@@ -131,34 +130,25 @@ FabricCoordinator::FabricCoordinator(ResolvedScenario resolved, const FabricOpti
                                   options.unit_trials)),
       epoch_(std::chrono::steady_clock::now()),
       queue_(work_units_, options.straggler_ms),
-      unit_results_(work_units_.size()) {
+      unit_results_(work_units_.size()),
+      server_(
+          options.max_workers,
+          [this](std::uint64_t session, const std::string& line) {
+            Reply reply = handle_request(session, line);
+            return support::LineServer::Reply{std::move(reply.line), reply.disconnect};
+          },
+          // Whatever a closed connection still held goes back into
+          // circulation: a vanished worker must not stall the sweep for a
+          // full straggler window.
+          [this](std::uint64_t session) { release_session(session); }) {
   AVGLOCAL_EXPECTS_MSG(!resolved_.spec.schedule.adaptive(),
                        "the fabric runs fixed schedules only: an adaptive trial count is "
                        "decided by the monolithic driver");
-  AVGLOCAL_EXPECTS_MSG(options_.max_workers >= 1, "fabric needs at least one worker slot");
 }
 
-FabricCoordinator::~FabricCoordinator() {
-  // Normal lifecycle joins everything inside run(); this only covers a
-  // coordinator destroyed between start() and run().
-  request_stop();
-  for (const auto& slot : slots_) {
-    const int fd = slot->fd.load(std::memory_order_relaxed);
-    if (fd >= 0) ::shutdown(fd, SHUT_RD);
-  }
-  for (const auto& slot : slots_) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-}
+void FabricCoordinator::start() { server_.start(options_.endpoint); }
 
-void FabricCoordinator::start() { listener_ = support::Listener::bind(options_.endpoint); }
-
-void FabricCoordinator::request_stop() noexcept {
-  // Called from SIGTERM/SIGINT handlers: only the atomic store and
-  // shutdown(2) below are async-signal-safe, so nothing else happens here.
-  stop_.store(true, std::memory_order_relaxed);
-  listener_.interrupt();
-}
+void FabricCoordinator::run() { server_.run(); }
 
 bool FabricCoordinator::complete() const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -261,10 +251,9 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
         } else {
           ++stats_.duplicates_discarded;
         }
-        if (queue_.complete()) {
-          complete_.store(true, std::memory_order_relaxed);
-          listener_.interrupt();  // wake the accept loop for teardown
-        }
+        // Completion ends the accept loop without a drain: every connected
+        // worker leaves after the shutdown reply to its next work-request.
+        if (queue_.complete()) server_.stop_accepting();
       }
       json.begin_object();
       json.key("ok").value(true);
@@ -286,78 +275,6 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
 void FabricCoordinator::release_session(std::uint64_t session) {
   const std::lock_guard<std::mutex> lock(mutex_);
   queue_.release(session);
-}
-
-void FabricCoordinator::serve_worker(support::Stream stream, WorkerSlot* slot,
-                                     std::uint64_t session) {
-  std::string line;
-  while (!stopping() && stream.read_line(line)) {
-    const Reply reply = handle_request(session, line);
-    if (!stream.write_line(reply.line)) break;
-    if (reply.disconnect) break;
-  }
-  // Whatever this worker still held goes back into circulation - a
-  // vanished worker must not stall the sweep for a full straggler window.
-  release_session(session);
-  slot->fd.store(-1, std::memory_order_relaxed);
-  slot->done.store(true, std::memory_order_release);
-}
-
-void FabricCoordinator::reap_finished_slots_locked() {
-  for (std::size_t index = 0; index < slots_.size();) {
-    if (slots_[index]->done.load(std::memory_order_acquire)) {
-      if (slots_[index]->thread.joinable()) slots_[index]->thread.join();
-      slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
-    } else {
-      ++index;
-    }
-  }
-}
-
-void FabricCoordinator::run() {
-  AVGLOCAL_EXPECTS_MSG(listener_.valid(), "FabricCoordinator::run called before start()");
-  while (!stopping() && !complete_.load(std::memory_order_relaxed)) {
-    support::Stream stream = listener_.accept_client();
-    if (stopping() || complete_.load(std::memory_order_relaxed)) break;
-    if (!stream.valid()) continue;  // interrupted accept; loop re-checks flags
-
-    std::unique_lock<std::mutex> lock(slots_mutex_);
-    reap_finished_slots_locked();
-    if (slots_.size() >= options_.max_workers) {
-      lock.unlock();
-      stream.write_line(error_reply("busy"));
-      continue;
-    }
-    const std::uint64_t session = next_session_++;
-    auto slot = std::make_unique<WorkerSlot>();
-    WorkerSlot* raw = slot.get();
-    raw->fd.store(stream.fd(), std::memory_order_relaxed);
-    raw->thread = std::thread([this, raw, session, s = std::move(stream)]() mutable {
-      serve_worker(std::move(s), raw, session);
-    });
-    slots_.push_back(std::move(slot));
-  }
-
-  if (stopping()) {
-    // SIGTERM drain: half-close every worker connection's read side.
-    // Blocked handlers return, workers see EOF (or EPIPE on their next
-    // submit) and exit cleanly - run_fabric_worker reports drained, not
-    // an error.
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (const auto& slot : slots_) {
-      const int fd = slot->fd.load(std::memory_order_relaxed);
-      if (fd >= 0) ::shutdown(fd, SHUT_RD);
-    }
-  }
-  // On normal completion every connected worker's next work-request gets
-  // a shutdown reply, so every handler reaches its natural end; join them
-  // all before returning (handlers only flip their own flags now - the
-  // accept loop is done, nobody resizes slots_).
-  for (const auto& slot : slots_) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-  slots_.clear();
-  listener_.close();
 }
 
 // ------------------------------------------------------ run_fabric_worker ----

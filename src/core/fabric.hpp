@@ -45,19 +45,16 @@
 // check pins the "index by unit id, never by connection" half of this.)
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "support/socket.hpp"
+#include "support/line_server.hpp"
 
 namespace avglocal::core {
 
@@ -148,34 +145,34 @@ struct FabricStats {
   std::uint64_t duplicates_discarded = 0;  ///< later artefacts per unit id
 };
 
-/// The coordinator: owns the listener, one handler thread per worker
-/// connection, the WorkQueue and the accepted per-unit accumulators.
-/// run() returns once every unit is accepted (normal completion) or a
-/// stop was requested (SIGTERM drain - workers see EOF and exit cleanly).
+/// The coordinator: a support::LineServer handler owning the WorkQueue and
+/// the accepted per-unit accumulators. run() returns once every unit is
+/// accepted (normal completion: the server stops accepting, and each
+/// worker leaves after its shutdown reply) or a stop was requested
+/// (SIGTERM drain - workers see EOF and exit cleanly).
 class FabricCoordinator {
  public:
   FabricCoordinator(ResolvedScenario resolved, const FabricOptions& options);
-  FabricCoordinator(const FabricCoordinator&) = delete;
+  FabricCoordinator(const FabricCoordinator&) = delete;  // the handlers hold `this`
   FabricCoordinator& operator=(const FabricCoordinator&) = delete;
-  ~FabricCoordinator();
 
   /// Binds the listener. Separate from run() so callers can install
   /// signal handlers - and read the resolved endpoint - before accepting.
   void start();
 
   /// The bound endpoint with TCP port 0 resolved to the real port.
-  const support::Endpoint& endpoint() const noexcept { return listener_.endpoint(); }
+  const support::Endpoint& endpoint() const noexcept { return server_.endpoint(); }
 
   /// Accept loop; returns with every handler joined once the sweep is
   /// complete or a stop was requested.
   void run();
 
-  /// Async-signal-safe stop request (atomic store + listener interrupt):
-  /// the SIGTERM handler's one call. Workers' connections are half-closed
-  /// by run()'s teardown, which they treat as an orderly drain.
-  void request_stop() noexcept;
+  /// Async-signal-safe stop request (LineServer::request_stop): the
+  /// SIGTERM handler's one call. Workers' connections are half-closed by
+  /// run()'s teardown, which they treat as an orderly drain.
+  void request_stop() noexcept { server_.request_stop(); }
 
-  bool stopping() const noexcept { return stop_.load(std::memory_order_relaxed); }
+  bool stopping() const noexcept { return server_.stopping(); }
   bool complete() const;
   FabricStats stats() const;
   const std::vector<WorkUnit>& work_units() const { return work_units_; }
@@ -201,15 +198,7 @@ class FabricCoordinator {
   void release_session(std::uint64_t session);
 
  private:
-  struct WorkerSlot {
-    std::thread thread;
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-  };
-
   std::uint64_t now_ms() const;
-  void serve_worker(support::Stream stream, WorkerSlot* slot, std::uint64_t session);
-  void reap_finished_slots_locked();
 
   FabricOptions options_;
   ResolvedScenario resolved_;
@@ -217,18 +206,12 @@ class FabricCoordinator {
   std::vector<WorkUnit> work_units_;   ///< the immutable plan, by unit id
   std::chrono::steady_clock::time_point epoch_;  ///< origin of now_ms()
 
-  support::Listener listener_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> complete_{false};
-
   mutable std::mutex mutex_;  ///< guards queue_, unit_results_, stats_
   WorkQueue queue_;
   std::vector<std::optional<PointAccumulator>> unit_results_;
   FabricStats stats_;
 
-  std::mutex slots_mutex_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::uint64_t next_session_ = 0;
+  support::LineServer server_;  ///< last: its handler threads use the members above
 };
 
 struct FabricWorkerOptions {

@@ -80,24 +80,38 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   // request with a different schedule, so the report and the half-width
   // must come from this one.
   const ScenarioSpec request_spec = resolved.spec;
-  const TrialSchedule& schedule = request_spec.schedule;
-  const std::size_t requested = schedule.max_trials;
 
   ResultCacheOutcome outcome;
   outcome.key = scenario_cache_key(request_spec);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.requests;
+  const bool created = entries_.find(outcome.key) == entries_.end();
   Entry& entry = entry_for(outcome.key, std::move(resolved));
+  try {
+    serve_locked(entry, request_spec, outcome);
+  } catch (...) {
+    // A failed request leaves no residue: an entry it created holds no
+    // partials anyone could be served from, only resident engines.
+    if (created) entries_.erase(outcome.key);
+    stats_.entries = entries_.size();
+    throw;
+  }
   stats_.entries = entries_.size();
+  return outcome;
+}
 
+void ResultCache::serve_locked(Entry& entry, const ScenarioSpec& request_spec,
+                               ResultCacheOutcome& outcome) {
+  const TrialSchedule& schedule = request_spec.schedule;
+  const std::size_t requested = schedule.max_trials;
   const std::string memo_key = scenario_to_json(request_spec);
   const auto memo = entry.reports.find(memo_key);
   if (memo != entry.reports.end()) {
     ++stats_.full_hits;
     outcome.report = memo->second;
     outcome.warm = true;
-    return outcome;
+    return;
   }
 
   const std::size_t cached_before =
@@ -153,7 +167,6 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   outcome.trials_computed = computed;
   outcome.warm = computed == 0;
   entry.reports.emplace(memo_key, outcome.report);
-  return outcome;
 }
 
 bool ResultCache::offer_partials(const ScenarioSpec& spec,

@@ -107,6 +107,9 @@ class ResultCache {
   struct Entry;
 
   Entry& entry_for(const std::string& key, ResolvedScenario&& resolved);
+  /// sweep()'s work once the entry exists: memo lookup, the missing
+  /// trials, finalize. Called with mutex_ held.
+  void serve_locked(Entry& entry, const ScenarioSpec& request_spec, ResultCacheOutcome& outcome);
 
   mutable std::mutex mutex_;
   ResultCacheOptions options_;

@@ -1,11 +1,8 @@
 #include "core/serve.hpp"
 
-#include <sys/socket.h>
-
 #include <exception>
 #include <utility>
 
-#include "support/assert.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 
@@ -25,31 +22,22 @@ std::string error_reply(const std::string& message) {
 }  // namespace
 
 Server::Server(const ServeOptions& options)
-    : options_(options), cache_(ResultCacheOptions{options.threads, options.batch_size}) {
-  AVGLOCAL_EXPECTS_MSG(options_.max_clients >= 1, "serve needs at least one client slot");
+    : options_(options),
+      cache_(ResultCacheOptions{options.threads, options.batch_size}),
+      server_(options.max_clients, [this](std::uint64_t, const std::string& line) {
+        Reply reply = handle_request(line);
+        // The reply still goes out: a stop half-closes reads only.
+        if (reply.shutdown) request_stop();
+        return support::LineServer::Reply{std::move(reply.line), reply.shutdown};
+      }) {}
+
+void Server::start() {
+  support::Endpoint endpoint;
+  endpoint.path = options_.socket_path;
+  server_.start(endpoint);
 }
 
-Server::~Server() {
-  // Normal lifecycle joins everything inside run(); this only covers a
-  // server destroyed between start() and run().
-  request_stop();
-  for (const auto& slot : slots_) {
-    const int fd = slot->fd.load(std::memory_order_relaxed);
-    if (fd >= 0) ::shutdown(fd, SHUT_RD);
-  }
-  for (const auto& slot : slots_) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-}
-
-void Server::start() { listener_ = support::UnixListener::bind(options_.socket_path); }
-
-void Server::request_stop() noexcept {
-  // Called from SIGTERM/SIGINT handlers: only the atomic store and
-  // shutdown(2) below are async-signal-safe, so nothing else happens here.
-  stop_.store(true, std::memory_order_relaxed);
-  listener_.interrupt();
-}
+void Server::run() { server_.run(); }
 
 Server::Reply Server::handle_request(const std::string& line) {
   Reply reply;
@@ -104,77 +92,6 @@ Server::Reply Server::handle_request(const std::string& line) {
     reply.shutdown = false;
   }
   return reply;
-}
-
-void Server::serve_connection(support::UnixStream stream, ClientSlot* slot) {
-  std::string line;
-  while (!stopping() && stream.read_line(line)) {
-    const Reply reply = handle_request(line);
-    if (!stream.write_line(reply.line)) break;
-    if (reply.shutdown) {
-      request_stop();
-      break;
-    }
-  }
-  slot->fd.store(-1, std::memory_order_relaxed);
-  slot->done.store(true, std::memory_order_release);
-}
-
-void Server::reap_finished_slots_locked() {
-  for (std::size_t index = 0; index < slots_.size();) {
-    if (slots_[index]->done.load(std::memory_order_acquire)) {
-      if (slots_[index]->thread.joinable()) slots_[index]->thread.join();
-      slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
-    } else {
-      ++index;
-    }
-  }
-}
-
-void Server::run() {
-  AVGLOCAL_EXPECTS_MSG(listener_.valid(), "Server::run called before start()");
-  while (!stopping()) {
-    support::UnixStream stream = listener_.accept_client();
-    if (stopping()) break;
-    if (!stream.valid()) continue;  // interrupted accept; loop re-checks stop
-
-    std::unique_lock<std::mutex> lock(slots_mutex_);
-    reap_finished_slots_locked();
-    if (slots_.size() >= options_.max_clients) {
-      // Every slot is taken. Tell the client so instead of dropping the
-      // connection on the floor: an explicit busy line lets it back off
-      // and retry, where a silent close is indistinguishable from a
-      // crashed daemon.
-      lock.unlock();
-      stream.write_line(error_reply("busy"));
-      continue;
-    }
-
-    auto slot = std::make_unique<ClientSlot>();
-    ClientSlot* raw = slot.get();
-    raw->fd.store(stream.fd(), std::memory_order_relaxed);
-    raw->thread = std::thread(
-        [this, raw, s = std::move(stream)]() mutable { serve_connection(std::move(s), raw); });
-    slots_.push_back(std::move(slot));
-  }
-
-  // Half-close every live connection's read side: blocked read_line calls
-  // return, responses already being written still flush.
-  {
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (const auto& slot : slots_) {
-      const int fd = slot->fd.load(std::memory_order_relaxed);
-      if (fd >= 0) ::shutdown(fd, SHUT_RD);
-    }
-  }
-  // The accept loop is done, so nobody resizes slots_ anymore; handlers
-  // only flip their own flags. Join without the lock (handlers take it on
-  // exit).
-  for (const auto& slot : slots_) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-  slots_.clear();
-  listener_.close();
 }
 
 }  // namespace avglocal::core

@@ -18,26 +18,18 @@
 // them with cmp. Any malformed line or failed request yields
 // {"ok":false,"error":"..."} and the connection stays open.
 //
-// Concurrency: one handler thread per connection (at most
-// ServeOptions::max_clients at once; a connection accepted while every
-// slot is taken gets one {"ok":false,"error":"busy"} line and is closed,
-// so clients see an explicit reply to retry on, never a silent drop), all
+// Concurrency and lifetime come from support::LineServer: one handler
+// thread per connection (at most ServeOptions::max_clients at once; one
+// more gets a {"ok":false,"error":"busy"} line and is closed), all
 // funnelling into the shared ResultCache, which serialises sweeps
-// internally. Shutdown - via the shutdown op or request_stop(),
-// which is async-signal-safe for SIGTERM handlers - interrupts the accept
-// loop, half-closes idle connections (in-flight responses still flush)
-// and joins every handler before run() returns.
+// internally. The shutdown op and request_stop() - async-signal-safe, for
+// SIGTERM handlers - both end run() through LineServer's draining stop.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/result_cache.hpp"
-#include "support/socket.hpp"
+#include "support/line_server.hpp"
 
 namespace avglocal::core {
 
@@ -55,9 +47,8 @@ struct ServeOptions {
 class Server {
  public:
   explicit Server(const ServeOptions& options);
-  Server(const Server&) = delete;
+  Server(const Server&) = delete;  // the connection handler holds `this`
   Server& operator=(const Server&) = delete;
-  ~Server();
 
   /// Binds and listens on options.socket_path. Throws std::runtime_error
   /// when the path is unusable or already served. Separate from run() so
@@ -71,9 +62,9 @@ class Server {
 
   /// Requests shutdown. Async-signal-safe (an atomic store plus a socket
   /// shutdown()) - this is the SIGTERM handler's one call.
-  void request_stop() noexcept;
+  void request_stop() noexcept { server_.request_stop(); }
 
-  bool stopping() const noexcept { return stop_.load(std::memory_order_relaxed); }
+  bool stopping() const noexcept { return server_.stopping(); }
 
   ResultCache& cache() noexcept { return cache_; }
 
@@ -90,25 +81,9 @@ class Server {
   Reply handle_request(const std::string& line);
 
  private:
-  /// One connection's lifetime. `fd` mirrors the handler's stream fd while
-  /// live so shutdown can half-close blocked readers; `done` flags the
-  /// slot for reaping by the accept loop.
-  struct ClientSlot {
-    std::thread thread;
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-  };
-
-  void serve_connection(support::UnixStream stream, ClientSlot* slot);
-  void reap_finished_slots_locked();
-
   ServeOptions options_;
   ResultCache cache_;
-  support::UnixListener listener_;
-  std::atomic<bool> stop_{false};
-
-  std::mutex slots_mutex_;
-  std::vector<std::unique_ptr<ClientSlot>> slots_;
+  support::LineServer server_;  ///< last: its handler threads use cache_
 };
 
 }  // namespace avglocal::core

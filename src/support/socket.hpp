@@ -1,6 +1,6 @@
-// Stream sockets with newline framing, for the sweep-as-a-service daemon
-// (core/serve.hpp), the distributed sweep fabric (core/fabric.hpp) and
-// their clients.
+// Stream sockets with newline framing, for support::LineServer (under the
+// sweep-as-a-service daemon, core/serve.hpp, and the distributed sweep
+// fabric, core/fabric.hpp) and their clients.
 //
 // Two small RAII wrappers over SOCK_STREAM sockets: Listener owns the
 // bound endpoint (Unix-domain socket file or TCP host:port), Stream owns
@@ -105,10 +105,6 @@ class Stream {
   std::string buffer_;  ///< bytes received past the last returned line
 };
 
-/// The daemon protocol predates TCP support; existing call sites keep the
-/// Unix-domain name.
-using UnixStream = Stream;
-
 /// A listening socket bound to an endpoint. For Unix-domain endpoints the
 /// listener owns the path: it refuses to clobber a live daemon (connect
 /// probe), silently replaces a stale socket file left by a crashed one,
@@ -162,8 +158,5 @@ class Listener {
   std::atomic<int> fd_{-1};
   Endpoint endpoint_;
 };
-
-/// See Listener; kept for the PR 9 daemon call sites.
-using UnixListener = Listener;
 
 }  // namespace avglocal::support

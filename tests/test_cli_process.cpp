@@ -4,11 +4,11 @@
 //  * malformed numeric flags exit 2 and name the offending flag - the
 //    bare-stoull era threw an uncaught exception on garbage and silently
 //    wrapped "-1" to 2^64-1;
-//  * the drive reaper survives shard failure: a shard that exits nonzero
-//    or dies by signal on its first attempt is retried, and the merged
+//  * drive survives worker failure: a fabric-worker child that exits
+//    nonzero or dies by signal on its first grant is respawned, and the
 //    report is byte-identical to the monolithic sweep's;
-//  * exhausted retries fail the drive cleanly (exit 1, "giving up"),
-//    never a hang or an abort.
+//  * exhausted respawns fail the drive cleanly (exit 1, "giving up", no
+//    report), never a hang or an abort.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -117,7 +117,7 @@ TEST(CliFlagParsing, WellFormedNumericFlagsStillWork) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
 }
 
-// ------------------------------------------------------ drive retry path ----
+// ---------------------------------------------------- drive respawn path ----
 
 std::string drive_flags(const ScratchDir& dir, const std::string& report) {
   return " drive --algo largest-id --graph cycle --ns 64,128 --trials 10 --seed 3"
@@ -172,7 +172,7 @@ TEST(CliDrive, GivesUpCleanlyWhenRetriesAreExhausted) {
                   " --retries 1");
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("giving up"), std::string::npos) << result.output;
-  // No report file: the drive failed before the merge.
+  // No report file: the drive gave up before the sweep completed.
   std::ifstream missing(report);
   EXPECT_FALSE(missing.good());
 }

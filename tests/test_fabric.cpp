@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -282,6 +283,17 @@ TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
 
 // ------------------------------------------------- sockets, end to end ----
 
+/// A worker on a test thread: exceptions become test failures instead of
+/// escaping the thread (which would terminate the whole suite).
+void run_worker_thread(const core::FabricWorkerOptions& options) {
+  try {
+    const core::FabricWorkerOutcome outcome = core::run_fabric_worker(options);
+    EXPECT_FALSE(outcome.drained) << options.name;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "worker " << options.name << " failed: " << error.what();
+  }
+}
+
 /// Runs a full fabric sweep: a RemoteBackend coordinator on `endpoint`
 /// plus `workers` in-process workers, returning the merged report.
 std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
@@ -297,13 +309,23 @@ std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t index = 0; index < workers; ++index) {
-    threads.emplace_back([bound, index] {
+    threads.emplace_back([&backend, bound, index, workers] {
       core::FabricWorkerOptions worker;
       worker.endpoint = bound;
       worker.name = "w" + std::to_string(index);
       worker.threads = 1;
-      const core::FabricWorkerOutcome outcome = core::run_fabric_worker(worker);
-      EXPECT_FALSE(outcome.drained);
+      // Start gate: no unit runs before every worker has said hello.
+      // Otherwise a fast worker can finish the sweep while a slow one is
+      // still connecting, and the slow one times out against a closed
+      // socket.
+      worker.on_grant = [&backend, workers](const core::WorkUnit&) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (backend.coordinator().stats().workers_seen < workers &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      };
+      run_worker_thread(worker);
     });
   }
   const core::RemoteSweepOutcome outcome = backend.run(cache);
@@ -389,7 +411,13 @@ TEST(Fabric, WorkerVanishingMidUnitIsRedispatchedAndStaysByteIdentical) {
   // The casualty: takes a grant, then vanishes without delivering - the
   // protocol-level shape of a worker killed mid-unit.
   std::thread casualty([bound] {
-    support::Stream stream = support::Stream::connect_with_retry(bound, 5000);
+    support::Stream stream;
+    try {
+      stream = support::Stream::connect_with_retry(bound, 5000);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << error.what();
+      return;
+    }
     std::string line;
     ASSERT_TRUE(stream.write_line("{\"op\":\"hello\",\"worker\":\"doomed\"}"));
     ASSERT_TRUE(stream.read_line(line));
@@ -405,7 +433,7 @@ TEST(Fabric, WorkerVanishingMidUnitIsRedispatchedAndStaysByteIdentical) {
     worker.endpoint = bound;
     worker.name = "survivor";
     worker.threads = 1;
-    (void)core::run_fabric_worker(worker);
+    run_worker_thread(worker);
   });
   runner.join();
   survivor.join();

@@ -25,6 +25,7 @@
 #include "support/alloc_hook.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/line_server.hpp"
 #include "support/socket.hpp"
 
 AVGLOCAL_DEFINE_ALLOC_HOOK();
@@ -271,6 +272,55 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
   EXPECT_NE(shutdown.line.find("\"ok\":true"), std::string::npos);
 }
 
+/// A started Server with its accept loop on a thread. Stops and joins on
+/// every exit path, so a failed ASSERT never leaves a joinable thread.
+class RunningServer {
+ public:
+  explicit RunningServer(const core::ServeOptions& options) : server_(options) {
+    server_.start();
+    thread_ = std::thread([this] { server_.run(); });
+  }
+  RunningServer(const RunningServer&) = delete;
+  RunningServer& operator=(const RunningServer&) = delete;
+  ~RunningServer() { join(); }
+
+  core::Server& server() { return server_; }
+
+  /// Waits for run() to return (after a shutdown op or request_stop()).
+  void join() {
+    if (!thread_.joinable()) return;
+    if (::testing::Test::HasFatalFailure()) server_.request_stop();
+    thread_.join();
+  }
+
+ private:
+  core::Server server_;
+  std::thread thread_;
+};
+
+TEST(Server, FailedRequestLeavesNoCacheEntry) {
+  core::ServeOptions options;
+  options.socket_path = "/tmp/unused-protocol-test.sock";  // never bound
+  core::Server server(options);
+  const auto good = server.handle_request(sweep_request_line(base_spec(4)));
+  EXPECT_NE(good.line.find("\"ok\":true"), std::string::npos);
+
+  // local3 on a path passes resolve but throws inside the engine (it needs
+  // a degree-2 cycle). The entry that request created must not stay.
+  core::ScenarioSpec failing = base_spec(4);
+  failing.family = {"path", {}};
+  failing.algorithm = "local3";
+  const auto failed = server.handle_request(sweep_request_line(failing));
+  EXPECT_NE(failed.line.find("\"ok\":false"), std::string::npos);
+
+  const support::JsonValue stats =
+      support::parse_json(server.handle_request("{\"op\":\"stats\"}").line);
+  EXPECT_EQ(stats.at("entries").as_u64(), 1u);
+  EXPECT_EQ(server.cache().entry_count(), 1u);
+  // The surviving entry still serves warm.
+  EXPECT_TRUE(server.cache().sweep(base_spec(4)).warm);
+}
+
 TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
@@ -280,9 +330,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   options.socket_path = socket_path;
   options.threads = 2;
   options.max_clients = 4;
-  core::Server server(options);
-  server.start();
-  std::thread accept_thread([&server] { server.run(); });
+  RunningServer running(options);
 
   const core::ScenarioSpec spec = base_spec(12);
   const std::string reference = monolithic_report(spec);
@@ -295,7 +343,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < replies.size(); ++c) {
     clients.emplace_back([&, c] {
-      support::UnixStream stream = support::UnixStream::connect(socket_path);
+      support::Stream stream = support::Stream::connect(socket_path);
       ASSERT_TRUE(stream.write_line(request));
       ASSERT_TRUE(stream.read_line(replies[c]));
     });
@@ -309,7 +357,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
 
   // One connection, two pipelined requests: an extension then stats.
   {
-    support::UnixStream stream = support::UnixStream::connect(socket_path);
+    support::Stream stream = support::Stream::connect(socket_path);
     core::ScenarioSpec extended = base_spec(20);
     ASSERT_TRUE(stream.write_line(sweep_request_line(extended)));
     std::string line;
@@ -330,14 +378,14 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   // The shutdown op stops the whole daemon: run() returns, every handler
   // joins, and the socket file is unlinked.
   {
-    support::UnixStream stream = support::UnixStream::connect(socket_path);
+    support::Stream stream = support::Stream::connect(socket_path);
     ASSERT_TRUE(stream.write_line("{\"op\":\"shutdown\"}"));
     std::string line;
     ASSERT_TRUE(stream.read_line(line));
     EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
   }
-  accept_thread.join();
-  EXPECT_TRUE(server.stopping());
+  running.join();
+  EXPECT_TRUE(running.server().stopping());
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
   ::rmdir(dir_template);
 }
@@ -349,13 +397,11 @@ TEST(Server, RequestStopInterruptsABlockedAcceptLoop) {
 
   core::ServeOptions options;
   options.socket_path = socket_path;
-  core::Server server(options);
-  server.start();
-  std::thread accept_thread([&server] { server.run(); });
+  RunningServer running(options);
   // Simulates the SIGTERM handler: the signal-safe call alone must bring
   // the blocked accept loop down.
-  server.request_stop();
-  accept_thread.join();
+  running.server().request_stop();
+  running.join();
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
   ::rmdir(dir_template);
 }
@@ -368,13 +414,11 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   core::ServeOptions options;
   options.socket_path = socket_path;
   options.max_clients = 1;
-  core::Server server(options);
-  server.start();
-  std::thread accept_thread([&server] { server.run(); });
+  RunningServer running(options);
 
   // The first client pins the only slot; the ping round-trip guarantees
   // its handler is live before anyone else knocks.
-  support::UnixStream holder = support::UnixStream::connect(socket_path);
+  support::Stream holder = support::Stream::connect(socket_path);
   std::string line;
   ASSERT_TRUE(holder.write_line("{\"op\":\"ping\"}"));
   ASSERT_TRUE(holder.read_line(line));
@@ -382,7 +426,7 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   // The second connection must get an explicit busy error, then EOF - a
   // reply to back off on, not a silent drop.
   {
-    support::UnixStream rejected = support::UnixStream::connect(socket_path);
+    support::Stream rejected = support::Stream::connect(socket_path);
     ASSERT_TRUE(rejected.read_line(line));
     const support::JsonValue reply = support::parse_json(line);
     EXPECT_FALSE(reply.at("ok").as_bool());
@@ -392,19 +436,21 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
 
   // Once the holder leaves its slot is reaped on the next accept, so a
   // retrying client eventually gets a real handler again. Busy lines in
-  // between are expected - that is the whole point of the reply.
+  // between are expected - that is the whole point of the reply. A busy
+  // server may answer and close before the ping is written, so a failed
+  // write is not an error: the reply decides.
   holder.close();
   for (;;) {
-    support::UnixStream retry = support::UnixStream::connect(socket_path);
-    ASSERT_TRUE(retry.write_line("{\"op\":\"ping\"}"));
+    support::Stream retry = support::Stream::connect(socket_path);
+    (void)retry.write_line("{\"op\":\"ping\"}");
     ASSERT_TRUE(retry.read_line(line));
     const support::JsonValue reply = support::parse_json(line);
     if (reply.at("ok").as_bool()) break;  // a freed slot served the ping
     EXPECT_EQ(reply.at("error").as_string(), "busy");
   }
 
-  server.request_stop();
-  accept_thread.join();
+  running.server().request_stop();
+  running.join();
   ::rmdir(dir_template);
 }
 
@@ -417,21 +463,25 @@ TEST(Stream, ConnectWithRetryOutwaitsADaemonStillBinding) {
   // The daemon-startup race, reproduced deterministically: the listener
   // appears only after the client has already started connecting. The
   // bounded-backoff retry must ride out the ENOENT window.
-  std::thread late_binder([&socket_path] {
+  // An echo server, proving a usable stream.
+  support::LineServer echo(1, [](std::uint64_t, const std::string& line) {
+    return support::LineServer::Reply{line, false};
+  });
+  std::thread late_binder([&echo, &endpoint] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    support::UnixListener listener = support::UnixListener::bind(socket_path);
-    support::UnixStream peer = listener.accept_client();
-    std::string line;
-    ASSERT_TRUE(peer.read_line(line));
-    ASSERT_TRUE(peer.write_line(line));  // echo, proving a usable stream
+    echo.start(endpoint);
+    echo.run();
   });
 
-  support::UnixStream stream = support::Stream::connect_with_retry(endpoint, 5000);
-  ASSERT_TRUE(stream.valid());
-  ASSERT_TRUE(stream.write_line("hello"));
   std::string echoed;
-  ASSERT_TRUE(stream.read_line(echoed));
+  {
+    support::Stream stream = support::Stream::connect_with_retry(endpoint, 5000);
+    EXPECT_TRUE(stream.valid());
+    EXPECT_TRUE(stream.write_line("hello"));
+    EXPECT_TRUE(stream.read_line(echoed));
+  }
   EXPECT_EQ(echoed, "hello");
+  echo.request_stop();
   late_binder.join();
 
   // Nothing ever binds here: the retry window closes and throws instead
@@ -448,8 +498,8 @@ TEST(Server, BindRefusesALiveDaemonAndReplacesAStaleSocket) {
   const std::string socket_path = std::string(dir_template) + "/daemon.sock";
 
   {
-    support::UnixListener live = support::UnixListener::bind(socket_path);
-    EXPECT_THROW((void)support::UnixListener::bind(socket_path), std::runtime_error);
+    support::Listener live = support::Listener::bind(socket_path);
+    EXPECT_THROW((void)support::Listener::bind(socket_path), std::runtime_error);
   }
   // A leftover path that nothing is accepting on (here: a plain file, the
   // same EADDRINUSE + failed-probe shape as a crashed daemon's socket
@@ -459,7 +509,7 @@ TEST(Server, BindRefusesALiveDaemonAndReplacesAStaleSocket) {
     stale << "stale";
   }
   EXPECT_EQ(::access(socket_path.c_str(), F_OK), 0);
-  support::UnixListener replaced = support::UnixListener::bind(socket_path);
+  support::Listener replaced = support::Listener::bind(socket_path);
   EXPECT_TRUE(replaced.valid());
   replaced.close();
   ::rmdir(dir_template);
