@@ -5,7 +5,6 @@
 #include "algo/largest_id.hpp"
 #include "analysis/recurrence.hpp"
 #include "bench_common.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view_engine.hpp"

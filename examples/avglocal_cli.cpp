@@ -72,7 +72,6 @@
 #include "core/fabric.hpp"
 #include "core/measure.hpp"
 #include "core/remote_backend.hpp"
-#include "core/runner.hpp"
 #include "core/scenario.hpp"
 #include "core/serve.hpp"
 #include "core/shard.hpp"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/sweep_driver.hpp"
 #include "graph/ids.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -102,19 +101,6 @@ void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Ve
   }
 }
 
-PointAccumulator accumulate_point(const graph::Graph& g, std::size_t point_index,
-                                  const local::ViewAlgorithmFactory& algorithm,
-                                  const BatchedSweepOptions& options, std::size_t trial_begin,
-                                  std::size_t trial_end, support::ThreadPool* pool) {
-  // Thin shim over the engine-agnostic driver (core/sweep_driver.hpp); the
-  // per-worker partial folding and edge accumulation that used to live
-  // here are now ViewBackend::run_batch and SweepDriver::run_lane.
-  const ViewBackend backend([&algorithm](std::size_t) { return algorithm; }, options.semantics);
-  SweepDriver driver(backend, options, pool);
-  SweepDriver::Point point = driver.prepare(g, point_index);
-  return driver.run_trials(point, trial_begin, trial_end);
-}
-
 BatchedSweepPoint finalize_point(const PointAccumulator& acc, const BatchedSweepOptions& options) {
   AVGLOCAL_EXPECTS(acc.trial_begin == 0 && acc.trial_count() == options.trials);
   AVGLOCAL_EXPECTS(acc.n > 0 && acc.node_sum.size() == acc.n);
@@ -123,8 +109,9 @@ BatchedSweepPoint finalize_point(const PointAccumulator& acc, const BatchedSweep
   point.n = acc.n;
   point.trials = options.trials;
 
-  // Same accumulation order (global trial order) and the same divisions as
-  // run_random_sweep, so these aggregates match it bit for bit.
+  // Global trial order and per-trial sum / n: the same operations, in the
+  // same order, as aggregating per-trial core::measure results, so these
+  // aggregates match a per-trial reference bit for bit.
   support::RunningStats avg_stats;
   support::RunningStats max_stats;
   for (std::size_t t = 0; t < acc.trial_count(); ++t) {
@@ -163,26 +150,6 @@ BatchedSweepPoint finalize_point(const PointAccumulator& acc, const BatchedSweep
     }
   }
   return point;
-}
-
-std::vector<BatchedSweepPoint> run_batched_sweep(const std::vector<std::size_t>& ns,
-                                                 const GraphFactory& graphs,
-                                                 const AlgorithmProvider& algorithms,
-                                                 const BatchedSweepOptions& options) {
-  // One pool for the whole sweep, as in run_random_sweep - but without the
-  // trial clamp: the batched engine parallelises over vertices, so every
-  // worker stays busy regardless of the trial count.
-  const ViewBackend backend(algorithms, options.semantics);
-  const SweepPool pool(options);
-  return SweepDriver(backend, options, pool.get()).run(ns, graphs);
-}
-
-std::vector<BatchedSweepPoint> run_batched_sweep(const std::vector<std::size_t>& ns,
-                                                 const GraphFactory& graphs,
-                                                 const local::ViewAlgorithmFactory& algorithm,
-                                                 const BatchedSweepOptions& options) {
-  return run_batched_sweep(
-      ns, graphs, [&algorithm](std::size_t) { return algorithm; }, options);
 }
 
 }  // namespace avglocal::core

@@ -18,12 +18,13 @@
 #include "analysis/expectation.hpp"
 #include "analysis/neighbourhood_graph.hpp"
 #include "analysis/recurrence.hpp"
-#include "core/runner.hpp"
 #include "core/scenario.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "local/engine.hpp"
+#include "local/view_engine.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
 #include "support/math.hpp"
@@ -42,6 +43,20 @@ std::size_t ExperimentScale::at_least(std::size_t value, std::size_t min_value) 
 namespace {
 
 std::string fmt_double(double v, int precision = 3) { return Table::cell(v, precision); }
+
+/// `trials` random-permutation runs of a view algorithm on the cycle of
+/// every size in `ns`, through the one sweep driver.
+std::vector<BatchedSweepPoint> cycle_sweep(const std::vector<std::size_t>& ns,
+                                           const local::ViewAlgorithmFactory& factory,
+                                           std::size_t trials, std::uint64_t seed) {
+  BatchedSweepOptions options;
+  options.trials = trials;
+  options.seed = seed;
+  const ViewBackend backend([&factory](std::size_t) { return factory; });
+  const SweepPool pool(options);
+  return SweepDriver(backend, options, pool.get())
+      .run(ns, [](std::size_t n) { return graph::make_cycle(n); });
+}
 
 }  // namespace
 
@@ -97,12 +112,8 @@ ExperimentResult experiment_largest_id_gap(const ExperimentScale& scale) {
   std::vector<std::size_t> ns;
   for (std::size_t n = 16; n <= n_max; n *= 2) ns.push_back(n);
 
-  SweepOptions sweep_options;
-  sweep_options.trials = std::max<std::size_t>(8, scale.at_least(25, 8));
-  sweep_options.seed = 2015;
   const auto sweep =
-      run_random_sweep(ns, [](std::size_t n) { return graph::make_cycle(n); }, factory,
-                       sweep_options);
+      cycle_sweep(ns, factory, std::max<std::size_t>(8, scale.at_least(25, 8)), 2015);
 
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const std::size_t n = ns[i];
@@ -111,7 +122,7 @@ ExperimentResult experiment_largest_id_gap(const ExperimentScale& scale) {
         static_cast<double>(n);
     const graph::Graph cycle = graph::make_cycle(n);
     const Measurement worst =
-        run_assignment(cycle, analysis::worst_case_cycle_ids(rec, n), factory);
+        measure(local::run_views(cycle, analysis::worst_case_cycle_ids(rec, n), factory));
     table.add_row({Table::cell(n), fmt_double(predicted), fmt_double(worst.avg_radius),
                    fmt_double(sweep[i].avg_mean), fmt_double(sweep[i].avg_sd),
                    Table::cell(worst.max_radius),
@@ -280,23 +291,20 @@ ExperimentResult experiment_adversaries(const ExperimentScale& scale) {
   for (std::size_t n = 64; n <= n_max; n *= 2) {
     const graph::Graph cycle = graph::make_cycle(n);
 
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(4, scale.at_least(10, 4));
-    sweep_options.seed = 99;
-    const auto sweep = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); }, factory, sweep_options);
+    const auto sweep =
+        cycle_sweep({n}, factory, std::max<std::size_t>(4, scale.at_least(10, 4)), 99);
 
     analysis::SliceAdversaryOptions slice_options;
     slice_options.seed = 4;
     slice_options.probes = std::max<std::size_t>(2, scale.at_least(4, 2));
-    const Measurement slice = run_assignment(
-        cycle, analysis::build_slice_adversary(n, factory, slice_options), factory);
+    const Measurement slice = measure(local::run_views(
+        cycle, analysis::build_slice_adversary(n, factory, slice_options), factory));
 
     analysis::HillClimbOptions hill_options;
     hill_options.seed = 5;
     hill_options.iterations = std::max<std::size_t>(50, scale.at_least(400, 50));
-    const Measurement hill = run_assignment(
-        cycle, analysis::hill_climb_adversary(n, factory, hill_options), factory);
+    const Measurement hill = measure(local::run_views(
+        cycle, analysis::hill_climb_adversary(n, factory, hill_options), factory));
 
     const double exact = static_cast<double>(analysis::predicted_worst_cycle_sum(rec, n)) /
                          static_cast<double>(n);
@@ -350,20 +358,14 @@ ExperimentResult experiment_exact_small_n(const ExperimentScale& scale) {
   const analysis::Recurrence rec_big(un_max);
   for (std::size_t n = 64; n <= un_max; n *= 4) {
     const graph::Graph cycle = graph::make_cycle(n);
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(4, scale.at_least(16, 4));
-    sweep_options.seed = 31;
-    const auto paper = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_view(), sweep_options);
-    const auto aware = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_universe_aware_view(), sweep_options);
+    const std::size_t trials = std::max<std::size_t>(4, scale.at_least(16, 4));
+    const auto paper = cycle_sweep({n}, algo::make_largest_id_view(), trials, 31);
+    const auto aware = cycle_sweep({n}, algo::make_largest_id_universe_aware_view(), trials, 31);
     const graph::IdAssignment worst_ids = analysis::worst_case_cycle_ids(rec_big, n);
     const Measurement worst_paper =
-        run_assignment(cycle, worst_ids, algo::make_largest_id_view());
+        measure(local::run_views(cycle, worst_ids, algo::make_largest_id_view()));
     const Measurement worst_aware =
-        run_assignment(cycle, worst_ids, algo::make_largest_id_universe_aware_view());
+        measure(local::run_views(cycle, worst_ids, algo::make_largest_id_universe_aware_view()));
     universe.add_row({Table::cell(n), fmt_double(paper[0].avg_mean),
                       fmt_double(aware[0].avg_mean), fmt_double(worst_paper.avg_radius),
                       fmt_double(worst_aware.avg_radius)});
@@ -492,7 +494,7 @@ ExperimentResult experiment_general_graphs(const ExperimentScale& scale) {
   Table table({"family", "n", "m", "avg r", "max r", "avg/log2 n"});
   const auto add = [&](const std::string& name, const graph::Graph& g) {
     const graph::IdAssignment ids = graph::IdAssignment::random(g.vertex_count(), rng);
-    const Measurement m = run_assignment(g, ids, algo::make_largest_id_view());
+    const Measurement m = measure(local::run_views(g, ids, algo::make_largest_id_view()));
     table.add_row({name, Table::cell(g.vertex_count()), Table::cell(g.edge_count()),
                    fmt_double(m.avg_radius), Table::cell(m.max_radius),
                    fmt_double(m.avg_radius /
@@ -527,12 +529,8 @@ ExperimentResult experiment_expected_complexity(const ExperimentScale& scale) {
                "E[avg] universe-aware", "max (every perm)"});
   const std::size_t n_max = scale.at_least(1u << 14, 64);
   for (std::size_t n = 16; n <= n_max; n *= 4) {
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(6, scale.at_least(30, 6));
-    sweep_options.seed = 515;
-    const auto sweep = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_view(), sweep_options);
+    const auto sweep = cycle_sweep({n}, algo::make_largest_id_view(),
+                                   std::max<std::size_t>(6, scale.at_least(30, 6)), 515);
     const double exact = analysis::expected_largest_id_average(n);
     table.add_row({Table::cell(n), fmt_double(exact), fmt_double(sweep[0].avg_mean),
                    fmt_double(sweep[0].avg_sd),

@@ -61,8 +61,13 @@ double TrialSchedule::half_width(double sd, std::size_t trials) const noexcept {
 }
 
 std::unique_ptr<SweepBackend> ResolvedScenario::make_backend() const {
-  if (is_message()) return std::make_unique<MessageBackend>(messages, message_engine);
-  return std::make_unique<ViewBackend>(algorithms, spec.semantics);
+  const algo::AlgorithmInfo& algorithm = algo::AlgorithmRegistry::global().at(spec.algorithm);
+  if (algorithm.kind == algo::AlgorithmKind::kMessage) {
+    MessageEngineOptions engine;
+    engine.knowledge = algorithm.knowledge;
+    return std::make_unique<MessageBackend>(algorithm.messages, engine);
+  }
+  return std::make_unique<ViewBackend>(algorithm.view, spec.semantics);
 }
 
 BatchedSweepOptions ResolvedScenario::sweep_options() const {
@@ -122,7 +127,7 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   resolved.spec.ns.clear();
   for (const std::size_t requested : spec.ns) {
     const std::size_t realised =
-        family.realised_size(std::max(requested, family.min_size), params);
+        graph::FamilyRegistry::checked_realised_size(family, params, requested);
     if (std::find(resolved.spec.ns.begin(), resolved.spec.ns.end(), realised) ==
         resolved.spec.ns.end()) {
       resolved.spec.ns.push_back(realised);
@@ -138,17 +143,6 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
     return graph::FamilyRegistry::global().build(family_spec, n, rng);
   };
 
-  const std::string algorithm_name = spec.algorithm;
-  if (is_message) {
-    resolved.messages = [algorithm_name](std::size_t n) {
-      return algo::AlgorithmRegistry::global().at(algorithm_name).messages(n);
-    };
-    resolved.message_engine.knowledge = algorithm.knowledge;
-  } else {
-    resolved.algorithms = [algorithm_name](std::size_t n) {
-      return algo::AlgorithmRegistry::global().at(algorithm_name).view(n);
-    };
-  }
   return resolved;
 }
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/batched_sweep.hpp"
-#include "core/message_sweep.hpp"
 #include "core/shard.hpp"
 #include "graph/family_registry.hpp"
 #include "support/json_reader.hpp"
@@ -93,21 +92,14 @@ struct ScenarioSpec {
 /// included), sizes snapped to realised sizes (deduplicated, order kept)
 /// and the engine filled in, so two specs that describe the same workload
 /// resolve to equal - and identically serialised - canonical specs.
-///
-/// Exactly one of `algorithms` (view engine) and `messages` (message
-/// engine) is set, per the algorithm's registry kind.
 struct ResolvedScenario {
   ScenarioSpec spec;
   GraphFactory graphs;
-  AlgorithmProvider algorithms;          ///< view scenarios only
-  MessageAlgorithmProvider messages;     ///< message scenarios only
-  MessageEngineOptions message_engine;   ///< knowledge et al. (message only)
 
-  bool is_message() const noexcept { return static_cast<bool>(messages); }
-
-  /// Builds the SweepBackend the spec's engine field names (ViewBackend or
-  /// MessageBackend, core/sweep_backend.hpp), ready to drive through a
-  /// core::SweepDriver. Every scenario consumer - run_scenario,
+  /// Builds the SweepBackend for the registry entry spec.algorithm names:
+  /// a ViewBackend under spec.semantics for view algorithms, a
+  /// MessageBackend granting the entry's knowledge for message algorithms
+  /// (core/sweep_backend.hpp). Every scenario consumer - run_scenario,
   /// run_scenario_shard, the CLI, benches, the conformance tests - runs
   /// sweeps through this one seam.
   std::unique_ptr<SweepBackend> make_backend() const;
@@ -185,9 +177,8 @@ struct ScenarioExecution {
 /// Runs the scenario monolithically, applying the trial schedule per point.
 ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& execution = {});
 
-/// Runs one shard of a resolved scenario through the engine its spec names
-/// (the scenario-level counterpart of run_sweep_shard): accumulators for
-/// points [shard.point_begin, point_end), trials [trial_begin, trial_end).
+/// Runs one shard of a resolved scenario through the engine its spec names:
+/// accumulators for points [shard.point_begin, point_end), trials [trial_begin, trial_end).
 /// `options` must come from resolved.sweep_options() (threads/batch may be
 /// adjusted; they never change results).
 std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,

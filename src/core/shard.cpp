@@ -1,9 +1,7 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
-#include <memory>
 
-#include "core/sweep_driver.hpp"
 #include "support/assert.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -81,39 +79,6 @@ BatchedSweepOptions SweepPlanMeta::options_for() const {
   options.quantile_probs = quantile_probs;
   options.node_profile = node_profile;
   return options;
-}
-
-std::vector<PointAccumulator> run_sweep_shard(const std::vector<std::size_t>& ns,
-                                              const GraphFactory& graphs,
-                                              const AlgorithmProvider& algorithms,
-                                              const BatchedSweepOptions& options,
-                                              const SweepShard& shard) {
-  AVGLOCAL_EXPECTS(!shard.empty());
-  AVGLOCAL_EXPECTS(shard.point_end <= ns.size());
-  AVGLOCAL_EXPECTS(shard.trial_end <= options.trials);
-
-  const ViewBackend backend(algorithms, options.semantics);
-  const SweepPool pool(options);
-  const SweepDriver driver(backend, options, pool.get());
-
-  std::vector<PointAccumulator> partials;
-  partials.reserve(shard.point_end - shard.point_begin);
-  for (std::size_t point = shard.point_begin; point < shard.point_end; ++point) {
-    const graph::Graph g = graphs(ns[point]);
-    AVGLOCAL_REQUIRE_MSG(g.vertex_count() == ns[point], "graph factory size mismatch");
-    SweepDriver::Point prepared = driver.prepare(g, point);
-    partials.push_back(driver.run_trials(prepared, shard.trial_begin, shard.trial_end));
-  }
-  return partials;
-}
-
-std::vector<PointAccumulator> run_sweep_shard(const std::vector<std::size_t>& ns,
-                                              const GraphFactory& graphs,
-                                              const local::ViewAlgorithmFactory& algorithm,
-                                              const BatchedSweepOptions& options,
-                                              const SweepShard& shard) {
-  return run_sweep_shard(
-      ns, graphs, [&algorithm](std::size_t) { return algorithm; }, options, shard);
 }
 
 std::string shard_to_json(const ShardDocument& doc) {

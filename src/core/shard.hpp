@@ -5,13 +5,14 @@
 // derive_seed(derive_seed(seed, point), trial) - independent of which
 // shard, batch or worker runs it - and shard outputs are the exact integer
 // partials of core/batched_sweep.hpp, serialised as JSON. Merging the shard
-// artefacts of a plan therefore reproduces the monolithic
-// run_batched_sweep bit for bit; a test pins this.
+// artefacts of a plan therefore reproduces the monolithic SweepDriver::run
+// bit for bit; a test pins this.
 //
-// Workflow: plan_shards on the coordinator, run_sweep_shard +
-// shard_to_json on each worker process (see the `sweep --shard I/K`
-// subcommand of examples/avglocal_cli.cpp), parse_shard_json + merge_shards
-// wherever the artefacts land (`merge` subcommand).
+// Workflow: plan_shards on the coordinator, run_scenario_shard
+// (core/scenario.hpp) + shard_to_json on each worker process (see the
+// `sweep --shard I/K` subcommand of examples/avglocal_cli.cpp),
+// parse_shard_json + merge_shards wherever the artefacts land (`merge`
+// subcommand).
 #pragma once
 
 #include <cstdint>
@@ -66,8 +67,8 @@ struct SweepPlanMeta {
   /// but differ in family parameters - reject by construction. Empty for
   /// callers below the scenario layer.
   std::string scenario;
-  /// Which engine produced the radii: "view" (run_views_batched) or
-  /// "message" (run_message_sweep). Compared on merge like every other
+  /// Which engine produced the radii: "view" (ViewBackend) or "message"
+  /// (MessageBackend). Compared on merge like every other
   /// field - the two engines' radii are both just integers, so without
   /// this label artefacts from different formulations could interleave.
   std::string engine = "view";
@@ -78,22 +79,6 @@ struct SweepPlanMeta {
 
   friend bool operator==(const SweepPlanMeta&, const SweepPlanMeta&) = default;
 };
-
-/// Runs one shard of the plan: accumulators for points
-/// [shard.point_begin, shard.point_end), trials
-/// [shard.trial_begin, shard.trial_end).
-std::vector<PointAccumulator> run_sweep_shard(const std::vector<std::size_t>& ns,
-                                              const GraphFactory& graphs,
-                                              const AlgorithmProvider& algorithms,
-                                              const BatchedSweepOptions& options,
-                                              const SweepShard& shard);
-
-/// Convenience overload for size-independent algorithms.
-std::vector<PointAccumulator> run_sweep_shard(const std::vector<std::size_t>& ns,
-                                              const GraphFactory& graphs,
-                                              const local::ViewAlgorithmFactory& algorithm,
-                                              const BatchedSweepOptions& options,
-                                              const SweepShard& shard);
 
 /// One parsed (or to-be-serialised) shard artefact.
 struct ShardDocument {
@@ -114,7 +99,7 @@ ShardDocument parse_shard_json(std::string_view text);
 /// Merges shard artefacts into the final sweep points. Requires all metas
 /// to be identical and, for every point of the plan, the shards' trial
 /// ranges to exactly partition [0, meta.trials) (any artefact order).
-/// The output is bit-identical to run_batched_sweep over the same plan.
+/// The output is bit-identical to SweepDriver::run over the same plan.
 std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs);
 
 }  // namespace avglocal::core

@@ -29,16 +29,29 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
 
 #include "core/batched_sweep.hpp"
 #include "core/memory_model.hpp"
-#include "core/message_sweep.hpp"
+#include "local/engine.hpp"
 #include "support/thread_pool.hpp"
 
 namespace avglocal::core {
+
+/// Builds the message-algorithm factory for the size-n member of a family
+/// (the message analogue of AlgorithmProvider).
+using MessageAlgorithmProvider = std::function<local::AlgorithmFactory(std::size_t)>;
+
+/// Engine-level knobs of a message sweep. Results depend on `knowledge`
+/// (it is part of the workload, carried by the algorithm registry), never
+/// on `max_rounds` (a liveness guard).
+struct MessageEngineOptions {
+  local::Knowledge knowledge = local::Knowledge::kUnknownN;
+  std::size_t max_rounds = 1u << 20;
+};
 
 /// Identifier-independent state a backend prepares once per (graph, point)
 /// and reuses across every trial range the driver runs through it.
@@ -65,9 +78,10 @@ class SweepBackend {
   /// metas: "view" or "message".
   virtual std::string_view name() const noexcept = 0;
 
-  /// True when one prepared state amortises warm-up across a whole batch of
-  /// assignments (both bundled backends do; a hypothetical subprocess or
-  /// remote backend would not).
+  /// Descriptive only: true when one prepared state amortises warm-up
+  /// across a whole batch of assignments (both bundled backends do). No
+  /// driver code reads it; it stays because the benchmark's tracing
+  /// decorator (perfbench/trace.hpp) overrides it.
   virtual bool supports_batching() const noexcept = 0;
 
   virtual Granularity parallel_granularity() const noexcept = 0;
@@ -130,7 +144,10 @@ class ViewBackend final : public SweepBackend {
 /// are built once per (point, lane) and rebound per assignment, surviving
 /// adaptive rounds. Runs are sequential over a state
 /// (Granularity::kTrials), so the driver parallelises by giving each pool
-/// worker lane its own engine over a disjoint trial range.
+/// worker lane its own engine over a disjoint trial range. Radii are the
+/// rounds at which nodes output; the driver feeds both backends the same
+/// (seed, point, trial) permutations, which is what lets the cross-engine
+/// oracle tests compare the two formulations sample by sample.
 class MessageBackend final : public SweepBackend {
  public:
   MessageBackend(MessageAlgorithmProvider algorithms, MessageEngineOptions engine = {});

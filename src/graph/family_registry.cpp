@@ -299,17 +299,31 @@ std::vector<double> FamilyRegistry::resolve_params(const GraphFamily& family,
   return values;
 }
 
+std::size_t FamilyRegistry::checked_realised_size(const GraphFamily& family,
+                                                  std::span<const double> params, std::size_t n) {
+  const std::string limit = std::to_string(kMaxVertices);
+  if (n > kMaxVertices) {
+    spec_error("graph size " + std::to_string(n) + " exceeds the vertex limit " + limit);
+  }
+  const std::size_t realised = family.realised_size(std::max(n, family.min_size), params);
+  if (realised > kMaxVertices) {
+    spec_error("family '" + family.name + "' realises size " + std::to_string(n) + " as " +
+               std::to_string(realised) + " vertices, which exceeds the vertex limit " + limit);
+  }
+  return realised;
+}
+
 std::size_t FamilyRegistry::realised_size(const FamilySpec& spec, std::size_t n) const {
   const GraphFamily& family = at(spec.family);
   const std::vector<double> params = resolve_params(family, spec.params);
-  return family.realised_size(std::max(n, family.min_size), params);
+  return checked_realised_size(family, params, n);
 }
 
 Graph FamilyRegistry::build(const FamilySpec& spec, std::size_t n,
                             support::Xoshiro256& rng) const {
   const GraphFamily& family = at(spec.family);
   const std::vector<double> params = resolve_params(family, spec.params);
-  const std::size_t size = family.realised_size(std::max(n, family.min_size), params);
+  const std::size_t size = checked_realised_size(family, params, n);
   Graph g = family.build(size, params, rng);
   AVGLOCAL_REQUIRE_MSG(g.vertex_count() == size, "family realised an unexpected size");
   return g;

@@ -6,8 +6,9 @@
 // sizes it can actually realise. Sweep layers ask for "about n vertices";
 // the family answers with the nearest size it can build exactly (a torus
 // needs a square, a regular graph needs n*d even), so downstream code that
-// requires `vertex_count() == n` - run_batched_sweep, the shard planner -
-// holds by construction for every family.
+// requires `vertex_count() == n` - core::SweepDriver, the shard planner -
+// holds by construction for every family. Sizes beyond the Vertex index
+// range are rejected up front (checked_realised_size), never wrapped.
 //
 // Randomised families draw from the caller's RNG only; building the same
 // (family, n, params) from an equally seeded stream is deterministic, which
@@ -16,6 +17,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -26,6 +28,9 @@
 #include "support/rng.hpp"
 
 namespace avglocal::graph {
+
+/// Largest vertex count any graph can have: vertices are Vertex indices.
+inline constexpr std::size_t kMaxVertices = std::numeric_limits<Vertex>::max();
 
 /// One declared numeric parameter of a family (e.g. "degree" = 3).
 struct FamilyParam {
@@ -89,6 +94,15 @@ class FamilyRegistry {
   /// std::invalid_argument.
   static std::vector<double> resolve_params(const GraphFamily& family,
                                             const FamilyParamOverrides& overrides);
+
+  /// The exact vertex count `family` realises for a requested size n, with
+  /// `params` resolved by resolve_params. The one size gate: throws
+  /// std::invalid_argument, naming the value and the limit, when n or the
+  /// realised size exceeds kMaxVertices - before any graph work, and
+  /// before a family's size arithmetic can wrap. realised_size, build and
+  /// core::resolve_scenario all size graphs through it.
+  static std::size_t checked_realised_size(const GraphFamily& family,
+                                           std::span<const double> params, std::size_t n);
 
   /// The exact vertex count the family realises for a requested size.
   std::size_t realised_size(const FamilySpec& spec, std::size_t n) const;

@@ -24,7 +24,7 @@ namespace avglocal::local {
 /// Wraps a view algorithm as a message algorithm: each node gossips
 /// identifier/adjacency facts, reconstructs its radius-k view after k
 /// rounds and feeds it to `factory`'s algorithm. This is the message
-/// formulation of *any* view algorithm - run_message_sweep accepts it
+/// formulation of *any* view algorithm - a core::MessageBackend sweeps it
 /// directly, which is what lets the cross-engine oracle suite compare the
 /// two engines on arbitrary topologies. Supports Algorithm::reset whenever
 /// the inner view algorithm does.

@@ -10,9 +10,10 @@
 #include "analysis/exhaustive.hpp"
 #include "analysis/neighbourhood_graph.hpp"
 #include "analysis/recurrence.hpp"
-#include "core/runner.hpp"
+#include "core/measure.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "local/view_engine.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
 
@@ -149,14 +150,14 @@ TEST(Adversary, HillClimbNeverWorseThanStart) {
   options.seed = 21;
   const auto climbed = analysis::hill_climb_adversary(n, factory, options);
   const auto cycle = graph::make_cycle(n);
-  const double value = core::run_assignment(cycle, climbed, factory).avg_radius;
+  const double value = core::measure(local::run_views(cycle, climbed, factory)).avg_radius;
 
   support::Xoshiro256 rng(options.seed);
   std::vector<std::uint64_t> start(n);
   for (std::size_t i = 0; i < n; ++i) start[i] = i + 1;
   support::shuffle(start, rng);
   const double initial =
-      core::run_assignment(cycle, graph::IdAssignment(start), factory).avg_radius;
+      core::measure(local::run_views(cycle, graph::IdAssignment(start), factory)).avg_radius;
   EXPECT_GE(value, initial);
 }
 

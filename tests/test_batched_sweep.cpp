@@ -1,7 +1,7 @@
 // Tests of the batched sweep subsystem: exactness of the geometry-replay
-// engine against per-trial runs, bit-identical statistics against
-// run_random_sweep, and bit-identical shard merge through the JSON artefact
-// round-trip.
+// engine against per-trial runs, bit-identical statistics against per-trial
+// measure(run_views) aggregates, and bit-identical shard merge through the
+// JSON artefact round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,13 +14,15 @@
 #include "algo/largest_id.hpp"
 #include "algo/mis_ring.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/runner.hpp"
+#include "core/measure.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -44,6 +46,37 @@ struct Collected {
   std::vector<std::vector<std::int64_t>> outputs;  // [trial][vertex]
   std::vector<std::vector<std::size_t>> radii;
 };
+
+core::AlgorithmProvider largest_id() {
+  return [](std::size_t) { return algo::make_largest_id_view(); };
+}
+
+/// Whole sweep of a view-algorithm provider on cycles through the one
+/// driver, pooled as options.threads asks.
+std::vector<core::BatchedSweepPoint> cycle_sweep(const std::vector<std::size_t>& ns,
+                                                 const core::AlgorithmProvider& algorithms,
+                                                 const core::BatchedSweepOptions& options) {
+  const core::ViewBackend backend(algorithms, options.semantics);
+  const core::SweepPool pool(options);
+  return core::SweepDriver(backend, options, pool.get())
+      .run(ns, [](std::size_t n) { return graph::make_cycle(n); });
+}
+
+/// Exact partials of one shard of a largest-id cycle plan, point by point.
+std::vector<core::PointAccumulator> cycle_shard(const std::vector<std::size_t>& ns,
+                                                const core::BatchedSweepOptions& options,
+                                                const core::SweepShard& shard) {
+  const core::ViewBackend backend(largest_id(), options.semantics);
+  const core::SweepPool pool(options);
+  const core::SweepDriver driver(backend, options, pool.get());
+  std::vector<core::PointAccumulator> partials;
+  for (std::size_t p = shard.point_begin; p < shard.point_end; ++p) {
+    const graph::Graph g = graph::make_cycle(ns[p]);
+    core::SweepDriver::Point point = driver.prepare(g, p);
+    partials.push_back(driver.run_trials(point, shard.trial_begin, shard.trial_end));
+  }
+  return partials;
+}
 
 Collected collect_batched(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
                           const local::ViewAlgorithmFactory& factory,
@@ -228,67 +261,70 @@ TEST(RunViewsBatched, PooledSweepIsIdenticalToSerial) {
   EXPECT_EQ(a.radii, b.radii);
 }
 
-TEST(BatchedSweep, AggregatesAreBitIdenticalToRandomSweep) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
+TEST(BatchedSweep, AggregatesAreBitIdenticalToPerTrialRuns) {
+  const std::vector<std::size_t> ns = {16, 33};
+  core::BatchedSweepOptions options;
+  options.trials = 12;
+  options.seed = 5;
+  options.threads = 1;
+  const auto fast = cycle_sweep(ns, largest_id(), options);
+  ASSERT_EQ(fast.size(), ns.size());
 
-  core::SweepOptions per_trial;
-  per_trial.trials = 12;
-  per_trial.seed = 5;
-  per_trial.threads = 1;
-  const auto classic =
-      core::run_random_sweep({16, 33}, graphs, algo::make_largest_id_view(), per_trial);
-
-  core::BatchedSweepOptions batched;
-  batched.trials = 12;
-  batched.seed = 5;
-  batched.threads = 1;
-  const auto fast = core::run_batched_sweep({16, 33}, graphs, algo::make_largest_id_view(), batched);
-
-  ASSERT_EQ(classic.size(), fast.size());
-  for (std::size_t i = 0; i < classic.size(); ++i) {
-    EXPECT_EQ(classic[i].n, fast[i].n);
-    EXPECT_EQ(classic[i].trials, fast[i].trials);
+  for (std::size_t point = 0; point < ns.size(); ++point) {
+    // The reference: one independent per-trial run on each of the sweep's
+    // (seed, point, trial) streams, aggregated in trial order.
+    const std::size_t n = ns[point];
+    const graph::Graph g = graph::make_cycle(n);
+    const std::uint64_t point_seed = support::derive_seed(options.seed, point);
+    support::RunningStats avg_stats;
+    support::RunningStats max_stats;
+    std::size_t max_worst = 0;
+    for (std::size_t trial = 0; trial < options.trials; ++trial) {
+      support::Xoshiro256 rng(support::derive_seed(point_seed, trial));
+      const core::Measurement m = core::measure(
+          local::run_views(g, graph::IdAssignment::random(n, rng), algo::make_largest_id_view()));
+      avg_stats.add(m.avg_radius);
+      max_stats.add(static_cast<double>(m.max_radius));
+      max_worst = std::max(max_worst, m.max_radius);
+    }
+    EXPECT_EQ(fast[point].n, n);
+    EXPECT_EQ(fast[point].trials, options.trials);
     // Same per-trial sums, same accumulation order, same divisions: the
     // doubles must be equal to the last bit, not merely close.
-    EXPECT_EQ(classic[i].avg_mean, fast[i].avg_mean);
-    EXPECT_EQ(classic[i].avg_sd, fast[i].avg_sd);
-    EXPECT_EQ(classic[i].avg_worst, fast[i].avg_worst);
-    EXPECT_EQ(classic[i].max_mean, fast[i].max_mean);
-    EXPECT_EQ(classic[i].max_worst, fast[i].max_worst);
+    EXPECT_EQ(fast[point].avg_mean, avg_stats.mean());
+    EXPECT_EQ(fast[point].avg_sd, avg_stats.stddev());
+    EXPECT_EQ(fast[point].avg_worst, avg_stats.max());
+    EXPECT_EQ(fast[point].max_mean, max_stats.mean());
+    EXPECT_EQ(fast[point].max_worst, max_worst);
   }
 }
 
 TEST(BatchedSweep, IndependentOfThreadsAndBatchSize) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   core::BatchedSweepOptions base;
   base.trials = 10;
   base.seed = 9;
   base.threads = 1;
   base.node_profile = true;
-  const auto reference =
-      core::run_batched_sweep({24, 40}, graphs, algo::make_largest_id_view(), base);
+  const auto reference = cycle_sweep({24, 40}, largest_id(), base);
 
   for (const std::size_t threads : {std::size_t{4}}) {
     for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
       core::BatchedSweepOptions options = base;
       options.threads = threads;
       options.batch_size = batch_size;
-      const auto points =
-          core::run_batched_sweep({24, 40}, graphs, algo::make_largest_id_view(), options);
+      const auto points = cycle_sweep({24, 40}, largest_id(), options);
       EXPECT_EQ(points, reference) << "threads=" << threads << " batch=" << batch_size;
     }
   }
 }
 
 TEST(BatchedSweep, DistributionAndNodeMeasuresAreConsistent) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   core::BatchedSweepOptions options;
   options.trials = 8;
   options.seed = 2;
   options.node_profile = true;
   options.quantile_probs = {0.0, 0.5, 1.0};
-  const auto points =
-      core::run_batched_sweep({30}, graphs, algo::make_largest_id_view(), options);
+  const auto points = cycle_sweep({30}, largest_id(), options);
   ASSERT_EQ(points.size(), 1u);
   const auto& p = points[0];
 
@@ -343,7 +379,6 @@ TEST(ShardPlan, PartitionsTrialsAcrossShards) {
 }
 
 TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   const std::vector<std::size_t> ns = {12, 26};
   core::BatchedSweepOptions options;
   options.trials = 9;
@@ -351,8 +386,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
   options.threads = 2;
   options.node_profile = true;
 
-  const auto monolithic =
-      core::run_batched_sweep(ns, graphs, algo::make_largest_id_view(), options);
+  const auto monolithic = cycle_sweep(ns, largest_id(), options);
 
   // A deliberately lopsided plan: one shard owns all of point 0 while
   // point 1 is split across two uneven trial ranges.
@@ -367,7 +401,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = cycle_shard(ns, options, shard);
     artefacts.push_back(core::shard_to_json(doc));
   }
 
@@ -384,15 +418,13 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
 }
 
 TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   const std::vector<std::size_t> ns = {18};
   core::BatchedSweepOptions options;
   options.trials = 7;
   options.seed = 13;
   options.threads = 1;
 
-  const auto monolithic =
-      core::run_batched_sweep(ns, graphs, algo::make_largest_id_view(), options);
+  const auto monolithic = cycle_sweep(ns, largest_id(), options);
   const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
 
   std::vector<core::ShardDocument> docs;
@@ -400,7 +432,7 @@ TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = cycle_shard(ns, options, shard);
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
   EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
@@ -409,29 +441,29 @@ TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
 TEST(BatchedSweep, ProviderParameterisesAlgorithmPerPoint) {
   // cv3's schedule radius depends on n: a multi-point sweep must build the
   // factory per point, not once from the first size.
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   core::BatchedSweepOptions options;
   options.trials = 5;
   options.seed = 3;
   options.threads = 1;
-  const auto points = core::run_batched_sweep(
-      {32, 128}, graphs, [](std::size_t n) { return algo::make_cole_vishkin_view(n); },
-      options);
+  const auto points = cycle_sweep(
+      {32, 128}, [](std::size_t n) { return algo::make_cole_vishkin_view(n); }, options);
   ASSERT_EQ(points.size(), 2u);
 
   // Each point must equal a sweep of just that size with the matching
-  // factory and the same global point index (hence the same trial seeds).
+  // fixed factory and the same global point index (hence the same trial
+  // seeds).
   for (std::size_t point = 0; point < 2; ++point) {
     const std::size_t n = point == 0 ? 32 : 128;
-    const graph::Graph g = graphs(n);
-    const core::PointAccumulator acc = core::accumulate_point(
-        g, point, algo::make_cole_vishkin_view(n), options, 0, options.trials, nullptr);
+    const graph::Graph g = graph::make_cycle(n);
+    const core::ViewBackend backend([n](std::size_t) { return algo::make_cole_vishkin_view(n); });
+    const core::SweepDriver driver(backend, options);
+    core::SweepDriver::Point prepared = driver.prepare(g, point);
+    const core::PointAccumulator acc = driver.run_trials(prepared, 0, options.trials);
     EXPECT_EQ(points[point], core::finalize_point(acc, options)) << "n=" << n;
   }
 }
 
 TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   const std::vector<std::size_t> ns = {14};
   core::BatchedSweepOptions options;
   options.trials = 4;
@@ -444,7 +476,7 @@ TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
     doc.meta.algorithm = algorithm;
     doc.meta.graph = "cycle";
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = cycle_shard(ns, options, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 
@@ -461,7 +493,6 @@ TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
 }
 
 TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
   const std::vector<std::size_t> ns = {14};
   core::BatchedSweepOptions options;
   options.trials = 6;
@@ -473,7 +504,7 @@ TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = cycle_shard(ns, options, shard);
     return doc;
   };
 

@@ -4,6 +4,8 @@
 //  * malformed numeric flags exit 2 and name the offending flag - the
 //    bare-stoull era threw an uncaught exception on garbage and silently
 //    wrapped "-1" to 2^64-1;
+//  * sizes beyond the 32-bit vertex range fail with a non-zero exit and
+//    write no report (they used to wrap to tiny graphs);
 //  * drive survives worker failure: a fabric-worker child that exits
 //    nonzero or dies by signal on its first grant is respawned, and the
 //    report is byte-identical to the monolithic sweep's;
@@ -115,6 +117,22 @@ TEST(CliFlagParsing, WellFormedNumericFlagsStillWork) {
   const RunResult result =
       run_command(cli() + " sweep --algo largest-id --graph cycle --ns 64 --trials 4 --seed 1");
   EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
+TEST(CliSizeLimits, SizesBeyondTheVertexRangeFailWithoutAReport) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string report = dir.path() + "/report.json";
+  for (const char* graph : {"torus", "grid", "random-regular", "cycle"}) {
+    const RunResult result =
+        run_command(cli() + " sweep --algo greedy --graph " + graph +
+                    " --ns 18446744073709551615 --trials 2 --json '" + report + "'");
+    EXPECT_NE(result.exit_code, 0) << graph << "\n" << result.output;
+    EXPECT_NE(result.output.find("exceeds the vertex limit 4294967295"), std::string::npos)
+        << graph << "\n" << result.output;
+    std::ifstream missing(report);
+    EXPECT_FALSE(missing.good()) << graph << ": no report may be written";
+  }
 }
 
 // ---------------------------------------------------- drive respawn path ----

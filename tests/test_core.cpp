@@ -5,8 +5,9 @@
 #include "algo/largest_id.hpp"
 #include "core/experiments.hpp"
 #include "core/measure.hpp"
-#include "core/runner.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
+#include "local/view_engine.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -31,27 +32,33 @@ TEST(Measure, GapOfZeroRadiiIsOne) {
   EXPECT_DOUBLE_EQ(core::measure_gap(core::measure(run)), 1.0);
 }
 
-TEST(Runner, AssignmentRunMatchesEngine) {
+/// Largest-id random-permutation sweep on cycles through the one driver.
+std::vector<core::BatchedSweepPoint> largest_id_cycle_sweep(
+    const std::vector<std::size_t>& ns, const core::BatchedSweepOptions& options) {
+  const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); });
+  const core::SweepPool pool(options);
+  return core::SweepDriver(backend, options, pool.get())
+      .run(ns, [](std::size_t n) { return graph::make_cycle(n); });
+}
+
+TEST(ViewRun, MeasureMatchesEngine) {
   const auto g = graph::make_cycle(32);
   const auto ids = graph::IdAssignment::reversed(32);
-  const auto m = core::run_assignment(g, ids, algo::make_largest_id_view());
+  const auto m = core::measure(local::run_views(g, ids, algo::make_largest_id_view()));
   EXPECT_EQ(m.n, 32u);
   EXPECT_EQ(m.max_radius, 16u);  // the max vertex must close the ball
 }
 
-TEST(Runner, SweepIsDeterministicAcrossThreadCounts) {
-  core::SweepOptions serial;
+TEST(Sweep, IsDeterministicAcrossThreadCounts) {
+  core::BatchedSweepOptions serial;
   serial.trials = 10;
   serial.seed = 5;
   serial.threads = 1;
-  core::SweepOptions parallel = serial;
+  core::BatchedSweepOptions parallel = serial;
   parallel.threads = 8;
 
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const auto a =
-      core::run_random_sweep({16, 32}, graphs, algo::make_largest_id_view(), serial);
-  const auto b =
-      core::run_random_sweep({16, 32}, graphs, algo::make_largest_id_view(), parallel);
+  const auto a = largest_id_cycle_sweep({16, 32}, serial);
+  const auto b = largest_id_cycle_sweep({16, 32}, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].avg_mean, b[i].avg_mean);
@@ -60,13 +67,11 @@ TEST(Runner, SweepIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Runner, SweepInvariants) {
-  core::SweepOptions options;
+TEST(Sweep, Invariants) {
+  core::BatchedSweepOptions options;
   options.trials = 8;
   options.seed = 9;
-  const auto points = core::run_random_sweep(
-      {24}, [](std::size_t n) { return graph::make_cycle(n); },
-      algo::make_largest_id_view(), options);
+  const auto points = largest_id_cycle_sweep({24}, options);
   ASSERT_EQ(points.size(), 1u);
   const auto& p = points[0];
   EXPECT_EQ(p.n, 24u);

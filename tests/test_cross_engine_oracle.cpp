@@ -1,6 +1,6 @@
 // Cross-engine oracle suite: algorithms with both a view and a message
 // formulation must produce identical per-node output rounds through every
-// execution path - run_message_sweep (one reused engine), run_views_batched
+// execution path - the MessageBackend (one reused engine), the ViewBackend
 // (geometry replay) and the full-information gossip adapter - on rings,
 // tori, gnp graphs and random trees under shared sweep seeds.
 //
@@ -19,7 +19,6 @@
 #include "algo/largest_id.hpp"
 #include "algo/mis_ring.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/message_sweep.hpp"
 #include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
@@ -47,6 +46,28 @@ std::vector<NamedGraph> oracle_topologies() {
   return out;
 }
 
+/// Exact partials of trials [0, options.trials) of point 0 on g, through a
+/// driver over `backend` (pooled when `pool` is set).
+core::PointAccumulator sweep_point(const core::SweepBackend& backend, const graph::Graph& g,
+                                   const core::BatchedSweepOptions& options,
+                                   support::ThreadPool* pool = nullptr) {
+  const core::SweepDriver driver(backend, options, pool);
+  core::SweepDriver::Point point = driver.prepare(g, 0);
+  return driver.run_trials(point, 0, options.trials);
+}
+
+/// A message backend running one size-independent factory.
+core::MessageBackend message_backend(local::AlgorithmFactory factory) {
+  return core::MessageBackend([factory](std::size_t) { return factory; });
+}
+
+/// Largest-id through the view engine under flooding-knowledge semantics,
+/// the semantics whose radii equal the message formulation's rounds.
+core::ViewBackend flooding_largest_id() {
+  return core::ViewBackend([](std::size_t) { return algo::make_largest_id_view(); },
+                           local::ViewSemantics::kFloodingKnowledge);
+}
+
 /// The sweep's id assignment for (seed, point, trial) - the single seed
 /// derivation every engine path shares.
 graph::IdAssignment sweep_ids(std::uint64_t seed, std::size_t point, std::size_t trial,
@@ -68,18 +89,14 @@ TEST(CrossEngineOracle, MessageSweepEqualsBatchedViewsAndAdapterEverywhere) {
     core::BatchedSweepOptions options;
     options.trials = kTrials;
     options.seed = kSeed;
-    options.semantics = local::ViewSemantics::kFloodingKnowledge;
 
     // Path 1: the message sweep over the gossip adapter (one reused
     // engine for all trials).
-    const core::PointAccumulator message_acc = core::accumulate_message_point(
-        g, /*point_index=*/0, local::make_full_info_factory(algo::make_largest_id_view()), {},
-        options, 0, kTrials);
+    const core::PointAccumulator message_acc = sweep_point(
+        message_backend(local::make_full_info_factory(algo::make_largest_id_view())), g, options);
 
     // Path 2: the batched view engine under the same options.
-    const core::PointAccumulator view_acc =
-        core::accumulate_point(g, /*point_index=*/0, algo::make_largest_id_view(), options, 0,
-                               kTrials, /*pool=*/nullptr);
+    const core::PointAccumulator view_acc = sweep_point(flooding_largest_id(), g, options);
 
     // Identical per-node output rounds make the entire exact-integer
     // accumulators equal - per-trial sums and maxima, per-node sums, node
@@ -112,17 +129,14 @@ TEST(CrossEngineOracle, RingTokenFloodingMatchesViewRadii) {
   core::BatchedSweepOptions options;
   options.trials = kTrials;
   options.seed = kSeed;
-  options.semantics = local::ViewSemantics::kFloodingKnowledge;
 
-  const core::PointAccumulator token_acc = core::accumulate_message_point(
-      g, 0, algo::make_largest_id_messages(), {}, options, 0, kTrials);
-  const core::PointAccumulator view_acc =
-      core::accumulate_point(g, 0, algo::make_largest_id_view(), options, 0, kTrials, nullptr);
+  const core::PointAccumulator token_acc =
+      sweep_point(message_backend(algo::make_largest_id_messages()), g, options);
+  const core::PointAccumulator view_acc = sweep_point(flooding_largest_id(), g, options);
   EXPECT_EQ(token_acc, view_acc);
 
-  const core::PointAccumulator adapter_acc = core::accumulate_message_point(
-      g, 0, local::make_full_info_factory(algo::make_largest_id_view()), {}, options, 0,
-      kTrials);
+  const core::PointAccumulator adapter_acc = sweep_point(
+      message_backend(local::make_full_info_factory(algo::make_largest_id_view())), g, options);
   EXPECT_EQ(token_acc, adapter_acc);
 }
 
@@ -174,7 +188,7 @@ TEST(CrossEngineOracle, LayerJumpLeavesShardArtefactsByteIdentical) {
 }
 
 // The parity must hold for every pool size of the view engine: the message
-// sweep is serial by construction, so this pins "thread schedule never
+// point runs serially here, so this pins "thread schedule never
 // changes results" across engines, not just within one.
 TEST(CrossEngineOracle, ParityIsThreadScheduleIndependent) {
   support::Xoshiro256 rng(99);
@@ -182,15 +196,14 @@ TEST(CrossEngineOracle, ParityIsThreadScheduleIndependent) {
   core::BatchedSweepOptions options;
   options.trials = 3;
   options.seed = 5;
-  options.semantics = local::ViewSemantics::kFloodingKnowledge;
 
-  const core::PointAccumulator message_acc = core::accumulate_message_point(
-      g, 0, local::make_full_info_factory(algo::make_largest_id_view()), {}, options, 0, 3);
+  const core::PointAccumulator message_acc = sweep_point(
+      message_backend(local::make_full_info_factory(algo::make_largest_id_view())), g, options);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     support::ThreadPool pool(threads);
-    const core::PointAccumulator view_acc = core::accumulate_point(
-        g, 0, algo::make_largest_id_view(), options, 0, 3, &pool);
+    const core::PointAccumulator view_acc =
+        sweep_point(flooding_largest_id(), g, options, &pool);
     EXPECT_EQ(message_acc, view_acc) << "threads=" << threads;
   }
 }

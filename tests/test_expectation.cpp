@@ -7,12 +7,22 @@
 
 #include "algo/largest_id.hpp"
 #include "analysis/expectation.hpp"
-#include "core/runner.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using namespace avglocal;
+
+/// Largest-id random-permutation sweep on the n-cycle through the driver.
+core::BatchedSweepPoint largest_id_cycle_point(std::size_t n,
+                                               const core::BatchedSweepOptions& options) {
+  const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); });
+  const core::SweepPool pool(options);
+  return core::SweepDriver(backend, options, pool.get())
+      .run({n}, [](std::size_t m) { return graph::make_cycle(m); })
+      .front();
+}
 
 TEST(Expectation, ClosedFormMatchesFullEnumeration) {
   // E[avg radius] by formula == exact average over all (n-1)! arrangements.
@@ -55,29 +65,24 @@ TEST(Expectation, ClassicMeasureIsDeterministic) {
   // Every permutation gives max radius ceil((n-1)/2): check by running the
   // engine over several random permutations.
   const std::size_t n = 40;
-  core::SweepOptions options;
+  core::BatchedSweepOptions options;
   options.trials = 10;
   options.seed = 3;
-  const auto points = core::run_random_sweep(
-      {n}, [](std::size_t m) { return graph::make_cycle(m); },
-      algo::make_largest_id_view(), options);
-  EXPECT_EQ(points[0].max_worst, analysis::deterministic_largest_id_max(n));
-  EXPECT_DOUBLE_EQ(points[0].max_mean,
+  const auto point = largest_id_cycle_point(n, options);
+  EXPECT_EQ(point.max_worst, analysis::deterministic_largest_id_max(n));
+  EXPECT_DOUBLE_EQ(point.max_mean,
                    static_cast<double>(analysis::deterministic_largest_id_max(n)));
 }
 
 TEST(Expectation, SimulationWithinSamplingError) {
   const std::size_t n = 4096;
-  core::SweepOptions options;
+  core::BatchedSweepOptions options;
   options.trials = 40;
   options.seed = 9;
-  const auto points = core::run_random_sweep(
-      {n}, [](std::size_t m) { return graph::make_cycle(m); },
-      algo::make_largest_id_view(), options);
+  const auto point = largest_id_cycle_point(n, options);
   const double exact = analysis::expected_largest_id_average(n);
-  const double stderr_mean =
-      points[0].avg_sd / std::sqrt(static_cast<double>(options.trials));
-  EXPECT_NEAR(points[0].avg_mean, exact, 5 * stderr_mean + 1e-6);
+  const double stderr_mean = point.avg_sd / std::sqrt(static_cast<double>(options.trials));
+  EXPECT_NEAR(point.avg_mean, exact, 5 * stderr_mean + 1e-6);
 }
 
 }  // namespace

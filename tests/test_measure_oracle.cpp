@@ -17,7 +17,7 @@
 #include "algo/largest_id.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/measure.hpp"
-#include "core/message_sweep.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view_engine.hpp"
@@ -197,9 +197,9 @@ TEST(MeasureOracle, ViewSweepPointMatchesDirectEnumeration) {
   options.threads = 1;
   options.quantile_probs = {0.0, 0.25, 0.5, 0.9, 1.0};
 
-  const auto points = core::run_batched_sweep(
-      {7}, [](std::size_t n) { return graph::make_cycle(n); }, algo::make_largest_id_view(),
-      options);
+  const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); });
+  const auto points = core::SweepDriver(backend, options)
+                          .run({7}, [](std::size_t n) { return graph::make_cycle(n); });
   ASSERT_EQ(points.size(), 1u);
 
   // Rebuild the sweep's id streams and run each trial directly.
@@ -221,9 +221,11 @@ TEST(MeasureOracle, MessageSweepPointMatchesDirectEnumeration) {
   options.seed = 41;
   options.quantile_probs = {0.5, 0.9, 0.99};
 
-  const core::PointAccumulator acc = core::accumulate_message_point(
-      g, 0, algo::make_greedy_colouring_messages(), {}, options, 0, options.trials);
-  const auto point = core::finalize_point(acc, options);
+  const core::MessageBackend backend(
+      [](std::size_t) { return algo::make_greedy_colouring_messages(); });
+  const core::SweepDriver driver(backend, options);
+  core::SweepDriver::Point prepared = driver.prepare(g, 0);
+  const auto point = core::finalize_point(driver.run_trials(prepared, 0, options.trials), options);
 
   std::vector<local::RunResult> runs;
   const std::uint64_t point_seed = support::derive_seed(options.seed, 0);

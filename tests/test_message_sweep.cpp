@@ -1,19 +1,20 @@
 // Tests of the message-sweep subsystem: the batch engine's bit-identity to
 // per-trial run_messages calls (including algorithm reuse through
-// Algorithm::reset), run_message_sweep's accumulators and their shard
-// round-trip, and the scenario layer's routing of message algorithms
-// through sweep, shard and adaptive-schedule paths.
+// Algorithm::reset), the MessageBackend's accumulators under the sweep
+// driver and their shard round-trip, and the scenario layer's routing of
+// message algorithms through sweep, shard and adaptive-schedule paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "algo/largest_id.hpp"
 #include "algo/local_colouring.hpp"
-#include "core/message_sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
@@ -110,8 +111,10 @@ TEST(MessageSweep, AccumulatorsMatchPerTrialRunsUnderSweepSeeds) {
   options.trials = 6;
   options.seed = 77;
 
-  const core::PointAccumulator acc = core::accumulate_message_point(
-      g, /*point_index=*/0, algo::make_largest_id_messages(), {}, options, 0, options.trials);
+  const core::MessageBackend backend([](std::size_t) { return algo::make_largest_id_messages(); });
+  const core::SweepDriver driver(backend, options);
+  core::SweepDriver::Point point = driver.prepare(g, /*point_index=*/0);
+  const core::PointAccumulator acc = driver.run_trials(point, 0, options.trials);
 
   EXPECT_EQ(acc.n, n);
   EXPECT_EQ(acc.edges, g.edge_count());
@@ -146,15 +149,15 @@ TEST(MessageSweep, AccumulatorsMatchPerTrialRunsUnderSweepSeeds) {
 
 TEST(MessageSweep, IndependentOfBatchSize) {
   const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const auto algorithms = [](std::size_t) { return algo::make_largest_id_messages(); };
+  const core::MessageBackend backend([](std::size_t) { return algo::make_largest_id_messages(); });
   core::BatchedSweepOptions base;
   base.trials = 7;
   base.seed = 3;
-  const auto reference = core::run_message_sweep({16, 24}, graphs, algorithms, {}, base);
+  const auto reference = core::SweepDriver(backend, base).run({16, 24}, graphs);
   for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}}) {
     core::BatchedSweepOptions options = base;
     options.batch_size = batch_size;
-    EXPECT_EQ(core::run_message_sweep({16, 24}, graphs, algorithms, {}, options), reference)
+    EXPECT_EQ(core::SweepDriver(backend, options).run({16, 24}, graphs), reference)
         << "batch=" << batch_size;
   }
 }
@@ -169,8 +172,9 @@ TEST(MessageSweep, ShardedMergeIsBitIdenticalToMonolithicSweep) {
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
   const core::BatchedSweepOptions options = resolved.sweep_options();
 
-  const auto monolithic = core::run_message_sweep(
-      resolved.spec.ns, resolved.graphs, resolved.messages, resolved.message_engine, options);
+  const std::unique_ptr<core::SweepBackend> backend = resolved.make_backend();
+  const auto monolithic =
+      core::SweepDriver(*backend, options).run(resolved.spec.ns, resolved.graphs);
 
   core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
   meta.algorithm = resolved.spec.algorithm;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/batched_sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_backend.hpp"
 #include "graph/family_registry.hpp"
 #include "graph/properties.hpp"
 #include "support/rng.hpp"
@@ -195,6 +197,39 @@ TEST(Scenario, ResolveRejectsBadWorkloadsBeforeAnyWork) {
   EXPECT_THROW(core::resolve_scenario(spec), std::invalid_argument);
 }
 
+TEST(Scenario, SizesBeyondTheVertexRangeThrowBeforeAnyGraphWork) {
+  // Sizes used to wrap silently in the families' size arithmetic (a torus
+  // at 2^64-1 realised n=9) or die in std::vector. Both the request and
+  // the realised size are checked against the 32-bit Vertex range.
+  const std::size_t limit = graph::kMaxVertices;
+  ASSERT_EQ(limit, 4294967295u);
+  const auto& families = graph::FamilyRegistry::global();
+  for (const char* family : {"torus", "grid", "random-regular", "cycle"}) {
+    for (const std::size_t n : {std::numeric_limits<std::size_t>::max(), limit + 1}) {
+      core::ScenarioSpec spec;
+      spec.family = {family, {}};
+      spec.algorithm = "greedy";
+      spec.ns = {n};
+      try {
+        core::resolve_scenario(spec);
+        ADD_FAILURE() << family << " n=" << n << ": expected invalid_argument";
+      } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(std::to_string(n)), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(limit)), std::string::npos) << what;
+      }
+      support::Xoshiro256 rng(1);
+      EXPECT_THROW(families.build({family, {}}, n, rng), std::invalid_argument)
+          << family << " n=" << n;
+      EXPECT_THROW(families.realised_size({family, {}}, n), std::invalid_argument)
+          << family << " n=" << n;
+    }
+  }
+  // A request inside the range whose realised size is not: the nearest
+  // square to 2^32-1 is 65536^2 = 2^32.
+  EXPECT_THROW(families.realised_size({"torus", {}}, limit), std::invalid_argument);
+}
+
 TEST(Scenario, ResolveRoutesAlgorithmsToTheirEngine) {
   // Message algorithms used to be rejected here; they now resolve to the
   // message-engine path, with the canonical spec naming the engine (and
@@ -204,15 +239,17 @@ TEST(Scenario, ResolveRoutesAlgorithmsToTheirEngine) {
   spec.algorithm = "largest-id-msg";
   spec.ns = {16};
   const core::ResolvedScenario message = core::resolve_scenario(spec);
-  EXPECT_TRUE(message.is_message());
-  EXPECT_FALSE(static_cast<bool>(message.algorithms));
+  EXPECT_EQ(message.make_backend()->name(), "message");
+  EXPECT_EQ(message.make_backend()->parallel_granularity(),
+            core::SweepBackend::Granularity::kTrials);
   EXPECT_EQ(message.spec.engine, "message");
   EXPECT_EQ(message.spec.semantics, local::ViewSemantics::kFloodingKnowledge);
 
   spec.algorithm = "largest-id";
   const core::ResolvedScenario view = core::resolve_scenario(spec);
-  EXPECT_FALSE(view.is_message());
-  EXPECT_TRUE(static_cast<bool>(view.algorithms));
+  EXPECT_EQ(view.make_backend()->name(), "view");
+  EXPECT_EQ(view.make_backend()->parallel_granularity(),
+            core::SweepBackend::Granularity::kVertices);
   EXPECT_EQ(view.spec.engine, "view");
 }
 
@@ -367,8 +404,7 @@ TEST(Scenario, MergeRejectsArtefactsFromDifferentScenarios) {
     doc.meta.graph = "random-regular";  // deliberately parameter-free label
     doc.meta.scenario = core::scenario_to_json(resolved.spec);
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(resolved.spec.ns, resolved.graphs,
-                                       resolved.algorithms, options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 
