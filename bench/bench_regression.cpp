@@ -15,16 +15,14 @@
 //  * parallel message sweeps through the SweepDriver (one engine per pool
 //    worker lane over disjoint trial ranges) vs the serial path, with a
 //    bit-identity check and a >= 1.5x speedup gate in full runs;
-//  * the SIMD batch kernels against their scalar references
-//    (lockstep_gather_speedup, gated >= 1.5 on vector hosts) and the
-//    memcpy/bitmask-scan message arena against a frozen per-word replica
-//    (message_arena_word_speedup, gated >= 1.2), bit-identity asserted on
-//    every run;
-//  * the min_radius layer-jump vs the stepwise batched engine on the
-//    cole-vishkin schedule, with a bit-identity check;
-//  * a per-phase breakdown of the serial batched sweep (transpose build,
-//    BFS growth, id gather, algorithm eval) and a machine/ISA block so
-//    future regressions are attributable.
+//  * the memcpy/bitmask-scan message arena against a frozen per-word
+//    replica (message_arena_word_speedup, gated >= 1.2), bit-identity
+//    asserted on every run;
+//  * a per-phase breakdown of the serial batched sweep (BFS growth, id
+//    gather, algorithm eval) and a machine/ISA block so future regressions
+//    are attributable;
+//  * the million-node large_scale block, the serve cache and the
+//    distributed fabric (see their sections below).
 //
 // Usage: bench_regression [--smoke] [--out PATH] [--n N] [--trials T]
 #include <algorithm>
@@ -554,94 +552,6 @@ MessageParallelThroughput bench_message_parallel(std::size_t n, std::size_t roun
 }
 
 // ------------------------------------------------------------------------
-// SIMD kernel microbenches: the dispatched kernels of support/simd.hpp
-// against their always-compiled scalar references, on the exact shapes the
-// batched view engine issues. Bit-identity is asserted on every run (the
-// kernels move words verbatim; a vector path that drifted from scalar
-// would corrupt every sweep). On hosts where active_isa() == "scalar" the
-// two legs run the same code and the ratio sits at ~1; the >= 1.5 gate in
-// main() therefore only applies on vector hosts.
-// ------------------------------------------------------------------------
-
-struct SimdKernelNumbers {
-  double gather_vector_elems_per_sec = 0;
-  double gather_scalar_elems_per_sec = 0;
-  double lockstep_gather_speedup = 0;
-};
-
-SimdKernelNumbers bench_lockstep_gather(bool smoke) {
-  // Transpose rows of a 256-trial batch with the active list a dense
-  // prefix (the dominant regime: every trial in flight), gathered in the
-  // two shapes the engine issues - the fused multi-layer jump (hundreds of
-  // ball vertices in one call) and the steady two-vertices-per-layer ring
-  // step.
-  constexpr std::size_t kTrials = 256;
-  constexpr std::size_t kStride = kTrials;  // multiple of 8, as the engine pads
-  constexpr std::size_t kVertices = 1024;
-  constexpr std::size_t kRows = 512;  // ball vertices gathered per rep
-  const std::size_t reps = smoke ? 8 : 128;
-
-  support::Xoshiro256 rng(21);
-  support::AlignedVector<std::uint64_t> rows(kVertices * kStride);
-  for (auto& w : rows) w = rng.next();
-  std::vector<std::uint32_t> row_index(kVertices);
-  std::iota(row_index.begin(), row_index.end(), 0u);
-  support::shuffle(row_index, rng);  // BFS discovery order is not sorted
-  row_index.resize(kRows);
-  std::vector<std::uint32_t> cols(kTrials);
-  std::iota(cols.begin(), cols.end(), 0u);
-
-  std::vector<support::AlignedVector<std::uint64_t>> vec_bufs(kTrials), sca_bufs(kTrials);
-  std::vector<std::uint64_t*> vec_heads(kTrials), sca_heads(kTrials);
-  for (std::size_t j = 0; j < kTrials; ++j) {
-    vec_bufs[j].assign(kRows, 0);
-    sca_bufs[j].assign(kRows, 1);
-    vec_heads[j] = vec_bufs[j].data();
-    sca_heads[j] = sca_bufs[j].data();
-  }
-
-  const auto run_shapes = [&](std::uint64_t* const* heads, const auto& kernel) {
-    // One fused jump-sized call, then the per-layer ring cadence over the
-    // same rows: equal element counts through both call shapes.
-    kernel(rows.data(), kStride, row_index.data(), kRows, cols.data(), kTrials, heads, 0);
-    for (std::size_t i = 0; i + 2 <= kRows; i += 2) {
-      kernel(rows.data(), kStride, row_index.data() + i, 2, cols.data(), kTrials, heads, i);
-    }
-  };
-  const double elems_per_rep = 2.0 * static_cast<double>(kRows) * static_cast<double>(kTrials);
-
-  SimdKernelNumbers out;
-  {
-    const auto start = Clock::now();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      run_shapes(vec_heads.data(),
-                 [](auto&&... args) { support::simd::layer_gather(args...); });
-    }
-    out.gather_vector_elems_per_sec =
-        static_cast<double>(reps) * elems_per_rep / seconds_since(start);
-  }
-  {
-    const auto start = Clock::now();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      run_shapes(sca_heads.data(),
-                 [](auto&&... args) { support::simd::scalar::layer_gather(args...); });
-    }
-    out.gather_scalar_elems_per_sec =
-        static_cast<double>(reps) * elems_per_rep / seconds_since(start);
-  }
-  for (std::size_t j = 0; j < kTrials; ++j) {
-    if (std::memcmp(vec_bufs[j].data(), sca_bufs[j].data(),
-                    kRows * sizeof(std::uint64_t)) != 0) {
-      std::cerr << "bench_regression: SIMD layer gather diverged from scalar reference\n";
-      std::exit(2);
-    }
-  }
-  out.lockstep_gather_speedup =
-      out.gather_vector_elems_per_sec / out.gather_scalar_elems_per_sec;
-  return out;
-}
-
-// ------------------------------------------------------------------------
 // Message-arena word paths: the library arena (memcpy push, ctz bitmask
 // drain) against a frozen replica of the pre-SIMD code (per-word copy
 // loops, per-arc presence tests). Deliberately kept faithful to the old
@@ -769,62 +679,10 @@ ArenaWordNumbers bench_arena_words(bool smoke) {
 }
 
 // ------------------------------------------------------------------------
-// min_radius layer-jump: the batched engine on the cole-vishkin schedule
-// (every vertex waits for a fixed target radius) with the jump on vs off.
-// Outputs and radii must agree bit for bit - the jump only skips evaluate
-// passes the min_radius contract already guarantees are no-ops.
-// ------------------------------------------------------------------------
-
-struct LayerJumpNumbers {
-  double jump_trials_per_sec = 0;
-  double stepwise_trials_per_sec = 0;
-  double layer_jump_speedup = 0;
-};
-
-LayerJumpNumbers bench_layer_jump(std::size_t n, std::size_t trials, std::uint64_t seed) {
-  const auto g = graph::make_cycle(n);
-  const auto factory = algo::make_cole_vishkin_view(n);
-
-  std::vector<graph::IdAssignment> assignments;
-  assignments.reserve(trials);
-  for (std::size_t t = 0; t < trials; ++t) {
-    support::Xoshiro256 rng(support::derive_seed(seed, t));
-    assignments.emplace_back(graph::IdAssignment::random(n, rng));
-  }
-
-  std::vector<std::int64_t> jump_outputs(trials * n), step_outputs(trials * n);
-  std::vector<std::uint32_t> jump_radii(trials * n), step_radii(trials * n);
-  const auto run_leg = [&](bool jump, std::vector<std::int64_t>& outputs,
-                           std::vector<std::uint32_t>& radii) {
-    local::ViewEngineOptions options;
-    options.layer_jump = jump;
-    const auto start = Clock::now();
-    local::run_views_batched(g, assignments, factory, options,
-                             [&](std::size_t, std::size_t trial, graph::Vertex v,
-                                 std::int64_t output, std::size_t radius) {
-                               outputs[trial * n + v] = output;
-                               radii[trial * n + v] = static_cast<std::uint32_t>(radius);
-                             });
-    return static_cast<double>(trials) / seconds_since(start);
-  };
-
-  LayerJumpNumbers out;
-  out.jump_trials_per_sec = run_leg(true, jump_outputs, jump_radii);
-  out.stepwise_trials_per_sec = run_leg(false, step_outputs, step_radii);
-  if (jump_outputs != step_outputs || jump_radii != step_radii) {
-    std::cerr << "bench_regression: layer-jump path diverged from the stepwise engine\n";
-    std::exit(2);
-  }
-  out.layer_jump_speedup = out.jump_trials_per_sec / out.stepwise_trials_per_sec;
-  return out;
-}
-
-// ------------------------------------------------------------------------
 // Per-phase breakdown of the serial batched view sweep, so a future
 // throughput regression names its phase instead of hiding in one number.
-// cv3 rather than largest-id: largest-id declares ids_only_view() and
-// streams assignments without a transpose, which would leave the transpose
-// and lockstep-gather phases permanently at zero here.
+// cv3 rather than largest-id: largest-id declares ids_only_view() and runs
+// in sequential mode, so the lockstep mode's phases would go unmeasured.
 // ------------------------------------------------------------------------
 
 local::BatchPhaseStats bench_phase_breakdown(std::size_t n, std::size_t trials,
@@ -854,11 +712,10 @@ local::BatchPhaseStats bench_phase_breakdown(std::size_t n, std::size_t trials,
 // n = 10^6 ring (scaled down in smoke runs, same code paths):
 //  * bytes_per_arc of the compact vs the wide (64-bit-offset) CSR layout,
 //    plus a shuffled traversal checksum bit-compared across the layouts;
-//  * the budgeted sweep: compact CSR + layer jump under a declared
-//    memory_budget_bytes, bit-compared against the 64-bit stepwise
-//    reference (wide offsets, layer_jump off, unlimited batch) - the
-//    every-run identity gate of the whole large-n stack - with the peak-RSS
-//    delta of the budgeted leg asserted inside the budget;
+//  * the budgeted sweep: compact CSR under a declared memory_budget_bytes,
+//    bit-compared against the reference (wide offsets, unlimited batch) -
+//    the every-run identity gate of the whole large-n stack - with the
+//    peak-RSS delta of the budgeted leg asserted inside the budget;
 //  * compact_csr_speedup: the dispatched u32 edge-times kernel (two 8-lane
 //    gathers + max, the driver's per-edge hot path) against a frozen
 //    per-edge 64-bit replica of the pre-compact code, bit-identity every
@@ -911,8 +768,8 @@ struct LargeScaleNumbers {
   std::size_t trials = 0;
   double bytes_per_arc_compact = 0;
   double bytes_per_arc_wide = 0;
-  double budgeted_trials_per_sec = 0;       ///< compact + jump + budget
-  double wide_stepwise_trials_per_sec = 0;  ///< the 64-bit reference leg
+  double budgeted_trials_per_sec = 0;       ///< compact + budget
+  double wide_stepwise_trials_per_sec = 0;  ///< the wide-offset reference leg
   std::size_t memory_budget_bytes = 0;
   std::size_t budget_peak_delta_bytes = 0;  ///< VmHWM delta of the budgeted leg
   double edge_times_u32_elems_per_sec = 0;
@@ -958,7 +815,7 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     }
   }
 
-  // The budgeted million-node sweep vs the 64-bit stepwise reference. The
+  // The budgeted million-node sweep vs the wide-offset reference. The
   // budgeted leg runs first so its VmHWM delta is not masked by the
   // unlimited reference's (larger) footprint.
   {
@@ -968,21 +825,20 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     const core::AlgorithmProvider provider = [](std::size_t) {
       return algo::make_largest_id_view();
     };
-    const core::ViewBackend fast(provider, options.semantics, /*layer_jump=*/true);
-    const core::ViewBackend reference(provider, options.semantics, /*layer_jump=*/false);
-    const core::SweepMemoryModel model = fast.memory_model(compact);
+    const core::ViewBackend backend(provider, options.semantics);
+    const core::SweepMemoryModel model = backend.memory_model(compact);
     // Declared budget: two resident trials per lane - the driver must batch.
     core::BatchedSweepOptions budgeted = options;
     budgeted.memory_budget_bytes = model.predicted_lane_bytes(2);
     out.memory_budget_bytes = budgeted.memory_budget_bytes;
 
     const std::size_t hwm_before = vm_hwm_bytes();
-    core::PointAccumulator fast_acc;
+    core::PointAccumulator budgeted_acc;
     {
-      const core::SweepDriver driver(fast, budgeted, nullptr);
+      const core::SweepDriver driver(backend, budgeted, nullptr);
       core::SweepDriver::Point point = driver.prepare(compact, 0);
       const auto start = Clock::now();
-      fast_acc = driver.run_trials(point, 0, options.trials);
+      budgeted_acc = driver.run_trials(point, 0, options.trials);
       out.budgeted_trials_per_sec =
           static_cast<double>(options.trials) / seconds_since(start);
     }
@@ -990,16 +846,16 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
 
     core::PointAccumulator reference_acc;
     {
-      const core::SweepDriver driver(reference, options, nullptr);
+      const core::SweepDriver driver(backend, options, nullptr);
       core::SweepDriver::Point point = driver.prepare(wide, 0);
       const auto start = Clock::now();
       reference_acc = driver.run_trials(point, 0, options.trials);
       out.wide_stepwise_trials_per_sec =
           static_cast<double>(options.trials) / seconds_since(start);
     }
-    if (!(fast_acc == reference_acc)) {
-      std::cerr << "bench_regression: budgeted compact sweep diverged from the 64-bit "
-                   "stepwise reference\n";
+    if (!(budgeted_acc == reference_acc)) {
+      std::cerr << "bench_regression: budgeted compact sweep diverged from the wide-offset "
+                   "reference\n";
       std::exit(2);
     }
   }
@@ -1318,9 +1174,7 @@ int main(int argc, char** argv) {
   // not per-round throughput.
   const MessageParallelThroughput message_parallel =
       bench_message_parallel(smoke ? engine_n : 10'000, /*rounds=*/smoke ? 16 : 64);
-  const SimdKernelNumbers simd_kernels = bench_lockstep_gather(smoke);
   const ArenaWordNumbers arena_words = bench_arena_words(smoke);
-  const LayerJumpNumbers layer_jump = bench_layer_jump(n, trials, /*seed=*/42);
   const local::BatchPhaseStats phases = bench_phase_breakdown(n, trials, /*seed=*/42);
   const LargeScaleNumbers large_scale = bench_large_scale(smoke);
   const ServeNumbers serve = bench_serve(smoke);
@@ -1354,7 +1208,6 @@ int main(int argc, char** argv) {
   json.key("batched_sweep_speedup_vs_per_trial").value(batched_ratio);
   json.key("phase_breakdown").begin_object();
   json.key("algorithm").value("cole_vishkin");
-  json.key("transpose_sec").value(phases.transpose_sec);
   json.key("grow_sec").value(phases.grow_sec);
   json.key("gather_sec").value(phases.gather_sec);
   json.key("eval_sec").value(phases.eval_sec);
@@ -1390,18 +1243,9 @@ int main(int argc, char** argv) {
   json.key("parallel_workers").value(static_cast<std::uint64_t>(message_parallel.pool_workers));
   json.end_object();
   json.key("simd_kernels").begin_object();
-  json.key("gather_vector_elems_per_sec").value(simd_kernels.gather_vector_elems_per_sec);
-  json.key("gather_scalar_elems_per_sec").value(simd_kernels.gather_scalar_elems_per_sec);
-  json.key("lockstep_gather_speedup").value(simd_kernels.lockstep_gather_speedup);
   json.key("arena_rounds_per_sec").value(arena_words.arena_rounds_per_sec);
   json.key("arena_replica_rounds_per_sec").value(arena_words.replica_rounds_per_sec);
   json.key("message_arena_word_speedup").value(arena_words.message_arena_word_speedup);
-  json.end_object();
-  json.key("layer_jump").begin_object();
-  json.key("algorithm").value("cole_vishkin");
-  json.key("jump_trials_per_sec").value(layer_jump.jump_trials_per_sec);
-  json.key("stepwise_trials_per_sec").value(layer_jump.stepwise_trials_per_sec);
-  json.key("layer_jump_speedup").value(layer_jump.layer_jump_speedup);
   json.end_object();
   json.key("large_scale").begin_object();
   json.key("topology").value("ring");
@@ -1489,15 +1333,6 @@ int main(int argc, char** argv) {
     std::cerr << "bench_regression: parallel message sweep speedup "
               << message_parallel.parallel_speedup << " < 1.5\n";
     return 8;
-  }
-  // The SIMD kernels' reason to exist. On scalar-only hosts (or forced-
-  // scalar builds) both legs run the same code, so the gate needs a vector
-  // ISA; the bit-identity checks above ran regardless.
-  if (!smoke && std::string_view(support::simd::active_isa()) != "scalar" &&
-      simd_kernels.lockstep_gather_speedup < 1.5) {
-    std::cerr << "bench_regression: lockstep gather speedup "
-              << simd_kernels.lockstep_gather_speedup << " < 1.5\n";
-    return 9;
   }
   // The arena's word paths (memcpy + ctz scans) beat the per-word replica
   // on every ISA - this gate holds in forced-scalar builds too.

@@ -51,20 +51,6 @@ void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
   }
 }
 
-void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
-                              std::span<const std::uint32_t> radius_matrix,
-                              std::size_t batch_begin, std::size_t batch_size,
-                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts) {
-  for (std::size_t i = 0; i < batch_size; ++i) {
-    const std::uint32_t* row = radius_matrix.data() + i * acc.n;
-    acc.trial_edge_sum[batch_begin + i] =
-        for_each_edge_time(edge_list, row, [&edge_counts](std::size_t t) {
-          if (t >= edge_counts.size()) edge_counts.resize(t + 1, 0);
-          ++edge_counts[t];
-        });
-  }
-}
-
 void EdgeAccumScratch::bind(std::span<const std::pair<graph::Vertex, graph::Vertex>> edges) {
   if (edge_u.size() == edges.size()) return;
   edge_u.resize(edges.size());
@@ -85,9 +71,9 @@ void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Ve
   const std::size_t m = edge_list.size();
   for (std::size_t i = 0; i < batch_size; ++i) {
     const std::uint32_t* row = radius_matrix.data() + i * acc.n;
-    // Same times, same canonical order, same integer sum as the
-    // for_each_edge_time overload above - only computed eight edges per
-    // vector instead of one pair-of-loads at a time.
+    // Same times, same canonical order, same integer sum as
+    // for_each_edge_time - only computed eight edges per vector instead of
+    // one pair-of-loads at a time.
     support::simd::edge_times_u32(scratch.times.data(), row, scratch.edge_u.data(),
                                   scratch.edge_v.data(), m);
     std::uint64_t sum = 0;

@@ -151,16 +151,6 @@ PointAccumulator make_point_accumulator(const graph::Graph& g, std::size_t point
 void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
                       std::uint64_t point_seed, std::size_t global_begin, std::size_t count);
 
-/// Folds one batch's dense radius matrix (`batch_size` rows of n radii,
-/// row t = global trial batch_begin + t) into the accumulator's per-trial
-/// edge sums and the flat per-time sample counts (grown on demand;
-/// local::RadiusHistogram(std::move(counts)) converts exactly once per
-/// point). The scalar reference of the overload below.
-void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
-                              std::span<const std::uint32_t> radius_matrix,
-                              std::size_t batch_begin, std::size_t batch_size,
-                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts);
-
 /// SoA mirror of a canonical edge list plus an edge-time row, the operands
 /// of the simd::edge_times_u32 kernel: 64-byte-aligned u32 endpoint arrays
 /// (two gathers per vector of edges) and the per-trial times they produce.
@@ -174,11 +164,16 @@ struct EdgeAccumScratch {
   void bind(std::span<const std::pair<graph::Vertex, graph::Vertex>> edges);
 };
 
-/// Vectorised twin of accumulate_edge_partials: per trial row, one
-/// simd::edge_times_u32 sweep over the SoA edge arrays, then a scalar fold
-/// of the times into the counts and the trial's edge sum. Exact integers
-/// in canonical edge order, so the partials are bit-identical to the
-/// scalar overload (pinned in tests) - this is the driver's hot path.
+/// Folds one batch's dense radius matrix (`batch_size` rows of n radii,
+/// row t = global trial batch_begin + t) into the accumulator's per-trial
+/// edge sums and the flat per-time sample counts (grown on demand;
+/// local::RadiusHistogram(std::move(counts)) converts exactly once per
+/// point). Per trial row, one simd::edge_times_u32 sweep over the SoA edge
+/// arrays, then a scalar fold of the times into the counts and the trial's
+/// edge sum: exact integers in canonical edge order, the same values
+/// for_each_edge_time (core/measure.hpp) yields. The kernel is pinned
+/// against its scalar reference in tests/test_simd.cpp; this is the
+/// driver's hot path.
 void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
                               std::span<const std::uint32_t> radius_matrix,
                               std::size_t batch_begin, std::size_t batch_size,

@@ -4,17 +4,17 @@
 // part (edge lists, ball scratch, engine arenas - whatever one lane keeps
 // alive regardless of how many assignments are in flight) plus a per-trial
 // part (the id buffer, the radius-matrix row, and for the lockstep view
-// engine the transpose row and worst-case spill). Each backend reports its
-// model through SweepBackend::memory_model; SweepDriver inverts it to pick
-// the widest batch that keeps `lanes` concurrent lanes inside
+// engine the worst-case spill id buffer). Each backend reports its model
+// through SweepBackend::memory_model; SweepDriver inverts it to pick the
+// widest batch that keeps `lanes` concurrent lanes inside
 // BatchedSweepOptions::memory_budget_bytes.
 //
 // The model is a prediction, not an accounting identity - allocator
-// rounding and growth slack sit on top - so it is validated where it can
-// be measured: tests and bench_regression run a budgeted sweep under the
-// alloc hook and assert the observed bytes stay within the predicted
-// envelope. Batch width never changes results (driver contract), so a
-// budget-derived width is automatically bit-identical to any other.
+// rounding sits on top - so it is validated where it can be measured:
+// tests and bench_regression run a budgeted sweep under the alloc hook and
+// assert the observed bytes stay within the predicted envelope. Batch
+// width never changes results (driver contract), so a budget-derived
+// width is automatically bit-identical to any other.
 #pragma once
 
 #include <cstddef>

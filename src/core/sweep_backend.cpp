@@ -40,9 +40,8 @@ struct MessagePointState final : BackendPointState {
 
 }  // namespace
 
-ViewBackend::ViewBackend(AlgorithmProvider algorithms, local::ViewSemantics semantics,
-                         bool layer_jump)
-    : algorithms_(std::move(algorithms)), semantics_(semantics), layer_jump_(layer_jump) {
+ViewBackend::ViewBackend(AlgorithmProvider algorithms, local::ViewSemantics semantics)
+    : algorithms_(std::move(algorithms)), semantics_(semantics) {
   AVGLOCAL_EXPECTS(static_cast<bool>(algorithms_));
 }
 
@@ -72,7 +71,6 @@ void ViewBackend::run_batch(BackendPointState& state, std::span<const graph::IdA
   local::ViewEngineOptions engine;
   engine.semantics = semantics_;
   engine.pool = pool;
-  engine.layer_jump = layer_jump_;
 
   local::run_views_batched(
       *view_state.g, batch, view_state.factory, engine,
@@ -101,21 +99,30 @@ void ViewBackend::run_batch(BackendPointState& state, std::span<const graph::IdA
 SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept {
   const std::size_t n = g.vertex_count();
   const std::size_t arcs = g.arc_count();
+  const std::size_t edges = arcs / 2;
   SweepMemoryModel model;
-  // Per resident trial: the id assignment (8n), its radius-matrix row
-  // (4n), its transpose row in the lockstep engine (8n; row_stride rounds
-  // trials up to a cache line, amortised per trial), and the worst-case
-  // spill id buffer should its ball reach the whole graph (8n). 28n.
-  model.bytes_per_trial = n * (8 + 4 + 8 + 8);
-  // Per lane: the CSR tables, the canonical edge list (8 bytes per edge),
-  // the epoch-stamped ball scratch (local_of + stamps, 8n) and the
-  // grower's discovery arrays (globals + dist + ports, ~16n + 4 * arcs at
-  // full coverage). The transpose pads its stride to a full cache line
-  // (8 id slots), so up to 7 slots beyond the batch width are resident
-  // regardless of width - that worst-case rounding excess (56n) is charged
-  // here, keeping predicted_lane_bytes an upper bound at every width
-  // (pinned by the envelope test in tests/test_large_scale.cpp).
-  model.fixed_bytes = g.memory_bytes() + 4 * arcs + 8 * (arcs / 2) + 24 * n + 56 * n;
+  // A buffer grown by doubling (push_back, resize) is charged at twice the
+  // size it can reach, which bounds its capacity; a buffer allocated once
+  // is charged at its size.
+  //
+  // Per resident trial: the id assignment (8n, allocated once), its
+  // radius-matrix row (4n) and, in lockstep mode, the trial's spill id
+  // buffer, doubled up to n ids should its ball reach the whole graph
+  // (2 * 8n). 28n.
+  model.bytes_per_trial = n * (8 + 4 + 2 * 8);
+  // Per lane, allocated once: the CSR tables, the canonical edge list (8
+  // bytes per edge) and its EdgeAccumScratch twin (12 bytes per edge),
+  // PointAccumulator::node_sum (8n), the identity placeholder the grower
+  // runs on (8n per run_views_batched call) and the epoch-stamped ball
+  // scratch (local_of + stamps, 8n).
+  const std::size_t allocated_once = g.memory_bytes() + 20 * edges + 24 * n;
+  // Per lane, doubled up to full coverage: the grower's discovery arrays
+  // (ids 8n, globals 4n, dist 4n, port offsets 4n, port targets 4 bytes
+  // per arc), the sequential mode's id buffer (8n), the per-radius ball
+  // sizes (at most n radii, 4n) and three radius histograms of at most n
+  // buckets (the worker's, the accumulator's and the edge times', 24n).
+  const std::size_t doubled = 20 * n + 4 * arcs + 8 * n + 4 * n + 24 * n;
+  model.fixed_bytes = allocated_once + 2 * doubled;
   return model;
 }
 

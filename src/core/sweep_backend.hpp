@@ -115,13 +115,8 @@ class SweepBackend {
 /// call parallelises over vertices (Granularity::kVertices).
 class ViewBackend final : public SweepBackend {
  public:
-  /// `layer_jump` toggles the engine's min_radius layer-jump (see
-  /// local::ViewEngineOptions::layer_jump); outputs are bit-identical
-  /// either way - the off position exists so tests can pin byte-identical
-  /// shard artefacts across the toggle.
   ViewBackend(AlgorithmProvider algorithms,
-              local::ViewSemantics semantics = local::ViewSemantics::kInducedBall,
-              bool layer_jump = true);
+              local::ViewSemantics semantics = local::ViewSemantics::kInducedBall);
 
   std::string_view name() const noexcept override { return "view"; }
   bool supports_batching() const noexcept override { return true; }
@@ -136,7 +131,6 @@ class ViewBackend final : public SweepBackend {
  private:
   AlgorithmProvider algorithms_;
   local::ViewSemantics semantics_;
-  bool layer_jump_;
 };
 
 /// The message-formulation backend, wrapping a persistent

@@ -57,8 +57,8 @@ class IdAssignment {
   IdAssignment(support::AlignedVector<std::uint64_t> ids, Trusted);
 
   /// Storage is 64-byte aligned: ids() is the source array of the batched
-  /// engine's SIMD transpose/gather kernels (support/simd.hpp), which
-  /// assume cache-line-aligned row bases.
+  /// engine's SIMD id gather (support/simd.hpp), which assumes a
+  /// cache-line-aligned base.
   support::AlignedVector<std::uint64_t> ids_;
 };
 

@@ -94,7 +94,6 @@ struct BatchedWorker {
   BallGrower grower;
   std::vector<TrialSlot> slots;        // lockstep: one per trial (slot k = trial k)
   std::vector<std::uint32_t> active;   // lockstep: slot indices in flight, ascending
-  std::vector<std::uint64_t*> heads;   // lockstep: per-active id buffers during a gather
   std::vector<std::uint32_t> prefix;   // prefix[r] = |ball| at radius r (current vertex)
   std::size_t covers_radius = 0;       // first covering radius; SIZE_MAX until known
   support::AlignedVector<std::uint64_t> seq_ids;  // sequential: the live trial's identifiers
@@ -215,28 +214,18 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
 /// assignment, so the grower's live view serves them all - only the
 /// identifier span is re-pointed per trial around the algorithm call. Each
 /// trial pays an id gather and its algorithm; the BFS runs once per vertex,
-/// up to the deepest radius any trial of the batch needs.
-///
-/// `row_ids` is the row-major transpose of the batch (row_ids[v * row_stride
-/// + t] = assignment t's identifier of vertex v; row_stride >= trials is
-/// padded so every row starts on a cache line): gathering one ball vertex's
-/// identifier for every active trial then reads one contiguous row instead
-/// of touching `trials` separate arrays - with hundreds of assignments in
-/// flight, that stream locality is what keeps the gather from going
-/// memory-bound. The row gather and the straggler/sequential gathers run
-/// through the SIMD kernels of support/simd.hpp (bit-identical to their
-/// scalar references by construction).
+/// up to the deepest radius any trial of the batch needs. The gather streams
+/// each survivor's own assignment array through simd::gather_u64
+/// (bit-identical to its scalar reference by construction).
 void run_batched_range(const graph::Graph& g, BatchedWorker& state,
                        std::span<const graph::IdAssignment> batch,
-                       std::span<const std::uint64_t> row_ids, std::size_t row_stride,
-                       std::size_t trials, const ViewAlgorithmFactory& factory,
-                       const ViewEngineOptions& options, std::size_t worker, graph::Vertex begin,
-                       graph::Vertex end, const BatchedResultFn& sink) {
+                       const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
+                       std::size_t worker, graph::Vertex begin, graph::Vertex end,
+                       const BatchedResultFn& sink) {
   const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
     state.reroot(v);
-    const std::uint64_t* root_row = row_ids.data() + static_cast<std::size_t>(v) * row_stride;
 
     // Evaluates one slot at the current radius: point the shared view's
     // identifier span at the trial's buffer (two words; grow() re-points it
@@ -256,9 +245,9 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
     // Radius 0 fused with slot setup: every trial sees just its root
     // identifier - one pass over the slots, not two.
     state.active.clear();
-    for (std::size_t k = 0; k < trials; ++k) {
+    for (std::size_t k = 0; k < batch.size(); ++k) {
       TrialSlot& slot = state.slots[k];
-      slot.inline_ids[0] = root_row[slot.trial];
+      slot.inline_ids[0] = batch[slot.trial].ids()[v];
       if (slot.algorithm == nullptr || !slot.algorithm->reset()) {
         slot.algorithm = factory();
         AVGLOCAL_REQUIRE_MSG(slot.algorithm != nullptr, "view algorithm factory returned null");
@@ -273,15 +262,12 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
     while (!state.active.empty()) {
       // Layer-jump target: the smallest min_radius any surviving trial
       // declares. Below it (and before coverage) the per-layer evaluate
-      // pass is a guaranteed no-op - see ViewEngineOptions::layer_jump -
-      // so the engine may grow straight through those layers and gather
-      // them in one fused pass below.
-      std::size_t jump_target = 0;
-      if (options.layer_jump) {
-        jump_target = SIZE_MAX;
-        for (const std::uint32_t k : state.active) {
-          jump_target = std::min(jump_target, static_cast<std::size_t>(state.slots[k].min_radius));
-        }
+      // pass is a guaranteed no-op - the min_radius contract - so the
+      // engine grows straight through those layers and gathers them in one
+      // fused pass below.
+      std::size_t jump_target = SIZE_MAX;
+      for (const std::uint32_t k : state.active) {
+        jump_target = std::min(jump_target, static_cast<std::size_t>(state.slots[k].min_radius));
       }
 
       if (radius >= cap) {
@@ -290,10 +276,10 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
       // One shared BFS step ...
       state.grow_once();
       ++radius;
-      // ... plus, under the jump, every further layer the stepwise engine
-      // would have grown without a single live evaluate. The cap is checked
-      // per layer and the jump stops at the first covering radius, so
-      // behaviour (including exceptions) matches the stepwise path exactly.
+      // ... plus every further layer a stepwise engine would have grown
+      // without a single live evaluate. The cap is checked per layer and the
+      // jump stops at the first covering radius, so behaviour (including
+      // exceptions) matches per-trial run_views exactly.
       while (radius < jump_target && state.covers_radius == SIZE_MAX) {
         if (radius >= cap) {
           throw std::runtime_error(
@@ -306,47 +292,24 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
       const std::span<const graph::Vertex> globals = state.grower.global_vertices();
       const std::size_t new_end = globals.size();
 
-      // ... then, for every surviving trial, the new layer's identifiers
-      // (the only per-trial view state) and the evaluation. Two regimes:
-      // with many trials in flight, the gather reads one contiguous
-      // transpose row per layer vertex (dense use of every cache line;
-      // per-assignment arrays would be hundreds of concurrent streams) and
-      // evaluation is a second pass. Once the field has thinned to
-      // stragglers, gather and evaluation fuse into a single pass over each
-      // survivor's own assignment array - for them the transpose rows would
-      // cost a whole cache line per 8 bytes. Finished trials are compacted
-      // out of the 4-byte index list in place; slots never move.
+      // ... then, for every surviving trial, the new layers' identifiers
+      // (the only per-trial view state) gathered from its own assignment
+      // array and evaluated in one fused pass. Finished trials are
+      // compacted out of the 4-byte index list in place; slots never move.
       std::size_t kept = 0;
       const std::size_t in_flight = state.active.size();
-      if (in_flight >= kRowGatherMinActive) {
-        state.heads.clear();
-        for (const std::uint32_t k : state.active) {
-          state.heads.push_back(state.slots[k].ids_for(ball_end, new_end));
-        }
-        support::simd::layer_gather(row_ids.data(), row_stride, globals.data() + ball_end,
-                                    new_end - ball_end, state.active.data(), in_flight,
-                                    state.heads.data(), ball_end);
-        ball_end = new_end;
+      const std::size_t prev_end = ball_end;
+      ball_end = new_end;
+      for (std::size_t j = 0; j < in_flight; ++j) {
+        const std::uint32_t k = state.active[j];
+        TrialSlot& slot = state.slots[k];
+        const std::span<const std::uint64_t> sigma = batch[slot.trial].ids();
+        std::uint64_t* ids = slot.ids_for(prev_end, new_end);
+        support::simd::gather_u64(ids + prev_end, sigma.data(), globals.data() + prev_end,
+                                  new_end - prev_end);
         timer.lap(&BatchPhaseStats::gather_sec);
-        for (std::size_t j = 0; j < in_flight; ++j) {
-          const std::uint32_t k = state.active[j];
-          if (!evaluate(state.slots[k], state.heads[j])) state.active[kept++] = k;
-        }
+        if (!evaluate(slot, ids)) state.active[kept++] = k;
         timer.lap(&BatchPhaseStats::eval_sec);
-      } else {
-        const std::size_t prev_end = ball_end;
-        ball_end = new_end;
-        for (std::size_t j = 0; j < in_flight; ++j) {
-          const std::uint32_t k = state.active[j];
-          TrialSlot& slot = state.slots[k];
-          const std::span<const std::uint64_t> sigma = batch[slot.trial].ids();
-          std::uint64_t* ids = slot.ids_for(prev_end, new_end);
-          support::simd::gather_u64(ids + prev_end, sigma.data(), globals.data() + prev_end,
-                                    new_end - prev_end);
-          timer.lap(&BatchPhaseStats::gather_sec);
-          if (!evaluate(slot, ids)) state.active[kept++] = k;
-          timer.lap(&BatchPhaseStats::eval_sec);
-        }
       }
       state.active.resize(kept);
     }
@@ -376,48 +339,18 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
   // algorithm calls only.
   const graph::IdAssignment geometry_ids = graph::IdAssignment::identity(n);
 
-  // Row-major transpose of the batch for the lockstep gather, shared
-  // read-only by all workers (see run_batched_range). Memory: 8 * n *
-  // row_stride bytes - callers bound it by batching trials (e.g.
-  // BatchedSweepOptions::batch_size). The stride is `trials` rounded up to
-  // a full cache line of ids, so every row starts 64-byte aligned (the SIMD
-  // kernels' invariant; pad columns are never read). Built in vertex tiles
-  // through the SIMD transpose kernel so the strided side stays
-  // cache-resident. The sequential mode streams the assignment arrays
-  // directly and skips it.
-  const std::size_t trials = batch.size();
-  const std::size_t row_stride = (trials + 7) & ~std::size_t{7};
-  support::AlignedVector<std::uint64_t> row_ids;
-  if (!ids_only) {
-    PhaseTimer timer(options.pool == nullptr || options.pool->size() == 1
-                         ? options.phase_stats
-                         : nullptr);
-    row_ids.resize(n * row_stride);
-    AVGLOCAL_ASSERT(support::is_aligned(row_ids.data()));
-    std::vector<const std::uint64_t*> tile_srcs(trials);
-    constexpr std::size_t kTransposeTile = 64;
-    for (std::size_t v0 = 0; v0 < n; v0 += kTransposeTile) {
-      const std::size_t v1 = std::min(n, v0 + kTransposeTile);
-      for (std::size_t t = 0; t < trials; ++t) tile_srcs[t] = batch[t].ids().data() + v0;
-      support::simd::transpose_to_rows(row_ids.data() + v0 * row_stride, row_stride,
-                                       tile_srcs.data(), trials, v1 - v0);
-    }
-    timer.lap(&BatchPhaseStats::transpose_sec);
-  }
-
   const auto run_range_mode = [&](BatchedWorker& state, const ViewEngineOptions& opts,
                                   std::size_t worker, graph::Vertex b, graph::Vertex e) {
     if (ids_only) {
       run_sequential_range(g, state, batch, factory, opts, worker, b, e, sink);
     } else {
-      run_batched_range(g, state, batch, row_ids, row_stride, trials, factory, opts, worker, b, e,
-                        sink);
+      run_batched_range(g, state, batch, factory, opts, worker, b, e, sink);
     }
   };
 
   support::ThreadPool* pool = options.pool;
   if (pool == nullptr || pool->size() == 1 || n == 1) {
-    BatchedWorker state(g, geometry_ids, options.semantics, trials);
+    BatchedWorker state(g, geometry_ids, options.semantics, batch.size());
     run_range_mode(state, options, 0, 0, checked_u32(n));
     return;
   }
@@ -437,7 +370,7 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
   pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
     auto& state = states[worker];
     if (!state) {
-      state = std::make_unique<BatchedWorker>(g, geometry_ids, options.semantics, trials);
+      state = std::make_unique<BatchedWorker>(g, geometry_ids, options.semantics, batch.size());
     }
     run_range_mode(*state, parallel_options, worker, checked_u32(begin), checked_u32(end));
   });

@@ -64,23 +64,14 @@ class ViewAlgorithm {
 /// Creates one ViewAlgorithm instance per vertex.
 using ViewAlgorithmFactory = std::function<std::unique_ptr<ViewAlgorithm>()>;
 
-/// In-flight trial count at which the batched engine's per-layer id gather
-/// switches between its two regimes: at or above this many survivors it
-/// reads one contiguous transpose row per ball vertex (SIMD row gather);
-/// below it, each straggler streams its own assignment array in a fused
-/// gather+evaluate pass. Exposed so tests can pin bit-identity across the
-/// boundary (including exactly at it).
-inline constexpr std::size_t kRowGatherMinActive = 64;
-
 /// Wall-clock breakdown of one serial run_views_batched call, accumulated
 /// when ViewEngineOptions::phase_stats points here. Identifies which phase
 /// a throughput regression lives in (bench_regression records it in
 /// BENCH_core.json).
 struct BatchPhaseStats {
-  double transpose_sec = 0;  ///< row-major transpose build
-  double grow_sec = 0;       ///< shared BFS growth (incl. layer jumps)
-  double gather_sec = 0;     ///< id gathers (row, straggler and sequential)
-  double eval_sec = 0;       ///< algorithm on_view calls + result sink
+  double grow_sec = 0;    ///< shared BFS growth (incl. layer jumps)
+  double gather_sec = 0;  ///< id gathers (lockstep and sequential)
+  double eval_sec = 0;    ///< algorithm on_view calls + result sink
 };
 
 struct ViewEngineOptions {
@@ -99,15 +90,6 @@ struct ViewEngineOptions {
   /// so both must be safe to call concurrently - factories capturing shared
   /// mutable state need the serial path or their own synchronisation.
   support::ThreadPool* pool = nullptr;
-
-  /// min_radius layer-jump (batched lockstep mode): while every in-flight
-  /// trial has radius < min_radius and the ball does not cover the graph,
-  /// the per-layer evaluate pass is a guaranteed no-op (the min_radius
-  /// contract), so the engine grows several BFS layers at once and gathers
-  /// them in one fused pass. Outputs, radii and exception behaviour are
-  /// bit-identical either way (the radius cap is still checked per layer);
-  /// the toggle exists so tests and benches can pin that.
-  bool layer_jump = true;
 
   /// When non-null, run_views_batched accumulates a wall-clock phase
   /// breakdown here. Serial path only: ignored when a multi-worker pool is

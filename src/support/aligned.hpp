@@ -1,10 +1,11 @@
 // Cache-line-aligned storage for the batch kernels.
 //
 // The SIMD layer (support/simd.hpp) assumes its hot arrays start on a
-// 64-byte boundary: the id storage of graph::IdAssignment, the row-major
-// transpose of a lockstep batch, and the per-slot id buffers are all
-// allocated through AlignedAllocator so the kernels' row bases are aligned
-// by construction (debug asserts pin the invariant at the use sites).
+// 64-byte boundary: the id storage of graph::IdAssignment, the per-slot id
+// buffers of the view engine and the driver's edge arrays are all
+// allocated through AlignedAllocator so the kernels' bases are aligned by
+// construction (debug asserts pin the invariant where assignments are
+// built).
 #pragma once
 
 #include <cstddef>

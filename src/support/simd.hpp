@@ -1,28 +1,26 @@
 // Portable SIMD kernels for the batch hot loops.
 //
-// Three kernels carry the batched engines' inner loops (see
+// Four kernels carry the batched engines' inner loops (see
 // src/local/README.md for where each one sits):
-//  * transpose_to_rows - builds the row-major id transpose of a lockstep
-//    batch from the per-trial assignment arrays;
-//  * layer_gather      - the lockstep layer gather: one transpose row per
-//    new ball vertex, scattered into the surviving trials' id buffers;
-//  * gather_u64        - the straggler/sequential-regime gather
-//    dst[k] = src[idx[k]] over a trial's own assignment array.
-// Plus the word-path helpers the message arena uses: copy_words (bulk
-// payload moves) and for_each_set_bit (count_trailing_zeros scans over the
-// presence bitmask's 64-bit words).
+//  * gather_u64       - the view engine's id gather dst[k] = src[idx[k]]
+//    over a trial's own assignment array (lockstep and sequential modes);
+//  * edge_times_u32   - the driver's per-edge times max(r(u), r(v)) over a
+//    radius row (two 32-bit gathers and an unsigned max);
+//  * copy_words       - bulk payload moves of the message arena;
+//  * for_each_set_bit - count_trailing_zeros scans over the arena's
+//    presence bitmask, one 64-bit word at a time.
 //
 // Dispatch is one ISA check cached per process: x86 builds compile an AVX2
 // specialisation (per-function target attributes, no global -mavx2) and
-// select it at runtime via cpu-supports; aarch64 builds use NEON (baseline
-// there); everything else - and any build configured with -DAVGLOCAL_SIMD=OFF
-// (AVGLOCAL_SIMD_DISABLE) - runs the scalar reference. The scalar namespace
-// is always compiled: tests pin every vector kernel bit-identical to it,
-// and bench_regression times the two against each other on every run.
+// select it at runtime via cpu-supports; everything else - and any build
+// configured with -DAVGLOCAL_SIMD=OFF (AVGLOCAL_SIMD_DISABLE) - runs the
+// scalar reference. The scalar namespace is always compiled: tests pin
+// every vector kernel bit-identical to it.
 //
-// All kernels move uint64 values verbatim - no arithmetic, no reordering of
-// destination elements - so vector and scalar paths are bit-identical by
-// construction, and the engines' outputs cannot depend on the ISA.
+// No kernel does arithmetic that could round or reorder destination
+// elements - they move words verbatim or take an unsigned max - so vector
+// and scalar paths are bit-identical by construction, and the engines'
+// outputs cannot depend on the ISA.
 #pragma once
 
 #include <bit>
@@ -36,9 +34,6 @@
     (defined(__GNUC__) || defined(__clang__))
 #define AVGLOCAL_SIMD_X86 1
 #include <immintrin.h>
-#elif !defined(AVGLOCAL_SIMD_DISABLE) && defined(__ARM_NEON)
-#define AVGLOCAL_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace avglocal::support::simd {
@@ -59,14 +54,6 @@ inline void gather_u64(std::uint64_t* dst, const std::uint64_t* src, const std::
   for (std::size_t k = 0; k < count; ++k) dst[k] = src[idx[k]];
 }
 
-/// dst[k] = src[idx[k]] for k in [0, count), 32-bit values. The compact-CSR
-/// twin of gather_u64: half the bytes per element means twice the gather
-/// lanes per vector register on the AVX2 path.
-inline void gather_u32(std::uint32_t* dst, const std::uint32_t* src, const std::uint32_t* idx,
-                       std::size_t count) {
-  for (std::size_t k = 0; k < count; ++k) dst[k] = src[idx[k]];
-}
-
 /// dst[k] = max(radii[us[k]], radii[vs[k]]) for k in [0, count): the edge
 /// time of canonical edge k under the radius profile `radii` (an edge is
 /// decided when its slower endpoint is). SoA endpoint arrays so the vector
@@ -81,172 +68,12 @@ inline void edge_times_u32(std::uint32_t* dst, const std::uint32_t* radii,
   }
 }
 
-/// heads[j][dst_begin + r] = rows[row_index[r] * row_stride + cols[j]] for
-/// r in [0, row_count), j in [0, col_count). The original lockstep gather:
-/// one contiguous transpose row per ball vertex, scattered over the
-/// surviving trials' buffers.
-inline void layer_gather(const std::uint64_t* rows, std::size_t row_stride,
-                         const std::uint32_t* row_index, std::size_t row_count,
-                         const std::uint32_t* cols, std::size_t col_count,
-                         std::uint64_t* const* heads, std::size_t dst_begin) {
-  for (std::size_t r = 0; r < row_count; ++r) {
-    const std::uint64_t* row = rows + std::size_t{row_index[r]} * row_stride;
-    for (std::size_t j = 0; j < col_count; ++j) {
-      heads[j][dst_begin + r] = row[cols[j]];
-    }
-  }
-}
-
-/// dst[r * dst_stride + j] = srcs[j][r] for r in [0, row_count),
-/// j in [0, col_count). Builds the row-major transpose from per-trial
-/// column arrays.
-inline void transpose_to_rows(std::uint64_t* dst, std::size_t dst_stride,
-                              const std::uint64_t* const* srcs, std::size_t col_count,
-                              std::size_t row_count) {
-  for (std::size_t r = 0; r < row_count; ++r) {
-    std::uint64_t* row = dst + r * dst_stride;
-    for (std::size_t j = 0; j < col_count; ++j) row[j] = srcs[j][r];
-  }
-}
-
 }  // namespace scalar
 
 // --------------------------------------------------------------- AVX2 ----
 #if defined(AVGLOCAL_SIMD_X86)
 
 namespace avx2 {
-
-/// In-register 4x4 uint64 transpose: o{k} = column k of the matrix whose
-/// rows are v0..v3.
-__attribute__((target("avx2"))) inline void transpose4x4(__m256i v0, __m256i v1, __m256i v2,
-                                                         __m256i v3, __m256i& o0, __m256i& o1,
-                                                         __m256i& o2, __m256i& o3) {
-  const __m256i t0 = _mm256_unpacklo_epi64(v0, v1);  // [v0_0 v1_0 v0_2 v1_2]
-  const __m256i t1 = _mm256_unpackhi_epi64(v0, v1);  // [v0_1 v1_1 v0_3 v1_3]
-  const __m256i t2 = _mm256_unpacklo_epi64(v2, v3);
-  const __m256i t3 = _mm256_unpackhi_epi64(v2, v3);
-  o0 = _mm256_permute2x128_si256(t0, t2, 0x20);
-  o1 = _mm256_permute2x128_si256(t1, t3, 0x20);
-  o2 = _mm256_permute2x128_si256(t0, t2, 0x31);
-  o3 = _mm256_permute2x128_si256(t1, t3, 0x31);
-}
-
-/// 4 transpose-row values at columns cols[j..j+3]: one 256-bit load when
-/// the columns are consecutive (the dominant regime - the active list is a
-/// dense prefix until trials start finishing), a hardware gather otherwise.
-__attribute__((target("avx2"))) inline __m256i load_cols(const std::uint64_t* row,
-                                                         const std::uint32_t* cols,
-                                                         bool consecutive) {
-  if (consecutive) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + cols[0]));
-  }
-  const __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols));
-  return _mm256_i32gather_epi64(reinterpret_cast<const long long*>(row), idx, 8);
-}
-
-__attribute__((target("avx2"))) inline void layer_gather(
-    const std::uint64_t* rows, std::size_t row_stride, const std::uint32_t* row_index,
-    std::size_t row_count, const std::uint32_t* cols, std::size_t col_count,
-    std::uint64_t* const* heads, std::size_t dst_begin) {
-  std::size_t r = 0;
-  for (; r + 4 <= row_count; r += 4) {
-    const std::uint64_t* r0 = rows + std::size_t{row_index[r + 0]} * row_stride;
-    const std::uint64_t* r1 = rows + std::size_t{row_index[r + 1]} * row_stride;
-    const std::uint64_t* r2 = rows + std::size_t{row_index[r + 2]} * row_stride;
-    const std::uint64_t* r3 = rows + std::size_t{row_index[r + 3]} * row_stride;
-    std::size_t j = 0;
-    for (; j + 4 <= col_count; j += 4) {
-      const std::uint32_t c0 = cols[j];
-      const bool consecutive =
-          cols[j + 1] == c0 + 1 && cols[j + 2] == c0 + 2 && cols[j + 3] == c0 + 3;
-      __m256i o0, o1, o2, o3;
-      transpose4x4(load_cols(r0, cols + j, consecutive), load_cols(r1, cols + j, consecutive),
-                   load_cols(r2, cols + j, consecutive), load_cols(r3, cols + j, consecutive),
-                   o0, o1, o2, o3);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(heads[j + 0] + dst_begin + r), o0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(heads[j + 1] + dst_begin + r), o1);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(heads[j + 2] + dst_begin + r), o2);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(heads[j + 3] + dst_begin + r), o3);
-    }
-    for (; j < col_count; ++j) {
-      std::uint64_t* h = heads[j] + dst_begin + r;
-      const std::uint32_t c = cols[j];
-      h[0] = r0[c];
-      h[1] = r1[c];
-      h[2] = r2[c];
-      h[3] = r3[c];
-    }
-  }
-  if (row_count - r >= 2) {
-    // Two-row tile (rings grow two vertices per layer): 128-bit paired
-    // stores per surviving trial.
-    const std::uint64_t* r0 = rows + std::size_t{row_index[r + 0]} * row_stride;
-    const std::uint64_t* r1 = rows + std::size_t{row_index[r + 1]} * row_stride;
-    std::size_t j = 0;
-    for (; j + 4 <= col_count; j += 4) {
-      const std::uint32_t c0 = cols[j];
-      const bool consecutive =
-          cols[j + 1] == c0 + 1 && cols[j + 2] == c0 + 2 && cols[j + 3] == c0 + 3;
-      const __m256i v0 = load_cols(r0, cols + j, consecutive);
-      const __m256i v1 = load_cols(r1, cols + j, consecutive);
-      const __m256i lo = _mm256_unpacklo_epi64(v0, v1);  // [c0: r0 r1 | c2: r0 r1]
-      const __m256i hi = _mm256_unpackhi_epi64(v0, v1);  // [c1: r0 r1 | c3: r0 r1]
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(heads[j + 0] + dst_begin + r),
-                       _mm256_castsi256_si128(lo));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(heads[j + 1] + dst_begin + r),
-                       _mm256_castsi256_si128(hi));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(heads[j + 2] + dst_begin + r),
-                       _mm256_extracti128_si256(lo, 1));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(heads[j + 3] + dst_begin + r),
-                       _mm256_extracti128_si256(hi, 1));
-    }
-    for (; j < col_count; ++j) {
-      std::uint64_t* h = heads[j] + dst_begin + r;
-      const std::uint32_t c = cols[j];
-      h[0] = r0[c];
-      h[1] = r1[c];
-    }
-    r += 2;
-  }
-  for (; r < row_count; ++r) {
-    const std::uint64_t* row = rows + std::size_t{row_index[r]} * row_stride;
-    for (std::size_t j = 0; j < col_count; ++j) heads[j][dst_begin + r] = row[cols[j]];
-  }
-}
-
-__attribute__((target("avx2"))) inline void transpose_to_rows(std::uint64_t* dst,
-                                                              std::size_t dst_stride,
-                                                              const std::uint64_t* const* srcs,
-                                                              std::size_t col_count,
-                                                              std::size_t row_count) {
-  std::size_t r = 0;
-  for (; r + 4 <= row_count; r += 4) {
-    std::size_t j = 0;
-    for (; j + 4 <= col_count; j += 4) {
-      __m256i o0, o1, o2, o3;
-      transpose4x4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j + 0] + r)),
-                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j + 1] + r)),
-                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j + 2] + r)),
-                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j + 3] + r)),
-                   o0, o1, o2, o3);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + (r + 0) * dst_stride + j), o0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + (r + 1) * dst_stride + j), o1);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + (r + 2) * dst_stride + j), o2);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + (r + 3) * dst_stride + j), o3);
-    }
-    for (; j < col_count; ++j) {
-      const std::uint64_t* s = srcs[j] + r;
-      dst[(r + 0) * dst_stride + j] = s[0];
-      dst[(r + 1) * dst_stride + j] = s[1];
-      dst[(r + 2) * dst_stride + j] = s[2];
-      dst[(r + 3) * dst_stride + j] = s[3];
-    }
-  }
-  for (; r < row_count; ++r) {
-    std::uint64_t* row = dst + r * dst_stride;
-    for (std::size_t j = 0; j < col_count; ++j) row[j] = srcs[j][r];
-  }
-}
 
 __attribute__((target("avx2"))) inline void gather_u64(std::uint64_t* dst,
                                                        const std::uint64_t* src,
@@ -258,20 +85,6 @@ __attribute__((target("avx2"))) inline void gather_u64(std::uint64_t* dst,
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(dst + k),
         _mm256_i32gather_epi64(reinterpret_cast<const long long*>(src), vidx, 8));
-  }
-  for (; k < count; ++k) dst[k] = src[idx[k]];
-}
-
-__attribute__((target("avx2"))) inline void gather_u32(std::uint32_t* dst,
-                                                       const std::uint32_t* src,
-                                                       const std::uint32_t* idx,
-                                                       std::size_t count) {
-  std::size_t k = 0;
-  for (; k + 8 <= count; k += 8) {
-    const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + k),
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(src), vidx, 4));
   }
   for (; k < count; ++k) dst[k] = src[idx[k]];
 }
@@ -306,69 +119,15 @@ inline bool have_avx2() noexcept {
 
 #endif  // AVGLOCAL_SIMD_X86
 
-// --------------------------------------------------------------- NEON ----
-#if defined(AVGLOCAL_SIMD_NEON)
-
-namespace neon {
-
-inline void layer_gather(const std::uint64_t* rows, std::size_t row_stride,
-                         const std::uint32_t* row_index, std::size_t row_count,
-                         const std::uint32_t* cols, std::size_t col_count,
-                         std::uint64_t* const* heads, std::size_t dst_begin) {
-  std::size_t r = 0;
-  for (; r + 2 <= row_count; r += 2) {
-    const std::uint64_t* r0 = rows + std::size_t{row_index[r + 0]} * row_stride;
-    const std::uint64_t* r1 = rows + std::size_t{row_index[r + 1]} * row_stride;
-    for (std::size_t j = 0; j < col_count; ++j) {
-      const std::uint32_t c = cols[j];
-      const uint64x2_t v = vcombine_u64(vcreate_u64(r0[c]), vcreate_u64(r1[c]));
-      vst1q_u64(heads[j] + dst_begin + r, v);
-    }
-  }
-  for (; r < row_count; ++r) {
-    const std::uint64_t* row = rows + std::size_t{row_index[r]} * row_stride;
-    for (std::size_t j = 0; j < col_count; ++j) heads[j][dst_begin + r] = row[cols[j]];
-  }
-}
-
-inline void transpose_to_rows(std::uint64_t* dst, std::size_t dst_stride,
-                              const std::uint64_t* const* srcs, std::size_t col_count,
-                              std::size_t row_count) {
-  std::size_t r = 0;
-  for (; r + 2 <= row_count; r += 2) {
-    std::size_t j = 0;
-    for (; j + 2 <= col_count; j += 2) {
-      const uint64x2_t v0 = vld1q_u64(srcs[j + 0] + r);  // [s0[r] s0[r+1]]
-      const uint64x2_t v1 = vld1q_u64(srcs[j + 1] + r);
-      vst1q_u64(dst + (r + 0) * dst_stride + j, vzip1q_u64(v0, v1));
-      vst1q_u64(dst + (r + 1) * dst_stride + j, vzip2q_u64(v0, v1));
-    }
-    for (; j < col_count; ++j) {
-      dst[(r + 0) * dst_stride + j] = srcs[j][r + 0];
-      dst[(r + 1) * dst_stride + j] = srcs[j][r + 1];
-    }
-  }
-  for (; r < row_count; ++r) {
-    std::uint64_t* row = dst + r * dst_stride;
-    for (std::size_t j = 0; j < col_count; ++j) row[j] = srcs[j][r];
-  }
-}
-
-}  // namespace neon
-
-#endif  // AVGLOCAL_SIMD_NEON
-
 // ----------------------------------------------------------- dispatch ----
 
-/// Instruction set the kernels below actually run: "avx2", "neon" or
-/// "scalar". Benches record it so BENCH_core.json numbers are attributable
-/// to the hardware that produced them; the speedup gates only apply when a
-/// vector ISA is active.
+/// Instruction set the kernels below actually run: "avx2" or "scalar".
+/// Benches record it so BENCH_core.json numbers are attributable to the
+/// hardware that produced them; the speedup gates only apply when a vector
+/// ISA is active.
 inline const char* active_isa() noexcept {
 #if defined(AVGLOCAL_SIMD_X86)
   return have_avx2() ? "avx2" : "scalar";
-#elif defined(AVGLOCAL_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -389,17 +148,6 @@ AVGLOCAL_HOT inline void gather_u64(std::uint64_t* dst, const std::uint64_t* src
   scalar::gather_u64(dst, src, idx, count);
 }
 
-/// dst[k] = src[idx[k]] for k in [0, count), 32-bit values (see
-/// scalar::gather_u32). Eight lanes per AVX2 gather - the doubled lane
-/// width the compact-CSR tables buy.
-AVGLOCAL_HOT inline void gather_u32(std::uint32_t* dst, const std::uint32_t* src,
-                                    const std::uint32_t* idx, std::size_t count) {
-#if defined(AVGLOCAL_SIMD_X86)
-  if (have_avx2()) return avx2::gather_u32(dst, src, idx, count);
-#endif
-  scalar::gather_u32(dst, src, idx, count);
-}
-
 /// Edge times over a radius profile (see scalar::edge_times_u32 for the
 /// contract). Max of two unsigned gathers - no arithmetic that could
 /// reorder or round, so vector and scalar are bit-identical.
@@ -410,36 +158,6 @@ AVGLOCAL_HOT inline void edge_times_u32(std::uint32_t* dst, const std::uint32_t*
   if (have_avx2()) return avx2::edge_times_u32(dst, radii, us, vs, count);
 #endif
   scalar::edge_times_u32(dst, radii, us, vs, count);
-}
-
-/// The lockstep layer gather (see scalar::layer_gather for the contract).
-AVGLOCAL_HOT inline void layer_gather(const std::uint64_t* rows, std::size_t row_stride,
-                                      const std::uint32_t* row_index, std::size_t row_count,
-                                      const std::uint32_t* cols, std::size_t col_count,
-                                      std::uint64_t* const* heads, std::size_t dst_begin) {
-#if defined(AVGLOCAL_SIMD_X86)
-  if (have_avx2()) {
-    return avx2::layer_gather(rows, row_stride, row_index, row_count, cols, col_count, heads,
-                              dst_begin);
-  }
-#elif defined(AVGLOCAL_SIMD_NEON)
-  return neon::layer_gather(rows, row_stride, row_index, row_count, cols, col_count, heads,
-                            dst_begin);
-#endif
-  scalar::layer_gather(rows, row_stride, row_index, row_count, cols, col_count, heads,
-                       dst_begin);
-}
-
-/// Transpose build (see scalar::transpose_to_rows for the contract).
-AVGLOCAL_HOT inline void transpose_to_rows(std::uint64_t* dst, std::size_t dst_stride,
-                                           const std::uint64_t* const* srcs,
-                                           std::size_t col_count, std::size_t row_count) {
-#if defined(AVGLOCAL_SIMD_X86)
-  if (have_avx2()) return avx2::transpose_to_rows(dst, dst_stride, srcs, col_count, row_count);
-#elif defined(AVGLOCAL_SIMD_NEON)
-  return neon::transpose_to_rows(dst, dst_stride, srcs, col_count, row_count);
-#endif
-  scalar::transpose_to_rows(dst, dst_stride, srcs, col_count, row_count);
 }
 
 /// Invokes fn(bit_index) for every set bit in [begin, end) of the mask

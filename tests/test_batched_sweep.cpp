@@ -95,10 +95,12 @@ Collected collect_batched(const graph::Graph& g, std::span<const graph::IdAssign
 
 void expect_batched_matches_per_trial(const graph::Graph& g,
                                       const local::ViewAlgorithmFactory& factory,
-                                      local::ViewSemantics semantics, std::size_t trials) {
+                                      local::ViewSemantics semantics, std::size_t trials,
+                                      support::ThreadPool* pool = nullptr) {
   const auto batch = random_batch(g.vertex_count(), trials, /*seed=*/911);
   local::ViewEngineOptions options;
   options.semantics = semantics;
+  options.pool = pool;
   const Collected batched = collect_batched(g, batch, factory, options);
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const local::RunResult run = local::run_views(g, batch[t], factory, options);
@@ -180,26 +182,36 @@ TEST(RunViewsBatched, ReplayedViewsAreBitIdenticalToGrowerViews) {
   }
 }
 
-TEST(RunViewsBatched, RowGatherRegimeBoundaryIsBitExact) {
-  // The engine switches between the transposed row-gather kernel and the
-  // per-trial straggler gather at kRowGatherMinActive in-flight trials.
-  // Batch sizes straddling (and exactly hitting) the threshold start on
-  // either side of the boundary and cross it as trials finish; every one
-  // of them must reproduce the per-trial engine bit for bit.
-  const auto g = graph::make_cycle(21);
-  for (const std::size_t trials :
-       {local::kRowGatherMinActive - 1, local::kRowGatherMinActive,
-        local::kRowGatherMinActive + 1, local::kRowGatherMinActive + 37}) {
-    expect_batched_matches_per_trial(g, algo::make_largest_id_view(),
-                                     local::ViewSemantics::kInducedBall, trials);
+TEST(RunViewsBatched, LockstepWithManyTrialsInFlightMatchesPerTrialRuns) {
+  // Full-view algorithms run in lockstep mode. With 100 trials in flight,
+  // trials finish at different radii (compacting the in-flight list) and
+  // the fingerprint's balls outgrow the inline id slots (moving them to
+  // spill); every trial must still reproduce per-trial run_views bit for
+  // bit, serially and with a 4-worker pool.
+  constexpr std::size_t kTrials = 100;
+  support::Xoshiro256 rng(31);
+  const auto gnp = graph::make_gnp_connected(40, 0.1, rng);
+  const std::size_t n = 48;
+  const auto cycle = graph::make_cycle(n);
+  const auto fingerprint = [] { return std::make_unique<ViewFingerprint>(); };
+  support::ThreadPool pool(4);
+  for (support::ThreadPool* p : {static_cast<support::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+    expect_batched_matches_per_trial(gnp, fingerprint, local::ViewSemantics::kInducedBall, kTrials,
+                                     p);
+    expect_batched_matches_per_trial(cycle, fingerprint, local::ViewSemantics::kInducedBall,
+                                     kTrials, p);
+    expect_batched_matches_per_trial(cycle, algo::make_cole_vishkin_view(n),
+                                     local::ViewSemantics::kInducedBall, kTrials, p);
   }
 }
 
-TEST(RunViewsBatched, LayerJumpOnAndOffMatchPerTrialRuns) {
+TEST(RunViewsBatched, LayerJumpMatchesPerTrialRuns) {
   // The min_radius layer-jump fuses BFS layers whose early-outs cannot
-  // fire; jump on, jump off and the per-trial engine must agree exactly.
-  // cv3 and mis-ring both set min_radius from an n-dependent schedule, so
-  // they exercise multi-layer jumps; largest-id jumps never (min_radius 0).
+  // fire; the batched engine must still agree exactly with per-trial
+  // run_views, which grows the ball one layer at a time. cv3 and mis-ring
+  // both set min_radius from an n-dependent schedule, so they exercise
+  // multi-layer jumps; largest-id jumps never (min_radius 0).
   const std::size_t n = 48;
   const auto g = graph::make_cycle(n);
   const std::vector<std::pair<const char*, local::ViewAlgorithmFactory>> algos = {
@@ -209,24 +221,19 @@ TEST(RunViewsBatched, LayerJumpOnAndOffMatchPerTrialRuns) {
   };
   const auto batch = random_batch(n, 6, /*seed=*/417);
   for (const auto& [name, factory] : algos) {
-    local::ViewEngineOptions jump_on;
-    local::ViewEngineOptions jump_off;
-    jump_off.layer_jump = false;
-    const Collected with_jump = collect_batched(g, batch, factory, jump_on);
-    const Collected without = collect_batched(g, batch, factory, jump_off);
-    EXPECT_EQ(with_jump.outputs, without.outputs) << name;
-    EXPECT_EQ(with_jump.radii, without.radii) << name;
+    const local::ViewEngineOptions options;
+    const Collected batched = collect_batched(g, batch, factory, options);
     for (std::size_t t = 0; t < batch.size(); ++t) {
-      const local::RunResult run = local::run_views(g, batch[t], factory, jump_on);
-      EXPECT_EQ(run.outputs, with_jump.outputs[t]) << name << " trial " << t;
-      EXPECT_EQ(run.radii, with_jump.radii[t]) << name << " trial " << t;
+      const local::RunResult run = local::run_views(g, batch[t], factory, options);
+      EXPECT_EQ(run.outputs, batched.outputs[t]) << name << " trial " << t;
+      EXPECT_EQ(run.radii, batched.radii[t]) << name << " trial " << t;
     }
   }
 }
 
 TEST(RunViewsBatched, PhaseStatsAccumulateOnSerialRuns) {
-  // cv3 is not ids_only, so the batch is transposed and the lockstep path
-  // runs: all four phase timers must have registered wall time.
+  // cv3 is not ids_only, so the lockstep path runs: all three phase timers
+  // must have registered wall time.
   const std::size_t n = 40;
   const auto g = graph::make_cycle(n);
   const auto batch = random_batch(n, 8, /*seed=*/62);
@@ -234,16 +241,14 @@ TEST(RunViewsBatched, PhaseStatsAccumulateOnSerialRuns) {
   local::ViewEngineOptions options;
   options.phase_stats = &stats;
   collect_batched(g, batch, algo::make_cole_vishkin_view(n), options);
-  EXPECT_GT(stats.transpose_sec, 0.0);
   EXPECT_GT(stats.grow_sec, 0.0);
   EXPECT_GT(stats.gather_sec, 0.0);
   EXPECT_GT(stats.eval_sec, 0.0);
 
-  // ids_only algorithms stream assignments directly: no transpose phase.
+  // ids_only algorithms run in sequential mode, through the same timers.
   local::BatchPhaseStats seq_stats;
   options.phase_stats = &seq_stats;
   collect_batched(g, batch, algo::make_largest_id_view(), options);
-  EXPECT_EQ(seq_stats.transpose_sec, 0.0);
   EXPECT_GT(seq_stats.grow_sec, 0.0);
   EXPECT_GT(seq_stats.eval_sec, 0.0);
 }

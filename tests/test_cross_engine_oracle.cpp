@@ -12,14 +12,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "algo/cole_vishkin.hpp"
 #include "algo/largest_id.hpp"
-#include "algo/mis_ring.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
@@ -138,53 +134,6 @@ TEST(CrossEngineOracle, RingTokenFloodingMatchesViewRadii) {
   const core::PointAccumulator adapter_acc = sweep_point(
       message_backend(local::make_full_info_factory(algo::make_largest_id_view())), g, options);
   EXPECT_EQ(token_acc, adapter_acc);
-}
-
-/// Renders one shard artefact through a directly-constructed ViewBackend,
-/// so the layer_jump toggle (not exposed through scenario specs - it is an
-/// execution knob, not a workload parameter) can be pinned at the artefact
-/// byte level.
-std::string render_view_artefact(const graph::Graph& g, const std::string& algorithm,
-                                 const core::AlgorithmProvider& provider, bool layer_jump) {
-  const std::vector<std::size_t> ns = {g.vertex_count()};
-  core::BatchedSweepOptions options;
-  options.trials = 5;
-  options.seed = 2026;
-  options.node_profile = true;
-
-  const core::ViewBackend backend(provider, local::ViewSemantics::kInducedBall, layer_jump);
-  const core::SweepDriver driver(backend, options, /*pool=*/nullptr);
-
-  core::ShardDocument doc;
-  doc.meta = core::SweepPlanMeta::from_options(ns, options);
-  doc.meta.algorithm = algorithm;
-  doc.meta.graph = "cycle";
-  doc.meta.engine = "view";
-  doc.shard = {0, 1, 0, options.trials};
-  core::SweepDriver::Point prepared = driver.prepare(g, 0);
-  doc.points.push_back(driver.run_trials(prepared, 0, options.trials));
-  return core::shard_to_json(doc);
-}
-
-// The layer-jump is a pure execution optimisation: the whole serialised
-// shard artefact - every radius histogram bucket, edge time and node
-// profile double - must be byte-identical with the jump on and off, for
-// algorithms whose min_radius schedules actually trigger multi-layer
-// jumps (cv3, mis-ring) and one that never jumps (largest-id).
-TEST(CrossEngineOracle, LayerJumpLeavesShardArtefactsByteIdentical) {
-  const std::size_t n = 30;
-  const auto g = graph::make_cycle(n);
-  const std::vector<std::pair<std::string, core::AlgorithmProvider>> cases = {
-      {"cv3", [](std::size_t size) { return algo::make_cole_vishkin_view(size); }},
-      {"mis", [](std::size_t size) { return algo::make_mis_ring_view(size); }},
-      {"largest-id", [](std::size_t) { return algo::make_largest_id_view(); }},
-  };
-  for (const auto& [name, provider] : cases) {
-    const std::string with_jump = render_view_artefact(g, name, provider, /*layer_jump=*/true);
-    const std::string without = render_view_artefact(g, name, provider, /*layer_jump=*/false);
-    EXPECT_FALSE(with_jump.empty()) << name;
-    EXPECT_EQ(with_jump, without) << name;
-  }
 }
 
 // The parity must hold for every pool size of the view engine: the message

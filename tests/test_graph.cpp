@@ -166,8 +166,8 @@ TEST(Ids, SwapProducesNewAssignment) {
 }
 
 TEST(Ids, StorageIsCacheLineAligned) {
-  // The SIMD transpose and gather kernels read assignment arrays with
-  // aligned wide loads; every construction path must honour the contract.
+  // The SIMD id gather reads assignment arrays as its source base; every
+  // construction path must honour the alignment contract.
   Xoshiro256 rng(8);
   for (const std::size_t n : {1u, 5u, 64u, 257u}) {
     EXPECT_TRUE(avglocal::support::is_aligned(IdAssignment::identity(n).ids().data())) << n;

@@ -1,9 +1,9 @@
 // Pins every SIMD kernel of support/simd.hpp bit-identical to its scalar
-// reference on randomized shapes, including the tile remainders (row counts
-// 0..9 cover the 4-row, 2-row and scalar tails of the AVX2 path) and both
-// column regimes of the layer gather (dense prefix vs scattered survivor
-// indices). Also pins the 64-byte alignment contract of
-// support/aligned.hpp and the bit-scan edge cases of for_each_set_bit.
+// reference on randomized shapes, including the vector remainders (counts
+// around the 4- and 8-lane widths of the AVX2 path) and the extreme values
+// the unsigned max of edge_times_u32 must order correctly. Also pins the
+// 64-byte alignment contract of support/aligned.hpp and the bit-scan edge
+// cases of for_each_set_bit.
 //
 // On hosts without a vector ISA (or with AVGLOCAL_SIMD=OFF) the dispatch
 // returns the scalar kernels and these tests compare them to themselves -
@@ -11,9 +11,7 @@
 // wherever the suite runs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -35,7 +33,7 @@ std::vector<std::uint64_t> random_words(std::size_t count, support::Xoshiro256& 
 
 TEST(Simd, ActiveIsaIsKnown) {
   const std::string isa = simd::active_isa();
-  EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;
+  EXPECT_TRUE(isa == "avx2" || isa == "scalar") << isa;
 #ifdef AVGLOCAL_SIMD_DISABLE
   EXPECT_EQ(isa, "scalar") << "forced-scalar builds must report scalar";
 #endif
@@ -78,72 +76,31 @@ TEST(Simd, GatherU64MatchesScalar) {
   }
 }
 
-TEST(Simd, TransposeToRowsMatchesScalar) {
+TEST(Simd, EdgeTimesU32MatchesScalar) {
   support::Xoshiro256 rng(13);
-  for (const std::size_t rows : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u, 64u}) {
-    for (const std::size_t cols : {0u, 1u, 3u, 4u, 6u, 8u, 17u}) {
-      std::vector<std::vector<std::uint64_t>> columns(cols);
-      std::vector<const std::uint64_t*> srcs(cols);
-      for (std::size_t j = 0; j < cols; ++j) {
-        columns[j] = random_words(rows, rng);
-        srcs[j] = columns[j].data();
-      }
-      const std::size_t stride = cols + 3;  // padded stride: pad cols never read
-      std::vector<std::uint64_t> got(rows * stride, 0xBBu), want(rows * stride, 0xBBu);
-      simd::transpose_to_rows(got.data(), stride, srcs.data(), cols, rows);
-      simd::scalar::transpose_to_rows(want.data(), stride, srcs.data(), cols, rows);
-      // Compare only written cells; the pad must be untouched in both.
-      EXPECT_EQ(got, want) << "rows " << rows << " cols " << cols;
+  // Radii include 0 and UINT32_MAX: the AVX2 path takes an *unsigned* max
+  // (_mm256_max_epu32), which a signed compare would get wrong above 2^31.
+  constexpr std::size_t kVertices = 64;
+  std::vector<std::uint32_t> radii(kVertices);
+  for (auto& r : radii) r = static_cast<std::uint32_t>(rng.next());
+  radii[0] = 0;
+  radii[1] = UINT32_MAX;
+  radii[2] = 0x80000000u;
+  radii[3] = 1;
+  std::vector<std::size_t> counts(18);
+  std::iota(counts.begin(), counts.end(), std::size_t{0});
+  counts.push_back(1000);
+  for (const std::size_t count : counts) {
+    std::vector<std::uint32_t> us(count), vs(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      // Every fourth edge pairs two of the extreme radii with each other.
+      us[k] = static_cast<std::uint32_t>(k % 4 == 0 ? rng.below(4) : rng.below(kVertices));
+      vs[k] = static_cast<std::uint32_t>(k % 4 == 0 ? rng.below(4) : rng.below(kVertices));
     }
-  }
-}
-
-TEST(Simd, LayerGatherMatchesScalarOnDenseAndScatteredColumns) {
-  support::Xoshiro256 rng(14);
-  constexpr std::size_t kTrials = 96;
-  constexpr std::size_t kStride = 96;  // multiple of 8, as the engine pads
-  constexpr std::size_t kVertices = 40;
-  const auto rows = random_words(kVertices * kStride, rng);
-
-  for (const std::size_t row_count : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 33u}) {
-    for (const bool dense : {true, false}) {
-      for (const std::size_t col_count : {1u, 3u, 4u, 5u, 8u, 64u, 90u}) {
-        std::vector<std::uint32_t> row_index(row_count);
-        for (auto& r : row_index) r = static_cast<std::uint32_t>(rng.below(kVertices));
-        // Dense prefix (the in-flight list before any trial finishes) vs a
-        // random ascending subset (after compaction).
-        std::vector<std::uint32_t> cols(kTrials);
-        std::iota(cols.begin(), cols.end(), 0u);
-        if (!dense) {
-          support::shuffle(cols, rng);
-          cols.resize(col_count);
-          std::sort(cols.begin(), cols.end());
-        } else {
-          cols.resize(col_count);
-        }
-
-        const std::size_t dst_begin = 5;
-        const std::size_t dst_len = dst_begin + row_count;
-        std::vector<std::vector<std::uint64_t>> got_bufs(col_count),
-            want_bufs(col_count);
-        std::vector<std::uint64_t*> got_heads(col_count), want_heads(col_count);
-        for (std::size_t j = 0; j < col_count; ++j) {
-          got_bufs[j].assign(dst_len, 0xCCu);
-          want_bufs[j].assign(dst_len, 0xCCu);
-          got_heads[j] = got_bufs[j].data();
-          want_heads[j] = want_bufs[j].data();
-        }
-        simd::layer_gather(rows.data(), kStride, row_index.data(), row_count, cols.data(),
-                           col_count, got_heads.data(), dst_begin);
-        simd::scalar::layer_gather(rows.data(), kStride, row_index.data(), row_count,
-                                   cols.data(), col_count, want_heads.data(), dst_begin);
-        for (std::size_t j = 0; j < col_count; ++j) {
-          EXPECT_EQ(got_bufs[j], want_bufs[j])
-              << "rows " << row_count << " cols " << col_count << " dense " << dense
-              << " buffer " << j;
-        }
-      }
-    }
+    std::vector<std::uint32_t> got(count, 0xDDu), want(count, 0xEEu);
+    simd::edge_times_u32(got.data(), radii.data(), us.data(), vs.data(), count);
+    simd::scalar::edge_times_u32(want.data(), radii.data(), us.data(), vs.data(), count);
+    EXPECT_EQ(got, want) << "count " << count;
   }
 }
 
