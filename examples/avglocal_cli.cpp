@@ -93,12 +93,6 @@ using namespace avglocal;
 
 // ------------------------------------------------------------- helpers ----
 
-local::ViewSemantics parse_semantics(const std::string& name) {
-  const auto semantics = local::view_semantics_from_name(name);
-  if (!semantics) throw std::invalid_argument("unknown semantics '" + name + "' (induced|flooding)");
-  return *semantics;
-}
-
 // Checked numeric flag parsing. Bare std::stoull would throw an uncaught
 // exception on garbage and - worse - silently wrap "-1" to 2^64-1, so
 // every numeric flag goes through these: strict syntax (digits only /
@@ -166,6 +160,52 @@ std::optional<std::vector<std::size_t>> parse_size_list(const std::string& text)
   }
   if (values.empty()) return std::nullopt;
   return values;
+}
+
+bool semantics_flag(const std::string& text, local::ViewSemantics& out) {
+  const auto semantics = local::view_semantics_from_name(text);
+  if (!semantics) {
+    std::cerr << "invalid value '" << text << "' for --semantics (induced|flooding)\n";
+    return false;
+  }
+  out = *semantics;
+  return true;
+}
+
+enum class WorkloadFlag { kOther, kParsed, kInvalid };
+
+/// The workload flags every sweep-shaped command shares: --algo --graph
+/// --ns --trials --seed --semantics --node-profile. Consumes argv[i] (and
+/// its value) into `spec` when it is one of them. kOther: not a workload
+/// flag, or its value is missing - the caller's unknown-argument branch
+/// reports it. kInvalid: the offending value was named on stderr.
+WorkloadFlag parse_workload_flag(int argc, char** argv, int& i, core::ScenarioSpec& spec) {
+  const std::string arg = argv[i];
+  if (arg == "--node-profile") {
+    spec.node_profile = true;
+    return WorkloadFlag::kParsed;
+  }
+  const bool takes_value = arg == "--algo" || arg == "--graph" || arg == "--ns" ||
+                           arg == "--trials" || arg == "--seed" || arg == "--semantics";
+  if (!takes_value || i + 1 >= argc) return WorkloadFlag::kOther;
+  const std::string value = argv[++i];
+  bool ok = true;
+  if (arg == "--algo") {
+    spec.algorithm = value;
+  } else if (arg == "--graph") {
+    spec.family = graph::parse_family_spec(value);
+  } else if (arg == "--ns") {
+    const auto sizes = parse_size_list(value);
+    ok = sizes.has_value() || flag_error(value, "--ns");
+    if (sizes) spec.ns = *sizes;
+  } else if (arg == "--trials") {
+    ok = size_flag(value, "--trials", spec.schedule.max_trials);
+  } else if (arg == "--seed") {
+    ok = u64_flag(value, "--seed", spec.seed);
+  } else {
+    ok = semantics_flag(value, spec.semantics);
+  }
+  return ok ? WorkloadFlag::kParsed : WorkloadFlag::kInvalid;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -250,7 +290,7 @@ struct RunOptions {
   std::string graph = "cycle";
   std::size_t n = 256;
   std::uint64_t seed = 1;
-  std::string semantics = "induced";
+  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
   std::string csv_path;
 };
 
@@ -287,7 +327,7 @@ std::optional<RunOptions> parse_run(int argc, char** argv) {
     } else if (arg == "--seed" && (value = next())) {
       if (!u64_flag(*value, "--seed", options.seed)) return std::nullopt;
     } else if (arg == "--semantics" && (value = next())) {
-      options.semantics = *value;
+      if (!semantics_flag(*value, options.semantics)) return std::nullopt;
     } else if (arg == "--csv" && (value = next())) {
       options.csv_path = *value;
     } else {
@@ -311,7 +351,7 @@ int run_single_impl(const RunOptions& options) {
   local::RunResult run;
   if (info.kind == algo::AlgorithmKind::kView) {
     local::ViewEngineOptions view_options;
-    view_options.semantics = parse_semantics(options.semantics);
+    view_options.semantics = options.semantics;
     run = local::run_views(g, ids, info.view(n), view_options);
   } else {
     local::EngineOptions engine_options;
@@ -325,7 +365,7 @@ int run_single_impl(const RunOptions& options) {
   const core::Measurement m = core::measure(run);
   const core::EdgeMeasurement em = core::measure_edges(g, run.radii);
   std::cout << options.algo << " on " << options.graph << " n=" << n
-            << " seed=" << options.seed << " (" << options.semantics << ")\n"
+            << " seed=" << options.seed << " (" << local::to_string(options.semantics) << ")\n"
             << "  outputs       : " << validity << "\n"
             << "  max radius    : " << m.max_radius << "\n"
             << "  avg radius    : " << m.avg_radius << "\n"
@@ -400,7 +440,6 @@ void sweep_usage() {
 
 std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, bool drive) {
   SweepCliOptions options;
-  options.spec.schedule.max_trials = 100;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::optional<std::string> {
@@ -409,29 +448,13 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
     };
     std::optional<std::string> value;
     if (arg == "--help" || arg == "-h") return std::nullopt;
-    if (arg == "--algo" && (value = next())) {
-      options.spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      options.spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return std::nullopt;
-      }
-      options.spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", options.spec.schedule.max_trials)) return std::nullopt;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", options.spec.seed)) return std::nullopt;
-    } else if (arg == "--semantics" && (value = next())) {
-      options.spec.semantics = parse_semantics(*value);
-    } else if (arg == "--threads" && (value = next())) {
+    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, options.spec);
+    if (workload == WorkloadFlag::kInvalid) return std::nullopt;
+    if (workload == WorkloadFlag::kParsed) continue;
+    if (arg == "--threads" && (value = next())) {
       if (!size_flag(*value, "--threads", options.threads)) return std::nullopt;
     } else if (arg == "--batch" && (value = next())) {
       if (!size_flag(*value, "--batch", options.batch)) return std::nullopt;
-    } else if (arg == "--node-profile") {
-      options.spec.node_profile = true;
     } else if (arg == "--target-hw" && (value = next())) {
       if (!f64_flag(*value, "--target-hw", options.spec.schedule.target_half_width)) {
         return std::nullopt;
@@ -453,8 +476,8 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
       std::size_t index = 0;
       std::size_t count = 0;
       if (slash == std::string::npos || !parse_u64(value->substr(0, slash)) ||
-          !parse_u64(value->substr(slash + 1))) {
-        std::cerr << "invalid value '" << *value << "' for --shard (expects I/K)\n";
+          parse_u64(value->substr(slash + 1)).value_or(0) == 0) {
+        std::cerr << "invalid value '" << *value << "' for --shard (expects I/K, K >= 1)\n";
         return std::nullopt;
       }
       index = static_cast<std::size_t>(*parse_u64(value->substr(0, slash)));
@@ -939,7 +962,6 @@ void fabric_usage() {
 
 int run_fabric_serve_command_impl(int argc, char** argv) {
   core::ScenarioSpec spec;
-  spec.schedule.max_trials = 100;
   core::FabricOptions fabric;
   std::string listen;
   std::string json_path;
@@ -955,6 +977,9 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
       fabric_usage();
       return 2;
     }
+    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, spec);
+    if (workload == WorkloadFlag::kInvalid) return 2;
+    if (workload == WorkloadFlag::kParsed) continue;
     if (arg == "--listen" && (value = next())) {
       listen = *value;
     } else if (arg == "--unit-trials" && (value = next())) {
@@ -967,25 +992,6 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
       json_path = *value;
     } else if (arg == "--endpoint-file" && (value = next())) {
       endpoint_file = *value;
-    } else if (arg == "--algo" && (value = next())) {
-      spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return 2;
-      }
-      spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", spec.schedule.max_trials)) return 2;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", spec.seed)) return 2;
-    } else if (arg == "--semantics" && (value = next())) {
-      spec.semantics = parse_semantics(*value);
-    } else if (arg == "--node-profile") {
-      spec.node_profile = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       fabric_usage();
@@ -1113,7 +1119,6 @@ int run_request_command_impl(int argc, char** argv) {
   std::string json_path;
   std::uint64_t connect_timeout_ms = 5000;
   core::ScenarioSpec spec;
-  spec.schedule.max_trials = 100;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::optional<std::string> {
@@ -1125,6 +1130,9 @@ int run_request_command_impl(int argc, char** argv) {
       serve_usage();
       return 2;
     }
+    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, spec);
+    if (workload == WorkloadFlag::kInvalid) return 2;
+    if (workload == WorkloadFlag::kParsed) continue;
     if (arg == "--socket" && (value = next())) {
       socket_path = *value;
     } else if (arg == "--connect-timeout-ms" && (value = next())) {
@@ -1133,25 +1141,6 @@ int run_request_command_impl(int argc, char** argv) {
       op = *value;
     } else if (arg == "--json" && (value = next())) {
       json_path = *value;
-    } else if (arg == "--algo" && (value = next())) {
-      spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return 2;
-      }
-      spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", spec.schedule.max_trials)) return 2;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", spec.seed)) return 2;
-    } else if (arg == "--semantics" && (value = next())) {
-      spec.semantics = parse_semantics(*value);
-    } else if (arg == "--node-profile") {
-      spec.node_profile = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       serve_usage();

@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/sweep_driver.hpp"
-#include "graph/graph.hpp"
 #include "support/assert.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -239,6 +237,12 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
                                  std::to_string(unit_id));
         return reply;
       }
+      // The body, not the header, is what would be merged.
+      if (!resolved_.matches_partial(doc.points.front(), unit.point, unit.trial_begin,
+                                     unit.trial_end)) {
+        reply.line = error_reply("artefact body does not match unit " + std::to_string(unit_id));
+        return reply;
+      }
       bool accepted = false;
       {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -315,22 +319,11 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     throw std::runtime_error("fabric hello: no reply from coordinator");
   }
   const support::JsonValue hello_reply = parse_reply(line, "hello");
-  const ResolvedScenario resolved =
-      resolve_scenario(scenario_from_json(hello_reply.at("scenario")));
-  const SweepPlanMeta meta = scenario_plan_meta(resolved);
-
-  // Resident engines for the whole session: one backend, one pool, one
-  // driver; graphs and prepared points built lazily per sweep point and
-  // reused across every unit that lands on that point. unique_ptr keeps
-  // each graph's address stable - prepared points pin it.
-  BatchedSweepOptions base = resolved.sweep_options();
-  base.threads = options.threads;
-  base.batch_size = options.batch;
-  const SweepPool pool(base);
-  const std::unique_ptr<SweepBackend> backend = resolved.make_backend();
-  const SweepDriver driver(*backend, base, pool.get());
-  std::vector<std::unique_ptr<graph::Graph>> graphs(resolved.spec.ns.size());
-  std::vector<std::optional<SweepDriver::Point>> prepared(resolved.spec.ns.size());
+  const std::uint64_t trials = hello_reply.at("trials").as_u64();
+  // One session for the whole run: a point is prepared on its first unit.
+  ScenarioSession session(resolve_scenario(scenario_from_json(hello_reply.at("scenario"))),
+                          ScenarioExecution{options.threads, options.batch, nullptr});
+  const SweepPlanMeta meta = scenario_plan_meta(session.resolved());
 
   for (;;) {
     support::JsonWriter request;
@@ -358,24 +351,16 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     unit.point = granted.at("point").as_u64();
     unit.trial_begin = granted.at("trial_begin").as_u64();
     unit.trial_end = granted.at("trial_end").as_u64();
-    if (unit.point >= resolved.spec.ns.size() || unit.trial_begin >= unit.trial_end) {
+    if (unit.point >= session.resolved().spec.ns.size() || unit.trial_begin >= unit.trial_end ||
+        unit.trial_end > trials) {
       throw std::runtime_error("fabric work-grant: malformed unit");
     }
     if (options.on_grant) options.on_grant(unit);
 
-    if (!prepared[unit.point]) {
-      const std::size_t n = resolved.spec.ns[unit.point];
-      graphs[unit.point] = std::make_unique<graph::Graph>(resolved.graphs(n));
-      AVGLOCAL_REQUIRE_MSG(graphs[unit.point]->vertex_count() == n,
-                           "graph factory size mismatch");
-      prepared[unit.point] = driver.prepare(*graphs[unit.point], unit.point);
-    }
-
     ShardDocument doc;
     doc.meta = meta;
     doc.shard = SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
-    doc.points.push_back(
-        driver.run_trials(*prepared[unit.point], unit.trial_begin, unit.trial_end));
+    doc.points.push_back(session.run_trials(unit.point, unit.trial_begin, unit.trial_end));
 
     support::JsonWriter result;
     result.begin_object();

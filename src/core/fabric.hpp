@@ -25,9 +25,11 @@
 //
 // Results travel as the existing v3 shard artefacts (core/shard.hpp): one
 // ShardDocument whose shard rectangle is exactly the unit's (one point,
-// the unit's trial range) and whose meta must equal scenario_plan_meta of
-// the coordinator's resolved scenario - a worker that somehow ran a
-// different workload is rejected, not merged.
+// the unit's trial range), whose meta must equal scenario_plan_meta of
+// the coordinator's resolved scenario, and whose one accumulator must pass
+// ResolvedScenario::matches_partial for the unit - a worker that somehow
+// ran a different workload, or sent a body that disagrees with its
+// header, is rejected (the unit stays in flight), not merged.
 //
 // Straggler policy: every grant stamps a deadline (steady_clock,
 // FabricOptions::straggler_ms ahead). A unit past its deadline - or held
@@ -237,9 +239,10 @@ struct FabricWorkerOutcome {
 
 /// Runs one worker against a coordinator: hello, resolve the scenario the
 /// coordinator sent, then pull-execute-submit until shutdown or drain.
-/// Resident engines and prepared points are reused across units of the
-/// same sweep point. Throws std::runtime_error on connection failures
-/// before hello completes and on protocol errors.
+/// Units run on one ScenarioSession for the whole connection, so a point's
+/// graph and engines are built once and reused by all its units. Throws
+/// std::runtime_error on connection failures before hello completes and on
+/// protocol errors, including a grant outside the hello's points x trials.
 FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options);
 
 /// Recombines accepted unit results into one accumulator per sweep point,

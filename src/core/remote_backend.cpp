@@ -21,18 +21,10 @@ RemoteSweepOutcome RemoteBackend::run(ResultCache* cache) {
   std::vector<PointAccumulator> merged = merge_unit_results(
       coordinator_.work_units(), coordinator_.take_unit_results(), resolved_.spec.ns.size());
 
-  // Finalize exactly as run_scenario does: floats appear only here, in
-  // global trial order, so the report below matches the monolithic one
-  // byte for byte.
-  const TrialSchedule& schedule = resolved_.spec.schedule;
   outcome.result.spec = resolved_.spec;
   outcome.result.points.reserve(merged.size());
   for (const PointAccumulator& acc : merged) {
-    ScenarioPoint point;
-    point.converged = true;  // fixed schedules always run to their count
-    point.point = finalize_point(acc, resolved_.sweep_options(acc.trial_count()));
-    point.half_width = schedule.half_width(point.point.avg_sd, acc.trial_count());
-    outcome.result.points.push_back(std::move(point));
+    outcome.result.points.push_back(resolved_.finish_point(acc, /*converged=*/true));
   }
   outcome.report = sweep_report_json(outcome.result.spec, outcome.result.points);
 

@@ -1,11 +1,12 @@
-// The fabric's driver seam: RemoteBackend sits where SweepDriver sits for
-// local execution, but fills its accumulators from fabric workers instead
-// of a thread pool. It owns one FabricCoordinator, runs the coordinator's
-// accept loop to completion, recombines the accepted unit results through
-// merge_unit_results (unit-id order per point - canonical trial order by
-// construction) and finalizes exactly like run_scenario, so the report it
-// emits is byte-identical to the monolithic sweep's for any worker count,
-// steal order or straggler kill.
+// The fabric's driver seam: RemoteBackend sits where a ScenarioSession
+// sits for local execution, but fills its accumulators from fabric workers
+// instead of a thread pool. It owns one FabricCoordinator, runs the
+// coordinator's accept loop to completion, recombines the accepted unit
+// results through merge_unit_results (unit-id order per point - canonical
+// trial order by construction) and reports each point through
+// ResolvedScenario::finish_point, the definition run_scenario uses too, so
+// the report it emits is byte-identical to the monolithic sweep's for any
+// worker count, steal order or straggler kill.
 //
 // Cache integration: pass a ResultCache to run() and the merged exact-
 // integer partials are offered to the resident cache under the sweep's

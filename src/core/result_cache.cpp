@@ -4,23 +4,16 @@
 #include <utility>
 #include <vector>
 
-#include "core/sweep_driver.hpp"
-#include "graph/graph.hpp"
-#include "support/assert.hpp"
-
 namespace avglocal::core {
 
-/// Everything resident for one workload identity. The members own each
-/// other bottom-up and are declared in dependency order (graphs before
-/// points: a prepared SweepDriver::Point pins its graph's address, and
-/// `graphs` is never touched again after the points are prepared, so the
-/// vector's element addresses stay put for the entry's lifetime).
+/// Everything resident for one workload identity.
 struct ResultCache::Entry {
-  ResolvedScenario resolved;  ///< from the request that created the entry
-  std::unique_ptr<SweepBackend> backend;
-  std::unique_ptr<SweepDriver> driver;
-  std::vector<graph::Graph> graphs;
-  std::vector<SweepDriver::Point> points;  ///< prepared state, one per size
+  Entry(const ResolvedScenario& resolved, const ScenarioExecution& execution)
+      : session(resolved, execution) {}
+
+  /// Engines kept across requests. Its scenario is the creating request's;
+  /// only identity fields of it matter, so any schedule is served right.
+  ScenarioSession session;
   /// Exact-integer partials covering trials [0, E) per point. E only ever
   /// grows (via PointAccumulator::append), so everything served from here
   /// is a prefix of the one canonical trial stream.
@@ -36,60 +29,38 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Entry& ResultCache::entry_for(const std::string& key, ResolvedScenario&& resolved) {
+ResultCache::Entry& ResultCache::entry_for(const std::string& key,
+                                           const ResolvedScenario& resolved) {
   const auto found = entries_.find(key);
   if (found != entries_.end()) return *found->second;
-
-  auto entry = std::make_unique<Entry>();
-  entry->resolved = std::move(resolved);
-  entry->backend = entry->resolved.make_backend();
-
-  BatchedSweepOptions base = entry->resolved.sweep_options();
-  base.threads = options_.threads;
-  base.batch_size = options_.batch_size;
-  base.pool = pool_.get();
-  entry->driver = std::make_unique<SweepDriver>(*entry->backend, base, pool_.get());
-
-  const std::vector<std::size_t>& ns = entry->resolved.spec.ns;
-  entry->graphs.reserve(ns.size());
-  for (const std::size_t n : ns) {
-    entry->graphs.push_back(entry->resolved.graphs(n));
-    AVGLOCAL_REQUIRE_MSG(entry->graphs.back().vertex_count() == n,
-                         "graph factory size mismatch");
-  }
-  // All graphs built; from here their addresses are stable to pin.
-  entry->points.reserve(ns.size());
-  for (std::size_t index = 0; index < ns.size(); ++index) {
-    entry->points.push_back(entry->driver->prepare(entry->graphs[index], index));
-  }
-
+  const ScenarioExecution execution{options_.threads, options_.batch_size, pool_.get()};
+  auto entry = std::make_unique<Entry>(resolved, execution);
   Entry& ref = *entry;
   entries_.emplace(key, std::move(entry));
   return ref;
 }
 
 ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
-  ResolvedScenario resolved = resolve_scenario(spec);
+  // The request's resolved scenario - the entry may have been created by a
+  // request with a different schedule, so the report and the half-width
+  // must come from this one.
+  const ResolvedScenario resolved = resolve_scenario(spec);
   if (resolved.spec.schedule.adaptive()) {
     throw std::invalid_argument(
         "result cache: adaptive schedules are not cacheable (their trial count "
         "depends on schedule-specific convergence checks); run them through "
         "run_scenario or request a fixed trial count");
   }
-  // The request's canonical spec - the entry may have been created by a
-  // request with a different schedule, so the report and the half-width
-  // must come from this one.
-  const ScenarioSpec request_spec = resolved.spec;
 
   ResultCacheOutcome outcome;
-  outcome.key = scenario_cache_key(request_spec);
+  outcome.key = scenario_cache_key(resolved.spec);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.requests;
   const bool created = entries_.find(outcome.key) == entries_.end();
-  Entry& entry = entry_for(outcome.key, std::move(resolved));
+  Entry& entry = entry_for(outcome.key, resolved);
   try {
-    serve_locked(entry, request_spec, outcome);
+    serve_locked(entry, resolved, outcome);
   } catch (...) {
     // A failed request leaves no residue: an entry it created holds no
     // partials anyone could be served from, only resident engines.
@@ -101,11 +72,10 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   return outcome;
 }
 
-void ResultCache::serve_locked(Entry& entry, const ScenarioSpec& request_spec,
+void ResultCache::serve_locked(Entry& entry, const ResolvedScenario& request,
                                ResultCacheOutcome& outcome) {
-  const TrialSchedule& schedule = request_spec.schedule;
-  const std::size_t requested = schedule.max_trials;
-  const std::string memo_key = scenario_to_json(request_spec);
+  const std::size_t requested = request.spec.schedule.max_trials;
+  const std::string memo_key = scenario_to_json(request.spec);
   const auto memo = entry.reports.find(memo_key);
   if (memo != entry.reports.end()) {
     ++stats_.full_hits;
@@ -118,40 +88,34 @@ void ResultCache::serve_locked(Entry& entry, const ScenarioSpec& request_spec,
       entry.partials.empty() ? 0 : entry.partials.front().trial_count();
 
   std::vector<ScenarioPoint> points;
-  points.reserve(request_spec.ns.size());
+  points.reserve(request.spec.ns.size());
   std::uint64_t computed = 0;
-  for (std::size_t index = 0; index < request_spec.ns.size(); ++index) {
+  for (std::size_t index = 0; index < request.spec.ns.size(); ++index) {
     if (index >= entry.partials.size()) {
       // Nothing cached for this point yet: run the full range and keep it.
-      entry.partials.push_back(entry.driver->run_trials(entry.points[index], 0, requested));
+      entry.partials.push_back(entry.session.run_trials(index, 0, requested));
       computed += requested;
     } else if (entry.partials[index].trial_count() < requested) {
       // The heart of the cache: compute only the missing tail and extend
       // the exact-integer partial. append() verifies the ranges abut, so
       // the result is bit-identical to a monolithic `requested`-trial run.
       const std::size_t have = entry.partials[index].trial_count();
-      entry.partials[index].append(
-          entry.driver->run_trials(entry.points[index], have, requested));
+      entry.partials[index].append(entry.session.run_trials(index, have, requested));
       computed += requested - have;
     }
 
-    ScenarioPoint point;
-    point.converged = true;  // fixed schedules always run to their count
+    // Fixed schedules always run to their count, hence converged.
     if (entry.partials[index].trial_count() == requested) {
-      point.point =
-          finalize_point(entry.partials[index], entry.resolved.sweep_options(requested));
+      points.push_back(request.finish_point(entry.partials[index], /*converged=*/true));
     } else {
       // Cached range is longer than the request. The aggregated fields
       // (histograms, node sums) cannot be truncated, so recompute [0,
       // requested) on the resident prepared point - the cached partial
       // stays untouched for future longer requests.
-      const PointAccumulator fresh =
-          entry.driver->run_trials(entry.points[index], 0, requested);
+      const PointAccumulator fresh = entry.session.run_trials(index, 0, requested);
+      points.push_back(request.finish_point(fresh, /*converged=*/true));
       computed += requested;
-      point.point = finalize_point(fresh, entry.resolved.sweep_options(requested));
     }
-    point.half_width = schedule.half_width(point.point.avg_sd, requested);
-    points.push_back(std::move(point));
   }
 
   if (computed == 0) {
@@ -163,7 +127,7 @@ void ResultCache::serve_locked(Entry& entry, const ScenarioSpec& request_spec,
   }
   stats_.trials_computed += computed;
 
-  outcome.report = sweep_report_json(request_spec, points);
+  outcome.report = sweep_report_json(request.spec, points);
   outcome.trials_computed = computed;
   outcome.warm = computed == 0;
   entry.reports.emplace(memo_key, outcome.report);
@@ -171,26 +135,21 @@ void ResultCache::serve_locked(Entry& entry, const ScenarioSpec& request_spec,
 
 bool ResultCache::offer_partials(const ScenarioSpec& spec,
                                  std::vector<PointAccumulator> partials) {
-  ResolvedScenario resolved = resolve_scenario(spec);
+  const ResolvedScenario resolved = resolve_scenario(spec);
   if (resolved.spec.schedule.adaptive()) return false;
-  const std::string key = scenario_cache_key(resolved.spec);
-  const std::vector<std::size_t> ns = resolved.spec.ns;
 
-  // Shape check before anything is trusted: one accumulator per point,
-  // each starting at trial 0, all covering the same range - the exact
-  // invariant entry.partials maintains for locally computed trials.
-  if (partials.size() != ns.size() || partials.empty()) return false;
+  // Checked before anything is trusted: one accumulator per point, all
+  // covering the same non-empty range from trial 0 - the exact invariant
+  // entry.partials maintains for locally computed trials.
+  if (partials.size() != resolved.spec.ns.size()) return false;
   const std::size_t covered = partials.front().trial_count();
   if (covered == 0) return false;
   for (std::size_t index = 0; index < partials.size(); ++index) {
-    if (partials[index].point_index != index || partials[index].n != ns[index] ||
-        partials[index].trial_begin != 0 || partials[index].trial_count() != covered) {
-      return false;
-    }
+    if (!resolved.matches_partial(partials[index], index, 0, covered)) return false;
   }
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_for(key, std::move(resolved));
+  Entry& entry = entry_for(scenario_cache_key(resolved.spec), resolved);
   stats_.entries = entries_.size();
   const std::size_t cached =
       entry.partials.empty() ? 0 : entry.partials.front().trial_count();

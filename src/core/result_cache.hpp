@@ -14,13 +14,13 @@
 // T-trial sweep. Floats appear only at finalize_point, in global trial
 // order, exactly like every other execution topology.
 //
-// What stays resident. An entry keeps the resolved scenario, its backend,
-// one SweepDriver, the graphs and the prepared per-point states (engine
-// state, topology tables, arenas) alive across requests, so even a
-// cache-missing request skips graph construction and engine setup after
-// the first. Finalized report documents are additionally memoised per
-// full schedule (the schedule appears in the report bytes), making an
-// exact repeat a pure string copy: zero sweep trials, zero finalize work.
+// What stays resident. An entry is one ScenarioSession (core/scenario.hpp):
+// each point's graph and engines are built the first time the point runs
+// and kept across requests, so later misses skip graph construction and
+// engine setup. Points are reported through the request's finish_point.
+// Finalized report documents are additionally memoised per full schedule
+// (the schedule appears in the report bytes), making an exact repeat a
+// pure string copy: zero sweep trials, zero finalize work.
 //
 // Fixed schedules only. Adaptive schedules decide their own trial count
 // from convergence checks at schedule-dependent boundaries; two adaptive
@@ -96,7 +96,7 @@ class ResultCache {
   /// workload's resident entry. Kept iff they cover more trials than
   /// what's cached; returns whether they were. A later sweep() for the
   /// same identity is then served from them exactly like locally computed
-  /// partials. Partials that don't match the resolved spec's shape are
+  /// partials. Partials failing matches_partial for trials [0, E) are
   /// rejected (returns false) rather than trusted.
   bool offer_partials(const ScenarioSpec& spec, std::vector<PointAccumulator> partials);
 
@@ -106,10 +106,10 @@ class ResultCache {
  private:
   struct Entry;
 
-  Entry& entry_for(const std::string& key, ResolvedScenario&& resolved);
+  Entry& entry_for(const std::string& key, const ResolvedScenario& resolved);
   /// sweep()'s work once the entry exists: memo lookup, the missing
   /// trials, finalize. Called with mutex_ held.
-  void serve_locked(Entry& entry, const ScenarioSpec& request_spec, ResultCacheOutcome& outcome);
+  void serve_locked(Entry& entry, const ResolvedScenario& request, ResultCacheOutcome& outcome);
 
   mutable std::mutex mutex_;
   ResultCacheOptions options_;

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/registry.hpp"
-#include "core/sweep_driver.hpp"
 #include "support/assert.hpp"
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
@@ -54,6 +54,16 @@ double partial_avg_sd(const PointAccumulator& acc) {
   return stats.stddev();
 }
 
+/// The scenario's plan plus execution knobs, which never change results.
+BatchedSweepOptions session_options(const ResolvedScenario& resolved,
+                                    const ScenarioExecution& execution) {
+  BatchedSweepOptions options = resolved.sweep_options();
+  options.threads = execution.threads;
+  options.batch_size = execution.batch_size;
+  options.pool = execution.pool;
+  return options;
+}
+
 }  // namespace
 
 double TrialSchedule::half_width(double sd, std::size_t trials) const noexcept {
@@ -82,6 +92,21 @@ BatchedSweepOptions ResolvedScenario::sweep_options(std::size_t trials) const {
   options.quantile_probs = spec.quantile_probs;
   options.node_profile = spec.node_profile;
   return options;
+}
+
+ScenarioPoint ResolvedScenario::finish_point(const PointAccumulator& acc, bool converged) const {
+  ScenarioPoint point;
+  point.point = finalize_point(acc, sweep_options(acc.trial_count()));
+  point.half_width = spec.schedule.half_width(point.point.avg_sd, acc.trial_count());
+  point.converged = converged;
+  return point;
+}
+
+bool ResolvedScenario::matches_partial(const PointAccumulator& acc, std::size_t point,
+                                       std::size_t trial_begin,
+                                       std::size_t trial_end) const noexcept {
+  return point < spec.ns.size() && acc.point_index == point && acc.n == spec.ns[point] &&
+         acc.trial_begin == trial_begin && acc.trial_end() == trial_end;
 }
 
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
@@ -300,6 +325,27 @@ ScenarioSpec scenario_from_json(std::string_view text) {
   return scenario_from_json(support::parse_json(text));
 }
 
+ScenarioSession::ScenarioSession(ResolvedScenario resolved, const ScenarioExecution& execution)
+    : resolved_(std::move(resolved)),
+      backend_(resolved_.make_backend()),
+      pool_(session_options(resolved_, execution)),
+      driver_(*backend_, session_options(resolved_, execution), pool_.get()),
+      points_(resolved_.spec.ns.size()) {}
+
+PointAccumulator ScenarioSession::run_trials(std::size_t point, std::size_t trial_begin,
+                                             std::size_t trial_end) {
+  AVGLOCAL_EXPECTS(point < points_.size());
+  std::unique_ptr<PreparedPoint>& prepared = points_[point];
+  if (prepared == nullptr) {
+    const std::size_t n = resolved_.spec.ns[point];
+    auto built = std::make_unique<PreparedPoint>(resolved_.graphs(n));
+    AVGLOCAL_REQUIRE_MSG(built->graph.vertex_count() == n, "graph factory size mismatch");
+    built->point = driver_.prepare(built->graph, point);
+    prepared = std::move(built);
+  }
+  return driver_.run_trials(prepared->point, trial_begin, trial_end);
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& execution) {
   const ResolvedScenario resolved = resolve_scenario(spec);
   const TrialSchedule& schedule = resolved.spec.schedule;
@@ -307,53 +353,28 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& e
   ScenarioResult result;
   result.spec = resolved.spec;
   result.points.reserve(resolved.spec.ns.size());
-
-  BatchedSweepOptions base = resolved.sweep_options();
-  base.batch_size = execution.batch_size;
-  base.threads = execution.threads;
-  base.pool = execution.pool;
-  // One pool for the whole run (SweepPool's sizing rule), whichever engine
-  // executes: the view backend shares each point's vertices across the
-  // workers, the message backend runs one private engine per worker lane
-  // over disjoint trial ranges. Neither changes results (execution knobs
-  // never do).
-  const SweepPool pool(base);
-  const std::unique_ptr<SweepBackend> backend = resolved.make_backend();
-  const SweepDriver driver(*backend, base, pool.get());
-
   for (std::size_t index = 0; index < resolved.spec.ns.size(); ++index) {
-    const std::size_t n = resolved.spec.ns[index];
-    const graph::Graph g = resolved.graphs(n);
-    AVGLOCAL_REQUIRE_MSG(g.vertex_count() == n, "graph factory size mismatch");
-
-    // The prepared point persists across adaptive rounds: the backend's
-    // state - for messages, the arena-backed engine and its topology
-    // tables - is built once here, not once per accumulate call. The
-    // schedule below is agnostic to which engine fills the exact-integer
-    // accumulators.
-    SweepDriver::Point prepared = driver.prepare(g, index);
-
+    // A session per point: every adaptive round reuses its prepared point,
+    // and a finished point's graph and engines are freed before the next
+    // point's are built, so peak memory is the largest point's, not the sum.
+    ScenarioSession session(resolved, execution);
     const std::size_t first =
         schedule.adaptive() ? std::min(schedule.min_trials, schedule.max_trials)
                             : schedule.max_trials;
-    PointAccumulator acc = driver.run_trials(prepared, 0, first);
+    PointAccumulator acc = session.run_trials(index, 0, first);
 
-    ScenarioPoint point;
-    point.converged = !schedule.adaptive();
+    bool converged = !schedule.adaptive();
     while (schedule.adaptive()) {
       const std::size_t trials = acc.trial_count();
       if (schedule.half_width(partial_avg_sd(acc), trials) <= schedule.target_half_width) {
-        point.converged = true;
+        converged = true;
         break;
       }
       if (trials >= schedule.max_trials) break;
       const std::size_t next = std::min(trials + schedule.batch, schedule.max_trials);
-      acc.append(driver.run_trials(prepared, trials, next));
+      acc.append(session.run_trials(index, trials, next));
     }
-
-    point.point = finalize_point(acc, resolved.sweep_options(acc.trial_count()));
-    point.half_width = schedule.half_width(point.point.avg_sd, acc.trial_count());
-    result.points.push_back(std::move(point));
+    result.points.push_back(resolved.finish_point(acc, converged));
   }
   return result;
 }
@@ -365,18 +386,13 @@ std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolve
   AVGLOCAL_EXPECTS(shard.point_end <= resolved.spec.ns.size());
   AVGLOCAL_EXPECTS(shard.trial_end <= options.trials);
 
-  const std::unique_ptr<SweepBackend> backend = resolved.make_backend();
-  const SweepPool pool(options);
-  const SweepDriver driver(*backend, options, pool.get());
-
+  const ScenarioExecution execution{options.threads, options.batch_size, options.pool};
   std::vector<PointAccumulator> partials;
   partials.reserve(shard.point_end - shard.point_begin);
   for (std::size_t point = shard.point_begin; point < shard.point_end; ++point) {
-    const std::size_t n = resolved.spec.ns[point];
-    const graph::Graph g = resolved.graphs(n);
-    AVGLOCAL_REQUIRE_MSG(g.vertex_count() == n, "graph factory size mismatch");
-    SweepDriver::Point prepared = driver.prepare(g, point);
-    partials.push_back(driver.run_trials(prepared, shard.trial_begin, shard.trial_end));
+    // A session per point, as in run_scenario: peak memory stays one point's.
+    ScenarioSession session(resolved, execution);
+    partials.push_back(session.run_trials(point, shard.trial_begin, shard.trial_end));
   }
   return partials;
 }

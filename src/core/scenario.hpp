@@ -29,13 +29,12 @@
 
 #include "core/batched_sweep.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/family_registry.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 
 namespace avglocal::core {
-
-class SweepBackend;
 
 /// How many random id-assignments a sweep point runs.
 struct TrialSchedule {
@@ -87,6 +86,15 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
+/// One sweep point of a scenario run, plus how the schedule ended there.
+struct ScenarioPoint {
+  BatchedSweepPoint point;
+  /// Half-width of the avg_mean confidence interval at the final count.
+  double half_width = 0.0;
+  /// Adaptive runs: target reached before the cap. Fixed runs: true.
+  bool converged = true;
+};
+
 /// A validated, runnable scenario. `spec` is the canonical form: family
 /// parameters resolved to the full declaration-order list (defaults
 /// included), sizes snapped to realised sizes (deduplicated, order kept)
@@ -99,15 +107,26 @@ struct ResolvedScenario {
   /// Builds the SweepBackend for the registry entry spec.algorithm names:
   /// a ViewBackend under spec.semantics for view algorithms, a
   /// MessageBackend granting the entry's knowledge for message algorithms
-  /// (core/sweep_backend.hpp). Every scenario consumer - run_scenario,
-  /// run_scenario_shard, the CLI, benches, the conformance tests - runs
-  /// sweeps through this one seam.
+  /// (core/sweep_backend.hpp). ScenarioSession is its one caller in the
+  /// scenario layer; benches and the conformance tests call it directly to
+  /// wrap or replay the backend.
   std::unique_ptr<SweepBackend> make_backend() const;
 
   /// Sweep options for a fixed run of `trials` trials (defaults to the
   /// schedule cap; shards and adaptive rounds override the count).
   BatchedSweepOptions sweep_options() const;
   BatchedSweepOptions sweep_options(std::size_t trials) const;
+
+  /// The reported point of complete partials (trials [0, T)):
+  /// finalize_point with sweep_options(T) plus the half-width at T. Every
+  /// path reports through it, so their bytes cannot drift apart.
+  ScenarioPoint finish_point(const PointAccumulator& acc, bool converged) const;
+
+  /// True iff `acc` is exactly trials [trial_begin, trial_end) of sweep
+  /// point `point` (index, size, first trial, count). Checked on partials
+  /// that cross a trust boundary: fabric artefacts, offered cache partials.
+  bool matches_partial(const PointAccumulator& acc, std::size_t point, std::size_t trial_begin,
+                       std::size_t trial_end) const noexcept;
 };
 
 /// Validates every registry key and parameter and builds the factories.
@@ -140,15 +159,6 @@ std::string scenario_identity_json(const ScenarioSpec& spec);
 /// result cache and clients all name cached workloads by this key.
 std::string scenario_cache_key(const ScenarioSpec& spec);
 
-/// One sweep point of a scenario run, plus how the schedule ended there.
-struct ScenarioPoint {
-  BatchedSweepPoint point;
-  /// Half-width of the avg_mean confidence interval at the final count.
-  double half_width = 0.0;
-  /// Adaptive runs: target reached before the cap. Fixed runs: true.
-  bool converged = true;
-};
-
 struct ScenarioResult {
   ScenarioSpec spec;  ///< canonical spec the run used
   std::vector<ScenarioPoint> points;
@@ -174,13 +184,44 @@ struct ScenarioExecution {
   support::ThreadPool* pool = nullptr;
 };
 
+/// The one owner of a resolved scenario's engines: backend, pool, driver,
+/// and per point a graph and prepared SweepDriver::Point, built on the
+/// point's first run_trials call and kept until the session ends. Every
+/// scenario-level path runs through sessions: result-cache entries and
+/// fabric workers keep one; run_scenario and run_scenario_shard open one
+/// per point, so memory peaks at one point's. Not thread-safe.
+class ScenarioSession {
+ public:
+  explicit ScenarioSession(ResolvedScenario resolved, const ScenarioExecution& execution = {});
+  ScenarioSession(const ScenarioSession&) = delete;  // prepared points pin members
+  ScenarioSession& operator=(const ScenarioSession&) = delete;
+
+  const ResolvedScenario& resolved() const noexcept { return resolved_; }
+
+  /// Exact partials of global trials [trial_begin, trial_end) of `point`.
+  PointAccumulator run_trials(std::size_t point, std::size_t trial_begin, std::size_t trial_end);
+
+ private:
+  struct PreparedPoint {
+    explicit PreparedPoint(graph::Graph built) : graph(std::move(built)) {}
+    graph::Graph graph;
+    SweepDriver::Point point;  ///< pins `graph`
+  };
+
+  ResolvedScenario resolved_;
+  std::unique_ptr<SweepBackend> backend_;
+  SweepPool pool_;
+  SweepDriver driver_;
+  std::vector<std::unique_ptr<PreparedPoint>> points_;  ///< by point index; null until run
+};
+
 /// Runs the scenario monolithically, applying the trial schedule per point.
 ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& execution = {});
 
-/// Runs one shard of a resolved scenario through the engine its spec names:
+/// Runs one shard of a resolved scenario, one ScenarioSession per point:
 /// accumulators for points [shard.point_begin, point_end), trials [trial_begin, trial_end).
-/// `options` must come from resolved.sweep_options() (threads/batch may be
-/// adjusted; they never change results).
+/// `options` must come from resolved.sweep_options(); only its execution
+/// knobs (threads, batch_size, pool) are read, and they never change results.
 std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,
                                                  const BatchedSweepOptions& options,
                                                  const SweepShard& shard);

@@ -89,6 +89,9 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
       {"sweep --target-hw wide --ns 64", "--target-hw", "wide"},
       {"sweep --z z --ns 64", "--z", "z"},
       {"sweep --shard one/2 --out /dev/null --ns 64", "--shard", "one/2"},
+      {"sweep --shard 0/0 --out /dev/null --ns 64", "--shard", "0/0"},
+      {"sweep --semantics bogus --ns 64", "--semantics", "bogus"},
+      {"--semantics bogus", "--semantics", "bogus"},
       {"--n 12x", "--n", "12x"},
       {"--seed 99999999999999999999", "--seed", "99999999999999999999"},
       {"drive --shards -2 --ns 64", "--shards", "-2"},
@@ -96,6 +99,8 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
       {"drive --retries 1e3 --ns 64", "--retries", "1e3"},
       {"serve --socket /tmp/x.sock --max-clients none", "--max-clients", "none"},
       {"request --socket /tmp/x.sock --trials '' ", "--trials", ""},
+      {"request --socket /tmp/x.sock --semantics bogus", "--semantics", "bogus"},
+      {"fabric-serve --listen unix:/tmp/x.sock --semantics bogus --ns 64", "--semantics", "bogus"},
       {"fabric-serve --listen unix:/tmp/x.sock --straggler-ms soon --ns 64", "--straggler-ms",
        "soon"},
       {"fabric-serve --listen unix:/tmp/x.sock --unit-trials -4 --ns 64", "--unit-trials", "-4"},

@@ -24,6 +24,7 @@
 #include "core/scenario.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/line_server.hpp"
 #include "support/socket.hpp"
 
 namespace {
@@ -163,12 +164,17 @@ TEST(WorkQueue, AcceptsEachUnitExactlyOnce) {
 std::string work_request_line() { return "{\"op\":\"work-request\"}"; }
 
 /// Builds the result line a worker would send for `unit`, computing the
-/// artefact locally through the same shard plumbing workers use.
-std::string result_line(const core::ResolvedScenario& resolved, const core::WorkUnit& unit) {
+/// artefact locally through the same shard plumbing workers use. The body
+/// holds trials [unit.trial_begin, body_trial_end) - the unit's own range
+/// unless a test forges a body that disagrees with the header.
+std::string result_line(const core::ResolvedScenario& resolved, const core::WorkUnit& unit,
+                        std::size_t body_trial_end = 0) {
   core::ShardDocument doc;
   doc.meta = core::scenario_plan_meta(resolved);
   doc.shard = core::SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
-  doc.points = core::run_scenario_shard(resolved, resolved.sweep_options(), doc.shard);
+  core::SweepShard body = doc.shard;
+  if (body_trial_end != 0) body.trial_end = body_trial_end;
+  doc.points = core::run_scenario_shard(resolved, resolved.sweep_options(), body);
   support::JsonWriter json;
   json.begin_object();
   json.key("op").value("result");
@@ -263,6 +269,22 @@ TEST(FabricCoordinator, RejectsArtefactsFromTheWrongWorkload) {
   const auto unknown_unit =
       coordinator.handle_request(0, "{\"op\":\"result\",\"unit\":99,\"artefact\":\"{}\"}");
   EXPECT_NE(unknown_unit.line.find("\"ok\":false"), std::string::npos);
+
+  // The right workload and a header claiming the whole unit [0, 8), but a
+  // body holding only trials [0, 4): merged, it would finalize a report
+  // with the wrong trial count. The body check rejects it and the unit
+  // stays in flight.
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  const core::WorkUnit& unit = coordinator.work_units().front();
+  const auto short_body = coordinator.handle_request(0, result_line(resolved, unit, 4));
+  EXPECT_NE(short_body.line.find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(short_body.line.find("body"), std::string::npos);
+  EXPECT_FALSE(coordinator.complete());
+
+  // The correct artefact for the same unit is then accepted.
+  const auto correct = coordinator.handle_request(0, result_line(resolved, unit));
+  EXPECT_TRUE(support::parse_json(correct.line).at("accepted").as_bool());
+  EXPECT_TRUE(coordinator.complete());
 }
 
 TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
@@ -441,6 +463,62 @@ TEST(Fabric, WorkerVanishingMidUnitIsRedispatchedAndStaysByteIdentical) {
   ASSERT_TRUE(outcome.complete);
   EXPECT_EQ(outcome.report, monolithic_report(spec));
   EXPECT_GE(outcome.stats.redispatches, 1u);
+  ::rmdir(dir_template);
+}
+
+TEST(Fabric, WorkerRejectsAGrantBeyondTheHellosTrials) {
+  char dir_template[30] = "/tmp/avglocal-fabric-XXXXXX";
+  support::Endpoint endpoint;
+  endpoint.kind = support::Endpoint::Kind::kUnix;
+  endpoint.path = scratch_socket(dir_template);
+
+  // A coordinator whose hello announces 4 trials but whose grant asks for
+  // trials [0, 8): the worker must refuse the unit, not compute it. The
+  // grant closes the connection, so a worker that wrongly runs the unit
+  // ends as drained instead of looping.
+  core::ScenarioSpec spec = base_spec(4);
+  spec.ns = {64};
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  support::LineServer server(1, [&resolved](std::uint64_t, const std::string& line) {
+    const bool hello = support::parse_json(line).at("op").as_string() == "hello";
+    support::JsonWriter json;
+    json.begin_object();
+    json.key("ok").value(true);
+    if (hello) {
+      json.key("op").value("hello");
+      json.key("trials").value(std::uint64_t{4});
+      json.key("points").value(std::uint64_t{1});
+      json.key("scenario");
+      core::write_scenario_json(json, resolved.spec);
+    } else {
+      json.key("op").value("work-grant");
+      json.key("unit").begin_object();
+      json.key("id").value(std::uint64_t{0});
+      json.key("point").value(std::uint64_t{0});
+      json.key("trial_begin").value(std::uint64_t{0});
+      json.key("trial_end").value(std::uint64_t{8});
+      json.end_object();
+    }
+    json.end_object();
+    return support::LineServer::Reply{json.str(), /*close=*/!hello};
+  });
+  server.start(endpoint);
+  std::thread accept_loop([&server] { server.run(); });
+
+  core::FabricWorkerOptions worker;
+  worker.endpoint = server.endpoint();
+  bool granted = false;
+  worker.on_grant = [&granted](const core::WorkUnit&) { granted = true; };
+  try {
+    (void)core::run_fabric_worker(worker);
+    ADD_FAILURE() << "the worker accepted a grant past the hello's trial count";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("malformed unit"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_FALSE(granted);
+  server.request_stop();
+  accept_loop.join();
   ::rmdir(dir_template);
 }
 
