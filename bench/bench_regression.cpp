@@ -4,8 +4,9 @@
 // Measures, and writes to BENCH_core.json:
 //  * view-sweep throughput (trials/sec) on the n=10'000 ring largest-id
 //    sweep: the frozen pre-flat-memory serial path (replicated below),
-//    today's serial path, and today's pooled path - plus the speedup
-//    ratios future PRs must defend;
+//    today's serial path, and today's pooled path (run_views_batched with a
+//    pool, one assignment per call) - plus the speedup ratios future PRs
+//    must defend;
 //  * message-engine throughput (rounds/sec) and per-round heap traffic
 //    after warm-up, via the allocation-counting hook (expected: zero);
 //  * message-sweep throughput on the batch path (one engine rebound per
@@ -33,7 +34,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -46,7 +46,6 @@
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep_driver.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
@@ -219,6 +218,23 @@ bool same_run(const local::RunResult& a, const local::RunResult& b) {
   return a.outputs == b.outputs && a.radii == b.radii;
 }
 
+/// One assignment through run_views_batched with options.pool: the
+/// vertex-parallel sweep every pooled view sweep runs through.
+local::RunResult run_pooled_views(const graph::Graph& g, const graph::IdAssignment& ids,
+                                  const local::ViewAlgorithmFactory& factory,
+                                  const local::ViewEngineOptions& options) {
+  local::RunResult result;
+  result.outputs.resize(g.vertex_count());
+  result.radii.resize(g.vertex_count());
+  local::run_views_batched(g, std::span(&ids, 1), factory, options,
+                           [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
+                               std::size_t radius) {
+                             result.outputs[v] = output;
+                             result.radii[v] = radius;
+                           });
+  return result;
+}
+
 SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_t seed) {
   const auto g = graph::make_cycle(n);
   const auto factory = algo::make_largest_id_view();
@@ -257,7 +273,7 @@ SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_
     options.pool = &pool;
     const auto start = Clock::now();
     for (std::size_t t = 0; t < trials; ++t) {
-      const auto run = local::run_views(g, assignments[t], factory, options);
+      const auto run = run_pooled_views(g, assignments[t], factory, options);
       if (run.radii.empty()) std::abort();
     }
     out.pooled_trials_per_sec = static_cast<double>(trials) / seconds_since(start);
@@ -285,7 +301,7 @@ SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_
     support::ThreadPool pool;
     local::ViewEngineOptions options;
     options.pool = &pool;
-    const auto c = local::run_views(g, ids, factory, options);
+    const auto c = run_pooled_views(g, ids, factory, options);
     local::RunResult d;
     d.outputs.resize(n);
     d.radii.resize(n);
@@ -404,7 +420,7 @@ EngineThroughput bench_message_engine(std::size_t n, std::size_t rounds) {
 // ------------------------------------------------------------------------
 
 struct MessageSweepThroughput {
-  double sweep_rounds_per_sec = 0;      ///< batch path (run_messages_batch)
+  double sweep_rounds_per_sec = 0;      ///< batch path (one MessageBatchRunner)
   double per_trial_rounds_per_sec = 0;  ///< fresh engine per run_messages call
   double batch_reuse_speedup = 0;
   double sweep_trials_per_sec = 0;      ///< serial SweepDriver, largest-id-msg
@@ -428,9 +444,10 @@ MessageSweepThroughput bench_message_sweep(std::size_t n, std::size_t rounds,
   {
     const auto start = Clock::now();
     std::uint64_t radius_sum = 0;
-    local::run_messages_batch(g, batch, factory, {},
-                              [&](std::size_t, graph::Vertex, std::int64_t,
-                                  std::size_t radius) { radius_sum += radius; });
+    local::MessageBatchRunner(g, factory).run(
+        batch, [&](std::size_t, graph::Vertex, std::int64_t, std::size_t radius) {
+          radius_sum += radius;
+        });
     out.sweep_rounds_per_sec =
         static_cast<double>(trials * rounds) / seconds_since(start);
     if (radius_sum == 0) std::abort();
@@ -453,8 +470,8 @@ MessageSweepThroughput bench_message_sweep(std::size_t n, std::size_t rounds,
     AllocSampler sampler(trials * (rounds + 1));
     local::EngineOptions options;
     options.trace = &sampler;
-    local::run_messages_batch(g, batch, factory, options,
-                              [](std::size_t, graph::Vertex, std::int64_t, std::size_t) {});
+    local::MessageBatchRunner(g, factory, options)
+        .run(batch, [](std::size_t, graph::Vertex, std::int64_t, std::size_t) {});
     const auto& samples = sampler.samples();
     const std::size_t per_trial = rounds + 1;  // rounds 0..rounds
     for (std::size_t trial = 0; trial < trials; ++trial) {
@@ -509,11 +526,9 @@ struct MessageParallelThroughput {
 
 MessageParallelThroughput bench_message_parallel(std::size_t n, std::size_t rounds) {
   const auto g = graph::make_cycle(n);
-  const core::MessageBackend backend(
-      [rounds](std::size_t) {
-        return local::AlgorithmFactory([rounds] { return std::make_unique<FloodRelay>(rounds); });
-      },
-      core::MessageEngineOptions{});
+  const core::MessageBackend backend([rounds](std::size_t) {
+    return local::AlgorithmFactory([rounds] { return std::make_unique<FloodRelay>(rounds); });
+  });
 
   support::ThreadPool pool;  // hardware concurrency
   MessageParallelThroughput out;
@@ -710,12 +725,11 @@ local::BatchPhaseStats bench_phase_breakdown(std::size_t n, std::size_t trials,
 // Million-node sweeps: the large_scale block. Everything the compact-CSR /
 // epoch-stamp / memory-budget work is allowed to claim, measured at the
 // n = 10^6 ring (scaled down in smoke runs, same code paths):
-//  * bytes_per_arc of the compact vs the wide (64-bit-offset) CSR layout,
-//    plus a shuffled traversal checksum bit-compared across the layouts;
-//  * the budgeted sweep: compact CSR under a declared memory_budget_bytes,
-//    bit-compared against the reference (wide offsets, unlimited batch) -
-//    the every-run identity gate of the whole large-n stack - with the
-//    peak-RSS delta of the budgeted leg asserted inside the budget;
+//  * bytes_per_arc of the 32-bit CSR layout;
+//  * the budgeted sweep under a declared memory_budget_bytes, bit-compared
+//    against the unlimited-batch reference - the every-run identity gate
+//    of the whole large-n stack - with the peak-RSS delta of the budgeted
+//    leg asserted inside the budget;
 //  * compact_csr_speedup: the dispatched u32 edge-times kernel (two 8-lane
 //    gathers + max, the driver's per-edge hot path) against a frozen
 //    per-edge 64-bit replica of the pre-compact code, bit-identity every
@@ -751,25 +765,12 @@ std::size_t vm_hwm_bytes() {
   return 0;
 }
 
-/// Replays g's arcs in port order at the forced offset width (the same
-/// rebuild the parity suite uses, so bench and tests compare identical
-/// wide twins).
-graph::Graph rebuild_with_width(const graph::Graph& g, graph::GraphBuilder::OffsetWidth width) {
-  graph::GraphBuilder b(g.vertex_count());
-  b.reserve_arcs(2 * g.edge_count());
-  for (graph::Vertex u = 0; u < g.vertex_count(); ++u) {
-    for (std::size_t p = 0; p < g.degree(u); ++p) b.add_arc(u, g.neighbour(u, p));
-  }
-  return b.build(width);
-}
-
 struct LargeScaleNumbers {
   std::size_t n = 0;
   std::size_t trials = 0;
   double bytes_per_arc_compact = 0;
-  double bytes_per_arc_wide = 0;
-  double budgeted_trials_per_sec = 0;       ///< compact + budget
-  double wide_stepwise_trials_per_sec = 0;  ///< the wide-offset reference leg
+  double budgeted_trials_per_sec = 0;       ///< under the declared budget
+  double unlimited_trials_per_sec = 0;      ///< the unlimited-batch reference leg
   std::size_t memory_budget_bytes = 0;
   std::size_t budget_peak_delta_bytes = 0;  ///< VmHWM delta of the budgeted leg
   double edge_times_u32_elems_per_sec = 0;
@@ -784,38 +785,11 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
   out.n = smoke ? 65'536 : 1'000'000;
   out.trials = smoke ? 3 : 8;
 
-  const auto compact = graph::make_cycle(out.n);
-  const auto wide = rebuild_with_width(compact, graph::GraphBuilder::OffsetWidth::kWide);
-  if (!compact.compact_offsets() || wide.compact_offsets()) std::abort();
+  const auto ring = graph::make_cycle(out.n);
   out.bytes_per_arc_compact =
-      static_cast<double>(compact.memory_bytes()) / static_cast<double>(compact.arc_count());
-  out.bytes_per_arc_wide =
-      static_cast<double>(wide.memory_bytes()) / static_cast<double>(wide.arc_count());
+      static_cast<double>(ring.memory_bytes()) / static_cast<double>(ring.arc_count());
 
-  // Shuffled traversal checksum over both layouts: the accessor seam the
-  // offset width hides behind, bit-compared on every run (smoke included).
-  {
-    std::vector<graph::Vertex> order(out.n);
-    std::iota(order.begin(), order.end(), 0u);
-    support::Xoshiro256 rng(31);
-    support::shuffle(order, rng);
-    const auto checksum = [&](const graph::Graph& g) {
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (i + 8 < order.size()) g.prefetch_offset(order[i + 8]);
-        const graph::Vertex v = order[i];
-        sum += g.degree(v) + g.mirror_port(v, 0);
-        for (const graph::Vertex w : g.neighbours(v)) sum += w;
-      }
-      return sum;
-    };
-    if (checksum(compact) != checksum(wide)) {
-      std::cerr << "bench_regression: compact CSR traversal diverged from the wide layout\n";
-      std::exit(2);
-    }
-  }
-
-  // The budgeted million-node sweep vs the wide-offset reference. The
+  // The budgeted million-node sweep vs the unlimited reference. The
   // budgeted leg runs first so its VmHWM delta is not masked by the
   // unlimited reference's (larger) footprint.
   {
@@ -826,7 +800,7 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
       return algo::make_largest_id_view();
     };
     const core::ViewBackend backend(provider, options.semantics);
-    const core::SweepMemoryModel model = backend.memory_model(compact);
+    const core::SweepMemoryModel model = backend.memory_model(ring);
     // Declared budget: two resident trials per lane - the driver must batch.
     core::BatchedSweepOptions budgeted = options;
     budgeted.memory_budget_bytes = model.predicted_lane_bytes(2);
@@ -836,7 +810,7 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     core::PointAccumulator budgeted_acc;
     {
       const core::SweepDriver driver(backend, budgeted, nullptr);
-      core::SweepDriver::Point point = driver.prepare(compact, 0);
+      core::SweepDriver::Point point = driver.prepare(ring, 0);
       const auto start = Clock::now();
       budgeted_acc = driver.run_trials(point, 0, options.trials);
       out.budgeted_trials_per_sec =
@@ -847,15 +821,14 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     core::PointAccumulator reference_acc;
     {
       const core::SweepDriver driver(backend, options, nullptr);
-      core::SweepDriver::Point point = driver.prepare(wide, 0);
+      core::SweepDriver::Point point = driver.prepare(ring, 0);
       const auto start = Clock::now();
       reference_acc = driver.run_trials(point, 0, options.trials);
-      out.wide_stepwise_trials_per_sec =
+      out.unlimited_trials_per_sec =
           static_cast<double>(options.trials) / seconds_since(start);
     }
     if (!(budgeted_acc == reference_acc)) {
-      std::cerr << "bench_regression: budgeted compact sweep diverged from the wide-offset "
-                   "reference\n";
+      std::cerr << "bench_regression: budgeted sweep diverged from the unlimited reference\n";
       std::exit(2);
     }
   }
@@ -909,7 +882,7 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     const auto ids = graph::IdAssignment::identity(out.n);
     const auto start = Clock::now();
     const auto run =
-        local::run_messages(compact, ids, [rounds] { return std::make_unique<FloodRelay>(rounds); });
+        local::run_messages(ring, ids, [rounds] { return std::make_unique<FloodRelay>(rounds); });
     out.ring_rounds_per_sec = static_cast<double>(run.rounds) / seconds_since(start);
   }
 
@@ -1252,9 +1225,8 @@ int main(int argc, char** argv) {
   json.key("n").value(static_cast<std::uint64_t>(large_scale.n));
   json.key("trials").value(static_cast<std::uint64_t>(large_scale.trials));
   json.key("bytes_per_arc_compact").value(large_scale.bytes_per_arc_compact);
-  json.key("bytes_per_arc_wide").value(large_scale.bytes_per_arc_wide);
   json.key("budgeted_trials_per_sec").value(large_scale.budgeted_trials_per_sec);
-  json.key("wide_stepwise_trials_per_sec").value(large_scale.wide_stepwise_trials_per_sec);
+  json.key("unlimited_trials_per_sec").value(large_scale.unlimited_trials_per_sec);
   json.key("memory_budget_bytes")
       .value(static_cast<std::uint64_t>(large_scale.memory_budget_bytes));
   json.key("budget_peak_delta_bytes")

@@ -5,6 +5,11 @@
 // Discover the workload space:
 //   avglocal_cli list
 //
+// Print the reproduction's tables (all of E1..E14 in order, or the listed
+// ones), at full scale:
+//   avglocal_cli experiments
+//   avglocal_cli experiments E1 E2 E9
+//
 // Single runs (the default subcommand; message algorithms included):
 //   avglocal_cli --algo largest-id --graph cycle --n 1024 --seed 7
 //   avglocal_cli --algo greedy --graph random-regular:degree=4 --n 4096
@@ -69,6 +74,7 @@
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "core/experiments.hpp"
 #include "core/fabric.hpp"
 #include "core/measure.hpp"
 #include "core/remote_backend.hpp"
@@ -283,6 +289,37 @@ int run_list_command() {
   return 0;
 }
 
+// --------------------------------------------------------- experiments ----
+
+/// Prints the listed experiment tables (ids E1..E14; none = all, in
+/// E-order) at full scale. Every id is checked before any table runs.
+int run_experiments_command(int argc, char** argv) {
+  const auto experiments = core::all_experiments();
+  std::vector<std::size_t> selected;
+  for (int i = 2; i < argc; ++i) {
+    const std::string id = argv[i];
+    std::size_t index = 0;
+    for (; index < experiments.size(); ++index) {
+      if (id == std::string("E").append(std::to_string(index + 1))) break;
+    }
+    if (index == experiments.size()) {
+      std::cerr << "unknown experiment id: " << id << " (expected E1..E" << experiments.size()
+                << ")\n"
+                << "usage: avglocal_cli experiments [ID...]\n";
+      return 2;
+    }
+    selected.push_back(index);
+  }
+  if (selected.empty()) {
+    for (std::size_t index = 0; index < experiments.size(); ++index) selected.push_back(index);
+  }
+  const core::ExperimentScale scale;  // full scale
+  for (const std::size_t index : selected) {
+    std::cout << core::render(experiments[index](scale)) << "\n";
+  }
+  return 0;
+}
+
 // ----------------------------------------------------------------- run ----
 
 struct RunOptions {
@@ -298,6 +335,7 @@ void usage() {
   std::cout << "usage: avglocal_cli [--algo A] [--graph G] [--n N] [--seed S]\n"
                "                    [--semantics induced|flooding] [--csv FILE]\n"
                "       avglocal_cli list          (enumerate graph families and algorithms)\n"
+               "       avglocal_cli experiments [ID...]  (print the tables E1..E14)\n"
                "       avglocal_cli sweep ...     (batched/adaptive/sharded sweeps; --help)\n"
                "       avglocal_cli merge ...     (recombine shard artefacts; --help)\n"
                "       avglocal_cli drive ...     (sweep on a local coordinator + workers; --help)\n"
@@ -565,9 +603,8 @@ int run_sweep_command_impl(int argc, char** argv) {
 core::ScenarioSpec spec_from_meta(const core::SweepPlanMeta& meta) {
   if (!meta.scenario.empty()) {
     core::ScenarioSpec spec = core::scenario_from_json(meta.scenario);
-    // Version-2 scenario blocks predate the engine field; the meta default
-    // ("view" - v2 artefacts had no other engine) keeps the re-emitted
-    // report's scenario block self-describing.
+    // A scenario block without an engine key takes the meta's engine, so
+    // the re-emitted report's scenario block stays self-describing.
     if (spec.engine.empty()) spec.engine = meta.engine;
     return spec;
   }
@@ -1237,6 +1274,9 @@ int run_single_guarded(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "list") == 0) return run_list_command();
+  if (argc > 1 && std::strcmp(argv[1], "experiments") == 0) {
+    return run_guarded(run_experiments_command, argc, argv);
+  }
   if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
     return run_guarded(run_sweep_command_impl, argc, argv);
   }

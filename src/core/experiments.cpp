@@ -24,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "local/engine.hpp"
+#include "local/full_info.hpp"
 #include "local/view_engine.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
@@ -482,6 +483,50 @@ ExperimentResult experiment_parallel_makespan(const ExperimentScale& scale) {
   return result;
 }
 
+// ---------------------------------------------------------------- E9 ------
+
+ExperimentResult experiment_engine_agreement(const ExperimentScale& /*scale*/) {
+  ExperimentResult result;
+  result.id = "E9";
+  result.title = "Engine cross-validation";
+
+  // Fixed small rings at every scale: the full-information adapter
+  // reconstructs every view by gossip, so this table is about agreement,
+  // not size.
+  Table table({"n", "seed", "view==message radii", "view==adapter radii", "outputs agree"});
+  support::Xoshiro256 seed_rng(123);
+  for (const std::size_t n : {6u, 9u, 13u, 17u, 24u}) {
+    const std::uint64_t seed = seed_rng.next();
+    support::Xoshiro256 rng(seed);
+    const auto g = graph::make_cycle(n);
+    const auto ids = graph::IdAssignment::random(n, rng);
+
+    local::ViewEngineOptions flooding;
+    flooding.semantics = local::ViewSemantics::kFloodingKnowledge;
+    const auto views = local::run_views(g, ids, algo::make_largest_id_view(), flooding);
+    const auto native = local::run_messages(g, ids, algo::make_largest_id_messages());
+    const auto adapter = local::run_views_by_messages(g, ids, algo::make_largest_id_view());
+
+    bool radii_native = true, radii_adapter = true, outputs = true;
+    for (std::size_t v = 0; v < n; ++v) {
+      radii_native &= views.radii[v] == native.radii[v];
+      radii_adapter &= views.radii[v] == adapter.radii[v];
+      outputs &= views.outputs[v] == native.outputs[v] && views.outputs[v] == adapter.outputs[v];
+    }
+    table.add_row({Table::cell(n), Table::cell(seed % 1000), radii_native ? "yes" : "NO",
+                   radii_adapter ? "yes" : "NO", outputs ? "yes" : "NO"});
+  }
+  result.tables.emplace_back(
+      "largest-id on random-permutation cycles: view engine (flooding knowledge) vs native "
+      "message algorithm vs full-information adapter",
+      table);
+  result.notes.push_back(
+      "The substrate check behind every other table: a node's output round in the message "
+      "formulation equals its ball radius in the view formulation under flooding knowledge. "
+      "Expected: every cell reads yes.");
+  return result;
+}
+
 // ---------------------------------------------------------------- E10 -----
 
 ExperimentResult experiment_general_graphs(const ExperimentScale& scale) {
@@ -717,9 +762,9 @@ std::vector<std::function<ExperimentResult(const ExperimentScale&)>> all_experim
   return {
       experiment_recurrence_table, experiment_largest_id_gap, experiment_colouring_logstar,
       experiment_neighbourhood_chi, experiment_adversaries, experiment_exact_small_n,
-      experiment_dynamic_update, experiment_parallel_makespan, experiment_general_graphs,
-      experiment_expected_complexity, experiment_greedy_colouring, experiment_topology_matrix,
-      experiment_message_vs_view,
+      experiment_dynamic_update, experiment_parallel_makespan, experiment_engine_agreement,
+      experiment_general_graphs, experiment_expected_complexity, experiment_greedy_colouring,
+      experiment_topology_matrix, experiment_message_vs_view,
   };
 }
 

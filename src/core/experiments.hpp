@@ -1,5 +1,6 @@
-// The experiment suite: every "table/figure" of the reproduction (E1..E10
-// in DESIGN.md), runnable at full bench scale or at smoke-test scale.
+// The experiment suite: every "table/figure" of the reproduction (E1..E14),
+// runnable at full scale (`avglocal_cli experiments`) or at smoke-test
+// scale.
 #pragma once
 
 #include <functional>
@@ -19,7 +20,7 @@ struct ExperimentResult {
   std::vector<std::string> notes;
 };
 
-/// Scale knob: 1.0 = the defaults used by the bench binaries; smoke tests
+/// Scale knob: 1.0 = the defaults `avglocal_cli experiments` prints; smoke tests
 /// run ~0.1 to finish fast. Affects sizes and trial counts, never semantics.
 struct ExperimentScale {
   double factor = 1.0;
@@ -36,14 +37,14 @@ ExperimentResult experiment_adversaries(const ExperimentScale& scale);          
 ExperimentResult experiment_exact_small_n(const ExperimentScale& scale);         // E6
 ExperimentResult experiment_dynamic_update(const ExperimentScale& scale);        // E7
 ExperimentResult experiment_parallel_makespan(const ExperimentScale& scale);     // E8
+ExperimentResult experiment_engine_agreement(const ExperimentScale& scale);      // E9
 ExperimentResult experiment_general_graphs(const ExperimentScale& scale);        // E10
 ExperimentResult experiment_expected_complexity(const ExperimentScale& scale);   // E11
 ExperimentResult experiment_greedy_colouring(const ExperimentScale& scale);      // E12
 ExperimentResult experiment_topology_matrix(const ExperimentScale& scale);       // E13
 ExperimentResult experiment_message_vs_view(const ExperimentScale& scale);       // E14
 
-/// All experiments in order (E9, engine cross-validation, lives in
-/// bench_simulator and the integration tests).
+/// All experiments in E-order, E1..E14.
 std::vector<std::function<ExperimentResult(const ExperimentScale&)>> all_experiments();
 
 /// Renders an ExperimentResult to markdown.

@@ -195,9 +195,12 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
     } else if (op == "work-request") {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping() || queue_.complete()) {
+        // A stop before completion is a drain, and says so: the worker
+        // must not mistake it for a finished sweep.
         json.begin_object();
         json.key("ok").value(true);
         json.key("op").value("shutdown");
+        if (!queue_.complete()) json.key("drained").value(true);
         json.end_object();
         reply.disconnect = true;
       } else if (const std::optional<WorkUnit> unit = queue_.grant(session, now_ms())) {
@@ -336,7 +339,11 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     }
     const support::JsonValue reply = parse_reply(line, "work-request");
     const std::string& op = reply.at("op").as_string();
-    if (op == "shutdown") return outcome;
+    if (op == "shutdown") {
+      const support::JsonValue* drained = reply.find("drained");
+      outcome.drained = drained != nullptr && drained->as_bool();
+      return outcome;
+    }
     if (op == "drain") {
       std::this_thread::sleep_for(std::chrono::milliseconds(reply.at("retry_ms").as_u64()));
       continue;

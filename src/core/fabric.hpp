@@ -18,8 +18,10 @@
 //     -> {"ok":true,"op":"drain","retry_ms":R}   nothing grantable right
 //        now (every remaining unit is in flight and none is overdue);
 //        retry after R ms
-//     -> {"ok":true,"op":"shutdown"}             all units accepted (or
-//        the coordinator is stopping); the worker exits
+//     -> {"ok":true,"op":"shutdown"}             all units accepted; the
+//        worker exits
+//     -> {"ok":true,"op":"shutdown","drained":true}  the coordinator is
+//        stopping before completion (SIGTERM); the worker exits drained
 //   {"op":"result","unit":I,"artefact":"<shard artefact JSON>"}
 //     -> {"ok":true,"op":"result","accepted":true|false}
 //
@@ -232,8 +234,9 @@ struct FabricWorkerOptions {
 struct FabricWorkerOutcome {
   std::size_t units = 0;   ///< artefacts submitted (accepted or not)
   std::size_t trials = 0;  ///< trials computed, summed over units
-  /// The coordinator closed the connection before a shutdown op - the
-  /// orderly SIGTERM-drain (or completion-race) exit, not an error.
+  /// The coordinator stopped before completion: a drained shutdown reply,
+  /// or the connection closed before any shutdown op - the orderly
+  /// SIGTERM-drain (or completion-race) exit, not an error.
   bool drained = false;
 };
 

@@ -30,6 +30,11 @@ local::ViewSemantics semantics_from_name(const std::string& name) {
 
 void validate_schedule(const TrialSchedule& schedule) {
   AVGLOCAL_EXPECTS_MSG(schedule.max_trials >= 1, "schedule needs at least one trial");
+  // A negative (or NaN) target would silently run a fixed schedule and
+  // record the bogus target in the report.
+  AVGLOCAL_EXPECTS_MSG(schedule.target_half_width >= 0.0,
+                       "target half-width must be >= 0 (0 runs a fixed schedule), got " +
+                           std::to_string(schedule.target_half_width));
   if (schedule.adaptive()) {
     // The variance floor must bind the cap too: with max_trials == 1 the
     // first (and only) round would see a single sample, whose sd of 0
@@ -73,9 +78,7 @@ double TrialSchedule::half_width(double sd, std::size_t trials) const noexcept {
 std::unique_ptr<SweepBackend> ResolvedScenario::make_backend() const {
   const algo::AlgorithmInfo& algorithm = algo::AlgorithmRegistry::global().at(spec.algorithm);
   if (algorithm.kind == algo::AlgorithmKind::kMessage) {
-    MessageEngineOptions engine;
-    engine.knowledge = algorithm.knowledge;
-    return std::make_unique<MessageBackend>(algorithm.messages, engine);
+    return std::make_unique<MessageBackend>(algorithm.messages, algorithm.knowledge);
   }
   return std::make_unique<ViewBackend>(algorithm.view, spec.semantics);
 }
@@ -299,8 +302,8 @@ ScenarioSpec scenario_from_json(const support::JsonValue& value) {
     spec.family.params.emplace_back(name, param.as_double());
   }
   spec.algorithm = value.at("algorithm").as_string();
-  // Pre-engine-routing (shard format v2) scenario blocks have no engine
-  // key; leave it empty and let resolve_scenario fill it in.
+  // The engine key is optional (the registry knows each algorithm's
+  // engine); leave it empty and let resolve_scenario fill it in.
   const support::JsonValue* engine = value.find("engine");
   spec.engine = engine == nullptr ? "" : engine->as_string();
   spec.ns.clear();

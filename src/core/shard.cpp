@@ -10,14 +10,12 @@ namespace avglocal::core {
 
 namespace {
 
-/// Version 3: the meta block gained the `engine` field ("view" |
+/// Version 3: the meta block carries the `engine` field ("view" |
 /// "message") and points carry the edge-averaged partials (`edges`,
-/// `trial_edge_sum`, `edge_histogram`). Version-2 artefacts still parse:
-/// they read as engine "view" with empty edge data (edges == 0), which
-/// finalizes to all-zero edge measures. Version 1 (no scenario field) stays
-/// rejected by the version check.
+/// `trial_edge_sum`, `edge_histogram`). Every other version is rejected:
+/// older artefacts lack the edge partials and would merge into a report
+/// with zeroed edge measures.
 constexpr std::uint64_t kShardFormatVersion = 3;
-constexpr std::uint64_t kShardFormatV2 = 2;
 
 local::ViewSemantics semantics_from_name(const std::string& name) {
   const auto semantics = local::view_semantics_from_name(name);
@@ -136,11 +134,12 @@ std::string shard_to_json(const ShardDocument& doc) {
 ShardDocument parse_shard_json(std::string_view text) {
   const support::JsonValue root = support::parse_json(text);
   const support::JsonValue* version = root.find("avglocal_shard");
-  if (version == nullptr ||
-      (version->as_u64() != kShardFormatVersion && version->as_u64() != kShardFormatV2)) {
-    throw std::runtime_error("shard: not an avglocal shard artefact (version 2 or 3)");
+  if (version == nullptr) throw std::runtime_error("shard: not an avglocal shard artefact");
+  if (version->as_u64() != kShardFormatVersion) {
+    throw std::runtime_error("shard: unsupported artefact version " +
+                             std::to_string(version->as_u64()) + " (expected version " +
+                             std::to_string(kShardFormatVersion) + ")");
   }
-  const bool v2 = version->as_u64() == kShardFormatV2;
 
   ShardDocument doc;
   doc.meta.seed = root.at("seed").as_u64();
@@ -156,7 +155,7 @@ ShardDocument parse_shard_json(std::string_view text) {
   doc.meta.algorithm = root.at("algorithm").as_string();
   doc.meta.graph = root.at("graph").as_string();
   doc.meta.scenario = root.at("scenario").as_string();
-  doc.meta.engine = v2 ? "view" : root.at("engine").as_string();
+  doc.meta.engine = root.at("engine").as_string();
 
   const support::JsonValue& shard = root.at("shard");
   doc.shard.point_begin = shard.at("point_begin").as_u64();
@@ -176,16 +175,9 @@ ShardDocument parse_shard_json(std::string_view text) {
     acc.trial_max = read_u64_array(p.at("trial_max"));
     acc.histogram = local::RadiusHistogram(read_u64_array(p.at("histogram")));
     acc.node_sum = read_u64_array(p.at("node_sum"));
-    if (v2) {
-      // No edge data in version 2: edges == 0 finalizes to all-zero edge
-      // measures; the zero per-trial sums keep append() and finalize_point
-      // shape-consistent.
-      acc.trial_edge_sum.assign(acc.trial_sum.size(), 0);
-    } else {
-      acc.edges = p.at("edges").as_u64();
-      acc.trial_edge_sum = read_u64_array(p.at("trial_edge_sum"));
-      acc.edge_histogram = local::RadiusHistogram(read_u64_array(p.at("edge_histogram")));
-    }
+    acc.edges = p.at("edges").as_u64();
+    acc.trial_edge_sum = read_u64_array(p.at("trial_edge_sum"));
+    acc.edge_histogram = local::RadiusHistogram(read_u64_array(p.at("edge_histogram")));
     if (acc.trial_sum.size() != acc.trial_max.size() || acc.node_sum.size() != acc.n ||
         acc.trial_edge_sum.size() != acc.trial_sum.size()) {
       throw std::runtime_error("shard: inconsistent point arrays");

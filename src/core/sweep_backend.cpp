@@ -140,16 +140,15 @@ SweepMemoryModel MessageBackend::memory_model(const graph::Graph& g) const noexc
   return model;
 }
 
-MessageBackend::MessageBackend(MessageAlgorithmProvider algorithms, MessageEngineOptions engine)
-    : algorithms_(std::move(algorithms)), engine_(engine) {
+MessageBackend::MessageBackend(MessageAlgorithmProvider algorithms, local::Knowledge knowledge)
+    : algorithms_(std::move(algorithms)), knowledge_(knowledge) {
   AVGLOCAL_EXPECTS(static_cast<bool>(algorithms_));
 }
 
 std::unique_ptr<BackendPointState> MessageBackend::prepare(const graph::Graph& g,
                                                            std::size_t /*point_index*/) const {
   local::EngineOptions options;
-  options.knowledge = engine_.knowledge;
-  options.max_rounds = engine_.max_rounds;
+  options.knowledge = knowledge_;
   return std::make_unique<MessagePointState>(
       local::MessageBatchRunner(g, algorithms_(g.vertex_count()), options));
 }

@@ -45,14 +45,6 @@ namespace avglocal::core {
 /// (the message analogue of AlgorithmProvider).
 using MessageAlgorithmProvider = std::function<local::AlgorithmFactory(std::size_t)>;
 
-/// Engine-level knobs of a message sweep. Results depend on `knowledge`
-/// (it is part of the workload, carried by the algorithm registry), never
-/// on `max_rounds` (a liveness guard).
-struct MessageEngineOptions {
-  local::Knowledge knowledge = local::Knowledge::kUnknownN;
-  std::size_t max_rounds = 1u << 20;
-};
-
 /// Identifier-independent state a backend prepares once per (graph, point)
 /// and reuses across every trial range the driver runs through it.
 class BackendPointState {
@@ -141,10 +133,13 @@ class ViewBackend final : public SweepBackend {
 /// worker lane its own engine over a disjoint trial range. Radii are the
 /// rounds at which nodes output; the driver feeds both backends the same
 /// (seed, point, trial) permutations, which is what lets the cross-engine
-/// oracle tests compare the two formulations sample by sample.
+/// oracle tests compare the two formulations sample by sample. `knowledge`
+/// is part of the workload (carried by the algorithm registry); the round
+/// cap is local::EngineOptions' default.
 class MessageBackend final : public SweepBackend {
  public:
-  MessageBackend(MessageAlgorithmProvider algorithms, MessageEngineOptions engine = {});
+  MessageBackend(MessageAlgorithmProvider algorithms,
+                 local::Knowledge knowledge = local::Knowledge::kUnknownN);
 
   std::string_view name() const noexcept override { return "message"; }
   bool supports_batching() const noexcept override { return true; }
@@ -158,7 +153,7 @@ class MessageBackend final : public SweepBackend {
 
  private:
   MessageAlgorithmProvider algorithms_;
-  MessageEngineOptions engine_;
+  local::Knowledge knowledge_;
 };
 
 }  // namespace avglocal::core

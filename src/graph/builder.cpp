@@ -28,7 +28,7 @@ void GraphBuilder::add_edge(Vertex u, Vertex v) {
 
 void GraphBuilder::reserve_arcs(std::size_t arcs) { arcs_.reserve(arcs); }
 
-Graph GraphBuilder::build(OffsetWidth width) const {
+Graph GraphBuilder::build() const {
   const std::size_t n = degrees_.size();
   const std::size_t arc_count = arcs_.size();
 
@@ -105,24 +105,11 @@ Graph GraphBuilder::build(OffsetWidth width) const {
   }
 #endif
 
-  // Materialise the offsets in the requested width. kAuto compacts
-  // whenever the arc count fits 32 bits (always, given the guard above);
-  // kWide keeps the 64-bit reference layout for parity testing.
-  const bool compact =
-      width == OffsetWidth::kWide
-          ? false
-          : (width == OffsetWidth::kCompact ||
-             arc_count <= std::numeric_limits<vid32>::max());
+  // Narrow the offsets to the 32-bit layout (safe by the guard above).
   std::vector<vid32> offsets32;
-  std::vector<vid64> offsets64;
-  if (compact) {
-    offsets32.reserve(n + 1);
-    for (const std::size_t o : offsets) offsets32.push_back(checked_u32(o));
-  } else {
-    offsets64.assign(offsets.begin(), offsets.end());
-  }
-  return Graph(n, std::move(offsets32), std::move(offsets64), std::move(targets),
-               std::move(mirror));
+  offsets32.reserve(n + 1);
+  for (const std::size_t o : offsets) offsets32.push_back(checked_u32(o));
+  return Graph(n, std::move(offsets32), std::move(targets), std::move(mirror));
 }
 
 }  // namespace avglocal::graph

@@ -22,13 +22,6 @@ namespace avglocal::graph {
 /// n=10^6 instances is never the bottleneck of a sweep.
 class GraphBuilder {
  public:
-  /// Offset width of the built Graph. kAuto picks the compact 32-bit
-  /// layout whenever the arc count fits (it always does today: build()
-  /// rejects graphs beyond 2^32 directed arcs because per-arc state
-  /// elsewhere is 32-bit). kWide forces the 64-bit layout - the parity
-  /// suite and the bench bit-compare run every workload through both.
-  enum class OffsetWidth { kAuto, kCompact, kWide };
-
   /// Creates a builder for a graph with n vertices (indices 0..n-1).
   explicit GraphBuilder(std::size_t n);
 
@@ -50,8 +43,9 @@ class GraphBuilder {
   std::size_t arc_count() const noexcept { return arcs_.size(); }
 
   /// Finalises the graph. Throws std::invalid_argument if the arc multiset
-  /// is not symmetric or an edge appears more than once.
-  Graph build(OffsetWidth width = OffsetWidth::kAuto) const;
+  /// is not symmetric, an edge appears more than once, or the graph has
+  /// more than 2^32 directed arcs.
+  Graph build() const;
 
  private:
   struct ArcRec {

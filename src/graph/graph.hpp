@@ -7,14 +7,10 @@
 // generators establish conventions (e.g. on a cycle, port 0 is the clockwise
 // successor and port 1 the counter-clockwise predecessor).
 //
-// Storage comes in two offset widths. The compact layout keeps the CSR row
-// offsets in 32 bits (vid32) - together with the 32-bit targets and mirror
-// ports this costs 8 bytes per directed arc plus 4 bytes per vertex, half
-// the footprint of size_t offsets and the layout the million-node sweeps
-// run on. Graphs whose arc count does not fit 32 bits fall back to 64-bit
-// offsets transparently; every accessor branches on one well-predicted
-// flag, and the two layouts are observationally identical (pinned by the
-// index-width parity suite in tests/test_large_scale.cpp).
+// The CSR row offsets are 32 bits wide (vid32): together with the 32-bit
+// targets and mirror ports this costs 8 bytes per directed arc plus 4 bytes
+// per vertex, half the footprint of size_t offsets. GraphBuilder::build
+// rejects graphs beyond 2^32 directed arcs, so every buildable graph fits.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +25,8 @@ namespace avglocal::graph {
 /// vertex; it is *not* the identifier an algorithm sees (see IdAssignment).
 using Vertex = std::uint32_t;
 
-/// Narrow index type of the compact CSR layout: row offsets, mirror ports
-/// and arc indices when the graph's arc count fits 32 bits.
+/// Index type of the CSR layout: row offsets, mirror ports and arc indices.
 using vid32 = std::uint32_t;
-
-/// Wide fallback index type for graphs beyond 2^32 directed arcs.
-using vid64 = std::uint64_t;
 
 /// An immutable undirected graph. Construct through GraphBuilder.
 class Graph {
@@ -86,27 +78,17 @@ class Graph {
     return mirror_port_[offset(v) + port];
   }
 
-  /// True when row offsets are stored in 32 bits (the default whenever the
-  /// arc count fits; see GraphBuilder::build's OffsetWidth parameter).
-  bool compact_offsets() const noexcept { return offsets64_.empty(); }
-
   /// Resident bytes of the CSR tables (offsets + targets + mirrors). What
   /// the large_scale bench reports as bytes_per_arc = memory_bytes() / 2m.
   std::size_t memory_bytes() const noexcept {
-    return offsets32_.size() * sizeof(vid32) + offsets64_.size() * sizeof(vid64) +
-           targets_.size() * sizeof(Vertex) + mirror_port_.size() * sizeof(vid32);
+    return offsets_.size() * sizeof(vid32) + targets_.size() * sizeof(Vertex) +
+           mirror_port_.size() * sizeof(vid32);
   }
 
   /// Prefetch hint for v's row-offset entry. Semantics-free (a prefetch
   /// never changes a value); the ball-growth frontier loops issue this a
   /// few vertices ahead of the scan.
-  void prefetch_offset(Vertex v) const noexcept {
-    if (compact_offsets()) {
-      AVGLOCAL_PREFETCH(offsets32_.data() + v);
-    } else {
-      AVGLOCAL_PREFETCH(offsets64_.data() + v);
-    }
-  }
+  void prefetch_offset(Vertex v) const noexcept { AVGLOCAL_PREFETCH(offsets_.data() + v); }
 
   /// Prefetch hint for the start of v's CSR target row. Reads the (ideally
   /// already prefetched) offset entry, touches nothing else.
@@ -116,23 +98,18 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  Graph(std::size_t n, std::vector<vid32> offsets32, std::vector<vid64> offsets64,
-        std::vector<Vertex> targets, std::vector<vid32> mirror_port)
+  Graph(std::size_t n, std::vector<vid32> offsets, std::vector<Vertex> targets,
+        std::vector<vid32> mirror_port)
       : n_(n),
-        offsets32_(std::move(offsets32)),
-        offsets64_(std::move(offsets64)),
+        offsets_(std::move(offsets)),
         targets_(std::move(targets)),
         mirror_port_(std::move(mirror_port)) {}
 
-  /// Row offset of v in the active width. One branch on a flag that is
-  /// constant for the graph's lifetime - perfectly predicted in every loop.
-  std::size_t offset(Vertex v) const noexcept {
-    return compact_offsets() ? std::size_t{offsets32_[v]} : std::size_t{offsets64_[v]};
-  }
+  /// Row offset of v.
+  std::size_t offset(Vertex v) const noexcept { return offsets_[v]; }
 
   std::size_t n_ = 0;
-  std::vector<vid32> offsets32_;        // size n+1 when compact, else empty
-  std::vector<vid64> offsets64_;        // size n+1 when wide, else empty
+  std::vector<vid32> offsets_;          // size n+1
   std::vector<Vertex> targets_;         // size 2m, grouped by source vertex
   std::vector<vid32> mirror_port_;      // size 2m, mirror_port_[arc]
 };

@@ -215,12 +215,4 @@ void MessageBatchRunner::run(std::span<const graph::IdAssignment> batch,
   }
 }
 
-void run_messages_batch(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
-                        const AlgorithmFactory& factory, const EngineOptions& options,
-                        const MessageResultFn& sink) {
-  if (batch.empty()) return;
-  MessageBatchRunner runner(g, factory, options);
-  runner.run(batch, sink);
-}
-
 }  // namespace avglocal::local

@@ -38,7 +38,7 @@ class Algorithm {
   /// Returns this instance to its initial state so it can serve a fresh
   /// run, as if newly constructed. Implementations supporting reuse return
   /// true; the default returns false and the engine constructs a new
-  /// instance instead. run_messages_batch calls this once per (node,
+  /// instance instead. MessageBatchRunner calls this once per (node,
   /// assignment), so supporting it removes n allocations per trial.
   virtual bool reset() noexcept { return false; }
 };
@@ -70,7 +70,7 @@ struct EngineOptions {
 RunResult run_messages(const graph::Graph& g, const graph::IdAssignment& ids,
                        const AlgorithmFactory& factory, const EngineOptions& options = {});
 
-/// Per-(trial, node) result callback of run_messages_batch; `radius` is the
+/// Per-(trial, node) result callback of MessageBatchRunner::run; `radius` is the
 /// round at which the node output. Invoked for every node of trial t before
 /// any node of trial t+1, vertices in increasing order.
 using MessageResultFn = std::function<void(std::size_t trial, graph::Vertex v,
@@ -82,10 +82,9 @@ class Engine;
 /// (graph, factory, options): topology tables, message arenas, inbox and
 /// contexts are built once at construction and rebound per assignment, and
 /// algorithm instances whose reset() returns true are reused instead of
-/// reconstructed. Unlike run_messages_batch, the engine survives across
-/// run() calls, so callers that revisit a point - adaptive trial rounds,
-/// per-worker trial ranges of a pooled sweep - pay the warm-up exactly
-/// once. Results are bit-identical to a run_messages call per assignment
+/// reconstructed. The engine survives across run() calls, so callers that
+/// revisit a point - adaptive trial rounds, per-worker trial ranges of a
+/// pooled sweep - pay the warm-up exactly once. Results are bit-identical to a run_messages call per assignment
 /// for every call pattern (a test pins this). Not thread-safe: one runner
 /// per worker.
 class MessageBatchRunner {
@@ -105,13 +104,5 @@ class MessageBatchRunner {
  private:
   std::unique_ptr<Engine> engine_;
 };
-
-/// One-shot convenience over MessageBatchRunner: builds the engine, runs
-/// the batch, tears it down. Callers that run several batches of one point
-/// (adaptive rounds, pooled trial ranges) should hold a MessageBatchRunner
-/// instead.
-void run_messages_batch(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
-                        const AlgorithmFactory& factory, const EngineOptions& options,
-                        const MessageResultFn& sink);
 
 }  // namespace avglocal::local

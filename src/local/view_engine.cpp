@@ -19,9 +19,8 @@ namespace {
 
 /// Runs one vertex on an already reset grower.
 std::pair<std::int64_t, std::size_t> run_one(const graph::Graph& g, BallGrower& grower,
-                                             const ViewAlgorithmFactory& factory,
-                                             const ViewEngineOptions& options) {
-  const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
+                                             const ViewAlgorithmFactory& factory) {
+  const std::size_t cap = g.vertex_count();
   const auto algorithm = factory();
   AVGLOCAL_REQUIRE_MSG(algorithm != nullptr, "view algorithm factory returned null");
   const std::size_t min_radius = algorithm->min_radius();
@@ -36,18 +35,6 @@ std::pair<std::int64_t, std::size_t> run_one(const graph::Graph& g, BallGrower& 
       throw std::runtime_error("view engine: radius cap exceeded (non-terminating algorithm?)");
     }
     grower.grow();
-  }
-}
-
-/// Sweeps [begin, end), reusing the grower across vertices.
-void run_range(const graph::Graph& g, BallGrower& grower, const ViewAlgorithmFactory& factory,
-               const ViewEngineOptions& options, graph::Vertex begin, graph::Vertex end,
-               RunResult& result) {
-  for (graph::Vertex v = begin; v < end; ++v) {
-    grower.reset(v);
-    const auto [output, radius] = run_one(g, grower, factory, options);
-    result.outputs[v] = output;
-    result.radii[v] = radius;
   }
 }
 
@@ -159,7 +146,7 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
                           const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
                           std::size_t worker, graph::Vertex begin, graph::Vertex end,
                           const BatchedResultFn& sink) {
-  const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
+  const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
     state.reroot(v);
@@ -222,7 +209,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
                        std::size_t worker, graph::Vertex begin, graph::Vertex end,
                        const BatchedResultFn& sink) {
-  const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
+  const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
     state.reroot(v);
@@ -355,8 +342,8 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
     return;
   }
 
-  // Parallel sweep over vertices, exactly as in run_views; each worker keeps
-  // its grower, id buffers and algorithm instances alive across its chunks.
+  // Parallel sweep over vertices: each worker keeps its grower, id buffers
+  // and algorithm instances alive across its chunks.
   // The sink sees disjoint vertex sets per worker.
   std::vector<std::unique_ptr<BatchedWorker>> states(pool->size());
   // Chunks carry batch.size() runs per vertex, so smaller chunks than the
@@ -379,38 +366,21 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
 RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
                     const ViewAlgorithmFactory& factory, const ViewEngineOptions& options) {
   AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
+  AVGLOCAL_EXPECTS(options.pool == nullptr);
   const std::size_t n = g.vertex_count();
   RunResult result;
   result.outputs.resize(n);
   result.radii.resize(n);
   if (n == 0) return result;
 
-  support::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() == 1 || n == 1) {
-    BallGrower::Scratch scratch(n);
-    BallGrower grower(g, ids, 0, options.semantics, scratch);
-    run_range(g, grower, factory, options, 0, checked_u32(n), result);
-    return result;
+  BallGrower::Scratch scratch(n);
+  BallGrower grower(g, ids, 0, options.semantics, scratch);
+  for (graph::Vertex v = 0; v < n; ++v) {
+    grower.reset(v);
+    const auto [output, radius] = run_one(g, grower, factory);
+    result.outputs[v] = output;
+    result.radii[v] = radius;
   }
-
-  // Parallel sweep: vertices are independent; each worker keeps one grower
-  // plus scratch alive across all chunks it is handed. Outputs go to
-  // per-vertex slots, so the result is identical for every pool size.
-  struct WorkerState {
-    BallGrower::Scratch scratch;
-    BallGrower grower;
-    WorkerState(const graph::Graph& g, const graph::IdAssignment& ids, ViewSemantics semantics)
-        : scratch(g.vertex_count()), grower(g, ids, 0, semantics, scratch) {}
-  };
-  std::vector<std::unique_ptr<WorkerState>> states(pool->size());
-  // Chunks big enough to amortise the scheduling cursor, small enough to
-  // balance the heavy tail (ball sizes vary by orders of magnitude).
-  const std::size_t grain = std::max<std::size_t>(16, n / (8 * pool->size()));
-  pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    auto& state = states[worker];
-    if (!state) state = std::make_unique<WorkerState>(g, ids, options.semantics);
-    run_range(g, state->grower, factory, options, checked_u32(begin), checked_u32(end), result);
-  });
   return result;
 }
 
@@ -423,7 +393,7 @@ std::pair<std::int64_t, std::size_t> run_view_on_vertex(const graph::Graph& g,
   AVGLOCAL_EXPECTS(v < g.vertex_count());
   BallGrower::Scratch scratch(g.vertex_count());
   BallGrower grower(g, ids, v, options.semantics, scratch);
-  return run_one(g, grower, factory, options);
+  return run_one(g, grower, factory);
 }
 
 }  // namespace avglocal::local

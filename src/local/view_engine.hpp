@@ -77,18 +77,15 @@ struct BatchPhaseStats {
 struct ViewEngineOptions {
   ViewSemantics semantics = ViewSemantics::kInducedBall;
 
-  /// Hard cap on the per-vertex radius; 0 means "number of vertices", which
-  /// no terminating algorithm can exceed (the ball covers the graph well
-  /// before). Exceeding the cap throws std::runtime_error.
-  std::size_t max_radius = 0;
-
-  /// Worker pool to sweep vertices in parallel (not owned; may be shared
-  /// across calls). nullptr or a size-1 pool runs the serial path. Results
-  /// are bit-identical regardless of pool size: vertices are independent and
-  /// outputs are written to per-vertex slots. With a pool, the factory (and
-  /// the algorithms it creates) are invoked from multiple threads at once,
-  /// so both must be safe to call concurrently - factories capturing shared
-  /// mutable state need the serial path or their own synchronisation.
+  /// Worker pool over which run_views_batched sweeps vertices in parallel
+  /// (not owned; may be shared across calls). nullptr or a size-1 pool runs
+  /// the serial path; run_views is the serial reference and rejects a
+  /// non-null pool. Results are bit-identical regardless of pool size:
+  /// vertices are independent and outputs are written to per-vertex slots.
+  /// With a pool, the factory (and the algorithms it creates) are invoked
+  /// from multiple threads at once, so both must be safe to call
+  /// concurrently - factories capturing shared mutable state need the
+  /// serial path or their own synchronisation.
   support::ThreadPool* pool = nullptr;
 
   /// When non-null, run_views_batched accumulates a wall-clock phase
@@ -97,10 +94,12 @@ struct ViewEngineOptions {
   BatchPhaseStats* phase_stats = nullptr;
 };
 
-/// Runs the algorithm on every vertex of g and returns outputs and radii.
-/// Serially, one BallGrower and its buffers are reused across all vertices
-/// (allocation-free steady state); with options.pool, vertices are swept in
-/// parallel with per-worker growers and scratch.
+/// Runs the algorithm on every vertex of g and returns outputs and radii:
+/// the serial reference sweep, one BallGrower and its buffers reused across
+/// all vertices (allocation-free steady state). options.pool must be null;
+/// parallel sweeps go through run_views_batched. A vertex whose radius
+/// reaches the vertex count without output (a non-terminating algorithm)
+/// throws std::runtime_error, here and in run_views_batched.
 RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
                     const ViewAlgorithmFactory& factory, const ViewEngineOptions& options = {});
 
@@ -114,9 +113,11 @@ using BatchedResultFn = std::function<void(std::size_t worker, std::size_t trial
 
 /// Runs the algorithm on every vertex under every id-assignment of `batch`
 /// in one pass, vertices as the outer loop: each vertex's ball geometry is
-/// grown once and replayed per assignment (local::BallReplayer), so the
-/// per-trial cost is an identifier gather plus the algorithm itself -
-/// rather than a full BFS regrowth as in per-trial run_views calls. Every
+/// grown once on a shared BallGrower and every assignment is evaluated over
+/// it (lockstep, or sequentially through the recorded per-radius ball sizes
+/// for ids_only_view algorithms), so the per-trial cost is an identifier
+/// gather plus the algorithm itself - rather than a full BFS regrowth as in
+/// per-trial run_views calls. Every
 /// assignment must match the graph. Results stream through `sink` instead of
 /// materialising batch.size() RunResults; outputs and radii are
 /// bit-identical to run_views on each assignment, for every pool size.

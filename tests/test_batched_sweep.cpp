@@ -102,8 +102,10 @@ void expect_batched_matches_per_trial(const graph::Graph& g,
   options.semantics = semantics;
   options.pool = pool;
   const Collected batched = collect_batched(g, batch, factory, options);
+  local::ViewEngineOptions serial = options;
+  serial.pool = nullptr;  // run_views is the serial reference
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    const local::RunResult run = local::run_views(g, batch[t], factory, options);
+    const local::RunResult run = local::run_views(g, batch[t], factory, serial);
     EXPECT_EQ(run.outputs, batched.outputs[t]) << "trial " << t;
     EXPECT_EQ(run.radii, batched.radii[t]) << "trial " << t;
   }

@@ -4,6 +4,8 @@
 //  * malformed numeric flags exit 2 and name the offending flag - the
 //    bare-stoull era threw an uncaught exception on garbage and silently
 //    wrapped "-1" to 2^64-1;
+//  * `experiments` prints the listed tables; an unknown id exits 2 and
+//    names the id;
 //  * sizes beyond the 32-bit vertex range fail with a non-zero exit and
 //    write no report (they used to wrap to tiny graphs);
 //  * drive survives worker failure: a fabric-worker child that exits
@@ -122,6 +124,19 @@ TEST(CliFlagParsing, WellFormedNumericFlagsStillWork) {
   const RunResult result =
       run_command(cli() + " sweep --algo largest-id --graph cycle --ns 64 --trials 4 --seed 1");
   EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
+TEST(CliExperiments, PrintsTheListedTablesAndRejectsUnknownIds) {
+  const RunResult e9 = run_command(cli() + " experiments E9");
+  EXPECT_EQ(e9.exit_code, 0) << e9.output;
+  EXPECT_EQ(e9.output.rfind("# [E9] Engine cross-validation\n", 0), 0u) << e9.output;
+  EXPECT_EQ(e9.output.find(" NO "), std::string::npos) << e9.output;
+
+  const RunResult unknown = run_command(cli() + " experiments E9 E15");
+  EXPECT_EQ(unknown.exit_code, 2) << unknown.output;
+  EXPECT_NE(unknown.output.find("unknown experiment id: E15"), std::string::npos)
+      << unknown.output;
+  EXPECT_EQ(unknown.output.find("# [E9]"), std::string::npos) << "ids are checked first";
 }
 
 TEST(CliSizeLimits, SizesBeyondTheVertexRangeFailWithoutAReport) {

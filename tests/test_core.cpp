@@ -2,6 +2,8 @@
 // experiment in the suite.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algo/largest_id.hpp"
 #include "core/experiments.hpp"
 #include "core/measure.hpp"
@@ -84,9 +86,12 @@ TEST(Sweep, Invariants) {
 TEST(Experiments, SmokeRunAllAtTinyScale) {
   core::ExperimentScale scale;
   scale.factor = 0.05;
-  for (const auto& experiment : core::all_experiments()) {
-    const auto result = experiment(scale);
-    EXPECT_FALSE(result.id.empty());
+  const auto experiments = core::all_experiments();
+  ASSERT_EQ(experiments.size(), 14u);
+  for (std::size_t i = 0; i < experiments.size(); ++i) {
+    const auto result = experiments[i](scale);
+    // `avglocal_cli experiments E<k>` selects all_experiments()[k-1].
+    EXPECT_EQ(result.id, std::string("E").append(std::to_string(i + 1)));
     EXPECT_FALSE(result.tables.empty()) << result.id;
     const std::string rendered = core::render(result);
     EXPECT_NE(rendered.find(result.title), std::string::npos);

@@ -2,6 +2,10 @@
 // (non-permutation) identifiers, minimum sizes, and guard paths.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <span>
+
 #include "algo/cole_vishkin.hpp"
 #include "algo/greedy_colouring.hpp"
 #include "algo/largest_id.hpp"
@@ -74,12 +78,21 @@ TEST(EdgeCases, MinimumRing) {
   EXPECT_TRUE(algo::is_valid_colouring(g, local3.outputs, 3));
 }
 
-TEST(EdgeCases, ViewEngineMaxRadiusOptionGuards) {
+/// Never commits: the view engine's radius cap (the vertex count) must stop
+/// it with an error instead of growing forever.
+class NeverOutputs final : public local::ViewAlgorithm {
+ public:
+  std::optional<std::int64_t> on_view(const local::BallView&) override { return std::nullopt; }
+};
+
+TEST(EdgeCases, ViewEngineRadiusCapGuardsNonTerminatingAlgorithms) {
   const graph::Graph g = graph::make_cycle(64);
   const graph::IdAssignment ids = graph::IdAssignment::identity(64);
-  local::ViewEngineOptions options;
-  options.max_radius = 2;  // the leader needs 32
-  EXPECT_THROW(local::run_views(g, ids, algo::make_largest_id_view(), options),
+  const local::ViewAlgorithmFactory never = [] { return std::make_unique<NeverOutputs>(); };
+  EXPECT_THROW(local::run_views(g, ids, never), std::runtime_error);
+  EXPECT_THROW(local::run_views_batched(g, std::span(&ids, 1), never, {},
+                                        [](std::size_t, std::size_t, graph::Vertex, std::int64_t,
+                                           std::size_t) {}),
                std::runtime_error);
 }
 

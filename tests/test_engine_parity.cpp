@@ -1,13 +1,15 @@
 // Property suite pinning the three execution paths of the LOCAL simulator
-// to each other: the serial view sweep, the pooled (parallel) view sweep at
-// several thread counts, and the message engine driven through the
-// full-information adapter. On every random topology, seed and thread
-// count they must produce identical outputs and radii - this is what makes
-// the flat-memory/parallel core a pure optimisation.
+// to each other: the serial view sweep (run_views), the pooled vertex-
+// parallel sweep (run_views_batched over a batch of one) at several thread
+// counts, and the message engine driven through the full-information
+// adapter. On every random topology, seed and thread count they must
+// produce identical outputs and radii - this is what makes the
+// flat-memory/parallel core a pure optimisation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,24 @@ void expect_same_run(const local::RunResult& a, const local::RunResult& b,
   ASSERT_EQ(a.outputs.size(), b.outputs.size()) << what;
   EXPECT_EQ(a.outputs, b.outputs) << what;
   EXPECT_EQ(a.radii, b.radii) << what;
+}
+
+/// One assignment through the batched engine, collected as a RunResult.
+/// With options.pool set this is the vertex-parallel sweep every pooled
+/// sweep runs through.
+local::RunResult run_batch_of_one(const graph::Graph& g, const graph::IdAssignment& ids,
+                                  const local::ViewAlgorithmFactory& factory,
+                                  const local::ViewEngineOptions& options) {
+  local::RunResult result;
+  result.outputs.resize(g.vertex_count());
+  result.radii.resize(g.vertex_count());
+  local::run_views_batched(g, std::span(&ids, 1), factory, options,
+                           [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
+                               std::size_t radius) {
+                             result.outputs[v] = output;
+                             result.radii[v] = radius;
+                           });
+  return result;
 }
 
 graph::Graph make_topology(int kind, std::size_t n, support::Xoshiro256& rng) {
@@ -62,7 +82,7 @@ TEST(EngineParity, SerialPooledAndMessagesAgreeEverywhere) {
         support::ThreadPool pool(threads);
         local::ViewEngineOptions pooled = flooding;
         pooled.pool = &pool;
-        const auto parallel = local::run_views(g, ids, algo::make_largest_id_view(), pooled);
+        const auto parallel = run_batch_of_one(g, ids, algo::make_largest_id_view(), pooled);
         expect_same_run(serial, parallel,
                         label + " pooled threads=" + std::to_string(threads));
       }
@@ -84,13 +104,16 @@ TEST(EngineParity, InducedSemanticsSerialVsPooled) {
     support::ThreadPool pool(3);
     local::ViewEngineOptions options;
     options.pool = &pool;
-    const auto pooled = local::run_views(g, ids, algo::make_largest_id_view(), options);
+    const auto pooled = run_batch_of_one(g, ids, algo::make_largest_id_view(), options);
     expect_same_run(serial, pooled, std::string("induced ") + kTopologyNames[kind]);
+    // run_views is the serial reference: a pool is rejected, never ignored.
+    EXPECT_THROW(local::run_views(g, ids, algo::make_largest_id_view(), options),
+                 std::invalid_argument);
   }
 }
 
-// A shared pool must be reusable across many run_views calls (that is the
-// whole point of hoisting it): results stay identical call after call.
+// A shared pool must be reusable across many sweeps (that is the whole
+// point of hoisting it): results stay identical call after call.
 TEST(EngineParity, PoolIsReusableAcrossRuns) {
   support::Xoshiro256 rng(5);
   const auto g = graph::make_cycle(48);
@@ -100,7 +123,7 @@ TEST(EngineParity, PoolIsReusableAcrossRuns) {
   for (int run = 0; run < 5; ++run) {
     const graph::IdAssignment ids = graph::IdAssignment::random(48, rng);
     const auto serial = local::run_views(g, ids, algo::make_largest_id_view());
-    const auto parallel = local::run_views(g, ids, algo::make_largest_id_view(), pooled);
+    const auto parallel = run_batch_of_one(g, ids, algo::make_largest_id_view(), pooled);
     expect_same_run(serial, parallel, "run " + std::to_string(run));
   }
 }
@@ -135,16 +158,7 @@ TEST(EngineParity, BatchedPerTrialAndMessagesAgreeOnGeneratorFamilies) {
         options.semantics = semantics;
         const auto per_trial = local::run_views(g, ids, algo::make_largest_id_view(), options);
 
-        local::RunResult batched;
-        batched.outputs.resize(n);
-        batched.radii.resize(n);
-        local::run_views_batched(
-            g, std::span(&ids, 1), algo::make_largest_id_view(), options,
-            [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
-                std::size_t radius) {
-              batched.outputs[v] = output;
-              batched.radii[v] = radius;
-            });
+        const auto batched = run_batch_of_one(g, ids, algo::make_largest_id_view(), options);
         expect_same_run(per_trial, batched, label + " batched");
       }
 
@@ -170,7 +184,7 @@ TEST(EngineParity, UniverseAwareRuleSerialVsPooled) {
   local::ViewEngineOptions options;
   options.pool = &pool;
   const auto pooled =
-      local::run_views(g, ids, algo::make_largest_id_universe_aware_view(), options);
+      run_batch_of_one(g, ids, algo::make_largest_id_universe_aware_view(), options);
   expect_same_run(serial, pooled, "universe-aware");
 }
 

@@ -210,6 +210,17 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   EXPECT_EQ(grant_reply.at("op").as_string(), "work-grant");
   EXPECT_EQ(grant_reply.at("unit").at("id").as_u64(), 0u);
   EXPECT_FALSE(grant.disconnect);
+
+  // A stop before completion (SIGTERM): the next work-request gets the
+  // drain form of the shutdown reply, so the worker reports a drain, not a
+  // finished sweep.
+  coordinator.request_stop();
+  const auto stopped = coordinator.handle_request(1, work_request_line());
+  const support::JsonValue stopped_reply = support::parse_json(stopped.line);
+  EXPECT_EQ(stopped_reply.at("op").as_string(), "shutdown");
+  ASSERT_NE(stopped_reply.find("drained"), nullptr) << stopped.line;
+  EXPECT_TRUE(stopped_reply.at("drained").as_bool());
+  EXPECT_TRUE(stopped.disconnect);
 }
 
 TEST(FabricCoordinator, DiscardsTheStragglersDuplicateExactlyOnce) {

@@ -114,32 +114,4 @@ TEST(GoldenArtefacts, CommittedArtefactsStillParseAndMerge) {
   }
 }
 
-/// A frozen byte string of a version-2 artefact (the pre-edge-measure
-/// format): the v2 reader must keep accepting it and default the new
-/// fields. Frozen inline rather than generated - the library can no longer
-/// write v2.
-TEST(GoldenArtefacts, Version2ArtefactsStillParse) {
-  const std::string v2 =
-      R"({"avglocal_shard":2,"seed":9,"trials":2,"semantics":"induced","ns":[4],)"
-      R"("quantile_probs":[0.5],"node_profile":false,"algorithm":"largest-id",)"
-      R"("graph":"cycle","scenario":"",)"
-      R"("shard":{"point_begin":0,"point_end":1,"trial_begin":0,"trial_end":2},)"
-      R"("points":[{"point_index":0,"n":4,"trial_begin":0,"trial_sum":[5,6],)"
-      R"("trial_max":[2,2],"histogram":[1,4,3],"node_sum":[3,2,3,3]}]})";
-  const core::ShardDocument doc = core::parse_shard_json(v2);
-  EXPECT_EQ(doc.meta.engine, "view");
-  ASSERT_EQ(doc.points.size(), 1u);
-  EXPECT_EQ(doc.points[0].edges, 0u);
-  EXPECT_EQ(doc.points[0].trial_edge_sum, (std::vector<std::uint64_t>{0, 0}));
-  EXPECT_TRUE(doc.points[0].edge_histogram.empty());
-  // And merges: zero edge data finalizes to all-zero edge measures.
-  std::vector<core::ShardDocument> docs;
-  docs.push_back(doc);
-  const auto points = core::merge_shards(std::move(docs));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].edges, 0u);
-  EXPECT_EQ(points[0].edge_avg_mean, 0.0);
-  EXPECT_EQ(points[0].edge_time.samples, 0u);
-}
-
 }  // namespace

@@ -1,10 +1,6 @@
-// Million-node sweep infrastructure: compact-CSR width parity, the
-// memory-budgeted batching contract, and the reserve-exact id path.
+// Million-node sweep infrastructure: the memory-budgeted batching contract
+// and the reserve-exact id path.
 //
-//  - 32/64-bit offset parity: every family the large-n path cares about
-//    (ring, torus, sparse gnp, random tree) produces identical topology and
-//    bit-identical sweep partials - and, for the ring, a byte-identical
-//    shard artefact - through the compact and wide CSR layouts.
 //  - Memory budgets: SweepMemoryModel's batch-width inversion, the
 //    n = 10^6 ring smoke under a declared budget (alloc-hook-metered, the
 //    test fails on overshoot), and budget-vs-unlimited result equality
@@ -22,10 +18,8 @@
 #include "algo/largest_id.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/memory_model.hpp"
-#include "core/shard.hpp"
 #include "core/sweep_backend.hpp"
 #include "core/sweep_driver.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -38,19 +32,6 @@ AVGLOCAL_DEFINE_ALLOC_HOOK();
 namespace {
 
 using namespace avglocal;
-using graph::GraphBuilder;
-
-/// Replays g's arcs in per-source port order into a fresh builder, forcing
-/// the requested offset width. Port order is insertion order per source, so
-/// the rebuilt CSR matches g's arc-for-arc.
-graph::Graph rebuild_with_width(const graph::Graph& g, GraphBuilder::OffsetWidth width) {
-  GraphBuilder b(g.vertex_count());
-  b.reserve_arcs(2 * g.edge_count());
-  for (graph::Vertex u = 0; u < g.vertex_count(); ++u) {
-    for (std::size_t p = 0; p < g.degree(u); ++p) b.add_arc(u, g.neighbour(u, p));
-  }
-  return b.build(width);
-}
 
 void expect_same_topology(const graph::Graph& a, const graph::Graph& b) {
   ASSERT_EQ(a.vertex_count(), b.vertex_count());
@@ -77,58 +58,6 @@ core::BatchedSweepOptions small_sweep_options() {
   opt.trials = 6;
   opt.seed = 77;
   return opt;
-}
-
-// ------------------------------------------------------------------------
-// 32/64-bit offset-width parity.
-// ------------------------------------------------------------------------
-
-TEST(IndexWidthParity, AutoPicksCompactAndWideIsForceable) {
-  const graph::Graph g = graph::make_cycle(64);
-  EXPECT_TRUE(g.compact_offsets()) << "kAuto must compact: every buildable graph fits 32 bits";
-  const graph::Graph wide = rebuild_with_width(g, GraphBuilder::OffsetWidth::kWide);
-  EXPECT_FALSE(wide.compact_offsets());
-  EXPECT_GT(wide.memory_bytes(), g.memory_bytes()) << "wide offsets cost real bytes";
-}
-
-TEST(IndexWidthParity, SweepPartialsAreBitIdenticalAcrossWidths) {
-  support::Xoshiro256 rng(2024);
-  const core::BatchedSweepOptions opt = small_sweep_options();
-  const std::vector<graph::Graph> graphs = [] {
-    support::Xoshiro256 gen(99);
-    std::vector<graph::Graph> out;
-    out.push_back(graph::make_cycle(256));
-    out.push_back(graph::make_torus(12, 12));
-    out.push_back(graph::make_gnp_connected(600, 0.02, gen, 100, graph::GnpMethod::kSparse));
-    out.push_back(graph::make_random_tree(300, gen));
-    return out;
-  }();
-  for (const graph::Graph& compact : graphs) {
-    ASSERT_TRUE(compact.compact_offsets());
-    const graph::Graph wide = rebuild_with_width(compact, GraphBuilder::OffsetWidth::kWide);
-    ASSERT_FALSE(wide.compact_offsets());
-    expect_same_topology(compact, wide);
-    EXPECT_EQ(sweep_point(compact, opt), sweep_point(wide, opt))
-        << "n=" << compact.vertex_count();
-  }
-}
-
-TEST(IndexWidthParity, RingShardArtefactIsByteIdenticalAcrossWidths) {
-  const core::BatchedSweepOptions opt = small_sweep_options();
-  const graph::Graph compact = graph::make_cycle(128);
-  const graph::Graph wide = rebuild_with_width(compact, GraphBuilder::OffsetWidth::kWide);
-
-  const auto render = [&](const graph::Graph& g) {
-    core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options({g.vertex_count()}, opt);
-    doc.meta.algorithm = "largest-id";
-    doc.meta.graph = "cycle";
-    doc.meta.engine = "view";
-    doc.shard = {0, 1, 0, opt.trials};
-    doc.points.push_back(sweep_point(g, opt));
-    return core::shard_to_json(doc);
-  };
-  EXPECT_EQ(render(compact), render(wide));
 }
 
 // ------------------------------------------------------------------------
@@ -191,7 +120,6 @@ std::size_t vm_hwm_bytes() {
 TEST(MemoryBudget, MillionNodeRingStaysInsideDeclaredBudget) {
   constexpr std::size_t kMillion = 1'000'000;
   const graph::Graph g = graph::make_cycle(kMillion);
-  ASSERT_TRUE(g.compact_offsets());
 
   core::BatchedSweepOptions opt;
   opt.trials = 8;

@@ -45,12 +45,12 @@ void expect_batch_matches_per_trial(const graph::Graph& g,
 
   std::vector<std::vector<std::int64_t>> outputs(trials, std::vector<std::int64_t>(n, 0));
   std::vector<std::vector<std::size_t>> radii(trials, std::vector<std::size_t>(n, 0));
-  local::run_messages_batch(g, batch, factory, options,
-                            [&](std::size_t trial, graph::Vertex v, std::int64_t output,
-                                std::size_t radius) {
-                              outputs[trial][v] = output;
-                              radii[trial][v] = radius;
-                            });
+  local::MessageBatchRunner(g, factory, options)
+      .run(batch, [&](std::size_t trial, graph::Vertex v, std::int64_t output,
+                      std::size_t radius) {
+        outputs[trial][v] = output;
+        radii[trial][v] = radius;
+      });
 
   for (std::size_t t = 0; t < trials; ++t) {
     const local::RunResult run = local::run_messages(g, batch[t], factory, options);

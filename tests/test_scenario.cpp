@@ -195,6 +195,19 @@ TEST(Scenario, ResolveRejectsBadWorkloadsBeforeAnyWork) {
   spec.schedule.min_trials = 16;
   spec.schedule.max_trials = 1;
   EXPECT_THROW(core::resolve_scenario(spec), std::invalid_argument);
+
+  // A negative target half-width is not "no target": it is rejected, and
+  // the message names the field.
+  spec.schedule = {};
+  spec.schedule.target_half_width = -1.0;
+  try {
+    core::resolve_scenario(spec);
+    ADD_FAILURE() << "expected invalid_argument for target_half_width = -1";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("target half-width must be >= 0"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Scenario, SizesBeyondTheVertexRangeThrowBeforeAnyGraphWork) {

@@ -7,8 +7,8 @@
 // pooled, and as appended sub-ranges through one persistent prepared
 // point. On top of the corpus: capability probes, bit-identity of the
 // pooled message sweep against the serial path, persistence of per-point
-// state across adaptive-style rounds, and the shard-artefact v2/v3
-// compatibility paths through the new driver (including the precise
+// state across adaptive-style rounds, and the shard-artefact version paths
+// through the new driver (v3 round trips, v2 is rejected, and the precise
 // engine-mismatch merge error).
 #include <gtest/gtest.h>
 
@@ -218,11 +218,11 @@ TEST(SweepDriver, PersistentPointMatchesFreshPointAcrossRounds) {
   }
 }
 
-// ------------------------------- shard artefact v2/v3 compatibility ----
+// ------------------------------------- shard artefact versions (v2, v3) ----
 
-/// A frozen version-2 artefact (the pre-edge-measure format), as written by
-/// the PR-3 library: the compatibility reader must keep accepting it
-/// through the driver-era merge path.
+/// A frozen version-2 artefact (the pre-edge-measure format). It carries no
+/// edge partials, so merging it would report zero edge measures; the
+/// reader rejects it and names the version it expects.
 const char* kV2Artefact =
     R"({"avglocal_shard":2,"seed":9,"trials":2,"semantics":"induced","ns":[4],)"
     R"("quantile_probs":[0.5],"node_profile":false,"algorithm":"largest-id",)"
@@ -231,15 +231,14 @@ const char* kV2Artefact =
     R"("points":[{"point_index":0,"n":4,"trial_begin":0,"trial_sum":[5,6],)"
     R"("trial_max":[2,2],"histogram":[1,4,3],"node_sum":[3,2,3,3]}]})";
 
-TEST(ShardCompatibility, Version2ArtefactStillMergesThroughTheDriverEraReader) {
-  std::vector<core::ShardDocument> docs;
-  docs.push_back(core::parse_shard_json(kV2Artefact));
-  EXPECT_EQ(docs.front().meta.engine, "view");
-  const auto points = core::merge_shards(std::move(docs));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].trials, 2u);
-  EXPECT_EQ(points[0].edges, 0u) << "v2 carries no edge partials";
-  EXPECT_EQ(points[0].edge_avg_mean, 0.0);
+TEST(ShardCompatibility, Version2ArtefactIsRejected) {
+  try {
+    core::parse_shard_json(kV2Artefact);
+    ADD_FAILURE() << "a version-2 artefact must not parse";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("expected version 3"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ShardCompatibility, Version3ViewArtefactsFromTheDriverRoundTripAndMerge) {
