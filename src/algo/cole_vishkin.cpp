@@ -93,33 +93,27 @@ class ColeVishkinView final : public local::ViewAlgorithm {
     if (!view.covers_graph && static_cast<std::size_t>(view.radius) < target_radius_) {
       return std::nullopt;
     }
-    const auto ring = local::try_extract_ring_view(view);
-    AVGLOCAL_REQUIRE_MSG(ring.has_value(), "Cole-Vishkin requires an oriented cycle");
-    if (ring->closed) {
+    const bool on_ring = local::extract_ring_view(view, ring_);
+    AVGLOCAL_REQUIRE_MSG(on_ring, "Cole-Vishkin requires an oriented cycle");
+    window_.clear();
+    if (ring_.closed) {
       // Small ring: replay the schedule on the whole cycle.
-      std::vector<std::uint64_t> ids;
-      ids.reserve(1 + ring->cw.size());
-      ids.push_back(ring->own);
-      ids.insert(ids.end(), ring->cw.begin(), ring->cw.end());
-      const auto colours = cv_colour_ring(ids, t6_);
-      return static_cast<std::int64_t>(colours[0]);
+      window_.push_back(ring_.own);
+      window_.insert(window_.end(), ring_.cw.begin(), ring_.cw.end());
+      return static_cast<std::int64_t>(cv_colour_ring(window_, t6_)[0]);
     }
     // Open segment: the final colour of a vertex depends on 3 predecessors
     // and t6+3 successors; our radius-T ball provides both.
-    AVGLOCAL_REQUIRE(ring->ccw.size() >= 3 &&
-                     ring->cw.size() >= static_cast<std::size_t>(t6_) + 3);
-    std::vector<std::uint64_t> window;
-    window.reserve(7 + static_cast<std::size_t>(t6_));
-    for (std::size_t i = 3; i >= 1; --i) window.push_back(ring->ccw[i - 1]);
-    window.push_back(ring->own);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(t6_) + 3; ++i) {
-      window.push_back(ring->cw[i]);
-    }
-    const SegmentColours colours = cv_colour_segment(window, t6_);
-    return static_cast<std::int64_t>(colours.at(3));  // own position
+    const std::size_t ahead = static_cast<std::size_t>(t6_) + 3;
+    AVGLOCAL_REQUIRE(ring_.ccw.size() >= 3 && ring_.cw.size() >= ahead);
+    window_.insert(window_.end(), ring_.ccw.rend() - 3, ring_.ccw.rend());
+    window_.push_back(ring_.own);
+    window_.insert(window_.end(), ring_.cw.begin(), ring_.cw.begin() + ahead);
+    return static_cast<std::int64_t>(cv_colour_window(window_, t6_)[0]);  // own position
   }
 
-  bool reset() noexcept override { return true; }  // no per-vertex state
+  /// ring_ and window_ are per-call scratch: nothing observable to reset.
+  bool reset() noexcept override { return true; }
 
   /// Waits for the fixed schedule radius unless the ball closes first.
   std::size_t min_radius() const noexcept override { return target_radius_; }
@@ -127,6 +121,8 @@ class ColeVishkinView final : public local::ViewAlgorithm {
  private:
   int t6_;
   std::size_t target_radius_;
+  local::RingView ring_;
+  std::vector<std::uint64_t> window_;
 };
 
 }  // namespace

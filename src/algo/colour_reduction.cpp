@@ -67,35 +67,30 @@ std::vector<std::uint64_t> cv_colour_ring(std::span<const std::uint64_t> ring_id
   return colour;
 }
 
-SegmentColours cv_colour_segment(std::span<const std::uint64_t> window, int t6) {
+std::span<const std::uint64_t> cv_colour_window(std::span<std::uint64_t> window, int t6) {
   const std::size_t m = window.size();
   AVGLOCAL_EXPECTS_MSG(m >= static_cast<std::size_t>(t6) + 7,
                        "window too small for any final colour");
   // Reduction: after iteration k, colours are valid for positions
   // [0, m-1-k]. Run in place over a shrinking suffix bound.
-  std::vector<std::uint64_t> colour(window.begin(), window.end());
   std::size_t valid_end = m - 1;  // inclusive
   for (int k = 0; k < t6; ++k) {
-    for (std::size_t j = 0; j < valid_end; ++j) colour[j] = cv_reduce(colour[j], colour[j + 1]);
+    for (std::size_t j = 0; j < valid_end; ++j) window[j] = cv_reduce(window[j], window[j + 1]);
     --valid_end;
   }
-  // Eliminations consume one position from each side per step.
+  // Eliminations consume one position from each side per step. In place is
+  // exact: a recoloured vertex has class `cls`, so in a valid colouring
+  // neither neighbour changes in the same step and each read sees the
+  // previous step's colour.
   std::size_t lo = 0;
-  std::vector<std::uint64_t> next = colour;
   for (std::uint64_t cls = 5; cls >= 3; --cls) {
     for (std::size_t j = lo + 1; j < valid_end; ++j) {
-      next[j] =
-          (colour[j] == cls) ? smallest_free(colour[j - 1], colour[j + 1]) : colour[j];
+      if (window[j] == cls) window[j] = smallest_free(window[j - 1], window[j + 1]);
     }
     ++lo;
     --valid_end;
-    for (std::size_t j = lo; j <= valid_end; ++j) colour[j] = next[j];
   }
-  SegmentColours out;
-  out.first = lo;  // == 3
-  out.colours.assign(colour.begin() + static_cast<std::ptrdiff_t>(lo),
-                     colour.begin() + static_cast<std::ptrdiff_t>(valid_end + 1));
-  return out;
+  return window.subspan(lo, valid_end + 1 - lo);  // lo == 3
 }
 
 }  // namespace avglocal::algo

@@ -36,20 +36,11 @@ std::size_t cv_schedule_rounds(std::size_t n);
 /// 3-colouring, indexed like ring_ids.
 std::vector<std::uint64_t> cv_colour_ring(std::span<const std::uint64_t> ring_ids, int t6);
 
-/// Simulates the schedule on a clockwise window of a larger ring.
+/// Simulates the schedule in place on a clockwise window of a larger ring.
 /// The final colour of window position j is determined by positions
-/// [j-3, j+t6+3]; positions whose dependencies fall outside the window are
-/// reported as absent.
-struct SegmentColours {
-  /// Window index of colours.front().
-  std::size_t first = 0;
-  std::vector<std::uint64_t> colours;
-
-  /// Final colour of window position j; j must lie in the valid range.
-  std::uint64_t at(std::size_t j) const { return colours.at(j - first); }
-
-  bool has(std::size_t j) const { return j >= first && j - first < colours.size(); }
-};
-SegmentColours cv_colour_segment(std::span<const std::uint64_t> window, int t6);
+/// [j-3, j+t6+3], so only positions [3, window.size()-t6-3) get one; the
+/// returned sub-span of `window` holds exactly those (its element 0 is
+/// window position 3). Every other entry is left unspecified.
+std::span<const std::uint64_t> cv_colour_window(std::span<std::uint64_t> window, int t6);
 
 }  // namespace avglocal::algo

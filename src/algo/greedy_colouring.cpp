@@ -1,6 +1,7 @@
 #include "algo/greedy_colouring.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -80,42 +81,77 @@ class GreedyColouringMessages final : public local::Algorithm {
 class GreedyColouringView final : public local::ViewAlgorithm {
  public:
   std::optional<std::int64_t> on_view(const local::BallView& view) override {
-    // Replay the greedy order inside the ball: a vertex is *determined* when
-    // all its ports are resolved and every higher-identifier neighbour is
-    // determined. Processing in decreasing identifier order needs one pass.
-    const std::size_t size = view.size();
-    std::vector<std::size_t> order(size);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&view](std::size_t a, std::size_t b) {
-      return view.ids[a] > view.ids[b];
-    });
-    std::vector<std::optional<std::int64_t>> colour(size);
-    for (const std::size_t u : order) {
-      bool resolved = true;
-      std::vector<std::int64_t> higher_colours;
-      for (const auto target : view.ports[u]) {
-        if (target == local::kUnknownTarget) {
-          resolved = false;
-          break;
-        }
-        if (view.ids[target] > view.ids[u]) {
-          if (!colour[target]) {
-            resolved = false;
-            break;
-          }
-          higher_colours.push_back(*colour[target]);
-        }
-      }
-      if (resolved) colour[u] = smallest_free(std::move(higher_colours));
-    }
-    return colour[0];  // the root's colour, if determined
+    // A vertex's greedy colour is determined once all its ports are
+    // resolved and every higher-identifier neighbour is determined, so the
+    // root's colour depends exactly on the vertices reachable from it along
+    // strictly increasing identifiers. Colour those in DFS post-order; any
+    // unresolved port among them leaves the root undetermined.
+    colour_.resize(view.size(), kUncoloured);
+    const std::optional<std::int64_t> root_colour = colour_root(view);
+    for (const Frame& frame : frames_) colour_[frame.vertex] = kUncoloured;
+    frames_.clear();
+    return root_colour;
   }
 
-  bool reset() noexcept override { return true; }  // no per-vertex state
+  /// The buffers are per-call scratch: nothing observable to reset.
+  bool reset() noexcept override { return true; }
 
   /// At radius 0 a non-covering root has unresolved ports, so its greedy
   /// colour cannot be determined yet.
   std::size_t min_radius() const noexcept override { return 1; }
+
+ private:
+  static constexpr std::int64_t kUncoloured = -1;
+  static constexpr std::size_t kNoParent = SIZE_MAX;
+
+  struct Frame {
+    local::LocalVertex vertex;
+    std::size_t next_port;
+    std::size_t parent;  ///< index of the caller's frame
+  };
+
+  std::optional<std::int64_t> colour_root(const local::BallView& view) {
+    // frames_ keeps every visited vertex in discovery order; the DFS stack
+    // is the parent chain from `top`. Identifiers strictly increase along
+    // it, so a higher neighbour of the top is never on it: the neighbour is
+    // either coloured or not yet visited.
+    std::size_t top = visit(0, kNoParent);
+    while (top != kNoParent) {
+      Frame& frame = frames_[top];
+      const local::LocalVertex u = frame.vertex;
+      const auto ports = view.ports[u];
+      if (frame.next_port < ports.size()) {
+        const local::LocalVertex target = ports[frame.next_port++];
+        if (target == local::kUnknownTarget) return std::nullopt;
+        if (view.ids[target] > view.ids[u] && colour_[target] == kUncoloured) {
+          top = visit(target, top);
+        }
+        continue;
+      }
+      // Every higher neighbour is coloured: take the smallest colour they
+      // leave free, which is at most the degree.
+      taken_.assign(ports.size() + 1, 0);
+      for (const local::LocalVertex target : ports) {
+        if (view.ids[target] <= view.ids[u]) continue;
+        const auto c = static_cast<std::size_t>(colour_[target]);
+        if (c < taken_.size()) taken_[c] = 1;
+      }
+      colour_[u] = std::find(taken_.begin(), taken_.end(), 0) - taken_.begin();
+      top = frame.parent;
+    }
+    return colour_[0];
+  }
+
+  std::size_t visit(local::LocalVertex u, std::size_t parent) {
+    frames_.push_back({u, 0, parent});
+    return frames_.size() - 1;
+  }
+
+  // Sized to the largest ball seen, never to the graph; colour_ holds
+  // kUncoloured outside a call.
+  std::vector<std::int64_t> colour_;
+  std::vector<Frame> frames_;
+  std::vector<char> taken_;
 };
 
 }  // namespace

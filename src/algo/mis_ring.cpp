@@ -41,14 +41,13 @@ class MisRingView final : public local::ViewAlgorithm {
     if (!view.covers_graph && static_cast<std::size_t>(view.radius) < target_radius_) {
       return std::nullopt;
     }
-    const auto ring = local::try_extract_ring_view(view);
-    AVGLOCAL_REQUIRE_MSG(ring.has_value(), "ring MIS requires an oriented cycle");
-    if (ring->closed) {
-      std::vector<std::uint64_t> ids;
-      ids.reserve(1 + ring->cw.size());
-      ids.push_back(ring->own);
-      ids.insert(ids.end(), ring->cw.begin(), ring->cw.end());
-      const auto colours = cv_colour_ring(ids, t6_);
+    const bool on_ring = local::extract_ring_view(view, ring_);
+    AVGLOCAL_REQUIRE_MSG(on_ring, "ring MIS requires an oriented cycle");
+    window_.clear();
+    if (ring_.closed) {
+      window_.push_back(ring_.own);
+      window_.insert(window_.end(), ring_.cw.begin(), ring_.cw.end());
+      const auto colours = cv_colour_ring(window_, t6_);
       const std::size_t n = colours.size();
       return mis_member(colours[n - 2], colours[n - 1], colours[0], colours[1], colours[2])
                  ? 1
@@ -56,23 +55,18 @@ class MisRingView final : public local::ViewAlgorithm {
     }
     // Open segment: need final colours at offsets -2..+2, hence identifiers
     // at offsets [-5, t6+5].
-    AVGLOCAL_REQUIRE(ring->ccw.size() >= 5 &&
-                     ring->cw.size() >= static_cast<std::size_t>(t6_) + 5);
-    std::vector<std::uint64_t> window;
-    window.reserve(11 + static_cast<std::size_t>(t6_));
-    for (std::size_t i = 5; i >= 1; --i) window.push_back(ring->ccw[i - 1]);
-    window.push_back(ring->own);  // window index 5
-    for (std::size_t i = 0; i < static_cast<std::size_t>(t6_) + 5; ++i) {
-      window.push_back(ring->cw[i]);
-    }
-    const SegmentColours colours = cv_colour_segment(window, t6_);
-    return mis_member(colours.at(3), colours.at(4), colours.at(5), colours.at(6),
-                      colours.at(7))
-               ? 1
-               : 0;
+    const std::size_t ahead = static_cast<std::size_t>(t6_) + 5;
+    AVGLOCAL_REQUIRE(ring_.ccw.size() >= 5 && ring_.cw.size() >= ahead);
+    window_.insert(window_.end(), ring_.ccw.rend() - 5, ring_.ccw.rend());
+    window_.push_back(ring_.own);  // window position 5
+    window_.insert(window_.end(), ring_.cw.begin(), ring_.cw.begin() + ahead);
+    // Element 0 of the coloured range is window position 3 (offset -2).
+    const auto colours = cv_colour_window(window_, t6_);
+    return mis_member(colours[0], colours[1], colours[2], colours[3], colours[4]) ? 1 : 0;
   }
 
-  bool reset() noexcept override { return true; }  // no per-vertex state
+  /// ring_ and window_ are per-call scratch: nothing observable to reset.
+  bool reset() noexcept override { return true; }
 
   /// Waits for the fixed schedule radius unless the ball closes first.
   std::size_t min_radius() const noexcept override { return target_radius_; }
@@ -80,6 +74,8 @@ class MisRingView final : public local::ViewAlgorithm {
  private:
   int t6_;
   std::size_t target_radius_;
+  local::RingView ring_;
+  std::vector<std::uint64_t> window_;
 };
 
 }  // namespace

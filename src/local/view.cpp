@@ -25,26 +25,23 @@ std::uint64_t BallView::max_id() const noexcept {
   return *std::max_element(ids.begin(), ids.end());
 }
 
-std::optional<RingView> try_extract_ring_view(const BallView& view) {
-  if (view.empty() || view.degree_of(0) != 2) return std::nullopt;
+bool extract_ring_view(const BallView& view, RingView& out) {
+  out.cw.clear();
+  out.ccw.clear();
+  out.closed = false;
+  if (view.empty() || view.degree_of(0) != 2) return false;
+  out.own = view.root_id();
 
-  // Walks along one direction starting on `first_port` of the root, until an
-  // unknown edge, a non-ring vertex, or wrap-around to the root.
-  struct WalkResult {
-    std::vector<std::uint64_t> ids;
-    bool wrapped = false;
-    bool malformed = false;
-  };
-  const auto walk = [&view](std::size_t first_port) {
-    WalkResult out;
+  // Walks along one direction starting on `first_port` of the root,
+  // appending to `ids`, until an unknown edge, a non-ring vertex, or
+  // wrap-around to the root; returns which of the three stopped it.
+  enum class Walk { kOpen, kWrapped, kMalformed };
+  const auto walk = [&view](std::size_t first_port, std::vector<std::uint64_t>& ids) {
     LocalVertex prev = 0;
     LocalVertex cur = view.ports[0][first_port];
     while (cur != kUnknownTarget && cur != 0) {
-      if (view.degree_of(cur) != 2) {
-        out.malformed = true;
-        return out;
-      }
-      out.ids.push_back(view.ids[cur]);
+      if (view.degree_of(cur) != 2) return Walk::kMalformed;
+      ids.push_back(view.ids[cur]);
       const LocalVertex a = view.ports[cur][0];
       const LocalVertex b = view.ports[cur][1];
       LocalVertex next = kUnknownTarget;
@@ -55,33 +52,25 @@ std::optional<RingView> try_extract_ring_view(const BallView& view) {
       } else {
         // The edge back to prev is not resolved on cur's side; we cannot
         // safely pick a forward direction.
-        return out;
+        return Walk::kOpen;
       }
       prev = cur;
       cur = next;
     }
-    out.wrapped = (cur == 0);
-    return out;
+    return cur == 0 ? Walk::kWrapped : Walk::kOpen;
   };
 
-  RingView ring;
-  ring.own = view.root_id();
-  WalkResult cw = walk(0);
-  if (cw.malformed) return std::nullopt;
-  if (cw.wrapped) {
+  const Walk cw = walk(0, out.cw);
+  if (cw == Walk::kMalformed) return false;
+  if (cw == Walk::kWrapped) {
     // The ball covers the whole cycle: report everything on the clockwise
     // side so each vertex appears exactly once.
-    ring.cw = std::move(cw.ids);
-    ring.closed = true;
-    return ring;
+    out.closed = true;
+    return true;
   }
-  WalkResult ccw = walk(1);
-  if (ccw.malformed) return std::nullopt;
-  AVGLOCAL_ASSERT(!ccw.wrapped);  // would have wrapped clockwise first
-  ring.cw = std::move(cw.ids);
-  ring.ccw = std::move(ccw.ids);
-  ring.closed = false;
-  return ring;
+  const Walk ccw = walk(1, out.ccw);
+  AVGLOCAL_ASSERT(ccw != Walk::kWrapped);  // would have wrapped clockwise first
+  return ccw != Walk::kMalformed;
 }
 
 BallGrower::BallGrower(const graph::Graph& g, const graph::IdAssignment& ids, graph::Vertex root,

@@ -161,10 +161,13 @@ struct RingView {
   std::size_t seen_count() const noexcept { return 1 + cw.size() + ccw.size(); }
 };
 
-/// Extracts a RingView from a ball over a cycle-with-oriented-ports graph.
-/// Returns nullopt if the root does not look like a ring vertex (degree 2
-/// with the expected port structure).
-std::optional<RingView> try_extract_ring_view(const BallView& view);
+/// Extracts a RingView from a ball over a cycle-with-oriented-ports graph
+/// into `out`, reusing its vectors' capacity (a caller that keeps one
+/// RingView across balls stops allocating once it has seen the largest).
+/// Returns false, leaving `out` unspecified, if the root or a walked vertex
+/// does not look like a ring vertex (degree 2 with the expected port
+/// structure).
+bool extract_ring_view(const BallView& view, RingView& out);
 
 /// Incrementally grows the ball view of `root` one radius step at a time.
 ///

@@ -38,6 +38,9 @@ class ViewAlgorithm {
   /// return true; the default returns false and the engine constructs a new
   /// instance instead. The batched engine calls this once per
   /// (vertex, assignment), so supporting it removes one allocation per run.
+  /// Only observable state must reset: an instance may keep scratch buffers
+  /// and their capacity across reset(), which is what makes a reused
+  /// instance's on_view allocation-free once they have grown.
   virtual bool reset() noexcept { return false; }
 
   /// Smallest radius at which this instance could possibly commit on a view
@@ -52,7 +55,7 @@ class ViewAlgorithm {
 
   /// Declares that on_view reads only `radius`, `ids`, `size()` and
   /// `covers_graph` - never `dist`, `ports` or anything derived from them
-  /// (degree_of, try_extract_ring_view, ...). The batched engine finishes
+  /// (degree_of, extract_ring_view, ...). The batched engine finishes
   /// thinned-out batches of such algorithms on a sequential fast path whose
   /// views carry exact identifiers, radius and coverage but empty
   /// dist/ports. Opt-in and a hard contract: an implementation that reads

@@ -91,9 +91,11 @@ TEST(CvColourSegment, MatchesRingSimulationInTheInterior) {
     const std::size_t window_len = static_cast<std::size_t>(t6) + 7 + 5;
     std::vector<std::uint64_t> window(window_len);
     for (std::size_t j = 0; j < window_len; ++j) window[j] = ids[(start + j) % n];
-    const auto segment = algo::cv_colour_segment(window, t6);
-    for (std::size_t j = segment.first; segment.has(j); ++j) {
-      EXPECT_EQ(segment.at(j), ring_colours[(start + j) % n])
+    const auto segment = algo::cv_colour_window(window, t6);
+    ASSERT_EQ(segment.size(), window_len - static_cast<std::size_t>(t6) - 6);
+    for (std::size_t i = 0; i < segment.size(); ++i) {
+      const std::size_t j = i + 3;  // element 0 is window position 3
+      EXPECT_EQ(segment[i], ring_colours[(start + j) % n])
           << "window start " << start << " position " << j;
     }
   }

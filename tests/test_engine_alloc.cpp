@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "algo/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
 #include "local/flood_probe.hpp"
 #include "local/message_arena.hpp"
+#include "local/view_engine.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/rng.hpp"
 
@@ -139,6 +141,43 @@ TEST(MessageEngineAlloc, SteadyStateOnStar) {
   for (std::size_t i = 3; i + 1 < samples.size(); ++i) {
     EXPECT_EQ(samples[i + 1].allocations - samples[i].allocations, 0u)
         << "round " << i + 1 << " allocated";
+  }
+}
+
+// The ring and greedy view callbacks keep their scratch in instances the
+// batched engine reuses across (vertex, assignment) runs, so a whole sweep
+// allocates only while buffers grow - never per run. The bound, under one
+// allocation per 12 runs, fails for any callback that allocates per call.
+// Every graph has 4096 vertices: the engine's own warm-up (grower and
+// per-slot id buffers growing to the largest ball) is ~140 allocations on a
+// torus whatever the callback, above the bound a 32x32 torus would give.
+TEST(ViewCallbackAlloc, BatchedSweepAllocatesOnlyWhileWarmingUp) {
+  struct Case {
+    const char* algorithm;
+    graph::Graph graph;
+  };
+  const Case cases[] = {{"cv3", graph::make_cycle(4096)},
+                        {"mis", graph::make_cycle(4096)},
+                        {"greedy", graph::make_torus(64, 64)}};
+  constexpr std::size_t kAssignments = 8;
+  for (const Case& c : cases) {
+    const std::size_t n = c.graph.vertex_count();
+    support::Xoshiro256 rng(n);
+    std::vector<graph::IdAssignment> batch;
+    for (std::size_t t = 0; t < kAssignments; ++t) {
+      batch.push_back(graph::IdAssignment::random(n, rng));
+    }
+    const local::ViewAlgorithmFactory factory =
+        algo::AlgorithmRegistry::global().at(c.algorithm).view(n);
+    std::size_t runs = 0;
+    const local::BatchedResultFn sink = [&runs](std::size_t, std::size_t, graph::Vertex,
+                                                std::int64_t, std::size_t) { ++runs; };
+
+    const auto before = support::alloc_counts();
+    local::run_views_batched(c.graph, batch, factory, {}, sink);
+    const auto after = support::alloc_counts();
+    EXPECT_EQ(runs, n * kAssignments) << c.algorithm;
+    EXPECT_LT(after.allocations - before.allocations, n * kAssignments / 100) << c.algorithm;
   }
 }
 

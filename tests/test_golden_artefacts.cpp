@@ -37,6 +37,9 @@ const GoldenCase kCases[] = {
     {"view-greedy-gnp.json", "greedy", "gnp", 12},
     {"message-largest-id-cycle.json", "largest-id-msg", "cycle", 12},
     {"message-local3-cycle.json", "local3", "cycle", 12},
+    {"view-cv3-cycle.json", "cv3", "cycle", 12},
+    {"view-mis-cycle.json", "mis", "cycle", 24},
+    {"view-greedy-torus.json", "greedy", "torus", 16},
 };
 
 /// One deterministic full-plan shard artefact per case; every knob pinned

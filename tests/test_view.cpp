@@ -157,22 +157,22 @@ TEST_P(RingViewExtraction, WalksMatchArcOrder) {
   const graph::Vertex root = 0;
   BallGrower grower(g, ids, root, semantics, scratch);
   for (std::size_t r = 0; r < radius; ++r) grower.grow();
-  const auto ring = local::try_extract_ring_view(grower.view());
-  ASSERT_TRUE(ring.has_value());
-  EXPECT_EQ(ring->own, 1u);
-  if (ring->closed) {
-    EXPECT_EQ(ring->seen_count(), n);
-    EXPECT_TRUE(ring->ccw.empty());
-    ASSERT_EQ(ring->cw.size(), n - 1);
-    for (std::size_t i = 0; i < ring->cw.size(); ++i) {
-      EXPECT_EQ(ring->cw[i], 2 + i) << "clockwise walk follows ring order";
+  local::RingView ring;
+  ASSERT_TRUE(local::extract_ring_view(grower.view(), ring));
+  EXPECT_EQ(ring.own, 1u);
+  if (ring.closed) {
+    EXPECT_EQ(ring.seen_count(), n);
+    EXPECT_TRUE(ring.ccw.empty());
+    ASSERT_EQ(ring.cw.size(), n - 1);
+    for (std::size_t i = 0; i < ring.cw.size(); ++i) {
+      EXPECT_EQ(ring.cw[i], 2 + i) << "clockwise walk follows ring order";
     }
   } else {
-    ASSERT_EQ(ring->cw.size(), radius);
-    ASSERT_EQ(ring->ccw.size(), radius);
+    ASSERT_EQ(ring.cw.size(), radius);
+    ASSERT_EQ(ring.ccw.size(), radius);
     for (std::size_t i = 0; i < radius; ++i) {
-      EXPECT_EQ(ring->cw[i], (root + i + 1) % n + 1);  // identifier = vertex index + 1
-      EXPECT_EQ(ring->ccw[i], (root + n - i - 1) % n + 1);
+      EXPECT_EQ(ring.cw[i], (root + i + 1) % n + 1);  // identifier = vertex index + 1
+      EXPECT_EQ(ring.ccw[i], (root + n - i - 1) % n + 1);
     }
   }
 }
@@ -192,7 +192,8 @@ TEST(RingView, NonRingRootIsRejected) {
   BallGrower::Scratch scratch(5);
   BallGrower grower(g, ids, 0, ViewSemantics::kInducedBall, scratch);
   grower.grow();
-  EXPECT_FALSE(local::try_extract_ring_view(grower.view()).has_value());
+  local::RingView ring;
+  EXPECT_FALSE(local::extract_ring_view(grower.view(), ring));
 }
 
 // ---- view engine ----------------------------------------------------------
