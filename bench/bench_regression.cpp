@@ -52,7 +52,6 @@
 #include "local/flood_probe.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
-#include "support/aligned.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
@@ -730,28 +729,8 @@ local::BatchPhaseStats bench_phase_breakdown(std::size_t n, std::size_t trials,
 //    against the unlimited-batch reference - the every-run identity gate
 //    of the whole large-n stack - with the peak-RSS delta of the budgeted
 //    leg asserted inside the budget;
-//  * compact_csr_speedup: the dispatched u32 edge-times kernel (two 8-lane
-//    gathers + max, the driver's per-edge hot path) against a frozen
-//    per-edge 64-bit replica of the pre-compact code, bit-identity every
-//    run, >= 1.2 gated on full runs on vector hosts;
 //  * ring rounds/sec of the message engine at the same n.
 // ------------------------------------------------------------------------
-
-namespace wide_replica {
-
-/// The pre-compact per-edge accumulation: 64-bit radius loads, one edge at
-/// a time. Deliberately kept faithful to the old cost profile (8-byte
-/// elements, no SoA, no vector lanes) - do not modernise.
-void edge_times_u64(std::uint64_t* dst, const std::uint64_t* radii, const std::uint32_t* us,
-                    const std::uint32_t* vs, std::size_t count) {
-  for (std::size_t e = 0; e < count; ++e) {
-    const std::uint64_t a = radii[us[e]];
-    const std::uint64_t b = radii[vs[e]];
-    dst[e] = a > b ? a : b;
-  }
-}
-
-}  // namespace wide_replica
 
 /// Resident-memory high-water mark (VmHWM) in bytes; 0 when unavailable.
 std::size_t vm_hwm_bytes() {
@@ -773,9 +752,6 @@ struct LargeScaleNumbers {
   double unlimited_trials_per_sec = 0;      ///< the unlimited-batch reference leg
   std::size_t memory_budget_bytes = 0;
   std::size_t budget_peak_delta_bytes = 0;  ///< VmHWM delta of the budgeted leg
-  double edge_times_u32_elems_per_sec = 0;
-  double edge_times_u64_elems_per_sec = 0;
-  double compact_csr_speedup = 0;
   double ring_rounds_per_sec = 0;
   std::size_t peak_rss_bytes = 0;
 };
@@ -831,49 +807,6 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
       std::cerr << "bench_regression: budgeted sweep diverged from the unlimited reference\n";
       std::exit(2);
     }
-  }
-
-  // compact_csr_speedup: the per-edge hot path at million-edge scale. The
-  // u32 SoA halves the bytes per element, which doubles the gather lanes
-  // per vector - the compact layout's whole performance claim, measured
-  // where the sweep actually spends it.
-  {
-    const std::size_t edges = out.n;
-    const std::size_t reps = smoke ? 4 : 16;
-    support::Xoshiro256 rng(9);
-    support::AlignedVector<std::uint32_t> us(edges), vs(edges), radii32(out.n), t32(edges);
-    std::vector<std::uint64_t> radii64(out.n), t64(edges);
-    for (std::size_t v = 0; v < out.n; ++v) {
-      radii32[v] = static_cast<std::uint32_t>(rng.below(64));
-      radii64[v] = radii32[v];
-    }
-    for (std::size_t e = 0; e < edges; ++e) {
-      us[e] = static_cast<std::uint32_t>(e);
-      vs[e] = static_cast<std::uint32_t>((e + 1) % out.n);
-    }
-    const double elems = static_cast<double>(reps) * static_cast<double>(edges);
-    {
-      const auto start = Clock::now();
-      for (std::size_t r = 0; r < reps; ++r) {
-        support::simd::edge_times_u32(t32.data(), radii32.data(), us.data(), vs.data(), edges);
-      }
-      out.edge_times_u32_elems_per_sec = elems / seconds_since(start);
-    }
-    {
-      const auto start = Clock::now();
-      for (std::size_t r = 0; r < reps; ++r) {
-        wide_replica::edge_times_u64(t64.data(), radii64.data(), us.data(), vs.data(), edges);
-      }
-      out.edge_times_u64_elems_per_sec = elems / seconds_since(start);
-    }
-    for (std::size_t e = 0; e < edges; ++e) {
-      if (t64[e] != t32[e]) {
-        std::cerr << "bench_regression: u32 edge times diverged from the 64-bit replica\n";
-        std::exit(2);
-      }
-    }
-    out.compact_csr_speedup =
-        out.edge_times_u32_elems_per_sec / out.edge_times_u64_elems_per_sec;
   }
 
   // Message-engine rounds/sec at the same ring (ring_1m in full runs).
@@ -1231,9 +1164,6 @@ int main(int argc, char** argv) {
       .value(static_cast<std::uint64_t>(large_scale.memory_budget_bytes));
   json.key("budget_peak_delta_bytes")
       .value(static_cast<std::uint64_t>(large_scale.budget_peak_delta_bytes));
-  json.key("edge_times_u32_elems_per_sec").value(large_scale.edge_times_u32_elems_per_sec);
-  json.key("edge_times_u64_elems_per_sec").value(large_scale.edge_times_u64_elems_per_sec);
-  json.key("compact_csr_speedup").value(large_scale.compact_csr_speedup);
   json.key("ring_rounds_per_sec").value(large_scale.ring_rounds_per_sec);
   json.key("peak_rss_bytes").value(static_cast<std::uint64_t>(large_scale.peak_rss_bytes));
   json.end_object();
@@ -1307,7 +1237,7 @@ int main(int argc, char** argv) {
     return 8;
   }
   // The arena's word paths (memcpy + ctz scans) beat the per-word replica
-  // on every ISA - this gate holds in forced-scalar builds too.
+  // on every host.
   if (!smoke && arena_words.message_arena_word_speedup < 1.2) {
     std::cerr << "bench_regression: message arena word speedup "
               << arena_words.message_arena_word_speedup << " < 1.2\n";
@@ -1322,16 +1252,6 @@ int main(int argc, char** argv) {
               << large_scale.budget_peak_delta_bytes << " bytes, budget was "
               << large_scale.memory_budget_bytes << "\n";
     return 11;
-  }
-  // The compact layout's performance claim: half the bytes per element,
-  // twice the gather lanes. Scalar-only hosts run u32 vs u64 loops whose
-  // ratio hovers at the bandwidth quotient (~1.2), too close to gate; on
-  // vector hosts the 8-lane kernel clears 1.2 with real margin.
-  if (!smoke && std::string_view(support::simd::active_isa()) != "scalar" &&
-      large_scale.compact_csr_speedup < 1.2) {
-    std::cerr << "bench_regression: compact CSR speedup " << large_scale.compact_csr_speedup
-              << " < 1.2\n";
-    return 12;
   }
   // The serve cache's reason to exist: a warm repeat is a memo lookup, a
   // cold run is a full sweep. The true ratio is orders of magnitude; 5x

@@ -5,7 +5,6 @@
 #include "graph/ids.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/stats.hpp"
 
 namespace avglocal::core {
@@ -51,39 +50,17 @@ void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
   }
 }
 
-void EdgeAccumScratch::bind(std::span<const std::pair<graph::Vertex, graph::Vertex>> edges) {
-  if (edge_u.size() == edges.size()) return;
-  edge_u.resize(edges.size());
-  edge_v.resize(edges.size());
-  times.resize(edges.size());
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    edge_u[k] = edges[k].first;
-    edge_v[k] = edges[k].second;
-  }
-}
-
 void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
                               std::span<const std::uint32_t> radius_matrix,
                               std::size_t batch_begin, std::size_t batch_size,
-                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts,
-                              EdgeAccumScratch& scratch) {
-  scratch.bind(edge_list);
-  const std::size_t m = edge_list.size();
+                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts) {
+  AVGLOCAL_EXPECTS(radius_matrix.size() >= batch_size * acc.n);
   for (std::size_t i = 0; i < batch_size; ++i) {
-    const std::uint32_t* row = radius_matrix.data() + i * acc.n;
-    // Same times, same canonical order, same integer sum as
-    // for_each_edge_time - only computed eight edges per vector instead of
-    // one pair-of-loads at a time.
-    support::simd::edge_times_u32(scratch.times.data(), row, scratch.edge_u.data(),
-                                  scratch.edge_v.data(), m);
-    std::uint64_t sum = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t t = scratch.times[k];
+    const std::span<const std::uint32_t> row = radius_matrix.subspan(i * acc.n, acc.n);
+    acc.trial_edge_sum[batch_begin + i] = for_each_edge_time(edge_list, row, [&](std::size_t t) {
       if (t >= edge_counts.size()) edge_counts.resize(t + 1, 0);
       ++edge_counts[t];
-      sum += t;
-    }
-    acc.trial_edge_sum[batch_begin + i] = sum;
+    });
   }
 }
 

@@ -111,11 +111,10 @@ SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept
   // (2 * 8n). 28n.
   model.bytes_per_trial = n * (8 + 4 + 2 * 8);
   // Per lane, allocated once: the CSR tables, the canonical edge list (8
-  // bytes per edge) and its EdgeAccumScratch twin (12 bytes per edge),
-  // PointAccumulator::node_sum (8n), the identity placeholder the grower
-  // runs on (8n per run_views_batched call) and the epoch-stamped ball
-  // scratch (local_of + stamps, 8n).
-  const std::size_t allocated_once = g.memory_bytes() + 20 * edges + 24 * n;
+  // bytes per edge), PointAccumulator::node_sum (8n), the identity
+  // placeholder the grower runs on (8n per run_views_batched call) and the
+  // epoch-stamped ball scratch (local_of + stamps, 8n).
+  const std::size_t allocated_once = g.memory_bytes() + 8 * edges + 24 * n;
   // Per lane, doubled up to full coverage: the grower's discovery arrays
   // (ids 8n, globals 4n, dist 4n, port offsets 4n, port targets 4 bytes
   // per arc), the sequential mode's id buffer (8n), the per-radius ball

@@ -73,7 +73,7 @@ PointAccumulator SweepDriver::run_lane(Point& point, std::size_t lane_index,
     backend_->run_batch(*lane.state, lane.batch, batch_begin, vertex_pool, acc,
                         lane.radius_matrix);
     accumulate_edge_partials(point.edge_list_, lane.radius_matrix, batch_begin, batch_size, acc,
-                             lane.edge_counts, lane.edge_scratch);
+                             lane.edge_counts);
   }
   acc.edge_histogram = local::RadiusHistogram(std::move(lane.edge_counts));
   lane.edge_counts.clear();  // moved-from; leave it well-defined for the next call

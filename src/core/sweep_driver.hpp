@@ -71,7 +71,6 @@ class SweepDriver {
       std::vector<graph::IdAssignment> batch;
       std::vector<std::uint32_t> radius_matrix;
       std::vector<std::uint64_t> edge_counts;
-      EdgeAccumScratch edge_scratch;  // SoA edge arrays for edge_times_u32
     };
     const SweepBackend* backend_ = nullptr;  // who prepared the lane states
     const graph::Graph* g_ = nullptr;

@@ -32,8 +32,8 @@ Graph GraphBuilder::build() const {
   const std::size_t n = degrees_.size();
   const std::size_t arc_count = arcs_.size();
 
-  // Per-arc state elsewhere (message slots, mirror tables, SIMD gather
-  // indices) is 32-bit; graphs beyond 2^32 arcs would truncate it, so
+  // The CSR offsets and per-arc state elsewhere (message slots, mirror
+  // tables) are 32-bit; graphs beyond 2^32 arcs would truncate them, so
   // reject them explicitly. This also makes every narrowing below safe.
   AVGLOCAL_EXPECTS_MSG(arc_count <= std::numeric_limits<std::uint32_t>::max(),
                        "graph exceeds 2^32 directed arcs");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
@@ -18,37 +19,32 @@ namespace {
 
 }  // namespace
 
-IdAssignment::IdAssignment(std::vector<std::uint64_t> ids)
-    : ids_(ids.begin(), ids.end()) {
+IdAssignment::IdAssignment(std::vector<std::uint64_t> ids) : ids_(std::move(ids)) {
   AVGLOCAL_EXPECTS_MSG(!ids_.empty(), "empty id assignment");
   AVGLOCAL_EXPECTS_MSG(all_distinct(ids_), "identifiers must be pairwise distinct");
-  AVGLOCAL_ASSERT(support::is_aligned(ids_.data()));
 }
 
-IdAssignment::IdAssignment(support::AlignedVector<std::uint64_t> ids, Trusted)
-    : ids_(std::move(ids)) {
+IdAssignment::IdAssignment(std::vector<std::uint64_t> ids, Trusted) : ids_(std::move(ids)) {
   AVGLOCAL_ASSERT(!ids_.empty());
   AVGLOCAL_ASSERT(all_distinct(ids_));
-  AVGLOCAL_ASSERT(support::is_aligned(ids_.data()));
 }
 
 IdAssignment IdAssignment::identity(std::size_t n) {
-  support::AlignedVector<std::uint64_t> ids(n);
+  std::vector<std::uint64_t> ids(n);
   std::iota(ids.begin(), ids.end(), std::uint64_t{1});
   return IdAssignment(std::move(ids), Trusted{});
 }
 
 IdAssignment IdAssignment::reversed(std::size_t n) {
-  support::AlignedVector<std::uint64_t> ids(n);
+  std::vector<std::uint64_t> ids(n);
   for (std::size_t v = 0; v < n; ++v) ids[v] = n - v;
   return IdAssignment(std::move(ids), Trusted{});
 }
 
 IdAssignment IdAssignment::random(std::size_t n, support::Xoshiro256& rng) {
-  // The sweep hot loop: fill {1..n} straight into the aligned storage and
-  // shuffle in place - one allocation per trial (pinned by
-  // test_engine_alloc), no std::vector round-trip.
-  support::AlignedVector<std::uint64_t> ids(n);
+  // The sweep hot loop: fill {1..n} straight into the storage and shuffle
+  // in place - one allocation per trial (pinned by test_engine_alloc).
+  std::vector<std::uint64_t> ids(n);
   std::iota(ids.begin(), ids.end(), std::uint64_t{1});
   support::shuffle(std::span<std::uint64_t>(ids), rng);
   return IdAssignment(std::move(ids), Trusted{});

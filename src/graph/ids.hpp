@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "support/aligned.hpp"
 #include "support/rng.hpp"
 
 namespace avglocal::graph {
@@ -54,12 +53,10 @@ class IdAssignment {
   /// Trusted path: skips the duplicate check in release builds (a debug
   /// assert keeps the contract honest). Used by identity/reversed/random,
   /// whose outputs are permutations by construction.
-  IdAssignment(support::AlignedVector<std::uint64_t> ids, Trusted);
+  IdAssignment(std::vector<std::uint64_t> ids, Trusted);
 
-  /// Storage is 64-byte aligned: ids() is the source array of the batched
-  /// engine's SIMD id gather (support/simd.hpp), which assumes a
-  /// cache-line-aligned base.
-  support::AlignedVector<std::uint64_t> ids_;
+  /// ids() is the source array of the view engine's per-trial id gather.
+  std::vector<std::uint64_t> ids_;
 };
 
 }  // namespace avglocal::graph

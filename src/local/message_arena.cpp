@@ -1,11 +1,11 @@
 #include "local/message_arena.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
-#include "support/simd.hpp"
 
 namespace avglocal::local {
 
@@ -42,7 +42,9 @@ bool MessageArena::push(std::size_t arc, std::span<const std::uint64_t> words) {
   }
   // Bulk word move (memcpy-class), not a per-word loop: payloads are raw
   // uint64 words with no construction semantics.
-  support::simd::copy_words(words_.data() + used_words_, words.data(), words.size());
+  if (!words.empty()) {
+    std::memcpy(words_.data() + used_words_, words.data(), words.size() * sizeof(std::uint64_t));
+  }
   slots_[arc] = Slot{support::checked_u32(used_words_), support::checked_u32(words.size())};
   used_words_ = needed;
   ++messages_;

@@ -1,15 +1,14 @@
 #include "local/view_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "support/aligned.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
-#include "support/simd.hpp"
 
 namespace avglocal::local {
 
@@ -44,6 +43,10 @@ std::pair<std::int64_t, std::size_t> run_one(const graph::Graph& g, BallGrower& 
 /// allocation.
 constexpr std::size_t kInlineIds = 8;
 
+/// One cache line: inline_ids starts on its own line so a slot's hot
+/// identifiers never straddle two.
+constexpr std::size_t kCacheLine = 64;
+
 /// Everything one in-flight trial needs, in one record: the lockstep engine
 /// touches per-trial state once per (vertex, trial, radius), so packing the
 /// trial index, algorithm handle and id buffer together (instead of
@@ -56,8 +59,8 @@ struct TrialSlot {
   std::uint32_t trial = 0;
   std::uint32_t min_radius = 0;  ///< cached ViewAlgorithm::min_radius()
   std::unique_ptr<ViewAlgorithm> algorithm;
-  alignas(support::kCacheLine) std::array<std::uint64_t, kInlineIds> inline_ids;
-  support::AlignedVector<std::uint64_t> spill;
+  alignas(kCacheLine) std::array<std::uint64_t, kInlineIds> inline_ids;
+  std::vector<std::uint64_t> spill;
 
   /// Storage holding `have` gathered identifiers, grown to hold `want`.
   std::uint64_t* ids_for(std::size_t have, std::size_t want) {
@@ -83,7 +86,7 @@ struct BatchedWorker {
   std::vector<std::uint32_t> active;   // lockstep: slot indices in flight, ascending
   std::vector<std::uint32_t> prefix;   // prefix[r] = |ball| at radius r (current vertex)
   std::size_t covers_radius = 0;       // first covering radius; SIZE_MAX until known
-  support::AlignedVector<std::uint64_t> seq_ids;  // sequential: the live trial's identifiers
+  std::vector<std::uint64_t> seq_ids;  // sequential: the live trial's identifiers
   BallView seq_view;                   // sequential: ids-only view handed to on_view
   std::unique_ptr<ViewAlgorithm> seq_algorithm;  // sequential: reused across runs
 
@@ -186,8 +189,7 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
         const std::size_t s_rho = state.prefix[rho];
         const std::span<const graph::Vertex> globals = state.grower.global_vertices();
         state.seq_ids.resize(s_rho);
-        support::simd::gather_u64(state.seq_ids.data() + filled, sigma.data(),
-                                  globals.data() + filled, s_rho - filled);
+        for (std::size_t k = filled; k < s_rho; ++k) state.seq_ids[k] = sigma[globals[k]];
         filled = s_rho;
         timer.lap(&BatchPhaseStats::gather_sec);
       }
@@ -201,9 +203,8 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
 /// assignment, so the grower's live view serves them all - only the
 /// identifier span is re-pointed per trial around the algorithm call. Each
 /// trial pays an id gather and its algorithm; the BFS runs once per vertex,
-/// up to the deepest radius any trial of the batch needs. The gather streams
-/// each survivor's own assignment array through simd::gather_u64
-/// (bit-identical to its scalar reference by construction).
+/// up to the deepest radius any trial of the batch needs. The gather reads
+/// each survivor's new layers from its own assignment array.
 void run_batched_range(const graph::Graph& g, BatchedWorker& state,
                        std::span<const graph::IdAssignment> batch,
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
@@ -292,8 +293,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
         TrialSlot& slot = state.slots[k];
         const std::span<const std::uint64_t> sigma = batch[slot.trial].ids();
         std::uint64_t* ids = slot.ids_for(prev_end, new_end);
-        support::simd::gather_u64(ids + prev_end, sigma.data(), globals.data() + prev_end,
-                                  new_end - prev_end);
+        for (std::size_t i = prev_end; i < new_end; ++i) ids[i] = sigma[globals[i]];
         timer.lap(&BatchPhaseStats::gather_sec);
         if (!evaluate(slot, ids)) state.active[kept++] = k;
         timer.lap(&BatchPhaseStats::eval_sec);

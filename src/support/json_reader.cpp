@@ -86,6 +86,11 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const
   return members_;
 }
 
+/// Deepest array/object nesting a document may use. The parser recurses
+/// once per level, so an unbounded depth lets one hostile line overflow
+/// the stack; every document the project writes nests at most 4 deep.
+constexpr std::size_t kMaxDepth = 64;
+
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -127,13 +132,17 @@ class JsonParser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` = containers enclosing this value.
+  JsonValue parse_value(std::size_t depth = 0) {
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"': {
         JsonValue value;
         value.type_ = JsonValue::Type::kString;
@@ -162,7 +171,7 @@ class JsonParser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     expect('{');
     JsonValue value;
     value.type_ = JsonValue::Type::kObject;
@@ -174,7 +183,7 @@ class JsonParser {
       if (peek() != '"') error("expected a member name");
       std::string name = parse_string();
       expect(':');
-      value.members_.emplace_back(std::move(name), parse_value());
+      value.members_.emplace_back(std::move(name), parse_value(depth));
       const char next = peek();
       ++pos_;
       if (next == '}') return value;
@@ -182,7 +191,7 @@ class JsonParser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     expect('[');
     JsonValue value;
     value.type_ = JsonValue::Type::kArray;
@@ -191,7 +200,7 @@ class JsonParser {
       return value;
     }
     while (true) {
-      value.items_.push_back(parse_value());
+      value.items_.push_back(parse_value(depth));
       const char next = peek();
       ++pos_;
       if (next == ']') return value;

@@ -53,7 +53,8 @@ class JsonValue {
 };
 
 /// Parses one JSON document (surrounding whitespace allowed; trailing
-/// non-whitespace rejected). Throws std::runtime_error on malformed input.
+/// non-whitespace rejected). Throws std::runtime_error on malformed input,
+/// including arrays and objects nested deeper than 64 levels.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace avglocal::support

@@ -63,8 +63,8 @@ class Xoshiro256 {
 
 /// Fisher-Yates shuffle driven by Xoshiro256 (deterministic across platforms,
 /// unlike std::shuffle whose result is unspecified). The span form shuffles
-/// any contiguous storage - e.g. the cache-line-aligned id vectors the batch
-/// kernels require - without forcing a std::vector round-trip.
+/// any contiguous storage in place, e.g. an IdAssignment's id vector while
+/// it is being built.
 template <typename T>
 void shuffle(std::span<T> values, Xoshiro256& rng) {
   for (std::size_t i = values.size(); i > 1; --i) {

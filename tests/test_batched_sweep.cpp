@@ -1,9 +1,11 @@
 // Tests of the batched sweep subsystem: exactness of the geometry-replay
 // engine against per-trial runs, bit-identical statistics against per-trial
-// measure(run_views) aggregates, and bit-identical shard merge through the
-// JSON artefact round-trip.
+// measure(run_views) aggregates, the driver's edge accumulation against the
+// per-run edge measures, and bit-identical shard merge through the JSON
+// artefact round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -365,6 +367,84 @@ TEST(BatchedSweep, DistributionAndNodeMeasuresAreConsistent) {
   // worst-case radius.
   EXPECT_GT(p.node_mean_max, p.avg_mean);
   EXPECT_LT(p.node_mean_max, 15.0);
+}
+
+// ------------------------------------------------------------------------
+// Edge accumulation: the driver's radius-matrix fold against the per-run
+// edge measures.
+// ------------------------------------------------------------------------
+
+std::vector<graph::Graph> edge_accumulation_graphs() {
+  support::Xoshiro256 rng(77);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::make_cycle(37));
+  graphs.push_back(graph::make_star(21));
+  graphs.push_back(graph::make_gnp_connected(48, 0.12, rng));
+  return graphs;
+}
+
+TEST(EdgeAccumulation, MatrixRowsMatchPerRunEdgeTimes) {
+  constexpr std::size_t kBatchBegin = 3;
+  constexpr std::size_t kRows = 5;
+  for (const graph::Graph& g : edge_accumulation_graphs()) {
+    const std::size_t n = g.vertex_count();
+    const auto edges = core::canonical_edges(g);
+    // Radii up to n, the engines' radius cap, with 0 and 1 on every row.
+    support::Xoshiro256 rng(n);
+    std::vector<std::uint32_t> matrix(kRows * n);
+    for (auto& r : matrix) r = static_cast<std::uint32_t>(rng.below(n + 1));
+    for (std::size_t i = 0; i < kRows; ++i) {
+      matrix[i * n] = 0;
+      matrix[i * n + n - 1] = 1;
+    }
+
+    core::PointAccumulator acc = core::make_point_accumulator(g, 0, 0, kBatchBegin + kRows);
+    std::vector<std::uint64_t> counts;
+    core::accumulate_edge_partials(edges, matrix, kBatchBegin, kRows, acc, counts);
+
+    local::RadiusHistogram want;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const std::vector<std::size_t> radii(matrix.begin() + static_cast<std::ptrdiff_t>(i * n),
+                                           matrix.begin() + static_cast<std::ptrdiff_t>(i * n + n));
+      EXPECT_EQ(acc.trial_edge_sum[kBatchBegin + i],
+                core::accumulate_edge_times(edges, radii, want))
+          << "n " << n << " row " << i;
+    }
+    for (std::size_t t = 0; t < kBatchBegin; ++t) {
+      EXPECT_EQ(acc.trial_edge_sum[t], 0u) << "rows before batch_begin stay untouched";
+    }
+    EXPECT_EQ(local::RadiusHistogram(std::move(counts)), want) << "n " << n;
+  }
+}
+
+TEST(EdgeAccumulation, U32RowsOrderExtremeRadiiLikeWideRows) {
+  // The driver folds u32 matrix rows, the per-run measures size_t profiles;
+  // both go through for_each_edge_time. Radii of 2^31 and UINT32_MAX, where
+  // a signed comparison would misorder, must give the same times and sums.
+  // (A time-indexed histogram of such radii would need 2^32 buckets, so the
+  // extremes are pinned here, on the time stream itself.)
+  const std::uint32_t extremes[] = {0, 1, std::uint32_t{1} << 31, UINT32_MAX};
+  for (const graph::Graph& g : edge_accumulation_graphs()) {
+    const auto edges = core::canonical_edges(g);
+    support::Xoshiro256 rng(g.vertex_count());
+    std::vector<std::uint32_t> narrow(g.vertex_count());
+    for (auto& r : narrow) r = extremes[rng.below(4)];
+    const std::vector<std::size_t> wide(narrow.begin(), narrow.end());
+
+    std::vector<std::size_t> narrow_times;
+    std::vector<std::size_t> wide_times;
+    const std::uint64_t narrow_sum = core::for_each_edge_time(
+        edges, std::span<const std::uint32_t>(narrow),
+        [&](std::size_t t) { narrow_times.push_back(t); });
+    const std::uint64_t wide_sum = core::for_each_edge_time(
+        edges, std::span<const std::size_t>(wide),
+        [&](std::size_t t) { wide_times.push_back(t); });
+    EXPECT_EQ(narrow_times, wide_times);
+    EXPECT_EQ(narrow_sum, wide_sum);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      EXPECT_EQ(narrow_times[k], std::max(wide[edges[k].first], wide[edges[k].second]));
+    }
+  }
 }
 
 TEST(ShardPlan, PartitionsTrialsAcrossShards) {

@@ -13,6 +13,8 @@
 //    report is byte-identical to the monolithic sweep's;
 //  * exhausted respawns fail the drive cleanly (exit 1, "giving up", no
 //    report), never a hang or an abort.
+//  * `merge` on a shard file nested past the JSON depth cap exits 1 with
+//    the parser's message instead of overflowing the stack.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -153,6 +155,24 @@ TEST(CliSizeLimits, SizesBeyondTheVertexRangeFailWithoutAReport) {
     std::ifstream missing(report);
     EXPECT_FALSE(missing.good()) << graph << ": no report may be written";
   }
+}
+
+TEST(CliMerge, DeeplyNestedShardFileExitsOneInsteadOfCrashing) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string deep = dir.path() + "/deep.json";
+  {
+    std::ofstream file(deep);
+    file << std::string(200'000, '[') << std::string(200'000, ']');
+  }
+  const std::string report = dir.path() + "/merged.json";
+  const RunResult result = run_command(cli() + " merge --json '" + report + "' '" + deep + "'");
+  // A stack overflow would surface as the shell's 128 + SIGSEGV = 139.
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("json: nesting deeper than 64 levels"), std::string::npos)
+      << result.output;
+  std::ifstream missing(report);
+  EXPECT_FALSE(missing.good()) << "no report may be written";
 }
 
 // ---------------------------------------------------- drive respawn path ----

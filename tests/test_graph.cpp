@@ -10,7 +10,6 @@
 #include "graph/ids.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "support/aligned.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -163,20 +162,6 @@ TEST(Ids, SwapProducesNewAssignment) {
   EXPECT_EQ(swapped.id_of(0), 4u);
   EXPECT_EQ(swapped.id_of(3), 1u);
   EXPECT_EQ(base.id_of(0), 1u) << "original untouched";
-}
-
-TEST(Ids, StorageIsCacheLineAligned) {
-  // The SIMD id gather reads assignment arrays as its source base; every
-  // construction path must honour the alignment contract.
-  Xoshiro256 rng(8);
-  for (const std::size_t n : {1u, 5u, 64u, 257u}) {
-    EXPECT_TRUE(avglocal::support::is_aligned(IdAssignment::identity(n).ids().data())) << n;
-    EXPECT_TRUE(avglocal::support::is_aligned(IdAssignment::reversed(n).ids().data())) << n;
-    EXPECT_TRUE(avglocal::support::is_aligned(IdAssignment::random(n, rng).ids().data())) << n;
-  }
-  const IdAssignment checked({7, 3, 9});  // public validating constructor
-  EXPECT_TRUE(avglocal::support::is_aligned(checked.ids().data()));
-  EXPECT_TRUE(avglocal::support::is_aligned(checked.with_swapped(0, 2).ids().data()));
 }
 
 TEST(Ball, DistancesOnCycle) {

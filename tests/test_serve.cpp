@@ -252,6 +252,14 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
   EXPECT_NE(malformed.line.find("\"ok\":false"), std::string::npos);
   EXPECT_FALSE(malformed.shutdown);
 
+  // A line nested past the parser's depth cap is an error reply, not a
+  // stack overflow, and the server keeps answering.
+  const auto deep = server.handle_request(std::string(200'000, '['));
+  EXPECT_NE(deep.line.find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(deep.line.find("nesting"), std::string::npos);
+  EXPECT_FALSE(deep.shutdown);
+  EXPECT_EQ(server.handle_request("{\"op\":\"ping\"}").line, "{\"ok\":true,\"op\":\"ping\"}");
+
   const auto unknown = server.handle_request("{\"op\":\"frobnicate\"}");
   EXPECT_NE(unknown.line.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(unknown.line.find("frobnicate"), std::string::npos);

@@ -1,10 +1,13 @@
-// Unit tests for the support layer: RNG, math, statistics, tables, CSV.
+// Unit tests for the support layer: RNG, math, statistics, tables, CSV,
+// JSON and the bit scan of support/simd.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "local/metrics.hpp"
 #include "support/csv.hpp"
@@ -12,6 +15,7 @@
 #include "support/json_writer.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -375,6 +379,32 @@ TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(support::parse_json("-1").as_u64(), std::runtime_error);
 }
 
+TEST(JsonReader, CapsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // 64 levels is the cap: it parses, and the innermost array is empty.
+  const auto doc = support::parse_json(nested(64));
+  const JsonValue* inner = &doc;
+  for (int level = 1; level < 64; ++level) inner = &(*inner)[0];
+  EXPECT_EQ(inner->size(), 0u);
+  // One level more throws with a message naming the cap, and so do
+  // 100'000 levels, deep enough to overflow an uncapped recursive parser.
+  for (const std::size_t depth : {std::size_t{65}, std::size_t{100'000}}) {
+    try {
+      support::parse_json(nested(depth));
+      ADD_FAILURE() << depth << " levels parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "json: nesting deeper than 64 levels") << depth;
+    }
+  }
+  // Objects count the same as arrays.
+  std::string objects;
+  for (int level = 0; level < 65; ++level) objects += "{\"k\":";
+  objects += "0" + std::string(65, '}');
+  EXPECT_THROW(support::parse_json(objects), std::runtime_error);
+}
+
 TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   local::RadiusHistogram hist;
   EXPECT_TRUE(hist.empty());
@@ -404,6 +434,44 @@ TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   local::RadiusHistogram padded(std::vector<std::uint64_t>{4, 2, 4, 0, 0});
   local::RadiusHistogram tight(std::vector<std::uint64_t>{4, 2, 4});
   EXPECT_EQ(padded, tight);
+}
+
+std::vector<std::uint64_t> random_words(std::size_t count, support::Xoshiro256& rng) {
+  std::vector<std::uint64_t> words(count);
+  for (auto& w : words) w = rng.next();
+  return words;
+}
+
+std::vector<std::size_t> collect_bits(const std::vector<std::uint64_t>& words, std::size_t begin,
+                                      std::size_t end) {
+  std::vector<std::size_t> got;
+  simd::for_each_set_bit(words.data(), begin, end, [&](std::size_t bit) { got.push_back(bit); });
+  return got;
+}
+
+TEST(Simd, ForEachSetBitMatchesPerBitScan) {
+  support::Xoshiro256 rng(15);
+  const auto words = random_words(5, rng);
+  const std::size_t total = words.size() * 64;
+  const std::size_t ranges[][2] = {{0, 0},     {0, 1},   {0, 64},   {0, 128},  {1, 64},
+                                   {63, 64},   {63, 65}, {64, 128}, {10, 250}, {100, 101},
+                                   {128, 192}, {0, total}};
+  for (const auto& [begin, end] : ranges) {
+    std::vector<std::size_t> want;
+    for (std::size_t i = begin; i < end; ++i) {
+      if ((words[i >> 6] >> (i & 63)) & 1u) want.push_back(i);
+    }
+    EXPECT_EQ(collect_bits(words, begin, end), want) << "[" << begin << ", " << end << ")";
+  }
+}
+
+TEST(Simd, ForEachSetBitOnSolidAndEmptyMasks) {
+  const std::vector<std::uint64_t> solid(3, ~std::uint64_t{0});
+  EXPECT_EQ(collect_bits(solid, 0, 192).size(), 192u);
+  EXPECT_EQ(collect_bits(solid, 5, 67).size(), 62u);
+  const std::vector<std::uint64_t> empty(3, 0);
+  EXPECT_TRUE(collect_bits(empty, 0, 192).empty());
+  EXPECT_TRUE(collect_bits(empty, 63, 129).empty());
 }
 
 }  // namespace

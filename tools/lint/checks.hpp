@@ -1,7 +1,7 @@
 // The determinism contract of the avglocal engines, encoded as lint checks.
 //
 // The repo's load-bearing invariant is that every execution topology -
-// serial, pooled, sharded, SIMD, layer-jump - merges bit-identically into
+// serial, pooled, sharded, batched, layer-jump - merges bit-identically into
 // the monolithic sweep. The golden-corpus tests enforce that dynamically;
 // these checks reject the usual ways of breaking it at build time:
 //
