@@ -10,7 +10,9 @@
 //   avglocal_cli experiments
 //   avglocal_cli experiments E1 E2 E9
 //
-// Single runs (the default subcommand; message algorithms included):
+// Single runs (the default subcommand; message algorithms included). A
+// single run is trial 0 of `sweep --ns N --trials 1` with the same flags:
+// the same graph and the same ids, printed vertex by vertex with --csv:
 //   avglocal_cli --algo largest-id --graph cycle --n 1024 --seed 7
 //   avglocal_cli --algo greedy --graph random-regular:degree=4 --n 4096
 //   avglocal_cli --algo local3 --graph cycle --n 256 --csv radii.csv
@@ -61,16 +63,20 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "algo/registry.hpp"
@@ -97,35 +103,48 @@ namespace {
 
 using namespace avglocal;
 
-// ------------------------------------------------------------- helpers ----
+// --------------------------------------------------------------- flags ----
 
-// Checked numeric flag parsing. Bare std::stoull would throw an uncaught
-// exception on garbage and - worse - silently wrap "-1" to 2^64-1, so
-// every numeric flag goes through these: strict syntax (digits only /
-// full-string doubles), overflow rejected, and on failure the offending
-// flag is named on stderr and the parser bails with the usage exit (2).
+// Every command parses its argv through one flag table and parse_flags.
+// Numeric values are checked strictly: bare std::stoull would throw an
+// uncaught exception on garbage and silently wrap "-1" to 2^64-1, so a
+// value must be all digits (or a full-string finite double) and fit its
+// field, else the flag is named on stderr and the command exits 2 with
+// its usage.
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
+/// One command-line flag. `set` stores the value (empty for a switch) and
+/// returns false after naming a bad value on stderr.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  std::function<bool(const std::string&)> set;
+};
+
+using Flags = std::vector<Flag>;
+
+/// Digits only for integer T, rejected past T's maximum; a finite,
+/// full-string double for floating-point T.
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
   if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
+  if constexpr (std::is_floating_point_v<T>) {
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || errno == ERANGE || !std::isfinite(value)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(value);
+  } else {
+    T value = 0;
+    for (const char c : text) {
+      if (c < '0' || c > '9') return std::nullopt;
+      const auto digit = static_cast<T>(c - '0');
+      if (value > (std::numeric_limits<T>::max() - digit) / 10) return std::nullopt;
+      value = static_cast<T>(value * 10 + digit);
+    }
+    return value;
   }
-  return value;
-}
-
-std::optional<double> parse_f64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE || !std::isfinite(value)) {
-    return std::nullopt;
-  }
-  return value;
 }
 
 bool flag_error(const std::string& text, const char* flag) {
@@ -133,86 +152,99 @@ bool flag_error(const std::string& text, const char* flag) {
   return false;
 }
 
-bool u64_flag(const std::string& text, const char* flag, std::uint64_t& out) {
-  const auto parsed = parse_u64(text);
-  if (!parsed) return flag_error(text, flag);
-  out = *parsed;
-  return true;
+Flag text_flag(const char* name, std::string& out) {
+  return {name, true, [&out](const std::string& value) {
+            out = value;
+            return true;
+          }};
 }
 
-bool size_flag(const std::string& text, const char* flag, std::size_t& out) {
-  // size_t and uint64_t coincide on every platform this CLI targets.
-  const auto parsed = parse_u64(text);
-  if (!parsed) return flag_error(text, flag);
-  out = static_cast<std::size_t>(*parsed);
-  return true;
+Flag switch_flag(const char* name, bool& out) {
+  return {name, false, [&out](const std::string&) {
+            out = true;
+            return true;
+          }};
 }
 
-bool f64_flag(const std::string& text, const char* flag, double& out) {
-  const auto parsed = parse_f64(text);
-  if (!parsed) return flag_error(text, flag);
-  out = *parsed;
-  return true;
+template <typename T>
+Flag number_flag(const char* name, T& out) {
+  return {name, true, [name, &out](const std::string& value) {
+            const auto parsed = parse_number<T>(value);
+            if (!parsed) return flag_error(value, name);
+            out = *parsed;
+            return true;
+          }};
 }
 
-std::optional<std::vector<std::size_t>> parse_size_list(const std::string& text) {
-  std::vector<std::size_t> values;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto parsed = parse_u64(item);
-    if (!parsed) return std::nullopt;
-    values.push_back(static_cast<std::size_t>(*parsed));
-  }
-  if (values.empty()) return std::nullopt;
-  return values;
+Flag semantics_flag(local::ViewSemantics& out) {
+  return {"--semantics", true, [&out](const std::string& value) {
+            const auto semantics = local::view_semantics_from_name(value);
+            if (!semantics) return flag_error(value, "--semantics (induced|flooding)");
+            out = *semantics;
+            return true;
+          }};
 }
-
-bool semantics_flag(const std::string& text, local::ViewSemantics& out) {
-  const auto semantics = local::view_semantics_from_name(text);
-  if (!semantics) {
-    std::cerr << "invalid value '" << text << "' for --semantics (induced|flooding)\n";
-    return false;
-  }
-  out = *semantics;
-  return true;
-}
-
-enum class WorkloadFlag { kOther, kParsed, kInvalid };
 
 /// The workload flags every sweep-shaped command shares: --algo --graph
-/// --ns --trials --seed --semantics --node-profile. Consumes argv[i] (and
-/// its value) into `spec` when it is one of them. kOther: not a workload
-/// flag, or its value is missing - the caller's unknown-argument branch
-/// reports it. kInvalid: the offending value was named on stderr.
-WorkloadFlag parse_workload_flag(int argc, char** argv, int& i, core::ScenarioSpec& spec) {
-  const std::string arg = argv[i];
-  if (arg == "--node-profile") {
-    spec.node_profile = true;
-    return WorkloadFlag::kParsed;
-  }
-  const bool takes_value = arg == "--algo" || arg == "--graph" || arg == "--ns" ||
-                           arg == "--trials" || arg == "--seed" || arg == "--semantics";
-  if (!takes_value || i + 1 >= argc) return WorkloadFlag::kOther;
-  const std::string value = argv[++i];
-  bool ok = true;
-  if (arg == "--algo") {
-    spec.algorithm = value;
-  } else if (arg == "--graph") {
-    spec.family = graph::parse_family_spec(value);
-  } else if (arg == "--ns") {
-    const auto sizes = parse_size_list(value);
-    ok = sizes.has_value() || flag_error(value, "--ns");
-    if (sizes) spec.ns = *sizes;
-  } else if (arg == "--trials") {
-    ok = size_flag(value, "--trials", spec.schedule.max_trials);
-  } else if (arg == "--seed") {
-    ok = u64_flag(value, "--seed", spec.seed);
-  } else {
-    ok = semantics_flag(value, spec.semantics);
-  }
-  return ok ? WorkloadFlag::kParsed : WorkloadFlag::kInvalid;
+/// --ns --trials --seed --semantics --node-profile.
+Flags workload_flags(core::ScenarioSpec& spec) {
+  return {
+      text_flag("--algo", spec.algorithm),
+      {"--graph", true,
+       [&spec](const std::string& value) {
+         spec.family = graph::parse_family_spec(value);
+         return true;
+       }},
+      {"--ns", true,
+       [&spec](const std::string& value) {
+         std::vector<std::size_t> sizes;
+         std::stringstream stream(value);
+         std::string item;
+         while (std::getline(stream, item, ',')) {
+           const auto size = parse_number<std::size_t>(item);
+           if (!size) return flag_error(value, "--ns");
+           sizes.push_back(*size);
+         }
+         if (sizes.empty()) return flag_error(value, "--ns");
+         spec.ns = std::move(sizes);
+         return true;
+       }},
+      number_flag("--trials", spec.schedule.max_trials),
+      number_flag("--seed", spec.seed),
+      semantics_flag(spec.semantics),
+      switch_flag("--node-profile", spec.node_profile),
+  };
 }
+
+/// Parses argv[first, argc) against `flags`. Arguments that do not start
+/// with '-' go to `positional` when it is given. Returns false on --help,
+/// an unknown flag, a missing value or a rejected value (all but --help
+/// explained on stderr); the caller prints its usage and exits 2.
+bool parse_flags(int argc, char** argv, int first, const Flags& flags,
+                 std::vector<std::string>* positional = nullptr) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return false;
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&arg](const Flag& candidate) { return arg == candidate.name; });
+    if (flag == flags.end()) {
+      if (positional != nullptr && (arg.empty() || arg[0] != '-')) {
+        positional->push_back(arg);
+        continue;
+      }
+      std::cerr << "unknown argument: " << arg << "\n";
+      return false;
+    }
+    if (flag->takes_value && i + 1 >= argc) {
+      std::cerr << "missing value for " << arg << "\n";
+      return false;
+    }
+    if (!flag->set(flag->takes_value ? std::string(argv[++i]) : std::string())) return false;
+  }
+  return true;
+}
+
+// ------------------------------------------------------------- helpers ----
 
 bool write_text_file(const std::string& path, const std::string& text) {
   std::ofstream file(path);
@@ -222,6 +254,16 @@ bool write_text_file(const std::string& path, const std::string& text) {
   }
   file << text << "\n";
   return true;
+}
+
+/// Saves a sweep-shaped report and says where. write_text_file's trailing
+/// newline is what keeps every saved report cmp-identical to
+/// `sweep --json`'s. Returns the command's exit code.
+int save_report(const std::string& path, const std::string& report,
+                const char* kind = "sweep") {
+  if (!write_text_file(path, report)) return 1;
+  std::cout << kind << " report written to " << path << "\n";
+  return 0;
 }
 
 std::string read_text_file(const std::string& path) {
@@ -255,7 +297,7 @@ void print_points(const std::vector<core::ScenarioPoint>& points, bool adaptive)
 
 // ---------------------------------------------------------------- list ----
 
-int run_list_command() {
+int run_list_command(int /*argc*/, char** /*argv*/) {
   const auto& families = graph::FamilyRegistry::global();
   std::cout << "graph families (--graph NAME or NAME:param=value,...):\n";
   for (const std::string& name : families.names()) {
@@ -322,15 +364,6 @@ int run_experiments_command(int argc, char** argv) {
 
 // ----------------------------------------------------------------- run ----
 
-struct RunOptions {
-  std::string algo = "largest-id";
-  std::string graph = "cycle";
-  std::size_t n = 256;
-  std::uint64_t seed = 1;
-  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
-  std::string csv_path;
-};
-
 void usage() {
   std::cout << "usage: avglocal_cli [--algo A] [--graph G] [--n N] [--seed S]\n"
                "                    [--semantics induced|flooding] [--csv FILE]\n"
@@ -346,50 +379,38 @@ void usage() {
                "  names resolve through the scenario registries; `list` prints them.\n";
 }
 
-std::optional<RunOptions> parse_run(int argc, char** argv) {
-  RunOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") return std::nullopt;
-    std::optional<std::string> value;
-    if (arg == "--algo" && (value = next())) {
-      options.algo = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      options.graph = *value;
-    } else if (arg == "--n" && (value = next())) {
-      if (!size_flag(*value, "--n", options.n)) return std::nullopt;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", options.seed)) return std::nullopt;
-    } else if (arg == "--semantics" && (value = next())) {
-      if (!semantics_flag(*value, options.semantics)) return std::nullopt;
-    } else if (arg == "--csv" && (value = next())) {
-      options.csv_path = *value;
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      return std::nullopt;
-    }
+/// One run, vertex by vertex: trial 0 of `sweep --ns N --trials 1` with
+/// the same flags - the same resolved graph and the same id stream - so
+/// its radii are that sweep's node_mean profile.
+int run_single_command(int argc, char** argv) {
+  core::ScenarioSpec spec;
+  spec.seed = 1;
+  std::string graph_name = "cycle";
+  std::size_t n = 256;
+  std::string csv_path;
+  const Flags flags = {text_flag("--algo", spec.algorithm), text_flag("--graph", graph_name),
+                       number_flag("--n", n), number_flag("--seed", spec.seed),
+                       semantics_flag(spec.semantics), text_flag("--csv", csv_path)};
+  if (!parse_flags(argc, argv, 1, flags)) {
+    usage();
+    return 2;
   }
-  return options;
-}
+  spec.family = graph::parse_family_spec(graph_name);
+  spec.ns = {n};
+  spec.schedule.max_trials = 1;
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(spec.algorithm);
 
-int run_single_impl(const RunOptions& options) {
-  const graph::FamilySpec family = graph::parse_family_spec(options.graph);
-  const auto& families = graph::FamilyRegistry::global();
-  const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(options.algo);
-
-  support::Xoshiro256 rng(options.seed);
-  const graph::Graph g = families.build(family, options.n, rng);
-  const std::size_t n = g.vertex_count();
-  const graph::IdAssignment ids = graph::IdAssignment::random(n, rng);
+  n = resolved.spec.ns.front();
+  const graph::Graph g = resolved.graphs(n);
+  std::vector<graph::IdAssignment> batch;
+  core::fill_sweep_batch(batch, n, support::derive_seed(spec.seed, 0), 0, 1);
+  const graph::IdAssignment& ids = batch.front();
 
   local::RunResult run;
   if (info.kind == algo::AlgorithmKind::kView) {
     local::ViewEngineOptions view_options;
-    view_options.semantics = options.semantics;
+    view_options.semantics = spec.semantics;
     run = local::run_views(g, ids, info.view(n), view_options);
   } else {
     local::EngineOptions engine_options;
@@ -402,8 +423,8 @@ int run_single_impl(const RunOptions& options) {
 
   const core::Measurement m = core::measure(run);
   const core::EdgeMeasurement em = core::measure_edges(g, run.radii);
-  std::cout << options.algo << " on " << options.graph << " n=" << n
-            << " seed=" << options.seed << " (" << local::to_string(options.semantics) << ")\n"
+  std::cout << spec.algorithm << " on " << graph_name << " n=" << n << " seed=" << spec.seed
+            << " (" << local::to_string(spec.semantics) << ")\n"
             << "  outputs       : " << validity << "\n"
             << "  max radius    : " << m.max_radius << "\n"
             << "  avg radius    : " << m.avg_radius << "\n"
@@ -414,10 +435,10 @@ int run_single_impl(const RunOptions& options) {
     std::cout << "  messages/words: " << run.messages << " / " << run.words << "\n";
   }
 
-  if (!options.csv_path.empty()) {
-    std::ofstream file(options.csv_path);
+  if (!csv_path.empty()) {
+    std::ofstream file(csv_path);
     if (!file) {
-      std::cerr << "cannot open " << options.csv_path << "\n";
+      std::cerr << "cannot open " << csv_path << "\n";
       return 1;
     }
     support::CsvWriter csv(file);
@@ -427,7 +448,7 @@ int run_single_impl(const RunOptions& options) {
                      std::to_string(ids.id_of(static_cast<graph::Vertex>(v))),
                      std::to_string(run.radii[v]), std::to_string(run.outputs[v])});
     }
-    std::cout << "  per-vertex CSV written to " << options.csv_path << "\n";
+    std::cout << "  per-vertex CSV written to " << csv_path << "\n";
   }
   return 0;
 }
@@ -440,7 +461,7 @@ struct SweepCliOptions {
   std::size_t batch = 0;
   std::optional<std::pair<std::size_t, std::size_t>> shard;  ///< (index, count)
   std::string out_path;   ///< shard artefact destination (sweep --shard)
-  std::string json_path;  ///< full-report destination (sweep / merge / drive)
+  std::string json_path;  ///< full-report destination (sweep / drive)
 
   // drive only
   std::size_t shards = 2;   ///< work units per point: trials/shards each (rounded up)
@@ -476,76 +497,41 @@ void sweep_usage() {
          "  drive gives up (exit 1, no report). The report is byte-identical to sweep's.\n";
 }
 
-std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, bool drive) {
-  SweepCliOptions options;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    std::optional<std::string> value;
-    if (arg == "--help" || arg == "-h") return std::nullopt;
-    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, options.spec);
-    if (workload == WorkloadFlag::kInvalid) return std::nullopt;
-    if (workload == WorkloadFlag::kParsed) continue;
-    if (arg == "--threads" && (value = next())) {
-      if (!size_flag(*value, "--threads", options.threads)) return std::nullopt;
-    } else if (arg == "--batch" && (value = next())) {
-      if (!size_flag(*value, "--batch", options.batch)) return std::nullopt;
-    } else if (arg == "--target-hw" && (value = next())) {
-      if (!f64_flag(*value, "--target-hw", options.spec.schedule.target_half_width)) {
-        return std::nullopt;
-      }
-    } else if (arg == "--min-trials" && (value = next())) {
-      if (!size_flag(*value, "--min-trials", options.spec.schedule.min_trials)) {
-        return std::nullopt;
-      }
-    } else if (arg == "--adaptive-batch" && (value = next())) {
-      if (!size_flag(*value, "--adaptive-batch", options.spec.schedule.batch)) {
-        return std::nullopt;
-      }
-    } else if (arg == "--z" && (value = next())) {
-      if (!f64_flag(*value, "--z", options.spec.schedule.z)) return std::nullopt;
-    } else if (arg == "--json" && (value = next())) {
-      options.json_path = *value;
-    } else if (!drive && arg == "--shard" && (value = next())) {
-      const auto slash = value->find('/');
-      std::size_t index = 0;
-      std::size_t count = 0;
-      if (slash == std::string::npos || !parse_u64(value->substr(0, slash)) ||
-          parse_u64(value->substr(slash + 1)).value_or(0) == 0) {
-        std::cerr << "invalid value '" << *value << "' for --shard (expects I/K, K >= 1)\n";
-        return std::nullopt;
-      }
-      index = static_cast<std::size_t>(*parse_u64(value->substr(0, slash)));
-      count = static_cast<std::size_t>(*parse_u64(value->substr(slash + 1)));
-      options.shard = {{index, count}};
-    } else if (!drive && arg == "--out" && (value = next())) {
-      options.out_path = *value;
-    } else if (drive && arg == "--shards" && (value = next())) {
-      if (!size_flag(*value, "--shards", options.shards)) return std::nullopt;
-    } else if (drive && arg == "--jobs" && (value = next())) {
-      if (!size_flag(*value, "--jobs", options.jobs)) return std::nullopt;
-    } else if (drive && arg == "--retries" && (value = next())) {
-      if (!size_flag(*value, "--retries", options.retries)) return std::nullopt;
-    } else if (drive && arg == "--workdir" && (value = next())) {
-      options.workdir = *value;
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      return std::nullopt;
-    }
-  }
-  return options;
+/// The flags sweep and drive share: the workload, the schedule, the
+/// execution knobs and --json.
+Flags sweep_flags(SweepCliOptions& options) {
+  Flags flags = workload_flags(options.spec);
+  core::TrialSchedule& schedule = options.spec.schedule;
+  flags.insert(flags.end(), {number_flag("--threads", options.threads),
+                             number_flag("--batch", options.batch),
+                             number_flag("--target-hw", schedule.target_half_width),
+                             number_flag("--min-trials", schedule.min_trials),
+                             number_flag("--adaptive-batch", schedule.batch),
+                             number_flag("--z", schedule.z),
+                             text_flag("--json", options.json_path)});
+  return flags;
 }
 
-int run_sweep_command_impl(int argc, char** argv) {
-  const auto parsed = parse_sweep(argc, argv, 2, /*drive=*/false);
-  if (!parsed) {
+int run_sweep_command(int argc, char** argv) {
+  SweepCliOptions options;
+  Flags flags = sweep_flags(options);
+  flags.push_back({"--shard", true, [&options](const std::string& value) {
+                     const auto slash = value.find('/');
+                     const auto index = parse_number<std::size_t>(value.substr(0, slash));
+                     const auto count = slash == std::string::npos
+                                            ? std::nullopt
+                                            : parse_number<std::size_t>(value.substr(slash + 1));
+                     if (!index || count.value_or(0) == 0) {
+                       return flag_error(value, "--shard (expects I/K, K >= 1)");
+                     }
+                     options.shard = {{*index, *count}};
+                     return true;
+                   }});
+  flags.push_back(text_flag("--out", options.out_path));
+  if (!parse_flags(argc, argv, 2, flags)) {
     sweep_usage();
     return 2;
   }
-  const SweepCliOptions& options = *parsed;
   // Validate the whole workload - family, parameters, algorithm, schedule -
   // before any sweep work starts or any artefact file is opened.
   const core::ResolvedScenario resolved = core::resolve_scenario(options.spec);
@@ -586,41 +572,12 @@ int run_sweep_command_impl(int argc, char** argv) {
   execution.batch_size = options.batch;
   const core::ScenarioResult result = core::run_scenario(resolved.spec, execution);
   print_points(result.points, result.spec.schedule.adaptive());
-  if (!options.json_path.empty()) {
-    if (!write_text_file(options.json_path, core::sweep_report_json(result.spec, result.points))) {
-      return 1;
-    }
-    std::cout << "sweep report written to " << options.json_path << "\n";
-  }
-  return 0;
+  return options.json_path.empty()
+             ? 0
+             : save_report(options.json_path, core::sweep_report_json(result.spec, result.points));
 }
 
 // --------------------------------------------------------------- merge ----
-
-/// Rebuilds the report spec from a shard artefact: the embedded scenario
-/// block when present, else a best-effort spec from the plan header (for
-/// artefacts produced below the scenario layer).
-core::ScenarioSpec spec_from_meta(const core::SweepPlanMeta& meta) {
-  if (!meta.scenario.empty()) {
-    core::ScenarioSpec spec = core::scenario_from_json(meta.scenario);
-    // A scenario block without an engine key takes the meta's engine, so
-    // the re-emitted report's scenario block stays self-describing.
-    if (spec.engine.empty()) spec.engine = meta.engine;
-    return spec;
-  }
-  core::ScenarioSpec spec;
-  spec.family = meta.graph.empty() ? graph::FamilySpec{"unknown", {}}
-                                   : graph::parse_family_spec(meta.graph);
-  spec.algorithm = meta.algorithm;
-  spec.engine = meta.engine;
-  spec.ns = meta.ns;
-  spec.semantics = meta.semantics;
-  spec.seed = meta.seed;
-  spec.schedule.max_trials = meta.trials;
-  spec.quantile_probs = meta.quantile_probs;
-  spec.node_profile = meta.node_profile;
-  return spec;
-}
 
 std::vector<core::ScenarioPoint> wrap_merged_points(const core::ScenarioSpec& spec,
                                                     std::vector<core::BatchedSweepPoint> merged) {
@@ -638,24 +595,14 @@ std::vector<core::ScenarioPoint> wrap_merged_points(const core::ScenarioSpec& sp
   return points;
 }
 
-int run_merge_command_impl(int argc, char** argv) {
+/// Recombines shard artefacts into the report of their embedded scenario
+/// block; an artefact without one cannot say which workload it measured.
+int run_merge_command(int argc, char** argv) {
   std::string json_path;
   std::vector<std::string> artefacts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      sweep_usage();
-      return 2;
-    }
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown argument: " << arg << "\n";
-      sweep_usage();
-      return 2;
-    } else {
-      artefacts.push_back(arg);
-    }
+  if (!parse_flags(argc, argv, 2, {text_flag("--json", json_path)}, &artefacts)) {
+    sweep_usage();
+    return 2;
   }
   if (artefacts.empty()) {
     std::cerr << "merge needs at least one shard artefact\n";
@@ -669,16 +616,20 @@ int run_merge_command_impl(int argc, char** argv) {
     docs.push_back(core::parse_shard_json(read_text_file(path)));
   }
   const core::SweepPlanMeta meta = docs.front().meta;
-  const core::ScenarioSpec spec = spec_from_meta(meta);
-  const auto points = wrap_merged_points(spec, core::merge_shards(std::move(docs)));
+  if (meta.scenario.empty()) {
+    throw std::runtime_error(artefacts.front() +
+                             " has no scenario block; merge reports only artefacts that name "
+                             "their workload");
+  }
+  const core::ResolvedScenario resolved =
+      core::resolve_scenario(core::scenario_from_json(meta.scenario));
+  const auto points = wrap_merged_points(resolved.spec, core::merge_shards(std::move(docs)));
   std::cout << "merged " << artefacts.size() << " shard(s): " << meta.algorithm << " on "
             << meta.graph << ", seed " << meta.seed << ", " << meta.trials << " trials\n";
   print_points(points, /*adaptive=*/false);
-  if (!json_path.empty()) {
-    if (!write_text_file(json_path, core::sweep_report_json(spec, points))) return 1;
-    std::cout << "merged report written to " << json_path << "\n";
-  }
-  return 0;
+  return json_path.empty()
+             ? 0
+             : save_report(json_path, core::sweep_report_json(resolved.spec, points), "merged");
 }
 
 // --------------------------------------------------------------- drive ----
@@ -817,13 +768,17 @@ void run_drive_workers(core::RemoteBackend& backend, std::vector<DriveWorker>& w
 /// `fabric-worker` children on a Unix socket in the work directory. The
 /// fabric's dynamic stealing and unit-order merge do the rest, so the
 /// report is byte-identical to `sweep --json`.
-int run_drive_command_impl(int argc, char** argv) {
-  const auto parsed = parse_sweep(argc, argv, 2, /*drive=*/true);
-  if (!parsed) {
+int run_drive_command(int argc, char** argv) {
+  SweepCliOptions options;
+  Flags flags = sweep_flags(options);
+  flags.insert(flags.end(), {number_flag("--shards", options.shards),
+                             number_flag("--jobs", options.jobs),
+                             number_flag("--retries", options.retries),
+                             text_flag("--workdir", options.workdir)});
+  if (!parse_flags(argc, argv, 2, flags)) {
     sweep_usage();
     return 2;
   }
-  const SweepCliOptions& options = *parsed;
   const core::ResolvedScenario resolved = core::resolve_scenario(options.spec);
   if (resolved.spec.schedule.adaptive()) {
     std::cerr << "drive runs fixed plans; drop --target-hw (adaptive sweeps are monolithic)\n";
@@ -861,7 +816,10 @@ int run_drive_command_impl(int argc, char** argv) {
   const std::size_t jobs =
       std::max<std::size_t>(1, std::min(options.jobs == 0 ? cores : options.jobs, units));
   std::vector<DriveWorker> workers(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) workers[i].name = "w" + std::to_string(i);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    // Not "w" + std::to_string(i): g++ 12 flags that with a false -Wrestrict.
+    workers[i].name = std::string("w").append(std::to_string(i));
+  }
   // The workers share the machine: split the cores across them unless the
   // user pinned a per-worker thread count.
   const std::size_t worker_threads =
@@ -898,11 +856,7 @@ int run_drive_command_impl(int argc, char** argv) {
               << (worker.attempts == 1 ? "" : "s") << "\n";
   }
   print_points(outcome.result.points, /*adaptive=*/false);
-  if (!options.json_path.empty()) {
-    if (!write_text_file(options.json_path, outcome.report)) return 1;
-    std::cout << "sweep report written to " << options.json_path << "\n";
-  }
-  return 0;
+  return options.json_path.empty() ? 0 : save_report(options.json_path, outcome.report);
 }
 
 // ------------------------------------------------------- serve / request ----
@@ -923,32 +877,15 @@ void serve_usage() {
          "  saves the returned report (cmp-identical to the monolithic file).\n";
 }
 
-int run_serve_command_impl(int argc, char** argv) {
+int run_serve_command(int argc, char** argv) {
   core::ServeOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    std::optional<std::string> value;
-    if (arg == "--help" || arg == "-h") {
-      serve_usage();
-      return 2;
-    }
-    if (arg == "--socket" && (value = next())) {
-      options.socket_path = *value;
-    } else if (arg == "--threads" && (value = next())) {
-      if (!size_flag(*value, "--threads", options.threads)) return 2;
-    } else if (arg == "--batch" && (value = next())) {
-      if (!size_flag(*value, "--batch", options.batch_size)) return 2;
-    } else if (arg == "--max-clients" && (value = next())) {
-      if (!size_flag(*value, "--max-clients", options.max_clients)) return 2;
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      serve_usage();
-      return 2;
-    }
+  const Flags flags = {text_flag("--socket", options.socket_path),
+                       number_flag("--threads", options.threads),
+                       number_flag("--batch", options.batch_size),
+                       number_flag("--max-clients", options.max_clients)};
+  if (!parse_flags(argc, argv, 2, flags)) {
+    serve_usage();
+    return 2;
   }
   if (options.socket_path.empty()) {
     std::cerr << "serve needs --socket PATH\n";
@@ -997,43 +934,22 @@ void fabric_usage() {
          "  coordinator reports `stopped before completion` and exits 1.\n";
 }
 
-int run_fabric_serve_command_impl(int argc, char** argv) {
+int run_fabric_serve_command(int argc, char** argv) {
   core::ScenarioSpec spec;
   core::FabricOptions fabric;
   std::string listen;
   std::string json_path;
   std::string endpoint_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    std::optional<std::string> value;
-    if (arg == "--help" || arg == "-h") {
-      fabric_usage();
-      return 2;
-    }
-    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, spec);
-    if (workload == WorkloadFlag::kInvalid) return 2;
-    if (workload == WorkloadFlag::kParsed) continue;
-    if (arg == "--listen" && (value = next())) {
-      listen = *value;
-    } else if (arg == "--unit-trials" && (value = next())) {
-      if (!size_flag(*value, "--unit-trials", fabric.unit_trials)) return 2;
-    } else if (arg == "--straggler-ms" && (value = next())) {
-      if (!u64_flag(*value, "--straggler-ms", fabric.straggler_ms)) return 2;
-    } else if (arg == "--max-workers" && (value = next())) {
-      if (!size_flag(*value, "--max-workers", fabric.max_workers)) return 2;
-    } else if (arg == "--json" && (value = next())) {
-      json_path = *value;
-    } else if (arg == "--endpoint-file" && (value = next())) {
-      endpoint_file = *value;
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      fabric_usage();
-      return 2;
-    }
+  Flags flags = workload_flags(spec);
+  flags.insert(flags.end(), {text_flag("--listen", listen),
+                             number_flag("--unit-trials", fabric.unit_trials),
+                             number_flag("--straggler-ms", fabric.straggler_ms),
+                             number_flag("--max-workers", fabric.max_workers),
+                             text_flag("--json", json_path),
+                             text_flag("--endpoint-file", endpoint_file)});
+  if (!parse_flags(argc, argv, 2, flags)) {
+    fabric_usage();
+    return 2;
   }
   if (listen.empty()) {
     std::cerr << "fabric-serve needs --listen ENDPOINT\n";
@@ -1068,46 +984,18 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
     return 1;
   }
   print_points(outcome.result.points, /*adaptive=*/false);
-  if (!json_path.empty()) {
-    // write_text_file appends the same trailing newline the sweep path
-    // does, so the saved file is cmp-identical to `sweep --json`'s.
-    if (!write_text_file(json_path, outcome.report)) return 1;
-    std::cout << "sweep report written to " << json_path << "\n";
-  }
-  return 0;
+  return json_path.empty() ? 0 : save_report(json_path, outcome.report);
 }
 
-int run_fabric_worker_command_impl(int argc, char** argv) {
+int run_fabric_worker_command(int argc, char** argv) {
   core::FabricWorkerOptions options;
   std::string connect;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    std::optional<std::string> value;
-    if (arg == "--help" || arg == "-h") {
-      fabric_usage();
-      return 2;
-    }
-    if (arg == "--connect" && (value = next())) {
-      connect = *value;
-    } else if (arg == "--threads" && (value = next())) {
-      if (!size_flag(*value, "--threads", options.threads)) return 2;
-    } else if (arg == "--batch" && (value = next())) {
-      if (!size_flag(*value, "--batch", options.batch)) return 2;
-    } else if (arg == "--name" && (value = next())) {
-      options.name = *value;
-    } else if (arg == "--connect-timeout-ms" && (value = next())) {
-      std::uint64_t ms = 0;
-      if (!u64_flag(*value, "--connect-timeout-ms", ms)) return 2;
-      options.connect_timeout_ms = static_cast<long>(ms);
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      fabric_usage();
-      return 2;
-    }
+  const Flags flags = {text_flag("--connect", connect), number_flag("--threads", options.threads),
+                       number_flag("--batch", options.batch), text_flag("--name", options.name),
+                       number_flag("--connect-timeout-ms", options.connect_timeout_ms)};
+  if (!parse_flags(argc, argv, 2, flags)) {
+    fabric_usage();
+    return 2;
   }
   if (connect.empty()) {
     std::cerr << "fabric-worker needs --connect ENDPOINT\n";
@@ -1150,39 +1038,19 @@ int run_fabric_worker_command_impl(int argc, char** argv) {
   return 0;
 }
 
-int run_request_command_impl(int argc, char** argv) {
+int run_request_command(int argc, char** argv) {
   std::string socket_path;
   std::string op = "sweep";
   std::string json_path;
-  std::uint64_t connect_timeout_ms = 5000;
+  long connect_timeout_ms = 5000;
   core::ScenarioSpec spec;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    std::optional<std::string> value;
-    if (arg == "--help" || arg == "-h") {
-      serve_usage();
-      return 2;
-    }
-    const WorkloadFlag workload = parse_workload_flag(argc, argv, i, spec);
-    if (workload == WorkloadFlag::kInvalid) return 2;
-    if (workload == WorkloadFlag::kParsed) continue;
-    if (arg == "--socket" && (value = next())) {
-      socket_path = *value;
-    } else if (arg == "--connect-timeout-ms" && (value = next())) {
-      if (!u64_flag(*value, "--connect-timeout-ms", connect_timeout_ms)) return 2;
-    } else if (arg == "--op" && (value = next())) {
-      op = *value;
-    } else if (arg == "--json" && (value = next())) {
-      json_path = *value;
-    } else {
-      std::cerr << "unknown or incomplete argument: " << arg << "\n";
-      serve_usage();
-      return 2;
-    }
+  Flags flags = workload_flags(spec);
+  flags.insert(flags.end(), {text_flag("--socket", socket_path),
+                             number_flag("--connect-timeout-ms", connect_timeout_ms),
+                             text_flag("--op", op), text_flag("--json", json_path)});
+  if (!parse_flags(argc, argv, 2, flags)) {
+    serve_usage();
+    return 2;
   }
   if (socket_path.empty()) {
     std::cerr << "request needs --socket PATH\n";
@@ -1207,8 +1075,8 @@ int run_request_command_impl(int argc, char** argv) {
   // poll loop; connect_with_retry rides out the ENOENT / ECONNREFUSED
   // window with bounded backoff instead, and throws (-> exit 1) only once
   // --connect-timeout-ms has elapsed with nothing listening.
-  support::Stream stream = support::Stream::connect_with_retry(
-      support::parse_endpoint(socket_path), static_cast<long>(connect_timeout_ms));
+  support::Stream stream =
+      support::Stream::connect_with_retry(support::parse_endpoint(socket_path), connect_timeout_ms);
   if (!stream.write_line(json.str())) {
     std::cerr << "cannot send request to " << socket_path << "\n";
     return 1;
@@ -1231,18 +1099,29 @@ int run_request_command_impl(int argc, char** argv) {
   std::cout << "key " << response.at("key").as_string() << " "
             << (response.at("warm").as_bool() ? "warm (served from cache)" : "computed") << ", "
             << response.at("trials_computed").as_u64() << " trial(s) computed\n";
-  if (!json_path.empty()) {
-    // write_text_file appends the same trailing newline the sweep path
-    // does, so the saved file is cmp-identical to `sweep --json`'s.
-    if (!write_text_file(json_path, report)) return 1;
-    std::cout << "sweep report written to " << json_path << "\n";
-  } else {
-    std::cout << report << "\n";
-  }
+  if (!json_path.empty()) return save_report(json_path, report);
+  std::cout << report << "\n";
   return 0;
 }
 
 // ---------------------------------------------------------------- main ----
+
+struct Command {
+  const char* name;
+  int (*run)(int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"list", run_list_command},
+    {"experiments", run_experiments_command},
+    {"sweep", run_sweep_command},
+    {"merge", run_merge_command},
+    {"drive", run_drive_command},
+    {"serve", run_serve_command},
+    {"request", run_request_command},
+    {"fabric-serve", run_fabric_serve_command},
+    {"fabric-worker", run_fabric_worker_command},
+};
 
 /// Sweep plans assemble many moving parts (size lists, graph families,
 /// shard artefacts), so configuration errors surface as exceptions from
@@ -1256,47 +1135,12 @@ int run_guarded(int (*command)(int, char**), int argc, char** argv) {
   }
 }
 
-int run_single_guarded(int argc, char** argv) {
-  const auto parsed = parse_run(argc, argv);
-  if (!parsed) {
-    usage();
-    return 2;
-  }
-  try {
-    return run_single_impl(*parsed);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "list") == 0) return run_list_command();
-  if (argc > 1 && std::strcmp(argv[1], "experiments") == 0) {
-    return run_guarded(run_experiments_command, argc, argv);
+  int (*command)(int, char**) = run_single_command;
+  for (const Command& candidate : kCommands) {
+    if (argc > 1 && std::strcmp(argv[1], candidate.name) == 0) command = candidate.run;
   }
-  if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
-    return run_guarded(run_sweep_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "merge") == 0) {
-    return run_guarded(run_merge_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "drive") == 0) {
-    return run_guarded(run_drive_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return run_guarded(run_serve_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "request") == 0) {
-    return run_guarded(run_request_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "fabric-serve") == 0) {
-    return run_guarded(run_fabric_serve_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "fabric-worker") == 0) {
-    return run_guarded(run_fabric_worker_command_impl, argc, argv);
-  }
-  return run_single_guarded(argc, argv);
+  return run_guarded(command, argc, argv);
 }

@@ -24,8 +24,8 @@
 namespace avglocal::algo {
 
 enum class AlgorithmKind {
-  kView,     ///< ball formulation; sweepable through run_views_batched
-  kMessage,  ///< synchronous message passing; single runs only
+  kView,     ///< ball formulation; sweeps run through run_views_batched
+  kMessage,  ///< synchronous message passing; sweeps run through MessageBatchRunner
 };
 
 /// Output validator: true iff the outputs solve the algorithm's problem on

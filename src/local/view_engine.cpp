@@ -384,16 +384,4 @@ RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
   return result;
 }
 
-std::pair<std::int64_t, std::size_t> run_view_on_vertex(const graph::Graph& g,
-                                                        const graph::IdAssignment& ids,
-                                                        graph::Vertex v,
-                                                        const ViewAlgorithmFactory& factory,
-                                                        const ViewEngineOptions& options) {
-  AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
-  AVGLOCAL_EXPECTS(v < g.vertex_count());
-  BallGrower::Scratch scratch(g.vertex_count());
-  BallGrower grower(g, ids, v, options.semantics, scratch);
-  return run_one(g, grower, factory);
-}
-
 }  // namespace avglocal::local

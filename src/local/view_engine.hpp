@@ -128,11 +128,4 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
                        const BatchedResultFn& sink);
 
-/// Runs the algorithm on a single vertex; returns (output, radius).
-std::pair<std::int64_t, std::size_t> run_view_on_vertex(const graph::Graph& g,
-                                                        const graph::IdAssignment& ids,
-                                                        graph::Vertex v,
-                                                        const ViewAlgorithmFactory& factory,
-                                                        const ViewEngineOptions& options = {});
-
 }  // namespace avglocal::local

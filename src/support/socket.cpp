@@ -231,8 +231,15 @@ Stream Stream::try_connect(const Endpoint& endpoint, int& error) {
 
 Stream Stream::connect_with_retry(const Endpoint& endpoint, long timeout_ms) {
   // steady_clock: wall-clock jumps must not shrink or stretch the window.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  // The deadline saturates: now + LONG_MAX ms would overflow the clock's
+  // nanosecond count into the past and time out at once.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const std::chrono::milliseconds window(timeout_ms);
+  const auto deadline = window < std::chrono::duration_cast<std::chrono::milliseconds>(
+                                     Clock::time_point::max() - start)
+                            ? start + window
+                            : Clock::time_point::max();
   std::chrono::milliseconds backoff(10);
   for (;;) {
     int error = 0;
@@ -245,7 +252,7 @@ Stream Stream::connect_with_retry(const Endpoint& endpoint, long timeout_ms) {
       errno = error;
       throw_errno("connect(" + endpoint.to_string() + ")");
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (now >= deadline) {
       errno = error;
       throw_errno("connect(" + endpoint.to_string() + ") timed out after " +

@@ -14,7 +14,12 @@
 //  * exhausted respawns fail the drive cleanly (exit 1, "giving up", no
 //    report), never a hang or an abort.
 //  * `merge` on a shard file nested past the JSON depth cap exits 1 with
-//    the parser's message instead of overflowing the stack.
+//    the parser's message instead of overflowing the stack; an artefact
+//    without a scenario block exits 1 and writes no report;
+//  * every command rejects an unknown flag, a missing value, --help and a
+//    bad value the same way: exit 2 and its usage;
+//  * a single run is trial 0 of the one-trial sweep with the same flags,
+//    vertex by vertex, for every registered algorithm.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -24,8 +29,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "algo/registry.hpp"
+#include "core/shard.hpp"
+#include "support/json_reader.hpp"
 
 namespace {
+
+using namespace avglocal;
 
 struct RunResult {
   int exit_code = -1;
@@ -110,6 +122,10 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
       {"fabric-serve --listen unix:/tmp/x.sock --unit-trials -4 --ns 64", "--unit-trials", "-4"},
       {"fabric-worker --connect unix:/tmp/x.sock --connect-timeout-ms never",
        "--connect-timeout-ms", "never"},
+      {"fabric-worker --connect unix:/tmp/x.sock --connect-timeout-ms 9223372036854775808",
+       "--connect-timeout-ms", "9223372036854775808"},
+      {"request --socket /tmp/x.sock --op ping --connect-timeout-ms 18446744073709551615",
+       "--connect-timeout-ms", "18446744073709551615"},
   };
   for (const BadFlagCase& c : cases) {
     const RunResult result = run_command(cli() + " " + c.args);
@@ -119,6 +135,35 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
     EXPECT_NE(result.output.find(expected), std::string::npos)
         << c.args << "\nexpected: " << expected << "\ngot:\n"
         << result.output;
+  }
+}
+
+TEST(CliFlagParsing, EveryCommandFailsTheSameWay) {
+  struct CommandCase {
+    const char* command;     ///< the command and its required flags
+    const char* value_flag;  ///< a flag that takes a value
+    const char* bad_value;   ///< a rejected command-specific value, or null
+  };
+  const CommandCase commands[] = {
+      {"", "--seed", "--n x"},
+      {"sweep --ns 64", "--json", "--threads x"},
+      {"merge", "--json", nullptr},  // merge has no value to reject
+      {"drive --ns 64", "--workdir", "--shards x"},
+      {"serve --socket /tmp/x.sock", "--socket", "--threads x"},
+      {"request --socket /tmp/x.sock", "--op", "--connect-timeout-ms x"},
+      {"fabric-serve --listen unix:/tmp/x.sock --ns 64", "--listen", "--max-workers x"},
+      {"fabric-worker --connect unix:/tmp/x.sock", "--name", "--threads x"},
+  };
+  for (const CommandCase& c : commands) {
+    std::vector<std::string> failures = {"--bogus", c.value_flag, "--help"};
+    if (c.bad_value != nullptr) failures.emplace_back(c.bad_value);
+    for (const std::string& failure : failures) {
+      const std::string args = std::string(c.command) + " " + failure;
+      const RunResult result = run_command(cli() + " " + args);
+      EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+      EXPECT_NE(result.output.find("usage: avglocal_cli"), std::string::npos)
+          << args << "\n" << result.output;
+    }
   }
 }
 
@@ -173,6 +218,76 @@ TEST(CliMerge, DeeplyNestedShardFileExitsOneInsteadOfCrashing) {
       << result.output;
   std::ifstream missing(report);
   EXPECT_FALSE(missing.good()) << "no report may be written";
+}
+
+TEST(CliMerge, ArtefactWithoutAScenarioBlockExitsOneWithoutAReport) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string shard = dir.path() + "/s0.json";
+  const RunResult produced =
+      run_command(cli() + " sweep --algo largest-id --graph cycle --ns 64 --trials 4 --seed 5" +
+                  " --shard 0/1 --out '" + shard + "'");
+  ASSERT_EQ(produced.exit_code, 0) << produced.output;
+
+  // The same artefact as a producer below the scenario layer writes it.
+  core::ShardDocument doc = core::parse_shard_json(read_file(shard));
+  ASSERT_FALSE(doc.meta.scenario.empty());
+  doc.meta.scenario.clear();
+  const std::string bare = dir.path() + "/bare.json";
+  std::ofstream(bare) << core::shard_to_json(doc) << "\n";
+
+  const std::string report = dir.path() + "/merged.json";
+  const RunResult result = run_command(cli() + " merge --json '" + report + "' '" + bare + "'");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("has no scenario block"), std::string::npos) << result.output;
+  std::ifstream missing(report);
+  EXPECT_FALSE(missing.good()) << "no report may be written";
+}
+
+// ------------------------------------------------------------ single run ----
+
+/// The radius column of a single run's `vertex,id,radius,output` CSV.
+std::vector<double> csv_radii(const std::string& text) {
+  std::vector<double> radii;
+  std::stringstream lines(text);
+  std::string line;
+  std::getline(lines, line);  // header
+  while (std::getline(lines, line)) {
+    std::stringstream cells(line);
+    std::string cell;
+    for (int column = 0; column < 3; ++column) std::getline(cells, cell, ',');
+    radii.push_back(std::stod(cell));
+  }
+  return radii;
+}
+
+TEST(CliSingleRun, IsTrialZeroOfTheSweep) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const algo::AlgorithmRegistry& registry = algo::AlgorithmRegistry::global();
+  for (const auto kind : {algo::AlgorithmKind::kView, algo::AlgorithmKind::kMessage}) {
+    for (const std::string& algorithm : registry.names(kind)) {
+      const std::string graph =
+          algorithm.rfind("greedy", 0) == 0 ? "gnp:avg-degree=6" : "cycle";
+      const std::string flags = " --algo " + algorithm + " --graph " + graph + " --seed 3";
+      const std::string csv = dir.path() + "/" + algorithm + ".csv";
+      const std::string json = dir.path() + "/" + algorithm + ".json";
+      const RunResult single = run_command(cli() + flags + " --n 64 --csv '" + csv + "'");
+      ASSERT_EQ(single.exit_code, 0) << algorithm << "\n" << single.output;
+      const RunResult sweep = run_command(cli() + " sweep" + flags +
+                                          " --ns 64 --trials 1 --node-profile --json '" + json +
+                                          "'");
+      ASSERT_EQ(sweep.exit_code, 0) << algorithm << "\n" << sweep.output;
+
+      const std::vector<double> radii = csv_radii(read_file(csv));
+      const support::JsonValue report = support::parse_json(read_file(json));
+      const support::JsonValue& node_mean = report.at("points")[0].at("node_mean");
+      ASSERT_EQ(radii.size(), node_mean.size()) << algorithm;
+      for (std::size_t v = 0; v < radii.size(); ++v) {
+        EXPECT_EQ(radii[v], node_mean[v].as_double()) << algorithm << " vertex " << v;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- drive respawn path ----

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -497,6 +498,37 @@ TEST(Stream, ConnectWithRetryOutwaitsADaemonStillBinding) {
   const support::Endpoint absent =
       support::parse_endpoint(std::string(dir_template) + "/nobody.sock");
   EXPECT_THROW((void)support::Stream::connect_with_retry(absent, 150), std::runtime_error);
+  ::rmdir(dir_template);
+}
+
+TEST(Stream, ConnectWithRetrySaturatesAnUnboundedTimeout) {
+  char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const support::Endpoint endpoint =
+      support::parse_endpoint(std::string(dir_template) + "/daemon.sock");
+
+  // now + LONG_MAX ms overflows steady_clock's nanosecond count; an
+  // unsaturated deadline lands in the past and the first ENOENT throws
+  // instead of waiting for the listener bound 100 ms later.
+  support::LineServer echo(1, [](std::uint64_t, const std::string& line) {
+    return support::LineServer::Reply{line, false};
+  });
+  std::thread late_binder([&echo, &endpoint] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    echo.start(endpoint);
+    echo.run();
+  });
+  std::string echoed;
+  try {
+    support::Stream stream = support::Stream::connect_with_retry(endpoint, LONG_MAX);
+    EXPECT_TRUE(stream.write_line("hello"));
+    EXPECT_TRUE(stream.read_line(echoed));
+  } catch (const std::runtime_error& error) {
+    ADD_FAILURE() << error.what();
+  }
+  EXPECT_EQ(echoed, "hello");
+  echo.request_stop();
+  late_binder.join();
   ::rmdir(dir_template);
 }
 

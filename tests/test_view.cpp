@@ -248,10 +248,10 @@ TEST(ViewEngine, RadiusCapThrows) {
 TEST(ViewEngine, SingleVertexRunner) {
   const auto g = graph::make_cycle(9);
   const auto ids = graph::IdAssignment::identity(9);
-  const auto [output, radius] =
-      local::run_view_on_vertex(g, ids, 4, [] { return std::make_unique<StopAtRadius>(1); });
-  EXPECT_EQ(radius, 1u);
-  EXPECT_EQ(output, 3);
+  const local::RunResult run =
+      local::run_views(g, ids, [] { return std::make_unique<StopAtRadius>(1); });
+  EXPECT_EQ(run.radii[4], 1u);
+  EXPECT_EQ(run.outputs[4], 3);
 }
 
 TEST(PortTable, RowsSpansAndReuse) {
