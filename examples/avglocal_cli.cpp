@@ -547,20 +547,18 @@ int run_sweep_command(int argc, char** argv) {
                 << "monolithic driver; drop --target-hw or run `sweep`/`drive` without --shard\n";
       return 2;
     }
-    core::BatchedSweepOptions sweep = resolved.sweep_options();
-    sweep.threads = options.threads;
-    sweep.batch_size = options.batch;
     const auto plan =
-        core::plan_shards(resolved.spec.ns.size(), sweep.trials, count);
+        core::plan_shards(resolved.spec.ns.size(), resolved.spec.schedule.max_trials, count);
     if (index >= plan.size()) {
       std::cerr << "shard " << index << " is empty: only " << plan.size()
                 << " non-empty shards in this plan\n";
       return 2;
     }
     core::ShardDocument doc;
-    doc.meta = core::scenario_plan_meta(resolved);
+    doc.meta = resolved.spec;
     doc.shard = plan[index];
-    doc.points = core::run_scenario_shard(resolved, sweep, doc.shard);
+    doc.points = core::run_scenario_shard(
+        resolved, core::ScenarioExecution{options.threads, options.batch, nullptr}, doc.shard);
     if (!write_text_file(options.out_path, core::shard_to_json(doc))) return 1;
     std::cout << "shard " << index << "/" << count << " (trials [" << doc.shard.trial_begin
               << ", " << doc.shard.trial_end << ")) written to " << options.out_path << "\n";
@@ -579,24 +577,8 @@ int run_sweep_command(int argc, char** argv) {
 
 // --------------------------------------------------------------- merge ----
 
-std::vector<core::ScenarioPoint> wrap_merged_points(const core::ScenarioSpec& spec,
-                                                    std::vector<core::BatchedSweepPoint> merged) {
-  std::vector<core::ScenarioPoint> points;
-  points.reserve(merged.size());
-  for (auto& p : merged) {
-    core::ScenarioPoint sp;
-    // The shared TrialSchedule::half_width keeps this reconstruction
-    // bit-identical to the monolithic run's reported value.
-    sp.half_width = spec.schedule.half_width(p.avg_sd, p.trials);
-    sp.converged = true;  // sharded plans are fixed-trial by construction
-    sp.point = std::move(p);
-    points.push_back(std::move(sp));
-  }
-  return points;
-}
-
-/// Recombines shard artefacts into the report of their embedded scenario
-/// block; an artefact without one cannot say which workload it measured.
+/// Recombines shard artefacts into the report of the scenario their
+/// headers name; merge_shards checks every partial against it first.
 int run_merge_command(int argc, char** argv) {
   std::string json_path;
   std::vector<std::string> artefacts;
@@ -615,21 +597,15 @@ int run_merge_command(int argc, char** argv) {
   for (const std::string& path : artefacts) {
     docs.push_back(core::parse_shard_json(read_text_file(path)));
   }
-  const core::SweepPlanMeta meta = docs.front().meta;
-  if (meta.scenario.empty()) {
-    throw std::runtime_error(artefacts.front() +
-                             " has no scenario block; merge reports only artefacts that name "
-                             "their workload");
-  }
-  const core::ResolvedScenario resolved =
-      core::resolve_scenario(core::scenario_from_json(meta.scenario));
-  const auto points = wrap_merged_points(resolved.spec, core::merge_shards(std::move(docs)));
-  std::cout << "merged " << artefacts.size() << " shard(s): " << meta.algorithm << " on "
-            << meta.graph << ", seed " << meta.seed << ", " << meta.trials << " trials\n";
-  print_points(points, /*adaptive=*/false);
+  const core::ScenarioResult merged = core::merge_shards(std::move(docs));
+  const core::ScenarioSpec& spec = merged.spec;
+  std::cout << "merged " << artefacts.size() << " shard(s): " << spec.algorithm << " on "
+            << graph::family_spec_to_string(spec.family) << ", seed " << spec.seed << ", "
+            << spec.schedule.max_trials << " trials\n";
+  print_points(merged.points, /*adaptive=*/false);
   return json_path.empty()
              ? 0
-             : save_report(json_path, core::sweep_report_json(resolved.spec, points), "merged");
+             : save_report(json_path, core::sweep_report_json(spec, merged.points), "merged");
 }
 
 // --------------------------------------------------------------- drive ----

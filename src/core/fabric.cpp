@@ -123,7 +123,6 @@ void WorkQueue::release(std::uint64_t session) {
 FabricCoordinator::FabricCoordinator(ResolvedScenario resolved, const FabricOptions& options)
     : options_(options),
       resolved_(std::move(resolved)),
-      expected_meta_(scenario_plan_meta(resolved_)),
       work_units_(plan_work_units(resolved_.spec.ns.size(), resolved_.spec.schedule.max_trials,
                                   options.unit_trials)),
       epoch_(std::chrono::steady_clock::now()),
@@ -186,9 +185,6 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
       json.begin_object();
       json.key("ok").value(true);
       json.key("op").value("hello");
-      json.key("trials")
-          .value(static_cast<std::uint64_t>(resolved_.spec.schedule.max_trials));
-      json.key("points").value(static_cast<std::uint64_t>(resolved_.spec.ns.size()));
       json.key("scenario");
       write_scenario_json(json, resolved_.spec);
       json.end_object();
@@ -230,7 +226,7 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
       }
       const WorkUnit& unit = work_units_[unit_id];
       ShardDocument doc = parse_shard_json(request.at("artefact").as_string());
-      if (doc.meta != expected_meta_) {
+      if (doc.meta != resolved_.spec) {
         reply.line = error_reply("artefact meta does not match this sweep's plan");
         return reply;
       }
@@ -322,11 +318,10 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     throw std::runtime_error("fabric hello: no reply from coordinator");
   }
   const support::JsonValue hello_reply = parse_reply(line, "hello");
-  const std::uint64_t trials = hello_reply.at("trials").as_u64();
   // One session for the whole run: a point is prepared on its first unit.
   ScenarioSession session(resolve_scenario(scenario_from_json(hello_reply.at("scenario"))),
                           ScenarioExecution{options.threads, options.batch, nullptr});
-  const SweepPlanMeta meta = scenario_plan_meta(session.resolved());
+  const ScenarioSpec& spec = session.resolved().spec;
 
   for (;;) {
     support::JsonWriter request;
@@ -358,14 +353,14 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     unit.point = granted.at("point").as_u64();
     unit.trial_begin = granted.at("trial_begin").as_u64();
     unit.trial_end = granted.at("trial_end").as_u64();
-    if (unit.point >= session.resolved().spec.ns.size() || unit.trial_begin >= unit.trial_end ||
-        unit.trial_end > trials) {
+    if (unit.point >= spec.ns.size() || unit.trial_begin >= unit.trial_end ||
+        unit.trial_end > spec.schedule.max_trials) {
       throw std::runtime_error("fabric work-grant: malformed unit");
     }
     if (options.on_grant) options.on_grant(unit);
 
     ShardDocument doc;
-    doc.meta = meta;
+    doc.meta = spec;
     doc.shard = SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
     doc.points.push_back(session.run_trials(unit.point, unit.trial_begin, unit.trial_end));
 

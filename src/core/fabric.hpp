@@ -9,9 +9,10 @@
 // pre-partition. One request or reply object per line:
 //
 //   {"op":"hello","worker":NAME}
-//     -> {"ok":true,"op":"hello","trials":T,"points":K,"scenario":{...}}
-//        (the canonical scenario block; the worker resolves it once and
-//        serves every unit from the same resident engines)
+//     -> {"ok":true,"op":"hello","scenario":{...}}
+//        (the canonical scenario block, which also fixes the plan's points
+//        and trials; the worker resolves it once and serves every unit
+//        from the same resident engines)
 //   {"op":"work-request"}
 //     -> {"ok":true,"op":"work-grant",
 //         "unit":{"id":I,"point":P,"trial_begin":A,"trial_end":B}}
@@ -25,10 +26,10 @@
 //   {"op":"result","unit":I,"artefact":"<shard artefact JSON>"}
 //     -> {"ok":true,"op":"result","accepted":true|false}
 //
-// Results travel as the existing v3 shard artefacts (core/shard.hpp): one
+// Results travel as the existing v4 shard artefacts (core/shard.hpp): one
 // ShardDocument whose shard rectangle is exactly the unit's (one point,
-// the unit's trial range), whose meta must equal scenario_plan_meta of
-// the coordinator's resolved scenario, and whose one accumulator must pass
+// the unit's trial range), whose header must equal the coordinator's
+// resolved (canonical) scenario, and whose one accumulator must pass
 // ResolvedScenario::matches_partial for the unit - a worker that somehow
 // ran a different workload, or sent a body that disagrees with its
 // header, is rejected (the unit stays in flight), not merged.
@@ -58,6 +59,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "core/shard.hpp"
 #include "support/line_server.hpp"
 
 namespace avglocal::core {
@@ -205,8 +207,7 @@ class FabricCoordinator {
   std::uint64_t now_ms() const;
 
   FabricOptions options_;
-  ResolvedScenario resolved_;
-  SweepPlanMeta expected_meta_;        ///< what every artefact must carry
+  ResolvedScenario resolved_;          ///< every artefact's header must equal its spec
   std::vector<WorkUnit> work_units_;   ///< the immutable plan, by unit id
   std::chrono::steady_clock::time_point epoch_;  ///< origin of now_ms()
 
@@ -245,7 +246,8 @@ struct FabricWorkerOutcome {
 /// Units run on one ScenarioSession for the whole connection, so a point's
 /// graph and engines are built once and reused by all its units. Throws
 /// std::runtime_error on connection failures before hello completes and on
-/// protocol errors, including a grant outside the hello's points x trials.
+/// protocol errors, including a grant outside the hello scenario's points x
+/// trials.
 FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options);
 
 /// Recombines accepted unit results into one accumulator per sweep point,

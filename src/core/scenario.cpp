@@ -324,10 +324,6 @@ ScenarioSpec scenario_from_json(const support::JsonValue& value) {
   return spec;
 }
 
-ScenarioSpec scenario_from_json(std::string_view text) {
-  return scenario_from_json(support::parse_json(text));
-}
-
 ScenarioSession::ScenarioSession(ResolvedScenario resolved, const ScenarioExecution& execution)
     : resolved_(std::move(resolved)),
       backend_(resolved_.make_backend()),
@@ -380,33 +376,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& e
     result.points.push_back(resolved.finish_point(acc, converged));
   }
   return result;
-}
-
-std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,
-                                                 const BatchedSweepOptions& options,
-                                                 const SweepShard& shard) {
-  AVGLOCAL_EXPECTS(!shard.empty());
-  AVGLOCAL_EXPECTS(shard.point_end <= resolved.spec.ns.size());
-  AVGLOCAL_EXPECTS(shard.trial_end <= options.trials);
-
-  const ScenarioExecution execution{options.threads, options.batch_size, options.pool};
-  std::vector<PointAccumulator> partials;
-  partials.reserve(shard.point_end - shard.point_begin);
-  for (std::size_t point = shard.point_begin; point < shard.point_end; ++point) {
-    // A session per point, as in run_scenario: peak memory stays one point's.
-    ScenarioSession session(resolved, execution);
-    partials.push_back(session.run_trials(point, shard.trial_begin, shard.trial_end));
-  }
-  return partials;
-}
-
-SweepPlanMeta scenario_plan_meta(const ResolvedScenario& resolved) {
-  SweepPlanMeta meta = SweepPlanMeta::from_options(resolved.spec.ns, resolved.sweep_options());
-  meta.algorithm = resolved.spec.algorithm;
-  meta.graph = graph::family_spec_to_string(resolved.spec.family);
-  meta.scenario = scenario_to_json(resolved.spec);
-  meta.engine = resolved.spec.engine;
-  return meta;
 }
 
 }  // namespace avglocal::core

@@ -24,11 +24,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
-#include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/family_registry.hpp"
 #include "support/json_reader.hpp"
@@ -93,6 +91,8 @@ struct ScenarioPoint {
   double half_width = 0.0;
   /// Adaptive runs: target reached before the cap. Fixed runs: true.
   bool converged = true;
+
+  friend bool operator==(const ScenarioPoint&, const ScenarioPoint&) = default;
 };
 
 /// A validated, runnable scenario. `spec` is the canonical form: family
@@ -133,16 +133,16 @@ struct ResolvedScenario {
 /// Throws std::invalid_argument before any graph or engine work happens.
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
-/// Canonical JSON block of a spec (single line, fixed key order). Embedded
-/// in sweep reports and shard artefacts so merges reject mismatched
-/// workloads by construction; resolve first for a canonical spec.
+/// Canonical JSON block of a spec (single line, fixed key order); resolve
+/// first for a canonical spec.
 std::string scenario_to_json(const ScenarioSpec& spec);
 
-/// Emits the same block as one object value of a larger document.
+/// Emits the same block as one object value of a larger document: the
+/// `scenario` object of sweep reports, shard artefact headers, daemon
+/// requests and the fabric hello.
 void write_scenario_json(support::JsonWriter& json, const ScenarioSpec& spec);
 
 ScenarioSpec scenario_from_json(const support::JsonValue& value);
-ScenarioSpec scenario_from_json(std::string_view text);
 
 /// The workload-identity block: the canonical scenario block minus the
 /// trial schedule (same keys, same order, `schedule` omitted). Everything
@@ -162,6 +162,8 @@ std::string scenario_cache_key(const ScenarioSpec& spec);
 struct ScenarioResult {
   ScenarioSpec spec;  ///< canonical spec the run used
   std::vector<ScenarioPoint> points;
+
+  friend bool operator==(const ScenarioResult&, const ScenarioResult&) = default;
 };
 
 /// The sweep report document (format v3). Produced identically by the
@@ -188,8 +190,9 @@ struct ScenarioExecution {
 /// and per point a graph and prepared SweepDriver::Point, built on the
 /// point's first run_trials call and kept until the session ends. Every
 /// scenario-level path runs through sessions: result-cache entries and
-/// fabric workers keep one; run_scenario and run_scenario_shard open one
-/// per point, so memory peaks at one point's. Not thread-safe.
+/// fabric workers keep one; run_scenario and run_scenario_shard
+/// (core/shard.hpp) open one per point, so memory peaks at one point's.
+/// Not thread-safe.
 class ScenarioSession {
  public:
   explicit ScenarioSession(ResolvedScenario resolved, const ScenarioExecution& execution = {});
@@ -217,23 +220,5 @@ class ScenarioSession {
 
 /// Runs the scenario monolithically, applying the trial schedule per point.
 ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& execution = {});
-
-/// Runs one shard of a resolved scenario, one ScenarioSession per point:
-/// accumulators for points [shard.point_begin, point_end), trials [trial_begin, trial_end).
-/// `options` must come from resolved.sweep_options(); only its execution
-/// knobs (threads, batch_size, pool) are read, and they never change results.
-std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,
-                                                 const BatchedSweepOptions& options,
-                                                 const SweepShard& shard);
-
-/// The plan header a resolved scenario's shard artefacts carry: the
-/// numeric plan from sweep_options() plus the workload labels (algorithm,
-/// graph family, canonical scenario block, engine). Every producer of
-/// scenario-level artefacts - `sweep --shard`, fabric workers - and every
-/// consumer that validates them (merge, the fabric coordinator) builds the
-/// expected meta through this one helper, so the equality check in
-/// merge_shards compares like with like. Execution knobs (threads, batch)
-/// are not part of the meta; they never change results.
-SweepPlanMeta scenario_plan_meta(const ResolvedScenario& resolved);
 
 }  // namespace avglocal::core

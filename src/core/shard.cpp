@@ -1,6 +1,8 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/json_reader.hpp"
@@ -10,18 +12,13 @@ namespace avglocal::core {
 
 namespace {
 
-/// Version 3: the meta block carries the `engine` field ("view" |
-/// "message") and points carry the edge-averaged partials (`edges`,
+/// Version 4: the header is the canonical scenario object
+/// (core::write_scenario_json), which names the workload, the engine and the
+/// numeric plan; points carry the edge-averaged partials (`edges`,
 /// `trial_edge_sum`, `edge_histogram`). Every other version is rejected:
-/// older artefacts lack the edge partials and would merge into a report
-/// with zeroed edge measures.
-constexpr std::uint64_t kShardFormatVersion = 3;
-
-local::ViewSemantics semantics_from_name(const std::string& name) {
-  const auto semantics = local::view_semantics_from_name(name);
-  if (!semantics) throw std::runtime_error("shard: unknown view semantics '" + name + "'");
-  return *semantics;
-}
+/// v3 has another header layout, and older artefacts lack the edge partials
+/// and would merge into a report with zeroed edge measures.
+constexpr std::uint64_t kShardFormatVersion = 4;
 
 void write_u64_array(support::JsonWriter& json, const std::vector<std::uint64_t>& values) {
   json.begin_array();
@@ -57,46 +54,12 @@ std::vector<SweepShard> plan_shards(std::size_t points, std::size_t trials,
   return plan;
 }
 
-SweepPlanMeta SweepPlanMeta::from_options(const std::vector<std::size_t>& ns,
-                                          const BatchedSweepOptions& options) {
-  SweepPlanMeta meta;
-  meta.seed = options.seed;
-  meta.trials = options.trials;
-  meta.ns = ns;
-  meta.semantics = options.semantics;
-  meta.quantile_probs = options.quantile_probs;
-  meta.node_profile = options.node_profile;
-  return meta;
-}
-
-BatchedSweepOptions SweepPlanMeta::options_for() const {
-  BatchedSweepOptions options;
-  options.seed = seed;
-  options.trials = trials;
-  options.semantics = semantics;
-  options.quantile_probs = quantile_probs;
-  options.node_profile = node_profile;
-  return options;
-}
-
 std::string shard_to_json(const ShardDocument& doc) {
   support::JsonWriter json;
   json.begin_object();
   json.key("avglocal_shard").value(kShardFormatVersion);
-  json.key("seed").value(doc.meta.seed);
-  json.key("trials").value(static_cast<std::uint64_t>(doc.meta.trials));
-  json.key("semantics").value(local::to_string(doc.meta.semantics));
-  json.key("ns").begin_array();
-  for (std::size_t n : doc.meta.ns) json.value(static_cast<std::uint64_t>(n));
-  json.end_array();
-  json.key("quantile_probs").begin_array();
-  for (double q : doc.meta.quantile_probs) json.value(q);
-  json.end_array();
-  json.key("node_profile").value(doc.meta.node_profile);
-  json.key("algorithm").value(doc.meta.algorithm);
-  json.key("graph").value(doc.meta.graph);
-  json.key("scenario").value(doc.meta.scenario);
-  json.key("engine").value(doc.meta.engine);
+  json.key("scenario");
+  write_scenario_json(json, doc.meta);
   json.key("shard").begin_object();
   json.key("point_begin").value(static_cast<std::uint64_t>(doc.shard.point_begin));
   json.key("point_end").value(static_cast<std::uint64_t>(doc.shard.point_end));
@@ -142,20 +105,7 @@ ShardDocument parse_shard_json(std::string_view text) {
   }
 
   ShardDocument doc;
-  doc.meta.seed = root.at("seed").as_u64();
-  doc.meta.trials = root.at("trials").as_u64();
-  doc.meta.semantics = semantics_from_name(root.at("semantics").as_string());
-  const support::JsonValue& ns = root.at("ns");
-  for (std::size_t i = 0; i < ns.size(); ++i) doc.meta.ns.push_back(ns[i].as_u64());
-  const support::JsonValue& probs = root.at("quantile_probs");
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    doc.meta.quantile_probs.push_back(probs[i].as_double());
-  }
-  doc.meta.node_profile = root.at("node_profile").as_bool();
-  doc.meta.algorithm = root.at("algorithm").as_string();
-  doc.meta.graph = root.at("graph").as_string();
-  doc.meta.scenario = root.at("scenario").as_string();
-  doc.meta.engine = root.at("engine").as_string();
+  doc.meta = scenario_from_json(root.at("scenario"));
 
   const support::JsonValue& shard = root.at("shard");
   doc.shard.point_begin = shard.at("point_begin").as_u64();
@@ -187,45 +137,82 @@ ShardDocument parse_shard_json(std::string_view text) {
   return doc;
 }
 
-std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs) {
+std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,
+                                                 const ScenarioExecution& execution,
+                                                 const SweepShard& shard) {
+  AVGLOCAL_EXPECTS(!shard.empty());
+  AVGLOCAL_EXPECTS(shard.point_end <= resolved.spec.ns.size());
+  AVGLOCAL_EXPECTS(shard.trial_end <= resolved.spec.schedule.max_trials);
+
+  std::vector<PointAccumulator> partials;
+  partials.reserve(shard.point_end - shard.point_begin);
+  for (std::size_t point = shard.point_begin; point < shard.point_end; ++point) {
+    // A session per point, as in run_scenario: peak memory stays one point's.
+    ScenarioSession session(resolved, execution);
+    partials.push_back(session.run_trials(point, shard.trial_begin, shard.trial_end));
+  }
+  return partials;
+}
+
+ScenarioResult merge_shards(std::vector<ShardDocument> docs) {
   AVGLOCAL_EXPECTS(!docs.empty());
-  const SweepPlanMeta& meta = docs.front().meta;
+  const ScenarioSpec& header = docs.front().meta;
   for (const ShardDocument& doc : docs) {
     // The engine mismatch gets its own precise error: both engines' radii
     // are plain integers, so mixing a view artefact into a message plan (or
     // vice versa) is the likeliest - and least self-evident - mix-up.
-    AVGLOCAL_REQUIRE_MSG(doc.meta.engine == meta.engine,
-                         "shard artefacts come from different engines ('" + meta.engine +
-                             "' vs '" + doc.meta.engine + "'); view and message sweeps never merge");
-    AVGLOCAL_REQUIRE_MSG(doc.meta == meta, "shard artefacts describe different sweep plans");
+    AVGLOCAL_REQUIRE_MSG(doc.meta.engine == header.engine,
+                         "shard artefacts come from different engines ('" + header.engine +
+                             "' vs '" + doc.meta.engine +
+                             "'); view and message sweeps never merge");
+    AVGLOCAL_REQUIRE_MSG(doc.meta == header, "shard artefacts describe different scenarios");
+  }
+  const ResolvedScenario resolved = resolve_scenario(header);
+  AVGLOCAL_REQUIRE_MSG(resolved.spec == header,
+                       "shard artefact header is not a canonical scenario");
+  AVGLOCAL_REQUIRE_MSG(!header.schedule.adaptive(), "adaptive schedules are never sharded");
+
+  // Every body must be exactly its rectangle, checked as the fabric
+  // coordinator checks a unit: a point the header does not plan, or a
+  // partial of another size or trial range, must not be dropped silently
+  // or reported under this header.
+  std::vector<std::vector<PointAccumulator*>> pieces(header.ns.size());
+  for (ShardDocument& doc : docs) {
+    const SweepShard& shard = doc.shard;
+    AVGLOCAL_REQUIRE_MSG(!shard.empty() && shard.point_end <= header.ns.size() &&
+                             doc.points.size() == shard.point_end - shard.point_begin,
+                         "shard artefact points do not match its rectangle");
+    for (std::size_t i = 0; i < doc.points.size(); ++i) {
+      const std::size_t point = shard.point_begin + i;
+      AVGLOCAL_REQUIRE_MSG(
+          resolved.matches_partial(doc.points[i], point, shard.trial_begin, shard.trial_end),
+          "shard artefact partials do not match its scenario at point " + std::to_string(point));
+      pieces[point].push_back(&doc.points[i]);
+    }
   }
 
-  const BatchedSweepOptions options = meta.options_for();
-  std::vector<BatchedSweepPoint> points;
-  points.reserve(meta.ns.size());
-  for (std::size_t point = 0; point < meta.ns.size(); ++point) {
-    // Collect this point's partials from every covering shard and stitch
-    // them back together in global trial order.
-    std::vector<PointAccumulator*> pieces;
-    for (ShardDocument& doc : docs) {
-      for (PointAccumulator& acc : doc.points) {
-        if (acc.point_index == point) pieces.push_back(&acc);
-      }
-    }
-    AVGLOCAL_REQUIRE_MSG(!pieces.empty(), "no shard covers a sweep point");
-    std::sort(pieces.begin(), pieces.end(),
+  ScenarioResult result;
+  result.spec = resolved.spec;
+  result.points.reserve(pieces.size());
+  for (std::vector<PointAccumulator*>& point_pieces : pieces) {
+    // Stitch the point's partials back together in global trial order.
+    AVGLOCAL_REQUIRE_MSG(!point_pieces.empty(), "no shard covers a sweep point");
+    std::sort(point_pieces.begin(), point_pieces.end(),
               [](const PointAccumulator* a, const PointAccumulator* b) {
                 return a->trial_begin < b->trial_begin;
               });
-    AVGLOCAL_REQUIRE_MSG(pieces.front()->trial_begin == 0,
+    AVGLOCAL_REQUIRE_MSG(point_pieces.front()->trial_begin == 0,
                          "shard trial ranges do not start at trial 0");
-    PointAccumulator merged = std::move(*pieces.front());
-    for (std::size_t i = 1; i < pieces.size(); ++i) merged.append(std::move(*pieces[i]));
-    AVGLOCAL_REQUIRE_MSG(merged.trial_count() == meta.trials,
+    PointAccumulator merged = std::move(*point_pieces.front());
+    for (std::size_t i = 1; i < point_pieces.size(); ++i) {
+      merged.append(std::move(*point_pieces[i]));
+    }
+    AVGLOCAL_REQUIRE_MSG(merged.trial_count() == header.schedule.max_trials,
                          "shard trial ranges do not cover the full plan");
-    points.push_back(finalize_point(merged, options));
+    // Sharded plans are fixed-trial, so every point has converged.
+    result.points.push_back(resolved.finish_point(merged, /*converged=*/true));
   }
-  return points;
+  return result;
 }
 
 }  // namespace avglocal::core

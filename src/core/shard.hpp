@@ -4,23 +4,23 @@
 // plan. Every trial's random stream derives from
 // derive_seed(derive_seed(seed, point), trial) - independent of which
 // shard, batch or worker runs it - and shard outputs are the exact integer
-// partials of core/batched_sweep.hpp, serialised as JSON. Merging the shard
-// artefacts of a plan therefore reproduces the monolithic SweepDriver::run
-// bit for bit; a test pins this.
+// partials of core/batched_sweep.hpp, serialised as JSON under a header
+// that is the canonical scenario of the sweep. Merging the shard artefacts
+// of a plan therefore reproduces the monolithic run_scenario bit for bit;
+// a test pins this.
 //
-// Workflow: plan_shards on the coordinator, run_scenario_shard
-// (core/scenario.hpp) + shard_to_json on each worker process (see the
-// `sweep --shard I/K` subcommand of examples/avglocal_cli.cpp),
-// parse_shard_json + merge_shards wherever the artefacts land (`merge`
-// subcommand).
+// Workflow: plan_shards on the coordinator, run_scenario_shard +
+// shard_to_json on each worker process (see the `sweep --shard I/K`
+// subcommand of examples/avglocal_cli.cpp), parse_shard_json +
+// merge_shards wherever the artefacts land (`merge` subcommand).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
+#include "core/scenario.hpp"
 
 namespace avglocal::core {
 
@@ -43,63 +43,45 @@ struct SweepShard {
 std::vector<SweepShard> plan_shards(std::size_t points, std::size_t trials,
                                     std::size_t shard_count);
 
-/// The plan header every shard artefact carries so a merge can verify all
-/// artefacts describe the same sweep. `options_for` rebuilds the finalize
-/// parameters a merge needs.
-struct SweepPlanMeta {
-  std::uint64_t seed = 42;
-  std::size_t trials = 0;
-  std::vector<std::size_t> ns;
-  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
-  std::vector<double> quantile_probs;
-  bool node_profile = false;
-  /// Free-form workload identity (e.g. "largest-id" / "cycle"). The
-  /// numeric plan alone cannot reveal that two artefacts were produced by
-  /// different algorithms or graph families - radii are just integers - so
-  /// merges also require these labels to match. Callers that never mix
-  /// workloads may leave them empty.
-  std::string algorithm;
-  std::string graph;
-  /// Canonical scenario block (core::scenario_to_json of the resolved
-  /// spec). Self-describing workload identity: merges compare it like
-  /// every other meta field, so artefacts from different scenarios -
-  /// including ones that agree on the numeric plan and the labels above
-  /// but differ in family parameters - reject by construction. Empty for
-  /// callers below the scenario layer.
-  std::string scenario;
-  /// Which engine produced the radii: "view" (ViewBackend) or "message"
-  /// (MessageBackend). Compared on merge like every other
-  /// field - the two engines' radii are both just integers, so without
-  /// this label artefacts from different formulations could interleave.
-  std::string engine = "view";
-
-  static SweepPlanMeta from_options(const std::vector<std::size_t>& ns,
-                                    const BatchedSweepOptions& options);
-  BatchedSweepOptions options_for() const;
-
-  friend bool operator==(const SweepPlanMeta&, const SweepPlanMeta&) = default;
-};
-
-/// One parsed (or to-be-serialised) shard artefact.
+/// One parsed (or to-be-serialised) shard artefact. `meta` is the header:
+/// the canonical (resolved) scenario of the sweep, which names the
+/// workload, the engine and the numeric plan in one self-describing block.
 struct ShardDocument {
-  SweepPlanMeta meta;
+  ScenarioSpec meta;
   SweepShard shard;
   std::vector<PointAccumulator> points;
 
   friend bool operator==(const ShardDocument&, const ShardDocument&) = default;
 };
 
+/// Former names of the header type and of the call that produced it. The
+/// benchmark harness (perfbench/fabric.cpp) still spells them, and it changes
+/// only together with its own workloads; both names go with its next revision.
+using SweepPlanMeta = ScenarioSpec;
+inline SweepPlanMeta scenario_plan_meta(const ResolvedScenario& resolved) { return resolved.spec; }
+
 /// Serialises a shard artefact; integers are emitted losslessly.
 std::string shard_to_json(const ShardDocument& doc);
 
 /// Parses a shard artefact; throws std::runtime_error on malformed input
-/// and on documents that are not avglocal shard artefacts.
+/// and on documents that are not avglocal shard artefacts of this version.
 ShardDocument parse_shard_json(std::string_view text);
 
-/// Merges shard artefacts into the final sweep points. Requires all metas
-/// to be identical and, for every point of the plan, the shards' trial
-/// ranges to exactly partition [0, meta.trials) (any artefact order).
-/// The output is bit-identical to SweepDriver::run over the same plan.
-std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs);
+/// Runs one shard of a resolved scenario, one ScenarioSession per point:
+/// accumulators for points [shard.point_begin, point_end), trials
+/// [trial_begin, trial_end). The execution knobs never change results.
+std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,
+                                                 const ScenarioExecution& execution,
+                                                 const SweepShard& shard);
+
+/// Merges shard artefacts into the report of their scenario. Requires all
+/// headers to be equal (engines are compared first, for a precise error),
+/// every artefact's points to be exactly its rectangle's points - each one
+/// passing ResolvedScenario::matches_partial, as the fabric coordinator
+/// requires of its units - and, for every point of the plan, the trial
+/// ranges to exactly partition [0, max_trials) (any artefact order). Points
+/// report through ResolvedScenario::finish_point, so the result is
+/// bit-identical to run_scenario over the same fixed schedule.
+ScenarioResult merge_shards(std::vector<ShardDocument> docs);
 
 }  // namespace avglocal::core

@@ -80,6 +80,31 @@ std::vector<core::PointAccumulator> cycle_shard(const std::vector<std::size_t>& 
   return partials;
 }
 
+/// The v4 shard header of a largest-id cycle plan: the canonical scenario
+/// that names exactly what cycle_sweep and cycle_shard compute.
+core::ScenarioSpec cycle_header(const std::vector<std::size_t>& ns,
+                                const core::BatchedSweepOptions& options) {
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id";
+  spec.ns = ns;
+  spec.semantics = options.semantics;
+  spec.seed = options.seed;
+  spec.schedule.max_trials = options.trials;
+  spec.quantile_probs = options.quantile_probs;
+  spec.node_profile = options.node_profile;
+  return core::resolve_scenario(spec).spec;
+}
+
+/// The finalized points of a merge, for comparison with a driver sweep.
+std::vector<core::BatchedSweepPoint> merged_points(std::vector<core::ShardDocument> docs) {
+  std::vector<core::BatchedSweepPoint> points;
+  for (core::ScenarioPoint& point : core::merge_shards(std::move(docs)).points) {
+    points.push_back(std::move(point.point));
+  }
+  return points;
+}
+
 Collected collect_batched(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
                           const local::ViewAlgorithmFactory& factory,
                           const local::ViewEngineOptions& options) {
@@ -477,7 +502,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
 
   // A deliberately lopsided plan: one shard owns all of point 0 while
   // point 1 is split across two uneven trial ranges.
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::ScenarioSpec header = cycle_header(ns, options);
   const std::vector<core::SweepShard> plan = {
       {0, 1, 0, 9},  // point 0, all trials
       {1, 2, 0, 4},  // point 1, first trials
@@ -486,7 +511,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
   std::vector<std::string> artefacts;
   for (const auto& shard : plan) {
     core::ShardDocument doc;
-    doc.meta = meta;
+    doc.meta = header;
     doc.shard = shard;
     doc.points = cycle_shard(ns, options, shard);
     artefacts.push_back(core::shard_to_json(doc));
@@ -497,7 +522,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
   parsed.push_back(core::parse_shard_json(artefacts[2]));
   parsed.push_back(core::parse_shard_json(artefacts[0]));
   parsed.push_back(core::parse_shard_json(artefacts[1]));
-  const auto merged = core::merge_shards(std::move(parsed));
+  const auto merged = merged_points(std::move(parsed));
 
   // Bit-identical: every integer and every double, including histograms,
   // quantiles and node profiles.
@@ -512,17 +537,17 @@ TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
   options.threads = 1;
 
   const auto monolithic = cycle_sweep(ns, largest_id(), options);
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::ScenarioSpec header = cycle_header(ns, options);
 
   std::vector<core::ShardDocument> docs;
   for (const auto& shard : core::plan_shards(ns.size(), options.trials, 3)) {
     core::ShardDocument doc;
-    doc.meta = meta;
+    doc.meta = header;
     doc.shard = shard;
     doc.points = cycle_shard(ns, options, shard);
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
-  EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
+  EXPECT_EQ(merged_points(std::move(docs)), monolithic);
 }
 
 TEST(BatchedSweep, ProviderParameterisesAlgorithmPerPoint) {
@@ -559,24 +584,22 @@ TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
 
   const auto make_doc = [&](const std::string& algorithm, const core::SweepShard& shard) {
     core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(ns, options);
+    doc.meta = cycle_header(ns, options);
     doc.meta.algorithm = algorithm;
-    doc.meta.graph = "cycle";
     doc.shard = shard;
     doc.points = cycle_shard(ns, options, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 
-  // The numeric plans agree; only the workload labels reveal that these
-  // artefacts came from different algorithms.
+  // The numeric plans agree; only the headers' algorithms reveal that
+  // these artefacts came from different workloads.
   std::vector<core::ShardDocument> docs = {make_doc("largest-id", {0, 1, 0, 2}),
                                            make_doc("cv3", {0, 1, 2, 4})};
   EXPECT_THROW(core::merge_shards(std::move(docs)), std::logic_error);
 
   std::vector<core::ShardDocument> ok = {make_doc("largest-id", {0, 1, 0, 2}),
                                          make_doc("largest-id", {0, 1, 2, 4})};
-  const auto merged = core::merge_shards(std::move(ok));
-  EXPECT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged_points(std::move(ok)).size(), 1u);
 }
 
 TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
@@ -585,11 +608,11 @@ TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
   options.trials = 6;
   options.seed = 4;
   options.threads = 1;
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::ScenarioSpec header = cycle_header(ns, options);
 
   const auto run_shard = [&](const core::SweepShard& shard) {
     core::ShardDocument doc;
-    doc.meta = meta;
+    doc.meta = header;
     doc.shard = shard;
     doc.points = cycle_shard(ns, options, shard);
     return doc;
@@ -609,6 +632,18 @@ TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
   {
     std::vector<core::ShardDocument> docs = {run_shard({0, 1, 0, 6}), run_shard({0, 1, 0, 6})};
     docs[1].meta.seed ^= 1;
+    EXPECT_THROW(core::merge_shards(std::move(docs)), std::logic_error);
+  }
+  // A header that is not canonical: resolving it drops the repeated size.
+  {
+    std::vector<core::ShardDocument> docs = {run_shard({0, 1, 0, 6})};
+    docs[0].meta.ns = {14, 14};
+    EXPECT_THROW(core::merge_shards(std::move(docs)), std::logic_error);
+  }
+  // An adaptive schedule: its trial count is the monolithic driver's call.
+  {
+    std::vector<core::ShardDocument> docs = {run_shard({0, 1, 0, 6})};
+    docs[0].meta.schedule.target_half_width = 0.5;
     EXPECT_THROW(core::merge_shards(std::move(docs)), std::logic_error);
   }
   // Not a shard artefact.

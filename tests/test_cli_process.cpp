@@ -15,7 +15,8 @@
 //    report), never a hang or an abort.
 //  * `merge` on a shard file nested past the JSON depth cap exits 1 with
 //    the parser's message instead of overflowing the stack; an artefact
-//    without a scenario block exits 1 and writes no report;
+//    whose points disagree with its scenario header, or that has no
+//    header, exits 1 and writes no report;
 //  * every command rejects an unknown flag, a missing value, --help and a
 //    bad value the same way: exit 2 and its usage;
 //  * a single run is trial 0 of the one-trial sweep with the same flags,
@@ -220,28 +221,55 @@ TEST(CliMerge, DeeplyNestedShardFileExitsOneInsteadOfCrashing) {
   EXPECT_FALSE(missing.good()) << "no report may be written";
 }
 
-TEST(CliMerge, ArtefactWithoutAScenarioBlockExitsOneWithoutAReport) {
+TEST(CliMerge, ArtefactsThatDisagreeWithTheirScenarioExitOneWithoutAReport) {
   ScratchDir dir;
   ASSERT_FALSE(dir.path().empty());
-  const std::string shard = dir.path() + "/s0.json";
-  const RunResult produced =
-      run_command(cli() + " sweep --algo largest-id --graph cycle --ns 64 --trials 4 --seed 5" +
-                  " --shard 0/1 --out '" + shard + "'");
-  ASSERT_EQ(produced.exit_code, 0) << produced.output;
+  const auto shard_of = [&dir](const char* n) {
+    const std::string path = dir.path() + "/n" + n + ".json";
+    const RunResult produced =
+        run_command(cli() + " sweep --algo largest-id --graph cycle --ns " + n +
+                    " --trials 4 --seed 5 --shard 0/1 --out '" + path + "'");
+    EXPECT_EQ(produced.exit_code, 0) << produced.output;
+    return core::parse_shard_json(read_file(path));
+  };
+  const core::ShardDocument n12 = shard_of("12");
+  const core::ShardDocument n16 = shard_of("16");
 
-  // The same artefact as a producer below the scenario layer writes it.
-  core::ShardDocument doc = core::parse_shard_json(read_file(shard));
-  ASSERT_FALSE(doc.meta.scenario.empty());
-  doc.meta.scenario.clear();
-  const std::string bare = dir.path() + "/bare.json";
-  std::ofstream(bare) << core::shard_to_json(doc) << "\n";
+  // The n=16 points under the n=12 header.
+  core::ShardDocument resized = n12;
+  resized.points = n16.points;
+  // A point_index 7 appended to a one-point artefact.
+  core::ShardDocument extra = n12;
+  extra.points.push_back(extra.points.front());
+  extra.points.back().point_index = 7;
+  // No scenario header at all.
+  std::string headerless = core::shard_to_json(n12);
+  const std::size_t begin = headerless.find("\"scenario\":");
+  const std::size_t end = headerless.find("\"shard\":");
+  ASSERT_TRUE(begin != std::string::npos && end != std::string::npos && begin < end);
+  headerless.erase(begin, end - begin);
 
-  const std::string report = dir.path() + "/merged.json";
-  const RunResult result = run_command(cli() + " merge --json '" + report + "' '" + bare + "'");
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("has no scenario block"), std::string::npos) << result.output;
-  std::ifstream missing(report);
-  EXPECT_FALSE(missing.good()) << "no report may be written";
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"resized", core::shard_to_json(resized), "do not match its scenario at point 0"},
+      {"extra", core::shard_to_json(extra), "do not match its rectangle"},
+      {"headerless", headerless, "missing key 'scenario'"},
+  };
+  for (const auto& [name, text, error] : cases) {
+    const std::string artefact = dir.path() + "/" + name + ".json";
+    std::ofstream(artefact) << text << "\n";
+    const std::string report = dir.path() + "/" + name + "-merged.json";
+    const RunResult result =
+        run_command(cli() + " merge --json '" + report + "' '" + artefact + "'");
+    EXPECT_EQ(result.exit_code, 1) << name << "\n" << result.output;
+    EXPECT_NE(result.output.find(error), std::string::npos) << name << "\n" << result.output;
+    std::ifstream missing(report);
+    EXPECT_FALSE(missing.good()) << name << ": no report may be written";
+  }
 }
 
 // ------------------------------------------------------------ single run ----

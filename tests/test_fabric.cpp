@@ -22,6 +22,7 @@
 #include "core/remote_backend.hpp"
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
+#include "core/shard.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/line_server.hpp"
@@ -170,11 +171,11 @@ std::string work_request_line() { return "{\"op\":\"work-request\"}"; }
 std::string result_line(const core::ResolvedScenario& resolved, const core::WorkUnit& unit,
                         std::size_t body_trial_end = 0) {
   core::ShardDocument doc;
-  doc.meta = core::scenario_plan_meta(resolved);
+  doc.meta = resolved.spec;
   doc.shard = core::SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
   core::SweepShard body = doc.shard;
   if (body_trial_end != 0) body.trial_end = body_trial_end;
-  doc.points = core::run_scenario_shard(resolved, resolved.sweep_options(), body);
+  doc.points = core::run_scenario_shard(resolved, {}, body);
   support::JsonWriter json;
   json.begin_object();
   json.key("op").value("result");
@@ -194,8 +195,9 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   const auto hello = coordinator.handle_request(0, "{\"op\":\"hello\",\"worker\":\"w0\"}");
   const support::JsonValue hello_reply = support::parse_json(hello.line);
   EXPECT_TRUE(hello_reply.at("ok").as_bool());
-  EXPECT_EQ(hello_reply.at("trials").as_u64(), 8u);
-  EXPECT_EQ(hello_reply.at("points").as_u64(), 1u);
+  // The scenario alone carries the plan: no mirrored trial or point counts.
+  EXPECT_EQ(hello_reply.find("trials"), nullptr);
+  EXPECT_EQ(hello_reply.find("points"), nullptr);
   // The embedded scenario block resolves back to the coordinator's spec.
   const core::ScenarioSpec echoed = core::scenario_from_json(hello_reply.at("scenario"));
   EXPECT_EQ(core::resolve_scenario(echoed).spec, core::resolve_scenario(spec).spec);
@@ -483,8 +485,8 @@ TEST(Fabric, WorkerRejectsAGrantBeyondTheHellosTrials) {
   endpoint.kind = support::Endpoint::Kind::kUnix;
   endpoint.path = scratch_socket(dir_template);
 
-  // A coordinator whose hello announces 4 trials but whose grant asks for
-  // trials [0, 8): the worker must refuse the unit, not compute it. The
+  // A coordinator whose hello scenario plans 4 trials but whose grant asks
+  // for trials [0, 8): the worker must refuse the unit, not compute it. The
   // grant closes the connection, so a worker that wrongly runs the unit
   // ends as drained instead of looping.
   core::ScenarioSpec spec = base_spec(4);
@@ -497,8 +499,6 @@ TEST(Fabric, WorkerRejectsAGrantBeyondTheHellosTrials) {
     json.key("ok").value(true);
     if (hello) {
       json.key("op").value("hello");
-      json.key("trials").value(std::uint64_t{4});
-      json.key("points").value(std::uint64_t{1});
       json.key("scenario");
       core::write_scenario_json(json, resolved.spec);
     } else {
@@ -591,14 +591,14 @@ TEST(ResultCache, OfferPartialsRejectsWrongShapesAndShorterRanges) {
 
   // The real thing: partials from a monolithic shard run are accepted...
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-  std::vector<core::PointAccumulator> partials = core::run_scenario_shard(
-      resolved, resolved.sweep_options(), core::SweepShard{0, 2, 0, 8});
+  std::vector<core::PointAccumulator> partials =
+      core::run_scenario_shard(resolved, {}, core::SweepShard{0, 2, 0, 8});
   EXPECT_TRUE(cache.offer_partials(spec, std::move(partials)));
   EXPECT_TRUE(cache.sweep(spec).warm);
 
   // ...but a shorter cover than what's cached is not worth keeping.
-  std::vector<core::PointAccumulator> shorter = core::run_scenario_shard(
-      resolved, resolved.sweep_options(), core::SweepShard{0, 2, 0, 4});
+  std::vector<core::PointAccumulator> shorter =
+      core::run_scenario_shard(resolved, {}, core::SweepShard{0, 2, 0, 4});
   EXPECT_FALSE(cache.offer_partials(spec, std::move(shorter)));
 }
 

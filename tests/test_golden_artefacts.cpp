@@ -1,9 +1,9 @@
 // Golden-artefact regression corpus: small canonical sweep artefacts are
 // committed under tests/golden/, and this suite re-runs the exact same
 // scenarios and requires the freshly serialised artefacts to be
-// byte-identical to the committed files. Shard format v3 - key order,
-// number formatting, scenario block, edge partials - cannot drift silently;
-// any intentional format change must regenerate the corpus (set
+// byte-identical to the committed files. Shard format v4 - key order,
+// number formatting, the scenario header, edge partials - cannot drift
+// silently; any intentional format change must regenerate the corpus (set
 // AVGLOCAL_REGEN_GOLDEN=1 and re-run this binary) and show up in review as
 // a diff of the committed artefacts.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/scenario.hpp"
 #include "core/shard.hpp"
 
 #ifndef AVGLOCAL_GOLDEN_DIR
@@ -52,17 +51,11 @@ std::string render_case(const GoldenCase& c) {
   spec.seed = 2026;
   spec.schedule.max_trials = 4;
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-  core::BatchedSweepOptions options = resolved.sweep_options();
-  options.threads = 1;
 
   core::ShardDocument doc;
-  doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-  doc.meta.algorithm = resolved.spec.algorithm;
-  doc.meta.graph = graph::family_spec_to_string(resolved.spec.family);
-  doc.meta.scenario = core::scenario_to_json(resolved.spec);
-  doc.meta.engine = resolved.spec.engine;
-  doc.shard = {0, resolved.spec.ns.size(), 0, options.trials};
-  doc.points = core::run_scenario_shard(resolved, options, doc.shard);
+  doc.meta = resolved.spec;
+  doc.shard = {0, resolved.spec.ns.size(), 0, resolved.spec.schedule.max_trials};
+  doc.points = core::run_scenario_shard(resolved, core::ScenarioExecution{1}, doc.shard);
   return core::shard_to_json(doc);
 }
 
@@ -110,10 +103,10 @@ TEST(GoldenArtefacts, CommittedArtefactsStillParseAndMerge) {
     // A full-plan artefact merges on its own into finalized points.
     std::vector<core::ShardDocument> docs;
     docs.push_back(std::move(doc));
-    const auto points = core::merge_shards(std::move(docs));
-    ASSERT_EQ(points.size(), 1u) << c.file;
-    EXPECT_EQ(points[0].trials, 4u) << c.file;
-    EXPECT_GT(points[0].radius.samples, 0u) << c.file;
+    const core::ScenarioResult merged = core::merge_shards(std::move(docs));
+    ASSERT_EQ(merged.points.size(), 1u) << c.file;
+    EXPECT_EQ(merged.points[0].point.trials, 4u) << c.file;
+    EXPECT_GT(merged.points[0].point.radius.samples, 0u) << c.file;
   }
 }
 

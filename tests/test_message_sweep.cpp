@@ -176,53 +176,21 @@ TEST(MessageSweep, ShardedMergeIsBitIdenticalToMonolithicSweep) {
   const auto monolithic =
       core::SweepDriver(*backend, options).run(resolved.spec.ns, resolved.graphs);
 
-  core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-  meta.algorithm = resolved.spec.algorithm;
-  meta.scenario = core::scenario_to_json(resolved.spec);
-  meta.engine = resolved.spec.engine;
   std::vector<core::ShardDocument> docs;
   for (const auto& shard : core::plan_shards(resolved.spec.ns.size(), options.trials, 3)) {
     core::ShardDocument doc;
-    doc.meta = meta;
+    doc.meta = resolved.spec;
     doc.shard = shard;
-    doc.points = core::run_scenario_shard(resolved, options, shard);
+    doc.points = core::run_scenario_shard(resolved, {}, shard);
     // Through the JSON artefact: serialisation must preserve every integer,
     // edge partials included.
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
-  EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
-}
-
-TEST(MessageSweep, MergeRejectsCrossEngineArtefacts) {
-  // largest-id (view) and largest-id-msg (message) on the same plan both
-  // produce plain integer radii; only the engine/scenario labels reveal
-  // that they must never merge.
-  const auto make_doc = [](const char* algorithm) {
-    core::ScenarioSpec spec;
-    spec.family = {"cycle", {}};
-    spec.algorithm = algorithm;
-    spec.ns = {12};
-    spec.seed = 2;
-    spec.schedule.max_trials = 4;
-    // Flooding for both (the message path canonicalises to it anyway), so
-    // the two metas agree on every field except `engine`.
-    spec.semantics = local::ViewSemantics::kFloodingKnowledge;
-    const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-    const core::BatchedSweepOptions options = resolved.sweep_options();
-    core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-    doc.meta.algorithm = "shared-label";  // force the engine field to decide
-    doc.meta.scenario = "";
-    doc.meta.engine = resolved.spec.engine;
-    doc.shard = {0, 1, 0, 2};
-    doc.points = core::run_scenario_shard(resolved, options, doc.shard);
-    return core::parse_shard_json(core::shard_to_json(doc));
-  };
-  std::vector<core::ShardDocument> mixed;
-  mixed.push_back(make_doc("largest-id"));
-  mixed.push_back(make_doc("largest-id-msg"));
-  mixed[1].shard.trial_begin = 2;  // pretend to continue the plan
-  EXPECT_THROW(core::merge_shards(std::move(mixed)), std::logic_error);
+  const core::ScenarioResult merged = core::merge_shards(std::move(docs));
+  ASSERT_EQ(merged.points.size(), monolithic.size());
+  for (std::size_t i = 0; i < monolithic.size(); ++i) {
+    EXPECT_EQ(merged.points[i].point, monolithic[i]) << "point " << i;
+  }
 }
 
 // ------------------------------------------------------- scenario layer ----

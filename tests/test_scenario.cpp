@@ -307,10 +307,10 @@ TEST(Scenario, JsonRoundTripsCanonically) {
   const core::ScenarioSpec canonical = core::resolve_scenario(spec).spec;
 
   const std::string text = core::scenario_to_json(canonical);
-  const core::ScenarioSpec parsed = core::scenario_from_json(text);
+  const core::ScenarioSpec parsed = core::scenario_from_json(support::parse_json(text));
   EXPECT_EQ(parsed, canonical);
   // Serialisation is canonical: re-emitting the parsed spec reproduces the
-  // exact byte sequence (what shard merges compare).
+  // exact byte sequence (what a shard header round-trips through).
   EXPECT_EQ(core::scenario_to_json(parsed), text);
 }
 
@@ -399,8 +399,8 @@ TEST(Scenario, AdaptiveRunIsBitIdenticalToFixedRunOfStoppedCount) {
 // -------------------------------------------------- workload rejection ----
 
 TEST(Scenario, MergeRejectsArtefactsFromDifferentScenarios) {
-  // Two sweeps whose numeric plans and labels agree but whose family
-  // parameters differ: only the scenario block reveals the mismatch.
+  // Two sweeps whose numeric plans agree but whose family parameters
+  // differ: only the scenario header reveals the mismatch.
   const auto shard_doc = [](double degree, const core::SweepShard& shard) {
     core::ScenarioSpec spec;
     spec.family = {"random-regular", {{"degree", degree}}};
@@ -409,15 +409,10 @@ TEST(Scenario, MergeRejectsArtefactsFromDifferentScenarios) {
     spec.seed = 9;
     spec.schedule.max_trials = 4;
     const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-    core::BatchedSweepOptions options = resolved.sweep_options();
-    options.threads = 1;
     core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-    doc.meta.algorithm = resolved.spec.algorithm;
-    doc.meta.graph = "random-regular";  // deliberately parameter-free label
-    doc.meta.scenario = core::scenario_to_json(resolved.spec);
+    doc.meta = resolved.spec;
     doc.shard = shard;
-    doc.points = core::run_scenario_shard(resolved, options, shard);
+    doc.points = core::run_scenario_shard(resolved, core::ScenarioExecution{1}, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 
@@ -427,7 +422,7 @@ TEST(Scenario, MergeRejectsArtefactsFromDifferentScenarios) {
 
   std::vector<core::ShardDocument> matched = {shard_doc(3.0, {0, 1, 0, 2}),
                                               shard_doc(3.0, {0, 1, 2, 4})};
-  EXPECT_EQ(core::merge_shards(std::move(matched)).size(), 1u);
+  EXPECT_EQ(core::merge_shards(std::move(matched)).points.size(), 1u);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 // point. On top of the corpus: capability probes, bit-identity of the
 // pooled message sweep against the serial path, persistence of per-point
 // state across adaptive-style rounds, and the shard-artefact version paths
-// through the new driver (v3 round trips, v2 is rejected, and the precise
-// engine-mismatch merge error).
+// through the new driver (v4 round trips, v2 and v3 are rejected, and the
+// precise engine-mismatch merge error).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,11 +87,7 @@ std::string render_driver_artefact(const ConformanceCase& c, support::ThreadPool
   EXPECT_EQ(backend->name(), resolved.spec.engine);
 
   core::ShardDocument doc;
-  doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-  doc.meta.algorithm = resolved.spec.algorithm;
-  doc.meta.graph = graph::family_spec_to_string(resolved.spec.family);
-  doc.meta.scenario = core::scenario_to_json(resolved.spec);
-  doc.meta.engine = resolved.spec.engine;
+  doc.meta = resolved.spec;
   doc.shard = {0, resolved.spec.ns.size(), 0, options.trials};
   for (std::size_t point = 0; point < resolved.spec.ns.size(); ++point) {
     const graph::Graph g = resolved.graphs(resolved.spec.ns[point]);
@@ -218,7 +214,7 @@ TEST(SweepDriver, PersistentPointMatchesFreshPointAcrossRounds) {
   }
 }
 
-// ------------------------------------- shard artefact versions (v2, v3) ----
+// --------------------------------- shard artefact versions (v2, v3, v4) ----
 
 /// A frozen version-2 artefact (the pre-edge-measure format). It carries no
 /// edge partials, so merging it would report zero edge measures; the
@@ -231,17 +227,36 @@ const char* kV2Artefact =
     R"("points":[{"point_index":0,"n":4,"trial_begin":0,"trial_sum":[5,6],)"
     R"("trial_max":[2,2],"histogram":[1,4,3],"node_sum":[3,2,3,3]}]})";
 
+/// A frozen version-3 artefact: the committed view-largest-id-cycle.json
+/// before the header became the scenario object. It mirrors the plan in
+/// nine top-level keys beside an escaped scenario string.
+const char* kV3Artefact =
+    R"({"avglocal_shard":3,"seed":2026,"trials":4,"semantics":"induced","ns":[12],)"
+    R"("quantile_probs":[0.5,0.9,0.99],"node_profile":false,"algorithm":"largest-id",)"
+    R"("graph":"cycle","scenario":"{\"family\":\"cycle\",\"family_params\":{},)"
+    R"(\"algorithm\":\"largest-id\",\"engine\":\"view\",\"ns\":[12],)"
+    R"(\"semantics\":\"induced\",\"seed\":2026,\"schedule\":{\"max_trials\":4,)"
+    R"(\"min_trials\":16,\"batch\":16,\"target_half_width\":0,\"z\":1.96},)"
+    R"(\"quantile_probs\":[0.5,0.9,0.99],\"node_profile\":false}","engine":"view",)"
+    R"("shard":{"point_begin":0,"point_end":1,"trial_begin":0,"trial_end":4},)"
+    R"("points":[{"point_index":0,"n":12,"edges":12,"trial_begin":0,)"
+    R"("trial_sum":[22,25,23,24],"trial_max":[6,6,6,6],"histogram":[0,31,8,2,0,1,6],)"
+    R"("node_sum":[9,14,4,6,4,5,14,14,5,7,7,5],"trial_edge_sum":[32,38,34,36],)"
+    R"("edge_histogram":[0,14,16,4,0,2,12]}]})";
+
 TEST(ShardCompatibility, Version2ArtefactIsRejected) {
-  try {
-    core::parse_shard_json(kV2Artefact);
-    ADD_FAILURE() << "a version-2 artefact must not parse";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("expected version 3"), std::string::npos)
-        << error.what();
+  for (const char* artefact : {kV2Artefact, kV3Artefact}) {
+    try {
+      core::parse_shard_json(artefact);
+      ADD_FAILURE() << "a pre-v4 artefact must not parse: " << artefact;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("expected version 4"), std::string::npos)
+          << error.what();
+    }
   }
 }
 
-TEST(ShardCompatibility, Version3ViewArtefactsFromTheDriverRoundTripAndMerge) {
+TEST(ShardCompatibility, Version4ViewArtefactsFromTheDriverRoundTripAndMerge) {
   // Two trial-range shards produced by the new driver, serialised, parsed
   // back and merged: bit-identical to merging the committed full-plan
   // corpus artefact of the same scenario.
@@ -254,11 +269,7 @@ TEST(ShardCompatibility, Version3ViewArtefactsFromTheDriverRoundTripAndMerge) {
   std::vector<core::ShardDocument> docs;
   for (const auto& [begin, end] : TrialRanges{{0, 2}, {2, 4}}) {
     core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-    doc.meta.algorithm = resolved.spec.algorithm;
-    doc.meta.graph = graph::family_spec_to_string(resolved.spec.family);
-    doc.meta.scenario = core::scenario_to_json(resolved.spec);
-    doc.meta.engine = resolved.spec.engine;
+    doc.meta = resolved.spec;
     doc.shard = {0, resolved.spec.ns.size(), begin, end};
     const graph::Graph g = resolved.graphs(resolved.spec.ns[0]);
     core::SweepDriver::Point prepared = driver.prepare(g, 0);
@@ -275,40 +286,34 @@ TEST(ShardCompatibility, Version3ViewArtefactsFromTheDriverRoundTripAndMerge) {
 }
 
 TEST(ShardCompatibility, MergeNamesTheEnginesOnBackendMismatch) {
-  // A view artefact and a message artefact of the "same" numeric plan:
-  // the merge must refuse with an error that names both engines, not a
-  // generic meta mismatch.
-  const auto make_doc = [](const char* algorithm) {
+  // Shards of largest-id (view) and largest-id-msg (message) on the same
+  // plan, each under its own real header: both engines' radii are plain
+  // integers, and the merge must refuse with an error that names both
+  // engines, not a generic header mismatch.
+  const auto make_doc = [](const char* algorithm, const core::SweepShard& shard) {
     core::ScenarioSpec spec;
     spec.family = {"cycle", {}};
     spec.algorithm = algorithm;
     spec.ns = {12};
     spec.seed = 2;
     spec.schedule.max_trials = 4;
-    spec.semantics = local::ViewSemantics::kFloodingKnowledge;
     const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-    const core::BatchedSweepOptions options = resolved.sweep_options();
     core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
-    doc.meta.algorithm = "shared-label";
-    doc.meta.scenario = "";
-    doc.meta.engine = resolved.spec.engine;
-    doc.shard = {0, 1, 0, 2};
-    doc.points = core::run_scenario_shard(resolved, options, doc.shard);
+    doc.meta = resolved.spec;
+    doc.shard = shard;
+    doc.points = core::run_scenario_shard(resolved, core::ScenarioExecution{1}, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
   std::vector<core::ShardDocument> mixed;
-  mixed.push_back(make_doc("largest-id"));
-  mixed.push_back(make_doc("largest-id-msg"));
-  mixed[1].shard.trial_begin = 2;
+  mixed.push_back(make_doc("largest-id", {0, 1, 0, 2}));
+  mixed.push_back(make_doc("largest-id-msg", {0, 1, 2, 4}));
   try {
     core::merge_shards(std::move(mixed));
     FAIL() << "cross-engine merge must throw";
   } catch (const std::logic_error& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("different engines"), std::string::npos) << what;
-    EXPECT_NE(what.find("view"), std::string::npos) << what;
-    EXPECT_NE(what.find("message"), std::string::npos) << what;
+    EXPECT_NE(what.find("'view' vs 'message'"), std::string::npos) << what;
   }
 }
 
