@@ -1,5 +1,6 @@
 #include "algo/cole_vishkin.hpp"
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -73,9 +74,8 @@ class ColeVishkinMessages final : public local::Algorithm {
 
  private:
   void broadcast_colour(local::NodeContext& ctx) {
-    local::Encoder e;
-    e.u64(colour_);
-    ctx.broadcast(e.take());
+    const std::array<std::uint64_t, 1> word{colour_};
+    ctx.broadcast(word);
   }
 
   std::uint64_t colour_ = 0;

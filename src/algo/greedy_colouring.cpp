@@ -1,6 +1,7 @@
 #include "algo/greedy_colouring.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -13,8 +14,9 @@ namespace avglocal::algo {
 
 namespace {
 
-/// Smallest colour not used by the given neighbour colours.
-std::int64_t smallest_free(std::vector<std::int64_t> used) {
+/// Smallest colour not used by the given neighbour colours (sorted in
+/// place).
+std::int64_t smallest_free(std::vector<std::int64_t>& used) {
   std::sort(used.begin(), used.end());
   std::int64_t colour = 0;
   for (const std::int64_t c : used) {
@@ -29,6 +31,7 @@ class GreedyColouringMessages final : public local::Algorithm {
   void on_start(local::NodeContext& ctx) override {
     nbr_id_.assign(ctx.degree(), 0);
     nbr_colour_.assign(ctx.degree(), std::nullopt);
+    higher_.reserve(ctx.degree());
     broadcast_state(ctx);
   }
 
@@ -40,7 +43,7 @@ class GreedyColouringMessages final : public local::Algorithm {
       ids_known_ = true;
     }
     if (!ctx.has_output() && ids_known_) {
-      std::vector<std::int64_t> higher_colours;
+      higher_.clear();
       bool ready = true;
       for (std::size_t port = 0; port < ctx.degree(); ++port) {
         if (nbr_id_[port] <= ctx.id()) continue;
@@ -48,17 +51,18 @@ class GreedyColouringMessages final : public local::Algorithm {
           ready = false;
           break;
         }
-        higher_colours.push_back(*nbr_colour_[port]);
+        higher_.push_back(*nbr_colour_[port]);
       }
       if (ready) {
-        colour_ = smallest_free(std::move(higher_colours));
+        colour_ = smallest_free(higher_);
         ctx.output(*colour_);
       }
     }
     broadcast_state(ctx);
   }
 
-  /// on_start re-assigns the per-port arrays; only the scalars persist.
+  /// on_start re-assigns the per-port arrays and higher_ is per-round
+  /// scratch; only the scalars persist.
   bool reset() noexcept override {
     colour_.reset();
     ids_known_ = false;
@@ -67,13 +71,15 @@ class GreedyColouringMessages final : public local::Algorithm {
 
  private:
   void broadcast_state(local::NodeContext& ctx) {
-    local::Encoder e;
-    e.u64(ctx.id()).flag(colour_.has_value()).i64(colour_.value_or(0));
-    ctx.broadcast(e.take());
+    const std::array<std::uint64_t, 3> state{
+        ctx.id(), std::uint64_t{colour_.has_value()},
+        static_cast<std::uint64_t>(colour_.value_or(0))};
+    ctx.broadcast(state);
   }
 
   std::vector<std::uint64_t> nbr_id_;
   std::vector<std::optional<std::int64_t>> nbr_colour_;
+  std::vector<std::int64_t> higher_;  ///< higher-id neighbours' colours
   std::optional<std::int64_t> colour_;
   bool ids_known_ = false;
 };

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <bit>
 #include <optional>
+#include <vector>
 
 #include "graph/properties.hpp"
 #include "local/view.hpp"
@@ -69,37 +70,110 @@ class LargestIdUniverseAwareView final : public local::ViewAlgorithm {
   std::size_t scanned_ = 0;
 };
 
+/// Origin identifier -> the hop counts of its token as heard on port 0 and
+/// port 1 (0 = not heard yet; a token arrives with hops >= 1). Open
+/// addressing with linear probing at load <= 1/2, owned by one node's
+/// instance and reused across trials: capacity grows only until the table
+/// has held the largest trial's origins, and reset() is O(1) - it bumps a
+/// generation stamp, so every slot stamped earlier reads as empty. Any
+/// 64-bit identifier is a key; there is no sentinel.
+class OriginTable {
+ public:
+  using Hops = std::array<std::uint32_t, 2>;
+
+  /// The entry of `origin`, inserted unheard on both ports if absent.
+  Hops& at(std::uint64_t origin) {
+    if (slots_.empty()) grow();
+    Slot* slot = &probe(origin);
+    if (slot->stamp != generation_) {
+      if (2 * (size_ + 1) > slots_.size()) {
+        grow();
+        slot = &probe(origin);
+      }
+      *slot = Slot{origin, generation_, {0, 0}};
+      ++size_;
+    }
+    return slot->hops;
+  }
+
+  /// Distinct origins inserted since the last reset().
+  std::size_t size() const noexcept { return size_; }
+
+  void reset() noexcept {
+    size_ = 0;
+    if (++generation_ == 0) {
+      // The stamp wrapped: a slot stamped 2^32 resets ago would read as
+      // live, so empty every slot explicitly.
+      for (Slot& slot : slots_) slot.stamp = 0;
+      generation_ = 1;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t stamp = 0;  ///< live iff == generation_
+    Hops hops{};
+  };
+
+  /// The slot holding `origin`, else the empty slot ending its probe run.
+  Slot& probe(std::uint64_t origin) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of origin * 2^64/phi spread
+    // consecutive identifiers (the common 1..n permutation) evenly.
+    std::size_t i = (origin * 0x9e3779b97f4a7c15ULL) >> shift_;
+    while (slots_[i].stamp == generation_ && slots_[i].key != origin) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.stamp == generation_) probe(slot.key) = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64;  ///< 64 - log2(capacity)
+  std::uint32_t generation_ = 1;
+  std::size_t size_ = 0;
+};
+
 /// Message-passing variant: floods (origin, hops) tokens. See header.
+/// Allocation-free after warm-up: the relay payloads and the origin table
+/// keep their capacity across rounds and trials.
 class LargestIdMessages final : public local::Algorithm {
  public:
   void on_start(local::NodeContext& ctx) override {
     AVGLOCAL_REQUIRE_MSG(ctx.degree() == 2, "message largest-ID runs on cycles");
-    local::Encoder e;
-    e.u64(1).u64(ctx.id()).u64(1);  // one token: (origin=self, hops=1)
-    ctx.broadcast(e.take());
+    const std::array<std::uint64_t, 3> token{1, ctx.id(), 1};  // one token: (self, hops=1)
+    ctx.broadcast(token);
   }
 
   void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
-    // forward[q] collects tokens to relay out of port q this round.
-    std::array<std::vector<std::pair<std::uint64_t, std::uint64_t>>, 2> forward;
+    // forward_[q] collects the tokens to relay out of port q this round,
+    // behind a count word patched once the inbox is drained.
+    for (local::Payload& out : forward_) out.assign(1, 0);
     for (const local::Message& msg : inbox) {
       local::Decoder d(msg.payload);
       const std::uint64_t count = d.u64();
+      local::Payload& out = forward_[1 - msg.from_port];
       for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t origin = d.u64();
         const std::uint64_t hops = d.u64();
-        ingest(ctx, origin, hops, msg.from_port);
-        if (origin != ctx.id() && !already_seen_twice(origin)) {
-          forward[1 - msg.from_port].emplace_back(origin, hops + 1);
+        if (ingest(ctx, origin, hops, msg.from_port)) {
+          out.push_back(origin);
+          out.push_back(hops + 1);
         }
       }
     }
     for (std::size_t q = 0; q < 2; ++q) {
-      if (forward[q].empty()) continue;
-      local::Encoder e;
-      e.u64(forward[q].size());
-      for (const auto& [origin, hops] : forward[q]) e.u64(origin).u64(hops);
-      ctx.send(q, e.take());
+      local::Payload& out = forward_[q];
+      if (out.size() == 1) continue;
+      out[0] = (out.size() - 1) / 2;
+      ctx.send(q, out);
     }
     decide(ctx);
   }
@@ -107,27 +181,25 @@ class LargestIdMessages final : public local::Algorithm {
   bool reset() noexcept override {
     best_ = 0;
     n_.reset();
-    seen_.clear();
+    seen_.reset();
     return true;
   }
 
  private:
-  void ingest(local::NodeContext& ctx, std::uint64_t origin, std::uint64_t hops,
+  /// Records a token heard on port `side`; true when it must be relayed.
+  bool ingest(const local::NodeContext& ctx, std::uint64_t origin, std::uint64_t hops,
               std::size_t side) {
     best_ = std::max(best_, origin);
     if (origin == ctx.id()) {
       // Our own token went all the way around: hops == n.
       n_ = hops;
-      return;
+      return false;
     }
-    auto& sides = seen_[origin];
-    sides[side] = hops;
-    if (sides[0] && sides[1]) n_ = *sides[0] + *sides[1];
-  }
-
-  bool already_seen_twice(std::uint64_t origin) const {
-    const auto it = seen_.find(origin);
-    return it != seen_.end() && it->second[0].has_value() && it->second[1].has_value();
+    OriginTable::Hops& sides = seen_.at(origin);
+    sides[side] = support::checked_u32(hops);
+    if (sides[0] == 0 || sides[1] == 0) return true;
+    n_ = std::size_t{sides[0]} + sides[1];
+    return false;
   }
 
   void decide(local::NodeContext& ctx) {
@@ -141,7 +213,8 @@ class LargestIdMessages final : public local::Algorithm {
 
   std::uint64_t best_ = 0;
   std::optional<std::size_t> n_;
-  std::map<std::uint64_t, std::array<std::optional<std::uint64_t>, 2>> seen_;
+  OriginTable seen_;
+  std::array<local::Payload, 2> forward_;
 };
 
 }  // namespace

@@ -40,11 +40,11 @@ local::ViewAlgorithmFactory make_largest_id_view();
 /// its average radius against the paper's algorithm.
 local::ViewAlgorithmFactory make_largest_id_universe_aware_view();
 
-/// Message-passing implementation for cycles (any connected graph, in fact):
-/// floods (origin, hops) tokens; a node outputs No as soon as the running
-/// maximum exceeds its own identifier, and Yes once it can prove it has seen
-/// every vertex (it learns the cycle length from a token received on both
-/// sides). Radii match the flooding-knowledge view semantics.
+/// Message-passing implementation for cycles: floods (origin, hops) tokens;
+/// a node outputs No as soon as the running maximum exceeds its own
+/// identifier, and Yes once it can prove it has seen every vertex (it learns
+/// the cycle length from a token received on both sides). Radii match the
+/// flooding-knowledge view semantics.
 local::AlgorithmFactory make_largest_id_messages();
 
 /// Analytic per-vertex radius of the view algorithm on a cycle under

@@ -20,10 +20,12 @@ struct NodeState {
   bool sixfinal = false;
 };
 
-local::Payload encode(const NodeState& s) {
-  local::Encoder e;
-  e.u64(s.id).u64(s.colour).flag(s.frozen).flag(s.candidate).flag(s.sixfinal);
-  return e.take();
+/// The wire form of a NodeState: five words, sent from the stack.
+using StateWords = std::array<std::uint64_t, 5>;
+
+StateWords encode(const NodeState& s) {
+  return {s.id, s.colour, std::uint64_t{s.frozen}, std::uint64_t{s.candidate},
+          std::uint64_t{s.sixfinal}};
 }
 
 NodeState decode(std::span<const std::uint64_t> payload) {

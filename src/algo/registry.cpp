@@ -99,7 +99,7 @@ AlgorithmRegistry build_global_registry() {
   largest_id_msg.name = "largest-id-msg";
   largest_id_msg.description = "largest-ID by token flooding (message engine)";
   largest_id_msg.kind = AlgorithmKind::kMessage;
-  largest_id_msg.constraint = "any connected graph";
+  largest_id_msg.constraint = "cycles (degree 2 at every vertex)";
   largest_id_msg.messages = [](std::size_t) { return make_largest_id_messages(); };
   largest_id_msg.knowledge = local::Knowledge::kUnknownN;
   largest_id_msg.validate = validate_largest_id;

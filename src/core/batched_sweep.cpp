@@ -43,10 +43,19 @@ PointAccumulator make_point_accumulator(const graph::Graph& g, std::size_t point
 
 void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
                       std::uint64_t point_seed, std::size_t global_begin, std::size_t count) {
-  batch.clear();
+  // Refill the assignments already in `batch` in place; only a batch
+  // wider than any before allocates. IdAssignment has no default
+  // constructor, so a narrower batch shrinks by erase.
+  if (batch.size() > count) {
+    batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(count), batch.end());
+  }
   for (std::size_t i = 0; i < count; ++i) {
     support::Xoshiro256 rng(support::derive_seed(point_seed, global_begin + i));
-    batch.push_back(graph::IdAssignment::random(n, rng));
+    if (i < batch.size()) {
+      batch[i].refill_random(n, rng);
+    } else {
+      batch.push_back(graph::IdAssignment::random(n, rng));
+    }
   }
 }
 

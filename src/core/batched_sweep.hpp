@@ -144,10 +144,13 @@ PointAccumulator make_point_accumulator(const graph::Graph& g, std::size_t point
 
 /// Regenerates the sweep's id assignments for global trials
 /// [global_begin, global_begin + count) of the point whose stream root is
-/// `point_seed` (= derive_seed(options.seed, point_index)) into `batch`
-/// (cleared first). THE definition of a sweep's id streams: SweepDriver
-/// calls it for every backend, which is what makes a message sweep and a
-/// view sweep of one scenario run identical permutations trial by trial.
+/// `point_seed` (= derive_seed(options.seed, point_index)) into `batch`,
+/// which ends up with exactly `count` entries. Entries already in `batch`
+/// are refilled in place (IdAssignment::refill_random), so a lane that
+/// reuses its batch allocates no id storage after warm-up. THE definition
+/// of a sweep's id streams: SweepDriver calls it for every backend, which
+/// is what makes a message sweep and a view sweep of one scenario run
+/// identical permutations trial by trial.
 void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
                       std::uint64_t point_seed, std::size_t global_begin, std::size_t count);
 

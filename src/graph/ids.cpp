@@ -17,6 +17,12 @@ namespace {
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
+/// {1..n} shuffled in place: the stream of random() and refill_random().
+void fill_random_permutation(std::span<std::uint64_t> ids, support::Xoshiro256& rng) {
+  std::iota(ids.begin(), ids.end(), std::uint64_t{1});
+  support::shuffle(ids, rng);
+}
+
 }  // namespace
 
 IdAssignment::IdAssignment(std::vector<std::uint64_t> ids) : ids_(std::move(ids)) {
@@ -42,12 +48,18 @@ IdAssignment IdAssignment::reversed(std::size_t n) {
 }
 
 IdAssignment IdAssignment::random(std::size_t n, support::Xoshiro256& rng) {
-  // The sweep hot loop: fill {1..n} straight into the storage and shuffle
-  // in place - one allocation per trial (pinned by test_engine_alloc).
+  // Fill {1..n} straight into the storage and shuffle in place: one
+  // allocation (pinned by test_engine_alloc).
   std::vector<std::uint64_t> ids(n);
-  std::iota(ids.begin(), ids.end(), std::uint64_t{1});
-  support::shuffle(std::span<std::uint64_t>(ids), rng);
+  fill_random_permutation(ids, rng);
   return IdAssignment(std::move(ids), Trusted{});
+}
+
+void IdAssignment::refill_random(std::size_t n, support::Xoshiro256& rng) {
+  AVGLOCAL_EXPECTS_MSG(n > 0, "empty id assignment");
+  ids_.resize(n);
+  fill_random_permutation(ids_, rng);
+  AVGLOCAL_ASSERT(all_distinct(ids_));
 }
 
 std::uint32_t IdAssignment::argmax() const noexcept {

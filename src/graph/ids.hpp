@@ -14,7 +14,8 @@
 
 namespace avglocal::graph {
 
-/// Immutable assignment of one distinct identifier per vertex.
+/// Assignment of one distinct identifier per vertex. Immutable except
+/// through refill_random, which keeps the identifiers distinct.
 class IdAssignment {
  public:
   /// Wraps an explicit id vector (ids[v] = identifier of vertex v).
@@ -31,8 +32,14 @@ class IdAssignment {
   /// trusted path: a Fisher-Yates shuffle of {1..n} is distinct by
   /// construction, so the O(n log n) sort-and-check of the public
   /// constructor is skipped (debug builds still assert distinctness).
-  /// This is the sweep hot loop: one allocation (the id vector), no sort.
+  /// One allocation (the id vector), no sort.
   static IdAssignment random(std::size_t n, support::Xoshiro256& rng);
+
+  /// Replaces this assignment with the permutation random(n, rng) would
+  /// return, drawing the same stream, in the existing storage: no
+  /// allocation unless n exceeds every size this assignment has held.
+  /// The sweep hot loop (core::fill_sweep_batch).
+  void refill_random(std::size_t n, support::Xoshiro256& rng);
 
   std::size_t size() const noexcept { return ids_.size(); }
 

@@ -97,10 +97,16 @@ class Engine {
     total_words_ = 0;
   }
 
-  RunResult run() {
+  /// The node state after the last run_rounds(): id, output and output
+  /// round.
+  const NodeContext& context(graph::Vertex v) const noexcept { return contexts_[v]; }
+
+  /// Steps every node of the bound assignment until all have output and
+  /// returns the last round. Allocation-free once the arenas and inbox
+  /// have reached their high-water marks.
+  std::size_t run_rounds() {
     const std::size_t n = g_->vertex_count();
     std::size_t outputs_done = 0;
-    RunResult result;
 
     // Round 0: on_start sends land in *outgoing_.
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -145,14 +151,19 @@ class Engine {
       }
       record_round(round, outputs_done - outputs_before);
     }
+    return round;
+  }
 
+  RunResult run() {
+    const std::size_t n = g_->vertex_count();
+    RunResult result;
+    result.rounds = run_rounds();
     result.outputs.resize(n);
     result.radii.resize(n);
     for (graph::Vertex v = 0; v < n; ++v) {
       result.outputs[v] = contexts_[v].output_value();
       result.radii[v] = contexts_[v].output_round();
     }
-    result.rounds = round;
     result.messages = total_messages_;
     result.words = total_words_;
     return result;
@@ -208,9 +219,10 @@ void MessageBatchRunner::run(std::span<const graph::IdAssignment> batch,
   const std::size_t n = engine_->graph().vertex_count();
   for (std::size_t trial = 0; trial < batch.size(); ++trial) {
     engine_->bind(batch[trial]);
-    const RunResult run = engine_->run();
+    engine_->run_rounds();
     for (graph::Vertex v = 0; v < n; ++v) {
-      sink(trial, v, run.outputs[v], run.radii[v]);
+      const NodeContext& ctx = engine_->context(v);
+      sink(trial, v, ctx.output_value(), ctx.output_round());
     }
   }
 }

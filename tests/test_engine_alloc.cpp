@@ -7,13 +7,19 @@
 // it must stay its own test executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "core/batched_sweep.hpp"
+#include "core/scenario.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
@@ -179,6 +185,92 @@ TEST(ViewCallbackAlloc, BatchedSweepAllocatesOnlyWhileWarmingUp) {
     EXPECT_EQ(runs, n * kAssignments) << c.algorithm;
     EXPECT_LT(after.allocations - before.allocations, n * kAssignments / 100) << c.algorithm;
   }
+}
+
+// Whole trials, not only rounds, stop allocating once warm: for every
+// registered algorithm, after one warm-up batch each further trial of
+// SweepDriver::run_trials makes at most kAllocsPerTrial allocations, at n and
+// at 4n alike. What remains is per batch or per call - the view engine's
+// per-batch slot state (about 25 per trial in batches of 4), the returned
+// partials (about 1 per trial for message algorithms) - never per node or
+// per round: a callback that allocated per node would overshoot the bound
+// at the smaller size already.
+TEST(TrialAlloc, EveryAlgorithmStopsAllocatingAfterWarmUp) {
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kMeasuredTrials = 3 * kBatch;
+  constexpr std::size_t kAllocsPerTrial = 64;
+  constexpr std::size_t kSmallN = 256;
+  const algo::AlgorithmRegistry& registry = algo::AlgorithmRegistry::global();
+  const std::vector<std::string> names = registry.names();
+  ASSERT_EQ(names.size(), 9u) << "a new algorithm joins this gate";
+  for (const std::string& name : names) {
+    for (const std::size_t n : {kSmallN, 4 * kSmallN}) {
+      core::ScenarioSpec spec;
+      spec.algorithm = name;
+      spec.family = {name.starts_with("greedy") ? "torus" : "cycle", {}};
+      spec.ns = {n};
+      spec.seed = 3;
+      const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+      ASSERT_EQ(resolved.spec.ns, std::vector<std::size_t>{n}) << name;
+      core::BatchedSweepOptions options = resolved.sweep_options();
+      options.batch_size = kBatch;
+      const std::unique_ptr<core::SweepBackend> backend = resolved.make_backend();
+      const core::SweepDriver driver(*backend, options);
+      const graph::Graph g = resolved.graphs(n);
+      core::SweepDriver::Point point = driver.prepare(g, 0);
+      driver.run_trials(point, 0, kBatch);  // warm-up batch
+
+      const auto before = support::alloc_counts();
+      const core::PointAccumulator acc =
+          driver.run_trials(point, kBatch, kBatch + kMeasuredTrials);
+      const auto after = support::alloc_counts();
+      ASSERT_EQ(acc.trial_count(), kMeasuredTrials);
+      const std::size_t allocations = after.allocations - before.allocations;
+      EXPECT_LE(allocations, kMeasuredTrials * kAllocsPerTrial)
+          << name << " n=" << n << ": " << allocations << " allocations over "
+          << kMeasuredTrials << " trials";
+    }
+  }
+}
+
+TEST(IdAssignmentAlloc, RefillAllocatesNothing) {
+  // fill_sweep_batch refills a lane's assignments in place: a second fill
+  // with the same n and count draws new permutations into the old storage.
+  constexpr std::size_t kN = 4096;
+  constexpr std::size_t kCount = 8;
+  constexpr std::uint64_t kPointSeed = 17;
+  // Trial t of the stream is IdAssignment::random on its derived seed.
+  const auto expect_stream = [&](const std::vector<graph::IdAssignment>& batch,
+                                 std::size_t begin) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      support::Xoshiro256 rng(support::derive_seed(kPointSeed, begin + i));
+      const graph::IdAssignment expected = graph::IdAssignment::random(kN, rng);
+      EXPECT_TRUE(std::ranges::equal(batch[i].ids(), expected.ids())) << "trial " << begin + i;
+    }
+  };
+  std::vector<graph::IdAssignment> batch;
+  core::fill_sweep_batch(batch, kN, kPointSeed, 0, kCount);
+
+  const auto before = support::alloc_counts();
+  core::fill_sweep_batch(batch, kN, kPointSeed, kCount, kCount);
+  const auto after = support::alloc_counts();
+  ASSERT_EQ(batch.size(), kCount);
+#ifdef NDEBUG
+  EXPECT_EQ(after.allocations - before.allocations, 0u);
+#else
+  (void)before;
+  (void)after;  // debug builds re-validate the refilled ids through a sorted copy
+#endif
+  expect_stream(batch, kCount);
+
+  // A short last batch shrinks the lane's batch; the next full batch
+  // refills the survivors and appends the rest, on the same stream.
+  core::fill_sweep_batch(batch, kN, kPointSeed, 0, 3);
+  ASSERT_EQ(batch.size(), 3u);
+  expect_stream(batch, 0);
+  core::fill_sweep_batch(batch, kN, kPointSeed, 3, kCount);
+  ASSERT_EQ(batch.size(), kCount);
+  expect_stream(batch, 3);
 }
 
 TEST(MessageArena, PushHasPayloadRoundTrip) {

@@ -3,6 +3,11 @@
 // universe-aware refinement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "algo/largest_id.hpp"
 #include "algo/validity.hpp"
 #include "graph/ball.hpp"
@@ -119,6 +124,64 @@ TEST(LargestId, MessageVariantMatchesFloodingViews) {
     for (std::size_t v = 0; v < n; ++v) {
       EXPECT_EQ(messages.outputs[v], views.outputs[v]) << "n " << n << " v " << v;
       EXPECT_EQ(messages.radii[v], views.radii[v]) << "n " << n << " v " << v;
+    }
+  }
+}
+
+// One persistent runner per cycle length serves every trial, so each node's
+// origin table is reset and reused, grows during the first trial, and must
+// hash arbitrary 64-bit ids: a sparse assignment holding 0 and UINT64_MAX
+// runs mid-batch. Every trial must equal a fresh engine and the views.
+TEST(LargestId, BatchRunnerReuseMatchesFreshEngines) {
+  constexpr std::size_t kTrials = 64;
+  constexpr std::size_t kSparseTrial = 21;
+  support::Xoshiro256 rng(31);
+  for (const std::size_t n : {3u, 4u, 9u, 64u, 257u}) {
+    const auto g = graph::make_cycle(n);
+    std::vector<graph::IdAssignment> batch;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      if (t != kSparseTrial) {
+        batch.push_back(graph::IdAssignment::random(n, rng));
+        continue;
+      }
+      std::vector<std::uint64_t> sparse = {0, UINT64_MAX};
+      while (sparse.size() < n) {
+        const std::uint64_t id = rng.next();
+        if (std::find(sparse.begin(), sparse.end(), id) == sparse.end()) sparse.push_back(id);
+      }
+      support::shuffle(std::span<std::uint64_t>(sparse), rng);
+      batch.emplace_back(std::move(sparse));
+    }
+
+    local::MessageBatchRunner runner(g, algo::make_largest_id_messages());
+    std::vector<std::vector<std::int64_t>> outputs(kTrials, std::vector<std::int64_t>(n));
+    std::vector<std::vector<std::size_t>> radii(kTrials, std::vector<std::size_t>(n));
+    const auto sink = [&](std::size_t trial, graph::Vertex v, std::int64_t output,
+                          std::size_t radius) {
+      outputs[trial][v] = output;
+      radii[trial][v] = radius;
+    };
+    // Two calls: the runner's engine and instances persist across them.
+    const std::span<const graph::IdAssignment> all(batch);
+    const std::size_t half = kTrials / 2;
+    runner.run(all.first(half), sink);
+    runner.run(all.subspan(half),
+               [&](std::size_t trial, graph::Vertex v, std::int64_t output, std::size_t radius) {
+                 sink(half + trial, v, output, radius);
+               });
+
+    local::ViewEngineOptions flooding;
+    flooding.semantics = local::ViewSemantics::kFloodingKnowledge;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const auto fresh = local::run_messages(g, batch[t], algo::make_largest_id_messages());
+      const auto views = local::run_views(g, batch[t], algo::make_largest_id_view(), flooding);
+      EXPECT_TRUE(algo::is_valid_largest_id(batch[t], outputs[t])) << "n " << n << " trial " << t;
+      for (std::size_t v = 0; v < n; ++v) {
+        ASSERT_EQ(outputs[t][v], fresh.outputs[v]) << "n " << n << " trial " << t << " v " << v;
+        ASSERT_EQ(radii[t][v], fresh.radii[v]) << "n " << n << " trial " << t << " v " << v;
+        ASSERT_EQ(outputs[t][v], views.outputs[v]) << "n " << n << " trial " << t << " v " << v;
+        ASSERT_EQ(radii[t][v], views.radii[v]) << "n " << n << " trial " << t << " v " << v;
+      }
     }
   }
 }
