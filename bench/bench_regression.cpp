@@ -226,7 +226,7 @@ local::RunResult run_pooled_views(const graph::Graph& g, const graph::IdAssignme
   result.outputs.resize(g.vertex_count());
   result.radii.resize(g.vertex_count());
   local::run_views_batched(g, std::span(&ids, 1), factory, options,
-                           [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
+                           [&](std::size_t, graph::Vertex v, std::int64_t output,
                                std::size_t radius) {
                              result.outputs[v] = output;
                              result.radii[v] = radius;
@@ -285,7 +285,7 @@ SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_
     std::uint64_t radius_sum = 0;
     const auto start = Clock::now();
     local::run_views_batched(g, assignments, factory, options,
-                             [&](std::size_t, std::size_t, graph::Vertex, std::int64_t,
+                             [&](std::size_t, graph::Vertex, std::int64_t,
                                  std::size_t radius) { radius_sum += radius; });
     out.batched_trials_per_sec = static_cast<double>(trials) / seconds_since(start);
     if (radius_sum == 0) std::abort();
@@ -305,7 +305,7 @@ SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_
     d.outputs.resize(n);
     d.radii.resize(n);
     local::run_views_batched(g, std::span(&ids, 1), factory, local::ViewEngineOptions{},
-                             [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
+                             [&](std::size_t, graph::Vertex v, std::int64_t output,
                                  std::size_t radius) {
                                d.outputs[v] = output;
                                d.radii[v] = radius;
@@ -714,7 +714,7 @@ local::BatchPhaseStats bench_phase_breakdown(std::size_t n, std::size_t trials,
   options.phase_stats = &stats;
   std::uint64_t radius_sum = 0;
   local::run_views_batched(g, assignments, factory, options,
-                           [&](std::size_t, std::size_t, graph::Vertex, std::int64_t,
+                           [&](std::size_t, graph::Vertex, std::int64_t,
                                std::size_t radius) { radius_sum += radius; });
   if (radius_sum == 0) std::abort();
   return stats;
@@ -775,7 +775,7 @@ LargeScaleNumbers bench_large_scale(bool smoke) {
     const core::AlgorithmProvider provider = [](std::size_t) {
       return algo::make_largest_id_view();
     };
-    const core::ViewBackend backend(provider, options.semantics);
+    const core::ViewBackend backend(provider, local::ViewSemantics::kInducedBall);
     const core::SweepMemoryModel model = backend.memory_model(ring);
     // Declared budget: two resident trials per lane - the driver must batch.
     core::BatchedSweepOptions budgeted = options;

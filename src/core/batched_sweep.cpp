@@ -59,17 +59,32 @@ void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
   }
 }
 
-void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
-                              std::span<const std::uint32_t> radius_matrix,
-                              std::size_t batch_begin, std::size_t batch_size,
-                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts) {
+void accumulate_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
+                         std::span<const std::uint32_t> radius_matrix, std::size_t batch_begin,
+                         std::size_t batch_size, PointAccumulator& acc,
+                         std::vector<std::uint64_t>& node_counts,
+                         std::vector<std::uint64_t>& edge_counts) {
   AVGLOCAL_EXPECTS(radius_matrix.size() >= batch_size * acc.n);
+  AVGLOCAL_EXPECTS(batch_begin + batch_size <= acc.trial_count());
+  const auto count = [](std::vector<std::uint64_t>& counts, std::size_t r) {
+    if (r >= counts.size()) counts.resize(r + 1, 0);
+    ++counts[r];
+  };
   for (std::size_t i = 0; i < batch_size; ++i) {
     const std::span<const std::uint32_t> row = radius_matrix.subspan(i * acc.n, acc.n);
-    acc.trial_edge_sum[batch_begin + i] = for_each_edge_time(edge_list, row, [&](std::size_t t) {
-      if (t >= edge_counts.size()) edge_counts.resize(t + 1, 0);
-      ++edge_counts[t];
-    });
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
+    for (std::size_t v = 0; v < acc.n; ++v) {
+      const std::uint64_t r = row[v];
+      sum += r;
+      max = std::max(max, r);
+      acc.node_sum[v] += r;
+      count(node_counts, r);
+    }
+    acc.trial_sum[batch_begin + i] = sum;
+    acc.trial_max[batch_begin + i] = max;
+    acc.trial_edge_sum[batch_begin + i] =
+        for_each_edge_time(edge_list, row, [&](std::size_t t) { count(edge_counts, t); });
   }
 }
 

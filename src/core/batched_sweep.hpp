@@ -40,7 +40,6 @@ struct BatchedSweepOptions {
   /// Master seed; trial t of point p runs the id permutation drawn from
   /// derive_seed(derive_seed(seed, p), t), whichever engine runs it.
   std::uint64_t seed = 42;
-  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
   /// Worker threads; 0 = hardware concurrency, explicit values honoured
   /// exactly. The view engine parallelises over vertices, so more workers
   /// than trials stay busy. Ignored when `pool` is set.
@@ -49,7 +48,7 @@ struct BatchedSweepOptions {
   support::ThreadPool* pool = nullptr;
   /// Identifier assignments resident at once; 0 = the whole trial range.
   /// Smaller batches bound memory (~ batch_size * n * 12 bytes per point:
-  /// the id buffers plus the radius matrix the edge measures read) at the
+  /// the id buffers plus the radius matrix every partial is folded from) at the
   /// cost of regrowing ball geometry once per batch. Results do not depend
   /// on the batch size.
   std::size_t batch_size = 0;
@@ -154,18 +153,21 @@ PointAccumulator make_point_accumulator(const graph::Graph& g, std::size_t point
 void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
                       std::uint64_t point_seed, std::size_t global_begin, std::size_t count);
 
-/// Folds one batch's dense radius matrix (`batch_size` rows of n radii,
-/// row t = global trial batch_begin + t) into the accumulator's per-trial
-/// edge sums and the flat per-time sample counts (grown on demand;
-/// local::RadiusHistogram(std::move(counts)) converts exactly once per
-/// point). Each trial row streams through for_each_edge_time
-/// (core/measure.hpp) in one pass: exact integers in canonical edge order,
-/// so the driver's edge partials are the per-run edge measures by
-/// construction. This is the driver's hot path.
-void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
-                              std::span<const std::uint32_t> radius_matrix,
-                              std::size_t batch_begin, std::size_t batch_size,
-                              PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts);
+/// THE fold from radii to partials: the only code that turns radii into
+/// PointAccumulator fields (backends only fill the matrix). Folds one
+/// batch's dense radius matrix (`batch_size` rows of n radii, row t =
+/// global trial batch_begin + t) in one pass per row into that trial's sum,
+/// maximum and edge sum and the per-vertex sums, and counts every radius
+/// and edge time into the flat arrays `node_counts` and `edge_counts`
+/// (grown on demand; local::RadiusHistogram(std::move(counts)) converts
+/// each once per point). Edge times stream through for_each_edge_time
+/// (core/measure.hpp), so the partials are the per-run measures by
+/// construction. Other trials are left untouched. The driver's hot path.
+void accumulate_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
+                         std::span<const std::uint32_t> radius_matrix, std::size_t batch_begin,
+                         std::size_t batch_size, PointAccumulator& acc,
+                         std::vector<std::uint64_t>& node_counts,
+                         std::vector<std::uint64_t>& edge_counts);
 
 /// Derives the reported point from complete partials; the accumulator must
 /// cover the full trial range [0, options.trials).

@@ -91,7 +91,6 @@ BatchedSweepOptions ResolvedScenario::sweep_options(std::size_t trials) const {
   BatchedSweepOptions options;
   options.trials = trials;
   options.seed = spec.seed;
-  options.semantics = spec.semantics;
   options.quantile_probs = spec.quantile_probs;
   options.node_profile = spec.node_profile;
   return options;

@@ -1,8 +1,6 @@
 #include "core/sweep_backend.hpp"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "local/engine.hpp"
 #include "local/view_engine.hpp"
@@ -13,20 +11,10 @@ namespace avglocal::core {
 
 namespace {
 
-/// View-backend state: the per-size algorithm factory plus per-worker
-/// partial buffers. Trial aggregates are indexed within the batch and
-/// folded into the accumulator after each run_views_batched call, always by
-/// integer addition / maximum, so the totals do not depend on which worker
-/// ran which vertices.
+/// View-backend state: the graph and its per-size algorithm factory.
 struct ViewPointState final : BackendPointState {
   const graph::Graph* g = nullptr;
   local::ViewAlgorithmFactory factory;
-  struct WorkerPartial {
-    std::vector<std::uint64_t> trial_sum;
-    std::vector<std::uint64_t> trial_max;
-    local::RadiusHistogram histogram;
-  };
-  std::vector<WorkerPartial> partials;
 };
 
 /// Message-backend state: ONE persistent arena-backed engine. The runner
@@ -34,8 +22,10 @@ struct ViewPointState final : BackendPointState {
 /// so warm-up (topology tables, arenas, contexts) is paid once per
 /// (point, lane).
 struct MessagePointState final : BackendPointState {
-  explicit MessagePointState(local::MessageBatchRunner r) : runner(std::move(r)) {}
+  MessagePointState(local::MessageBatchRunner r, std::size_t vertices)
+      : runner(std::move(r)), n(vertices) {}
   local::MessageBatchRunner runner;
+  std::size_t n;
 };
 
 }  // namespace
@@ -54,46 +44,19 @@ std::unique_ptr<BackendPointState> ViewBackend::prepare(const graph::Graph& g,
 }
 
 void ViewBackend::run_batch(BackendPointState& state, std::span<const graph::IdAssignment> batch,
-                            std::size_t batch_begin, support::ThreadPool* pool,
-                            PointAccumulator& acc,
+                            std::size_t /*batch_begin*/, support::ThreadPool* pool,
+                            PointAccumulator& /*acc*/,
                             std::span<std::uint32_t> radius_matrix) const {
   auto& view_state = static_cast<ViewPointState&>(state);
-  const std::size_t n = acc.n;
-  const std::size_t batch_size = batch.size();
-
-  view_state.partials.resize(pool != nullptr ? pool->size() : 1);
-  for (ViewPointState::WorkerPartial& w : view_state.partials) {
-    w.trial_sum.assign(batch_size, 0);
-    w.trial_max.assign(batch_size, 0);
-    w.histogram = local::RadiusHistogram();
-  }
-
+  const std::size_t n = view_state.g->vertex_count();
   local::ViewEngineOptions engine;
   engine.semantics = semantics_;
   engine.pool = pool;
-
-  local::run_views_batched(
-      *view_state.g, batch, view_state.factory, engine,
-      [&](std::size_t worker, std::size_t trial, graph::Vertex v, std::int64_t /*output*/,
-          std::size_t radius) {
-        ViewPointState::WorkerPartial& w = view_state.partials[worker];
-        const auto r = static_cast<std::uint64_t>(radius);
-        w.trial_sum[trial] += r;
-        w.trial_max[trial] = std::max(w.trial_max[trial], r);
-        w.histogram.add(radius);
-        // Workers own disjoint vertex ranges, so these shared rows are
-        // safe: each (trial, v) cell has exactly one writer.
-        acc.node_sum[v] += r;
-        radius_matrix[trial * n + v] = support::checked_u32(radius);
-      });
-
-  for (const ViewPointState::WorkerPartial& w : view_state.partials) {
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      acc.trial_sum[batch_begin + i] += w.trial_sum[i];
-      acc.trial_max[batch_begin + i] = std::max(acc.trial_max[batch_begin + i], w.trial_max[i]);
-    }
-    acc.histogram.merge(w.histogram);
-  }
+  local::run_views_batched(*view_state.g, batch, view_state.factory, engine,
+                           [&](std::size_t trial, graph::Vertex v, std::int64_t /*output*/,
+                               std::size_t radius) {
+                             radius_matrix[trial * n + v] = support::checked_u32(radius);
+                           });
 }
 
 SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept {
@@ -119,7 +82,8 @@ SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept
   // (ids 8n, globals 4n, dist 4n, port offsets 4n, port targets 4 bytes
   // per arc), the sequential mode's id buffer (8n), the per-radius ball
   // sizes (at most n radii, 4n) and three radius histograms of at most n
-  // buckets (the worker's, the accumulator's and the edge times', 24n).
+  // buckets (the driver's flat node-radius counts, the accumulator's and
+  // the edge times', 24n).
   const std::size_t doubled = 20 * n + 4 * arcs + 8 * n + 4 * n + 24 * n;
   model.fixed_bytes = allocated_once + 2 * doubled;
   return model;
@@ -149,26 +113,20 @@ std::unique_ptr<BackendPointState> MessageBackend::prepare(const graph::Graph& g
   local::EngineOptions options;
   options.knowledge = knowledge_;
   return std::make_unique<MessagePointState>(
-      local::MessageBatchRunner(g, algorithms_(g.vertex_count()), options));
+      local::MessageBatchRunner(g, algorithms_(g.vertex_count()), options), g.vertex_count());
 }
 
 void MessageBackend::run_batch(BackendPointState& state,
                                std::span<const graph::IdAssignment> batch,
-                               std::size_t batch_begin, support::ThreadPool* /*pool*/,
-                               PointAccumulator& acc,
+                               std::size_t /*batch_begin*/, support::ThreadPool* /*pool*/,
+                               PointAccumulator& /*acc*/,
                                std::span<std::uint32_t> radius_matrix) const {
   auto& message_state = static_cast<MessagePointState&>(state);
-  const std::size_t n = acc.n;
-  message_state.runner.run(
-      batch, [&](std::size_t trial, graph::Vertex v, std::int64_t /*output*/,
-                 std::size_t radius) {
-        const auto r = static_cast<std::uint64_t>(radius);
-        acc.trial_sum[batch_begin + trial] += r;
-        acc.trial_max[batch_begin + trial] = std::max(acc.trial_max[batch_begin + trial], r);
-        acc.histogram.add(radius);
-        acc.node_sum[v] += r;
-        radius_matrix[trial * n + v] = support::checked_u32(radius);
-      });
+  const std::size_t n = message_state.n;
+  message_state.runner.run(batch, [&](std::size_t trial, graph::Vertex v,
+                                      std::int64_t /*output*/, std::size_t radius) {
+    radius_matrix[trial * n + v] = support::checked_u32(radius);
+  });
 }
 
 }  // namespace avglocal::core

@@ -6,11 +6,11 @@
 // view engine or the message engine. A SweepBackend is the one seam where
 // the engines differ: it prepares identifier-independent per-point state
 // (ball geometry caches, arena-backed engines, per-size algorithm
-// factories) and runs batches of id-assignments into an accumulator. All
+// factories) and runs batches of id-assignments into a radius matrix. All
 // the engine-independent machinery - deriving (seed, point, trial) streams,
-// batching, the thread pool, splitting trial ranges across workers, merging
-// partials, edge-time accumulation - lives in core::SweepDriver
-// (core/sweep_driver.hpp), written once for every backend.
+// batching, the thread pool, splitting trial ranges across workers, folding
+// radii into node and edge partials, merging partials - lives in
+// core::SweepDriver (core/sweep_driver.hpp), written once for every backend.
 //
 // Contract for implementations:
 //  * prepare(g, point) may cache anything derived from the graph and the
@@ -18,11 +18,11 @@
 //    across batches, adaptive rounds and sharded trial ranges, and results
 //    must be bit-identical to a fresh state per call (the conformance suite
 //    in tests/test_sweep_backend.cpp pins this against the golden corpus).
-//  * run_batch fills acc.trial_sum/trial_max/histogram/node_sum for trials
-//    [batch_begin, batch_begin + batch.size()) of the accumulator's range,
-//    and writes every radius into radius_matrix[t * n + v]; the driver
-//    derives the edge measures from the matrix. All writes are exact
-//    integers, so partials merge bit-identically in any arrangement.
+//  * run_batch writes radius_matrix[t * n + v] for every trial t of the
+//    batch (its index within `batch`) and every vertex v, and nothing
+//    else: it never writes the accumulator. The driver derives every node
+//    and edge partial from the matrix (core::accumulate_partials), so the
+//    measures have one definition for every engine.
 //  * A prepared state is confined to one worker at a time; parallelism
 //    across a state is declared via parallel_granularity and orchestrated
 //    by the driver, never improvised by the backend.
@@ -87,10 +87,13 @@ class SweepBackend {
   virtual std::unique_ptr<BackendPointState> prepare(const graph::Graph& g,
                                                      std::size_t point_index) const = 0;
 
-  /// Runs the id-assignments of `batch` (trials [batch_begin,
-  /// batch_begin + batch.size()) of acc's range) through `state`. `pool` is
-  /// non-null only for kVertices backends; radius_matrix holds at least
-  /// batch.size() * n entries.
+  /// Runs the id-assignments of `batch` through `state`, writing r(v)
+  /// under assignment t into radius_matrix[t * n + v] (which holds at least
+  /// batch.size() * n entries) and nothing else. `pool` is non-null only
+  /// for kVertices backends. `batch_begin` and `acc` are unused: they stay
+  /// because the benchmark's tracing decorator (perfbench/trace.hpp)
+  /// overrides this signature, and go with supports_batching in the next
+  /// change to the benchmark.
   virtual void run_batch(BackendPointState& state, std::span<const graph::IdAssignment> batch,
                          std::size_t batch_begin, support::ThreadPool* pool,
                          PointAccumulator& acc, std::span<std::uint32_t> radius_matrix) const = 0;

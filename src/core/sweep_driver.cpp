@@ -63,6 +63,7 @@ PointAccumulator SweepDriver::run_lane(Point& point, std::size_t lane_index,
   }
   if (lane.radius_matrix.size() < batch_cap * n) lane.radius_matrix.resize(batch_cap * n);
   lane.batch.reserve(batch_cap);
+  lane.node_counts.clear();
   lane.edge_counts.clear();
 
   for (std::size_t batch_begin = 0; batch_begin < total; batch_begin += batch_cap) {
@@ -72,11 +73,14 @@ PointAccumulator SweepDriver::run_lane(Point& point, std::size_t lane_index,
     fill_sweep_batch(lane.batch, n, point.point_seed_, trial_begin + batch_begin, batch_size);
     backend_->run_batch(*lane.state, lane.batch, batch_begin, vertex_pool, acc,
                         lane.radius_matrix);
-    accumulate_edge_partials(point.edge_list_, lane.radius_matrix, batch_begin, batch_size, acc,
-                             lane.edge_counts);
+    accumulate_partials(point.edge_list_, lane.radius_matrix, batch_begin, batch_size, acc,
+                        lane.node_counts, lane.edge_counts);
   }
+  acc.histogram = local::RadiusHistogram(std::move(lane.node_counts));
   acc.edge_histogram = local::RadiusHistogram(std::move(lane.edge_counts));
-  lane.edge_counts.clear();  // moved-from; leave it well-defined for the next call
+  // Moved-from; leave them well-defined for the next call.
+  lane.node_counts.clear();
+  lane.edge_counts.clear();
   return acc;
 }
 

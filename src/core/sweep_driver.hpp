@@ -15,8 +15,10 @@
 //    and the partial accumulators append in trial order. Exact-integer
 //    accumulators make the merge bit-identical to the serial path for
 //    every pool size (conformance- and CI-pinned);
-//  * edge-time accumulation over the canonical edge list and the final
-//    histogram conversion;
+//  * every partial: backends only write the radius matrix, and the driver
+//    folds it (accumulate_partials) into the per-trial sums and maxima, the
+//    per-vertex sums, the edge times over the canonical edge list and the
+//    flat radius counts, converted to histograms once per call;
 //  * accumulator shaping and merging.
 //
 // Points are prepared once and reused: SweepDriver::Point carries the
@@ -70,6 +72,7 @@ class SweepDriver {
       std::unique_ptr<BackendPointState> state;
       std::vector<graph::IdAssignment> batch;
       std::vector<std::uint32_t> radius_matrix;
+      std::vector<std::uint64_t> node_counts;
       std::vector<std::uint64_t> edge_counts;
     };
     const SweepBackend* backend_ = nullptr;  // who prepared the lane states

@@ -215,7 +215,7 @@ MessageBatchRunner::MessageBatchRunner(MessageBatchRunner&&) noexcept = default;
 MessageBatchRunner& MessageBatchRunner::operator=(MessageBatchRunner&&) noexcept = default;
 
 void MessageBatchRunner::run(std::span<const graph::IdAssignment> batch,
-                             const MessageResultFn& sink) {
+                             const ResultSink& sink) {
   const std::size_t n = engine_->graph().vertex_count();
   for (std::size_t trial = 0; trial < batch.size(); ++trial) {
     engine_->bind(batch[trial]);

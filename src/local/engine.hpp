@@ -70,12 +70,6 @@ struct EngineOptions {
 RunResult run_messages(const graph::Graph& g, const graph::IdAssignment& ids,
                        const AlgorithmFactory& factory, const EngineOptions& options = {});
 
-/// Per-(trial, node) result callback of MessageBatchRunner::run; `radius` is the
-/// round at which the node output. Invoked for every node of trial t before
-/// any node of trial t+1, vertices in increasing order.
-using MessageResultFn = std::function<void(std::size_t trial, graph::Vertex v,
-                                           std::int64_t output, std::size_t radius)>;
-
 class Engine;
 
 /// A persistent handle on ONE arena-backed message engine bound to
@@ -96,10 +90,11 @@ class MessageBatchRunner {
   MessageBatchRunner& operator=(MessageBatchRunner&&) noexcept;
 
   /// Runs every id-assignment of `batch` through the persistent engine;
-  /// `trial` in the sink is the index within this batch. The steady-state
-  /// round loop stays allocation-free, and with resettable algorithms the
-  /// whole per-trial loop allocates nothing after warm-up.
-  void run(std::span<const graph::IdAssignment> batch, const MessageResultFn& sink);
+  /// `trial` in the sink is the index within this batch, and the sink sees
+  /// every node of trial t, in vertex order, before any node of trial t+1.
+  /// The steady-state round loop stays allocation-free, and with resettable
+  /// algorithms the whole per-trial loop allocates nothing after warm-up.
+  void run(std::span<const graph::IdAssignment> batch, const ResultSink& sink);
 
  private:
   std::unique_ptr<Engine> engine_;

@@ -6,8 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
+
+#include "graph/graph.hpp"
 
 namespace avglocal::local {
 
@@ -39,6 +42,12 @@ struct RunResult {
   /// avg_v r(v) - the paper's measure of this run.
   double average_radius() const noexcept;
 };
+
+/// Per-(trial, vertex) result callback of both batched engines
+/// (run_views_batched, MessageBatchRunner::run): under the batch's
+/// `trial`-th assignment, v committed `output` at `radius` = r(v).
+using ResultSink = std::function<void(std::size_t trial, graph::Vertex v, std::int64_t output,
+                                      std::size_t radius)>;
 
 /// Exact radius distribution accumulator: counts()[r] = number of
 /// (vertex, run) samples whose radius is r. All state is integer counts, so

@@ -147,8 +147,7 @@ struct PhaseTimer {
 void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
                           std::span<const graph::IdAssignment> batch,
                           const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
-                          std::size_t worker, graph::Vertex begin, graph::Vertex end,
-                          const BatchedResultFn& sink) {
+                          graph::Vertex begin, graph::Vertex end, const ResultSink& sink) {
   const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
@@ -173,7 +172,7 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
           state.seq_view.ids = {state.seq_ids.data(), filled};
           state.seq_view.covers_graph = covers;
           if (const auto output = algorithm.on_view(state.seq_view)) {
-            sink(worker, trial, v, *output, rho);
+            sink(trial, v, *output, rho);
             timer.lap(&BatchPhaseStats::eval_sec);
             break;
           }
@@ -208,8 +207,7 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
 void run_batched_range(const graph::Graph& g, BatchedWorker& state,
                        std::span<const graph::IdAssignment> batch,
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
-                       std::size_t worker, graph::Vertex begin, graph::Vertex end,
-                       const BatchedResultFn& sink) {
+                       graph::Vertex begin, graph::Vertex end, const ResultSink& sink) {
   const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
@@ -226,7 +224,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
       state.grower.bind_ids({ids, ball_end});
       const auto output = slot.algorithm->on_view(state.grower.view());
       if (!output) return false;
-      sink(worker, slot.trial, v, *output, radius);
+      sink(slot.trial, v, *output, radius);
       return true;
     };
 
@@ -307,7 +305,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
 
 void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
-                       const BatchedResultFn& sink) {
+                       const ResultSink& sink) {
   AVGLOCAL_EXPECTS(!batch.empty());
   const std::size_t n = g.vertex_count();
   if (n == 0) return;
@@ -327,18 +325,18 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
   const graph::IdAssignment geometry_ids = graph::IdAssignment::identity(n);
 
   const auto run_range_mode = [&](BatchedWorker& state, const ViewEngineOptions& opts,
-                                  std::size_t worker, graph::Vertex b, graph::Vertex e) {
+                                  graph::Vertex b, graph::Vertex e) {
     if (ids_only) {
-      run_sequential_range(g, state, batch, factory, opts, worker, b, e, sink);
+      run_sequential_range(g, state, batch, factory, opts, b, e, sink);
     } else {
-      run_batched_range(g, state, batch, factory, opts, worker, b, e, sink);
+      run_batched_range(g, state, batch, factory, opts, b, e, sink);
     }
   };
 
   support::ThreadPool* pool = options.pool;
   if (pool == nullptr || pool->size() == 1 || n == 1) {
     BatchedWorker state(g, geometry_ids, options.semantics, batch.size());
-    run_range_mode(state, options, 0, 0, checked_u32(n));
+    run_range_mode(state, options, 0, checked_u32(n));
     return;
   }
 
@@ -359,7 +357,7 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
     if (!state) {
       state = std::make_unique<BatchedWorker>(g, geometry_ids, options.semantics, batch.size());
     }
-    run_range_mode(*state, parallel_options, worker, checked_u32(begin), checked_u32(end));
+    run_range_mode(*state, parallel_options, checked_u32(begin), checked_u32(end));
   });
 }
 

@@ -106,14 +106,6 @@ struct ViewEngineOptions {
 RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
                     const ViewAlgorithmFactory& factory, const ViewEngineOptions& options = {});
 
-/// Per-(vertex, assignment) result callback of run_views_batched. `worker`
-/// identifies the executing pool worker (always 0 on the serial path),
-/// stable across one call - usable to index per-worker accumulators.
-/// Different workers invoke the sink concurrently (for different vertices);
-/// any single worker invokes it serially.
-using BatchedResultFn = std::function<void(std::size_t worker, std::size_t trial, graph::Vertex v,
-                                           std::int64_t output, std::size_t radius)>;
-
 /// Runs the algorithm on every vertex under every id-assignment of `batch`
 /// in one pass, vertices as the outer loop: each vertex's ball geometry is
 /// grown once on a shared BallGrower and every assignment is evaluated over
@@ -124,8 +116,11 @@ using BatchedResultFn = std::function<void(std::size_t worker, std::size_t trial
 /// assignment must match the graph. Results stream through `sink` instead of
 /// materialising batch.size() RunResults; outputs and radii are
 /// bit-identical to run_views on each assignment, for every pool size.
+/// `trial` in the sink is the index within `batch`. With a pool, workers
+/// invoke the sink concurrently for disjoint vertex sets: each (trial, v)
+/// cell has one caller, so a sink writing only that cell needs no locking.
 void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignment> batch,
                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
-                       const BatchedResultFn& sink);
+                       const ResultSink& sink);
 
 }  // namespace avglocal::local

@@ -1,7 +1,7 @@
 // Tests of the batched sweep subsystem: exactness of the geometry-replay
 // engine against per-trial runs, bit-identical statistics against per-trial
-// measure(run_views) aggregates, the driver's edge accumulation against the
-// per-run edge measures, and bit-identical shard merge through the JSON
+// measure(run_views) aggregates, the driver's radius-matrix fold against the
+// per-run node and edge measures, and bit-identical shard merge through the JSON
 // artefact round-trip.
 #include <gtest/gtest.h>
 
@@ -49,6 +49,10 @@ struct Collected {
   std::vector<std::vector<std::size_t>> radii;
 };
 
+/// The semantics of every driver sweep below. The view backend takes its
+/// semantics from its constructor, and cycle_header names the same one.
+constexpr local::ViewSemantics kSweepSemantics = local::ViewSemantics::kInducedBall;
+
 core::AlgorithmProvider largest_id() {
   return [](std::size_t) { return algo::make_largest_id_view(); };
 }
@@ -58,7 +62,7 @@ core::AlgorithmProvider largest_id() {
 std::vector<core::BatchedSweepPoint> cycle_sweep(const std::vector<std::size_t>& ns,
                                                  const core::AlgorithmProvider& algorithms,
                                                  const core::BatchedSweepOptions& options) {
-  const core::ViewBackend backend(algorithms, options.semantics);
+  const core::ViewBackend backend(algorithms, kSweepSemantics);
   const core::SweepPool pool(options);
   return core::SweepDriver(backend, options, pool.get())
       .run(ns, [](std::size_t n) { return graph::make_cycle(n); });
@@ -68,7 +72,7 @@ std::vector<core::BatchedSweepPoint> cycle_sweep(const std::vector<std::size_t>&
 std::vector<core::PointAccumulator> cycle_shard(const std::vector<std::size_t>& ns,
                                                 const core::BatchedSweepOptions& options,
                                                 const core::SweepShard& shard) {
-  const core::ViewBackend backend(largest_id(), options.semantics);
+  const core::ViewBackend backend(largest_id(), kSweepSemantics);
   const core::SweepPool pool(options);
   const core::SweepDriver driver(backend, options, pool.get());
   std::vector<core::PointAccumulator> partials;
@@ -88,7 +92,7 @@ core::ScenarioSpec cycle_header(const std::vector<std::size_t>& ns,
   spec.family = {"cycle", {}};
   spec.algorithm = "largest-id";
   spec.ns = ns;
-  spec.semantics = options.semantics;
+  spec.semantics = kSweepSemantics;
   spec.seed = options.seed;
   spec.schedule.max_trials = options.trials;
   spec.quantile_probs = options.quantile_probs;
@@ -112,7 +116,7 @@ Collected collect_batched(const graph::Graph& g, std::span<const graph::IdAssign
   out.outputs.assign(batch.size(), std::vector<std::int64_t>(g.vertex_count(), 0));
   out.radii.assign(batch.size(), std::vector<std::size_t>(g.vertex_count(), 0));
   local::run_views_batched(g, batch, factory, options,
-                           [&](std::size_t, std::size_t trial, graph::Vertex v,
+                           [&](std::size_t trial, graph::Vertex v,
                                std::int64_t output, std::size_t radius) {
                              out.outputs[trial][v] = output;
                              out.radii[trial][v] = radius;
@@ -395,8 +399,8 @@ TEST(BatchedSweep, DistributionAndNodeMeasuresAreConsistent) {
 }
 
 // ------------------------------------------------------------------------
-// Edge accumulation: the driver's radius-matrix fold against the per-run
-// edge measures.
+// The driver's radius-matrix fold (accumulate_partials) against the per-run
+// node and edge measures.
 // ------------------------------------------------------------------------
 
 std::vector<graph::Graph> edge_accumulation_graphs() {
@@ -411,6 +415,7 @@ std::vector<graph::Graph> edge_accumulation_graphs() {
 TEST(EdgeAccumulation, MatrixRowsMatchPerRunEdgeTimes) {
   constexpr std::size_t kBatchBegin = 3;
   constexpr std::size_t kRows = 5;
+  constexpr std::uint64_t kUntouched = 0xA5A5A5A5A5A5A5A5u;
   for (const graph::Graph& g : edge_accumulation_graphs()) {
     const std::size_t n = g.vertex_count();
     const auto edges = core::canonical_edges(g);
@@ -424,21 +429,37 @@ TEST(EdgeAccumulation, MatrixRowsMatchPerRunEdgeTimes) {
     }
 
     core::PointAccumulator acc = core::make_point_accumulator(g, 0, 0, kBatchBegin + kRows);
-    std::vector<std::uint64_t> counts;
-    core::accumulate_edge_partials(edges, matrix, kBatchBegin, kRows, acc, counts);
+    for (std::size_t t = 0; t < kBatchBegin; ++t) {
+      acc.trial_sum[t] = acc.trial_max[t] = acc.trial_edge_sum[t] = kUntouched;
+    }
+    std::vector<std::uint64_t> node_counts;
+    std::vector<std::uint64_t> edge_counts;
+    core::accumulate_partials(edges, matrix, kBatchBegin, kRows, acc, node_counts, edge_counts);
 
-    local::RadiusHistogram want;
+    local::RadiusHistogram want_nodes;
+    local::RadiusHistogram want_edges;
+    std::vector<std::uint64_t> column_sums(n, 0);
     for (std::size_t i = 0; i < kRows; ++i) {
-      const std::vector<std::size_t> radii(matrix.begin() + static_cast<std::ptrdiff_t>(i * n),
-                                           matrix.begin() + static_cast<std::ptrdiff_t>(i * n + n));
+      local::RunResult run;
+      run.radii.assign(matrix.begin() + static_cast<std::ptrdiff_t>(i * n),
+                       matrix.begin() + static_cast<std::ptrdiff_t>(i * n + n));
+      const core::Measurement m = core::measure(run);
+      EXPECT_EQ(acc.trial_sum[kBatchBegin + i], m.sum_radius) << "n " << n << " row " << i;
+      EXPECT_EQ(acc.trial_max[kBatchBegin + i], m.max_radius) << "n " << n << " row " << i;
       EXPECT_EQ(acc.trial_edge_sum[kBatchBegin + i],
-                core::accumulate_edge_times(edges, radii, want))
+                core::accumulate_edge_times(edges, run.radii, want_edges))
           << "n " << n << " row " << i;
+      want_nodes.add_profile(run.radii);
+      for (std::size_t v = 0; v < n; ++v) column_sums[v] += run.radii[v];
     }
     for (std::size_t t = 0; t < kBatchBegin; ++t) {
-      EXPECT_EQ(acc.trial_edge_sum[t], 0u) << "rows before batch_begin stay untouched";
+      EXPECT_EQ(acc.trial_sum[t], kUntouched) << "rows before batch_begin stay untouched";
+      EXPECT_EQ(acc.trial_max[t], kUntouched) << "rows before batch_begin stay untouched";
+      EXPECT_EQ(acc.trial_edge_sum[t], kUntouched) << "rows before batch_begin stay untouched";
     }
-    EXPECT_EQ(local::RadiusHistogram(std::move(counts)), want) << "n " << n;
+    EXPECT_EQ(acc.node_sum, column_sums) << "n " << n;
+    EXPECT_EQ(local::RadiusHistogram(std::move(node_counts)), want_nodes) << "n " << n;
+    EXPECT_EQ(local::RadiusHistogram(std::move(edge_counts)), want_edges) << "n " << n;
   }
 }
 

@@ -91,7 +91,7 @@ TEST(EdgeCases, ViewEngineRadiusCapGuardsNonTerminatingAlgorithms) {
   const local::ViewAlgorithmFactory never = [] { return std::make_unique<NeverOutputs>(); };
   EXPECT_THROW(local::run_views(g, ids, never), std::runtime_error);
   EXPECT_THROW(local::run_views_batched(g, std::span(&ids, 1), never, {},
-                                        [](std::size_t, std::size_t, graph::Vertex, std::int64_t,
+                                        [](std::size_t, graph::Vertex, std::int64_t,
                                            std::size_t) {}),
                std::runtime_error);
 }

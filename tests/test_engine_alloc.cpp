@@ -176,8 +176,8 @@ TEST(ViewCallbackAlloc, BatchedSweepAllocatesOnlyWhileWarmingUp) {
     const local::ViewAlgorithmFactory factory =
         algo::AlgorithmRegistry::global().at(c.algorithm).view(n);
     std::size_t runs = 0;
-    const local::BatchedResultFn sink = [&runs](std::size_t, std::size_t, graph::Vertex,
-                                                std::int64_t, std::size_t) { ++runs; };
+    const local::ResultSink sink = [&runs](std::size_t, graph::Vertex, std::int64_t,
+                                           std::size_t) { ++runs; };
 
     const auto before = support::alloc_counts();
     local::run_views_batched(c.graph, batch, factory, {}, sink);

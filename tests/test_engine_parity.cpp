@@ -42,7 +42,7 @@ local::RunResult run_batch_of_one(const graph::Graph& g, const graph::IdAssignme
   result.outputs.resize(g.vertex_count());
   result.radii.resize(g.vertex_count());
   local::run_views_batched(g, std::span(&ids, 1), factory, options,
-                           [&](std::size_t, std::size_t, graph::Vertex v, std::int64_t output,
+                           [&](std::size_t, graph::Vertex v, std::int64_t output,
                                std::size_t radius) {
                              result.outputs[v] = output;
                              result.radii[v] = radius;

@@ -163,7 +163,7 @@ TEST_P(GreedyExactReference, SerialAndPooledMatchWholeBallReplay) {
     std::vector<std::vector<std::size_t>> radii(batch.size(), std::vector<std::size_t>(n));
     options.pool = &pool;
     local::run_views_batched(g, batch, greedy, options,
-                             [&](std::size_t, std::size_t trial, graph::Vertex v,
+                             [&](std::size_t trial, graph::Vertex v,
                                  std::int64_t output, std::size_t radius) {
                                outputs[trial][v] = output;
                                radii[trial][v] = radius;

@@ -46,7 +46,7 @@ void expect_same_topology(const graph::Graph& a, const graph::Graph& b) {
 
 core::PointAccumulator sweep_point(const graph::Graph& g, const core::BatchedSweepOptions& opt) {
   const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); },
-                                  opt.semantics);
+                                  local::ViewSemantics::kInducedBall);
   const core::SweepDriver driver(backend, opt);
   core::SweepDriver::Point point = driver.prepare(g, 0);
   return driver.run_trials(point, 0, opt.trials);
@@ -81,7 +81,7 @@ TEST(MemoryBudget, BudgetNeverChangesResults) {
   core::BatchedSweepOptions budgeted = unlimited;
   // Tight budget: roughly two resident trials per lane.
   const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); },
-                                  unlimited.semantics);
+                                  local::ViewSemantics::kInducedBall);
   const core::SweepMemoryModel model = backend.memory_model(g);
   budgeted.memory_budget_bytes = model.predicted_lane_bytes(2);
   EXPECT_EQ(sweep_point(g, unlimited), sweep_point(g, budgeted));
@@ -124,7 +124,7 @@ TEST(MemoryBudget, MillionNodeRingStaysInsideDeclaredBudget) {
   opt.trials = 8;
   opt.seed = 7;
   const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); },
-                                  opt.semantics);
+                                  local::ViewSemantics::kInducedBall);
   const core::SweepMemoryModel model = backend.memory_model(g);
   // Declared budget: two resident trials per lane. The driver must derive
   // width 2 and sweep within the envelope; a broken clamp keeps all 8
@@ -160,7 +160,7 @@ TEST(MemoryBudget, ViewModelEnvelopeCoversMeasuredAllocation) {
   opt.trials = 4;
   opt.seed = 13;
   const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); },
-                                  opt.semantics);
+                                  local::ViewSemantics::kInducedBall);
   const core::SweepMemoryModel model = backend.memory_model(g);
 
   core::SweepDriver driver(backend, opt, nullptr);

@@ -5,13 +5,15 @@
 // identical scenario specs through core::SweepDriver and must reproduce
 // the pre-redesign golden corpus in tests/golden/ byte for byte - serial,
 // pooled, and as appended sub-ranges through one persistent prepared
-// point. On top of the corpus: capability probes, bit-identity of the
+// point. On top of the corpus: capability probes, the run_batch contract
+// (a backend writes the radius matrix and nothing else), bit-identity of the
 // pooled message sweep against the serial path, persistence of per-point
 // state across adaptive-style rounds, and the shard-artefact version paths
 // through the new driver (v4 round trips, v2 and v3 are rejected, and the
 // precise engine-mismatch merge error).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -20,10 +22,14 @@
 #include <utility>
 #include <vector>
 
+#include "algo/registry.hpp"
+#include "core/batched_sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
+#include "local/engine.hpp"
+#include "local/view_engine.hpp"
 #include "support/thread_pool.hpp"
 
 #ifndef AVGLOCAL_GOLDEN_DIR
@@ -148,6 +154,73 @@ TEST(SweepBackend, CapabilityProbes) {
   EXPECT_EQ(message->name(), "message");
   EXPECT_TRUE(message->supports_batching());
   EXPECT_EQ(message->parallel_granularity(), core::SweepBackend::Granularity::kTrials);
+}
+
+// -------------------------------------------- the run_batch contract ----
+
+TEST(SweepBackend, RunBatchWritesOnlyTheRadiusMatrix) {
+  // A backend writes radius_matrix[t * n + v] for every (trial, vertex) of
+  // its batch and nothing else: the accumulator it is handed stays exactly
+  // as it was (the driver folds every partial from the matrix), and the
+  // cells past the batch keep their fill.
+  constexpr std::size_t kN = 40;
+  constexpr std::size_t kTrials = 5;
+  constexpr std::size_t kBatchBegin = 2;
+  constexpr std::uint32_t kUnwritten = UINT32_MAX;
+  struct Case {
+    const char* algorithm;
+    std::size_t workers;  // 0 = no pool
+  };
+  const Case cases[] = {{"largest-id", 0}, {"largest-id", 3}, {"cv3", 0},
+                        {"cv3", 3},        {"local3", 0},     {"largest-id-msg", 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.algorithm) + " workers=" + std::to_string(c.workers));
+    core::ScenarioSpec spec;
+    spec.family = {"cycle", {}};
+    spec.algorithm = c.algorithm;
+    spec.ns = {kN};
+    const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+    const std::unique_ptr<core::SweepBackend> backend = resolved.make_backend();
+    const graph::Graph g = resolved.graphs(kN);
+    std::vector<graph::IdAssignment> batch;
+    core::fill_sweep_batch(batch, kN, /*point_seed=*/31, 0, kTrials);
+
+    core::PointAccumulator acc =
+        core::make_point_accumulator(g, 0, 0, kBatchBegin + kTrials + 1);
+    for (auto* field : {&acc.trial_sum, &acc.trial_max, &acc.node_sum, &acc.trial_edge_sum}) {
+      std::fill(field->begin(), field->end(), 0xA5A5A5A5A5A5A5A5u);
+    }
+    acc.histogram = local::RadiusHistogram({3, 1, 4, 1, 5});
+    acc.edge_histogram = local::RadiusHistogram({9, 2, 6});
+    const core::PointAccumulator sentinel = acc;
+    std::vector<std::uint32_t> matrix((kTrials + 1) * kN, kUnwritten);
+
+    std::unique_ptr<support::ThreadPool> pool;
+    if (c.workers != 0) pool = std::make_unique<support::ThreadPool>(c.workers);
+    const std::unique_ptr<core::BackendPointState> state = backend->prepare(g, 0);
+    backend->run_batch(*state, batch, kBatchBegin, pool.get(), acc, matrix);
+
+    EXPECT_EQ(acc, sentinel);
+    const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(c.algorithm);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      local::RunResult run;
+      if (info.kind == algo::AlgorithmKind::kView) {
+        local::ViewEngineOptions options;
+        options.semantics = resolved.spec.semantics;
+        run = local::run_views(g, batch[t], info.view(kN), options);
+      } else {
+        local::EngineOptions options;
+        options.knowledge = info.knowledge;
+        run = local::run_messages(g, batch[t], info.messages(kN), options);
+      }
+      for (std::size_t v = 0; v < kN; ++v) {
+        EXPECT_EQ(matrix[t * kN + v], run.radii[v]) << "trial " << t << " vertex " << v;
+      }
+    }
+    for (std::size_t i = kTrials * kN; i < matrix.size(); ++i) {
+      EXPECT_EQ(matrix[i], kUnwritten) << "cell " << i << " lies past the batch";
+    }
+  }
 }
 
 // ------------------------------------------- parallel message sweeps ----
