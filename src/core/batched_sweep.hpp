@@ -4,11 +4,10 @@
 // A per-trial run (measure(local::run_views(...))) regrows every vertex's
 // ball from scratch. The batched engine inverts the loops - vertices
 // outside, assignments inside - so each vertex's ball geometry (BFS order,
-// port structure: identifier-independent) is grown once on a shared
-// BallGrower and every assignment is evaluated over it
-// (local::run_views_batched), and all per-trial state (id buffers,
-// growers, scratch, the algorithm instance where ViewAlgorithm::reset
-// allows) is reused across the batch. core::SweepDriver
+// port structure: identifier-independent) is grown once and every
+// assignment is evaluated over it (local::run_views_batched), and all
+// per-trial state (id buffers, geometry, scratch, the algorithm instance
+// where ViewAlgorithm::reset allows) is reused across the batch. core::SweepDriver
 // (core/sweep_driver.hpp) runs every sweep through these types.
 //
 // Everything downstream of the engine is accumulated as exact integers

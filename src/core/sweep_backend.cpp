@@ -74,17 +74,16 @@ SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept
   // (2 * 8n). 28n.
   model.bytes_per_trial = n * (8 + 4 + 2 * 8);
   // Per lane, allocated once: the CSR tables, the canonical edge list (8
-  // bytes per edge), PointAccumulator::node_sum (8n), the identity
-  // placeholder the grower runs on (8n per run_views_batched call) and the
+  // bytes per edge), PointAccumulator::node_sum (8n) and the
   // epoch-stamped ball scratch (local_of + stamps, 8n).
-  const std::size_t allocated_once = g.memory_bytes() + 8 * edges + 24 * n;
-  // Per lane, doubled up to full coverage: the grower's discovery arrays
-  // (ids 8n, globals 4n, dist 4n, port offsets 4n, port targets 4 bytes
-  // per arc), the sequential mode's id buffer (8n), the per-radius ball
-  // sizes (at most n radii, 4n) and three radius histograms of at most n
-  // buckets (the driver's flat node-radius counts, the accumulator's and
-  // the edge times', 24n).
-  const std::size_t doubled = 20 * n + 4 * arcs + 8 * n + 4 * n + 24 * n;
+  const std::size_t allocated_once = g.memory_bytes() + 8 * edges + 16 * n;
+  // Per lane, doubled up to full coverage: the geometry core's discovery
+  // order and per-radius ball sizes (at most n radii; 8n), the lockstep
+  // grower's dist (4n), port-row offsets (4n) and targets (4 bytes per
+  // arc), which also bound the sequential mode's id buffer (8n), and three
+  // radius histograms of at most n buckets (the driver's flat node-radius
+  // counts, the accumulator's and the edge times', 24n).
+  const std::size_t doubled = 8 * n + (8 * n + 4 * arcs) + 24 * n;
   model.fixed_bytes = allocated_once + 2 * doubled;
   return model;
 }

@@ -143,9 +143,9 @@ FamilyRegistry build_global_registry() {
        "the smallest complete k-ary tree with at least n vertices",
        {{"arity", 2.0, "branching factor k (>= 1; 1 degenerates to a path)"}},
        /*randomised=*/false,
-       /*min_size=*/1,
+       /*min_size=*/2,
        [](std::size_t n, std::span<const double> params) {
-         return kary_size_at_least(std::max<std::size_t>(n, 1), as_count(params[0], "arity"));
+         return kary_size_at_least(std::max<std::size_t>(n, 2), as_count(params[0], "arity"));
        },
        [](std::size_t n, std::span<const double> params, support::Xoshiro256&) {
          const std::size_t k = as_count(params[0], "arity");
@@ -158,8 +158,8 @@ FamilyRegistry build_global_registry() {
        "a uniformly random labelled tree (random Pruefer sequence)",
        {},
        /*randomised=*/true,
-       /*min_size=*/1,
-       [](std::size_t n, std::span<const double>) { return std::max<std::size_t>(n, 1); },
+       /*min_size=*/2,
+       [](std::size_t n, std::span<const double>) { return std::max<std::size_t>(n, 2); },
        [](std::size_t n, std::span<const double>, support::Xoshiro256& rng) {
          return make_random_tree(n, rng);
        }});

@@ -73,66 +73,55 @@ bool extract_ring_view(const BallView& view, RingView& out) {
   return ccw != Walk::kMalformed;
 }
 
-BallGrower::BallGrower(const graph::Graph& g, const graph::IdAssignment& ids, graph::Vertex root,
-                       ViewSemantics semantics, Scratch& scratch)
-    : g_(&g), ids_(&ids), semantics_(semantics), scratch_(&scratch) {
-  AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
-  AVGLOCAL_EXPECTS(root < g.vertex_count());
+BallLayers::BallLayers(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+                       Scratch& scratch)
+    : g_(&g), semantics_(semantics), scratch_(&scratch) {
   AVGLOCAL_EXPECTS_MSG(scratch.local_of_.size() == g.vertex_count(),
                        "scratch sized for a different graph");
   reset(root);
 }
 
-void BallGrower::reset(graph::Vertex root) {
+void BallLayers::reset(graph::Vertex root) {
   AVGLOCAL_EXPECTS(root < g_->vertex_count());
   scratch_->bump();  // retires the previous ball's membership in O(1)
-  global_of_.clear();
-  frontier_.clear();
-  view_.radius = 0;
-  ids_store_.clear();
-  view_.ids = ids_store_;
-  view_.dist.clear();
-  view_.ports.clear();
+  order_.clear();
+  sizes_.clear();
   unresolved_ports_ = 0;
-  add_vertex(root, 0);
-  frontier_.push_back(root);
-  view_.covers_graph = (unresolved_ports_ == 0);
+  add_vertex(root);
+  sizes_.push_back(1);
+  covers_radius_ = unresolved_ports_ == 0 ? 0 : SIZE_MAX;
 }
 
-LocalVertex BallGrower::add_vertex(graph::Vertex v, int dist) {
-  const LocalVertex local = support::checked_u32(ids_store_.size());
-  set_local(v, local);
-  global_of_.push_back(v);
-  ids_store_.push_back(ids_->id_of(v));
-  view_.ids = ids_store_;  // the push may have re-seated the store
-  view_.dist.push_back(dist);
-  view_.ports.add_row(g_->degree(v));
+inline LocalVertex BallLayers::add_vertex(graph::Vertex v) {
+  const LocalVertex local = support::checked_u32(order_.size());
+  scratch_->stamp_[v] = scratch_->epoch_;
+  scratch_->local_of_[v] = local;
+  order_.push_back(v);
   unresolved_ports_ += g_->degree(v);
   return local;
 }
 
-void BallGrower::resolve_edge(graph::Vertex a, std::size_t port_a) {
-  const graph::Vertex b = g_->neighbour(a, port_a);
-  const LocalVertex la = local_at(a);
-  const LocalVertex lb = local_at(b);
-  AVGLOCAL_ASSERT(la != kUnknownTarget && lb != kUnknownTarget);
-  const std::size_t pb = g_->mirror_port(a, port_a);
-  if (view_.ports[la][port_a] == kUnknownTarget) {
-    view_.ports[la][port_a] = lb;
-    --unresolved_ports_;
-  }
-  if (view_.ports[lb][pb] == kUnknownTarget) {
-    view_.ports[lb][pb] = la;
-    --unresolved_ports_;
-  }
+void BallLayers::grow() {
+  NoVisitor none;
+  grow(none);
 }
 
-void BallGrower::grow() {
-  view_.ids = ids_store_;  // drop any transient bind_ids binding
-  ++view_.radius;
-  if (view_.covers_graph) return;
-
-  next_frontier_.clear();
+template <class Visitor>
+void BallLayers::grow(Visitor& visitor) {
+  if (covers_graph()) {
+    sizes_.push_back(sizes_.back());
+    return;
+  }
+  // The frontier - the vertices at distance radius() - is the last layer
+  // of the discovery order. Indices, not iterators: adding vertices may
+  // re-seat order_.
+  const std::size_t begin = sizes_.size() == 1 ? 0 : sizes_[sizes_.size() - 2];
+  const std::size_t end = order_.size();
+  // A visible edge resolves its two port slots, once (class comment).
+  const auto resolve_edge = [this] {
+    AVGLOCAL_ASSERT(unresolved_ports_ >= 2);
+    unresolved_ports_ -= 2;
+  };
   // Prefetch distance along the frontier. The frontier was discovered in
   // the previous grow(), so its CSR rows are cold; hinting a few vertices
   // ahead overlaps the row fetch with the current vertex's scan. Hints
@@ -140,19 +129,20 @@ void BallGrower::grow() {
   constexpr std::size_t kAhead = 8;
   if (semantics_ == ViewSemantics::kInducedBall) {
     // Add the next layer; an edge becomes visible as soon as both endpoints
-    // are in the ball.
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (i + kAhead < frontier_.size()) g_->prefetch_offset(frontier_[i + kAhead]);
-      if (i + kAhead / 2 < frontier_.size()) g_->prefetch_row(frontier_[i + kAhead / 2]);
-      const graph::Vertex a = frontier_[i];
-      for (graph::Vertex b : g_->neighbours(a)) {
-        if (local_at(b) == kUnknownTarget) {
-          add_vertex(b, view_.radius);
-          next_frontier_.push_back(b);
-          const auto nbrs = g_->neighbours(b);
-          for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
-            if (local_at(nbrs[pb]) != kUnknownTarget) resolve_edge(b, pb);
-          }
+    // are in the ball, i.e. when the later one joins and scans its ports.
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + kAhead < end) g_->prefetch_offset(order_[i + kAhead]);
+      if (i + kAhead / 2 < end) g_->prefetch_row(order_[i + kAhead / 2]);
+      for (const graph::Vertex b : g_->neighbours(order_[i])) {
+        if (local_at(b) != kUnknownTarget) continue;
+        const LocalVertex lb = add_vertex(b);
+        visitor.added(b);
+        const auto nbrs = g_->neighbours(b);
+        for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
+          const LocalVertex lc = local_at(nbrs[pb]);
+          if (lc == kUnknownTarget) continue;
+          resolve_edge();
+          visitor.edge(b, lb, pb, lc);
         }
       }
     }
@@ -160,22 +150,66 @@ void BallGrower::grow() {
     // Flooding knowledge: growing to radius r+1 reveals the next vertex
     // layer plus every edge incident to the previous frontier (distance r),
     // i.e. edges with min endpoint distance <= r.
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (i + kAhead < frontier_.size()) g_->prefetch_offset(frontier_[i + kAhead]);
-      if (i + kAhead / 2 < frontier_.size()) g_->prefetch_row(frontier_[i + kAhead / 2]);
-      const graph::Vertex a = frontier_[i];
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + kAhead < end) g_->prefetch_offset(order_[i + kAhead]);
+      if (i + kAhead / 2 < end) g_->prefetch_row(order_[i + kAhead / 2]);
+      const graph::Vertex a = order_[i];
       const auto nbrs = g_->neighbours(a);
       for (std::size_t pa = 0; pa < nbrs.size(); ++pa) {
-        if (local_at(nbrs[pa]) == kUnknownTarget) {
-          add_vertex(nbrs[pa], view_.radius);
-          next_frontier_.push_back(nbrs[pa]);
+        LocalVertex lc = local_at(nbrs[pa]);
+        if (lc == kUnknownTarget) {
+          lc = add_vertex(nbrs[pa]);
+          visitor.added(nbrs[pa]);
         }
-        resolve_edge(a, pa);
+        if (lc < i) continue;  // resolved when its end lc was the frontier
+        resolve_edge();
+        visitor.edge(a, support::checked_u32(i), pa, lc);
       }
     }
   }
-  std::swap(frontier_, next_frontier_);
-  view_.covers_graph = (unresolved_ports_ == 0);
+  sizes_.push_back(support::checked_u32(order_.size()));
+  if (unresolved_ports_ == 0) covers_radius_ = radius();
+}
+
+/// Builds the view's distances and port rows as the ball grows: a joining
+/// vertex gets its row, a visible edge fills the slots at both ends.
+struct BallGrower::Visitor {
+  const graph::Graph& g;
+  BallView& view;
+
+  void added(graph::Vertex v) {
+    view.dist.push_back(view.radius);
+    view.ports.add_row(g.degree(v));
+  }
+
+  void edge(graph::Vertex a, LocalVertex la, std::size_t port_a, LocalVertex lb) noexcept {
+    view.ports[la][port_a] = lb;
+    view.ports[lb][g.mirror_port(a, port_a)] = la;
+  }
+};
+
+BallGrower::BallGrower(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+                       Scratch& scratch)
+    : layers_(g, root, semantics, scratch) {
+  reset(root);
+}
+
+void BallGrower::reset(graph::Vertex root) {
+  layers_.reset(root);
+  view_.radius = 0;
+  view_.ids = {};
+  view_.dist.assign(1, 0);
+  view_.ports.clear();
+  view_.ports.add_row(layers_.g_->degree(root));
+  view_.covers_graph = layers_.covers_graph();
+}
+
+void BallGrower::grow() {
+  view_.ids = {};  // drop the caller's binding: it no longer spans the ball
+  ++view_.radius;
+  Visitor visitor{*layers_.g_, view_};
+  layers_.grow(visitor);
+  view_.covers_graph = layers_.covers_graph();
 }
 
 }  // namespace avglocal::local

@@ -3,7 +3,8 @@
 // The paper's second formulation of the LOCAL model: "every node gathers all
 // the information in a ball around itself and outputs a function of this
 // ball". BallView is that ball, with identifiers, distances, degrees and the
-// visible edges; BallGrower builds it incrementally, radius by radius.
+// visible edges; BallGrower builds it incrementally, radius by radius, on
+// top of BallLayers, the identifier-free BFS every view engine shares.
 //
 // Two knowledge semantics are supported:
 //  * kInducedBall (the paper's abstraction): at radius r a vertex sees all
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/ids.hpp"
 #include "support/narrow.hpp"
 
 namespace avglocal::local {
@@ -113,11 +113,10 @@ struct BallView {
 
   /// ids[local] = identifier of the local-th ball vertex; ids[0] = root's.
   /// Non-owning: the engine that materialises the view owns the storage
-  /// (the grower's id store, a batched sweep's per-assignment buffer, a
-  /// synthetic view's backing array) and keeps it alive across the
-  /// algorithm call. This is what lets the batched engine re-point one
-  /// shared view at hundreds of assignment buffers without copying or
-  /// swapping vectors.
+  /// (run_views' per-ball gather buffer, a batched sweep's per-assignment
+  /// buffer) and keeps it alive across the algorithm call. This is what
+  /// lets the batched engine re-point one shared view at hundreds of
+  /// assignment buffers without copying or swapping vectors.
   std::span<const std::uint64_t> ids;
 
   /// dist[local] = distance from the root.
@@ -169,14 +168,36 @@ struct RingView {
 /// structure).
 bool extract_ring_view(const BallView& view, RingView& out);
 
-/// Incrementally grows the ball view of `root` one radius step at a time.
+/// The identifier-free geometry of a ball growing around `root`, one radius
+/// step at a time: the BFS discovery order, the ball size at every radius
+/// grown so far and the first radius at which the ball covers the graph.
 ///
-/// The grower needs O(ball) memory per instance plus a caller-provided
-/// scratch array of size n that it borrows while alive; this keeps running
-/// one grower per vertex over a large graph allocation-free.
-class BallGrower {
+/// This is the one BFS of the view engines. BallGrower adds distances and
+/// port rows on top of it; the batched engine's sequential mode grows it
+/// bare, since an ids_only_view algorithm reads nothing else. None of it
+/// depends on identifiers: the BFS follows port order, so one ball serves
+/// every identifier assignment of a batch.
+///
+/// Coverage is tracked by counting unresolved ports - port slots of ball
+/// vertices whose far end is not yet visible (see BallView::covers_graph).
+/// A vertex adds its degree when it joins the ball; an edge resolves its
+/// two slots when it becomes visible:
+///  * induced semantics: when its later endpoint joins the ball and finds
+///    the earlier one on its own ports (the root's ports are never scanned:
+///    every root edge is found from its other end);
+///  * flooding semantics: when its endpoint discovered first is scanned as
+///    a frontier vertex - so a frontier vertex counts only ports whose far
+///    end was not discovered before it.
+/// Graphs are simple (GraphBuilder rejects self-loops and duplicate
+/// edges), so every edge resolves once, and the ball covers the graph
+/// exactly when the count reaches zero.
+///
+/// Needs O(ball) memory per instance plus a caller-provided scratch array of
+/// size n that it borrows while alive; this keeps running one instance per
+/// vertex over a large graph allocation-free.
+class BallLayers {
  public:
-  /// Scratch state shared by consecutive growers over the same graph.
+  /// Scratch state shared by consecutive balls over the same graph.
   ///
   /// Epoch-stamped: local_of_[v] is meaningful only when stamp_[v] equals
   /// the current epoch, so retiring a whole ball is one counter bump
@@ -188,7 +209,7 @@ class BallGrower {
     explicit Scratch(std::size_t n) : local_of_(n, 0), stamp_(n, 0) {}
 
    private:
-    friend class BallGrower;
+    friend class BallLayers;
 
     /// Starts a fresh epoch, invalidating every entry in O(1). On the
     /// u32 wrap (once per 2^32 resets) the stamps are refilled so a
@@ -205,33 +226,104 @@ class BallGrower {
     std::uint32_t epoch_ = 0;  // first bump() makes it 1 > all stamps
   };
 
-  /// Ball vertices in discovery order (local index -> global vertex).
-  /// Everything about this order - and about dist, ports and coverage - is
-  /// identifier-independent: the BFS follows port order and never consults
-  /// an identifier. The batched view engine exploits this to share one
-  /// grower's geometry across every identifier assignment of a batch.
-  std::span<const graph::Vertex> global_vertices() const noexcept { return global_of_; }
+  /// Starts a radius-0 ball rooted at `root`. The scratch must not be
+  /// shared by two live instances.
+  BallLayers(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+             Scratch& scratch);
 
-  /// Points the view's identifier span at an external array (the batched
-  /// engine binds a per-assignment buffer, gathered over global_vertices()
-  /// in the same discovery order and as long as the current ball, around
-  /// each algorithm call). The binding is transient: reset() and grow()
-  /// re-point the span at the grower's own identifiers.
-  void bind_ids(std::span<const std::uint64_t> ids) noexcept { view_.ids = ids; }
+  BallLayers(const BallLayers&) = delete;
+  BallLayers& operator=(const BallLayers&) = delete;
 
-  /// Starts a radius-0 view rooted at `root`. `ids` must match `g`.
-  /// The scratch must not be shared by two live growers.
-  BallGrower(const graph::Graph& g, const graph::IdAssignment& ids, graph::Vertex root,
-             ViewSemantics semantics, Scratch& scratch);
+  /// Re-roots the ball at `root`, back at radius 0, reusing every buffer.
+  /// Running one instance over many roots through reset() is
+  /// allocation-free once the buffers have grown to the largest ball seen.
+  void reset(graph::Vertex root);
+
+  /// Grows the ball by one radius step. Only the radius advances once the
+  /// ball covers the graph.
+  void grow();
+
+  /// Radius grown so far.
+  std::size_t radius() const noexcept { return sizes_.size() - 1; }
+
+  /// Ball vertices in discovery order (local index -> global vertex): the
+  /// root, then by non-decreasing distance; within a layer, port order.
+  std::span<const graph::Vertex> order() const noexcept { return order_; }
+
+  /// sizes()[r] = number of ball vertices at radius r, for r <= radius().
+  std::span<const std::uint32_t> sizes() const noexcept { return sizes_; }
+
+  /// First radius at which the ball covers the graph; SIZE_MAX until the
+  /// ball has grown that far.
+  std::size_t covers_radius() const noexcept { return covers_radius_; }
+
+  bool covers_graph() const noexcept { return covers_radius_ != SIZE_MAX; }
+
+ private:
+  friend class BallGrower;
+
+  /// grow() reports to no one; BallGrower's visitor builds dist and ports.
+  struct NoVisitor {
+    void added(graph::Vertex) noexcept {}
+    void edge(graph::Vertex, LocalVertex, std::size_t, LocalVertex) noexcept {}
+  };
+
+  /// One radius step, reporting each vertex as it joins (visitor.added(v))
+  /// and each edge slot the semantics makes visible, as
+  /// visitor.edge(a, local a, port of a, local far end). Defined in view.cpp.
+  template <class Visitor>
+  void grow(Visitor& visitor);
+
+  LocalVertex add_vertex(graph::Vertex v);
+
+  /// Local index of v in the current ball, or kUnknownTarget when v has
+  /// not been added since the last reset (epoch check, no clears).
+  LocalVertex local_at(graph::Vertex v) const noexcept {
+    return scratch_->stamp_[v] == scratch_->epoch_ ? scratch_->local_of_[v] : kUnknownTarget;
+  }
+
+  const graph::Graph* g_;
+  ViewSemantics semantics_;
+  Scratch* scratch_;
+  std::vector<graph::Vertex> order_;   // local -> global vertex
+  std::vector<std::uint32_t> sizes_;   // sizes_[r] = |ball| at radius r
+  std::size_t covers_radius_ = SIZE_MAX;
+  std::size_t unresolved_ports_ = 0;
+};
+
+/// Incrementally grows the ball view of `root` one radius step at a time:
+/// a BallLayers plus the distances and port rows of BallView.
+///
+/// The grower never reads identifiers. Its view carries radius, dist, ports
+/// and coverage; `ids` stays empty until the caller binds an array gathered
+/// over layers().order() - run_views gathers per layer into one reused
+/// buffer, the lockstep engine binds one buffer per assignment.
+class BallGrower {
+ public:
+  /// The grower borrows its ball's scratch.
+  using Scratch = BallLayers::Scratch;
+
+  /// Starts a radius-0 view rooted at `root`. The scratch must not be
+  /// shared by two live growers.
+  BallGrower(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+             Scratch& scratch);
 
   BallGrower(const BallGrower&) = delete;
   BallGrower& operator=(const BallGrower&) = delete;
 
   /// Re-roots the grower at `root`, back at radius 0, reusing every buffer
-  /// (view arrays, frontier, scratch). Running one grower over many roots
-  /// through reset() is allocation-free once the buffers have grown to the
-  /// largest ball seen - the hot path of sweep measurements.
+  /// (view arrays, discovery order, scratch). Running one grower over many
+  /// roots through reset() is allocation-free once the buffers have grown
+  /// to the largest ball seen - the hot path of sweep measurements.
   void reset(graph::Vertex root);
+
+  /// The ball's geometry: discovery order, per-radius sizes, coverage.
+  const BallLayers& layers() const noexcept { return layers_; }
+
+  /// Points the view's identifier span at an external array holding the
+  /// identifiers of layers().order(), in that order and as long as the
+  /// current ball. The binding is transient: reset() and grow() clear it.
+  void bind_ids(std::span<const std::uint64_t> ids) noexcept { view_.ids = ids; }
 
   const BallView& view() const noexcept { return view_; }
 
@@ -240,32 +332,10 @@ class BallGrower {
   void grow();
 
  private:
-  void resolve_edge(graph::Vertex a, std::size_t port_a);
-  LocalVertex add_vertex(graph::Vertex v, int dist);
+  struct Visitor;
 
-  /// Local index of v in the current ball, or kUnknownTarget when v has
-  /// not been added since the last reset (epoch check, no clears).
-  LocalVertex local_at(graph::Vertex v) const noexcept {
-    return scratch_->stamp_[v] == scratch_->epoch_ ? scratch_->local_of_[v]
-                                                   : kUnknownTarget;
-  }
-
-  void set_local(graph::Vertex v, LocalVertex local) noexcept {
-    scratch_->stamp_[v] = scratch_->epoch_;
-    scratch_->local_of_[v] = local;
-  }
-
-  const graph::Graph* g_;
-  const graph::IdAssignment* ids_;
-  ViewSemantics semantics_;
-  Scratch* scratch_;
+  BallLayers layers_;
   BallView view_;
-  std::vector<std::uint64_t> ids_store_;      // backs view_.ids when not bound
-  std::vector<graph::Vertex> global_of_;      // local -> global vertex
-  std::vector<graph::Vertex> frontier_;       // vertices at distance == radius
-  std::vector<graph::Vertex> next_frontier_;  // reused across grow() calls
-  std::size_t unresolved_ports_ = 0;
 };
-
 
 }  // namespace avglocal::local

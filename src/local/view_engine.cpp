@@ -16,16 +16,26 @@ using support::checked_u32;
 
 namespace {
 
-/// Runs one vertex on an already reset grower.
+/// Runs one vertex on an already reset grower. Before each on_view call
+/// the view's identifiers - `ids` over the discovery order - are gathered
+/// into `view_ids` (only the layers it does not hold yet) and bound.
 std::pair<std::int64_t, std::size_t> run_one(const graph::Graph& g, BallGrower& grower,
+                                             const graph::IdAssignment& ids,
+                                             std::vector<std::uint64_t>& view_ids,
                                              const ViewAlgorithmFactory& factory) {
   const std::size_t cap = g.vertex_count();
   const auto algorithm = factory();
   AVGLOCAL_REQUIRE_MSG(algorithm != nullptr, "view algorithm factory returned null");
   const std::size_t min_radius = algorithm->min_radius();
+  view_ids.clear();
   while (true) {
     const BallView& view = grower.view();
     if (static_cast<std::size_t>(view.radius) >= min_radius || view.covers_graph) {
+      const std::span<const graph::Vertex> order = grower.layers().order();
+      for (std::size_t k = view_ids.size(); k < order.size(); ++k) {
+        view_ids.push_back(ids.id_of(order[k]));
+      }
+      grower.bind_ids(view_ids);
       if (const auto output = algorithm->on_view(view)) {
         return {*output, static_cast<std::size_t>(view.radius)};
       }
@@ -74,44 +84,33 @@ struct TrialSlot {
   }
 };
 
-/// Per-worker state of the batched sweep: one grower whose geometry is
-/// shared by every assignment of the batch, plus whatever the execution
-/// mode needs - TrialSlots for the lockstep mode, a single hot id buffer
-/// and algorithm for the sequential mode. All buffers keep their capacity
+/// Per-worker state of the sequential mode: a bare geometry core, the live
+/// trial's identifiers, the ids-only view handed to on_view and one
+/// algorithm instance reused across runs. All buffers keep their capacity
 /// across vertices and chunks.
-struct BatchedWorker {
+struct SequentialWorker {
+  BallLayers::Scratch scratch;
+  BallLayers layers;
+  std::vector<std::uint64_t> ids;
+  BallView view;
+  std::unique_ptr<ViewAlgorithm> algorithm;
+
+  SequentialWorker(const graph::Graph& g, ViewSemantics semantics)
+      : scratch(g.vertex_count()), layers(g, 0, semantics, scratch) {}
+};
+
+/// Per-worker state of the lockstep mode: one grower whose geometry is
+/// shared by every assignment of the batch, and one TrialSlot per trial.
+/// All buffers keep their capacity across vertices and chunks.
+struct LockstepWorker {
   BallGrower::Scratch scratch;
   BallGrower grower;
-  std::vector<TrialSlot> slots;        // lockstep: one per trial (slot k = trial k)
-  std::vector<std::uint32_t> active;   // lockstep: slot indices in flight, ascending
-  std::vector<std::uint32_t> prefix;   // prefix[r] = |ball| at radius r (current vertex)
-  std::size_t covers_radius = 0;       // first covering radius; SIZE_MAX until known
-  std::vector<std::uint64_t> seq_ids;  // sequential: the live trial's identifiers
-  BallView seq_view;                   // sequential: ids-only view handed to on_view
-  std::unique_ptr<ViewAlgorithm> seq_algorithm;  // sequential: reused across runs
+  std::vector<TrialSlot> slots;       // one per trial (slot k = trial k)
+  std::vector<std::uint32_t> active;  // slot indices in flight, ascending
 
-  BatchedWorker(const graph::Graph& g, const graph::IdAssignment& geometry_ids,
-                ViewSemantics semantics, std::size_t trials)
-      : scratch(g.vertex_count()), grower(g, geometry_ids, 0, semantics, scratch), slots(trials) {
+  LockstepWorker(const graph::Graph& g, ViewSemantics semantics, std::size_t trials)
+      : scratch(g.vertex_count()), grower(g, 0, semantics, scratch), slots(trials) {
     for (std::size_t t = 0; t < trials; ++t) slots[t].trial = checked_u32(t);
-  }
-
-  /// Re-roots the shared geometry and its per-radius bookkeeping.
-  void reroot(graph::Vertex v) {
-    grower.reset(v);
-    prefix.clear();
-    prefix.push_back(1);
-    covers_radius = grower.view().covers_graph ? 0 : SIZE_MAX;
-  }
-
-  /// One geometry step, recording ball size per radius and the covering
-  /// radius - what historical ids-only views are synthesized from.
-  void grow_once() {
-    grower.grow();
-    prefix.push_back(checked_u32(grower.global_vertices().size()));
-    if (covers_radius == SIZE_MAX && grower.view().covers_graph) {
-      covers_radius = static_cast<std::size_t>(grower.view().radius);
-    }
   }
 };
 
@@ -138,40 +137,40 @@ struct PhaseTimer {
 
 /// Sequential mode, for algorithms declaring ids_only_view(): one
 /// (vertex, assignment) run at a time, start to finish. The ball geometry
-/// is still grown once per vertex (lazily, to the deepest radius any
-/// assignment needs) and later runs replay it through the recorded
-/// per-radius ball sizes; but the live state - one id buffer, one
-/// algorithm instance, one identifier stream - fits in a few cache lines
-/// no matter how many assignments the batch holds. Views carry exact
+/// is grown once per vertex - bare, as a BallLayers: discovery order,
+/// per-radius sizes and coverage, no distances or port rows - lazily, to
+/// the deepest radius any assignment needs, and later runs replay it
+/// through the recorded per-radius sizes. The live state - one id buffer,
+/// one algorithm instance, one identifier stream - fits in a few cache
+/// lines no matter how many assignments the batch holds. Views carry exact
 /// identifiers, radius and coverage, and empty dist/ports (the contract).
-void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
+void run_sequential_range(const graph::Graph& g, SequentialWorker& state,
                           std::span<const graph::IdAssignment> batch,
                           const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
                           graph::Vertex begin, graph::Vertex end, const ResultSink& sink) {
   const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
-    state.reroot(v);
+    state.layers.reset(v);
     for (std::size_t trial = 0; trial < batch.size(); ++trial) {
-      if (state.seq_algorithm == nullptr || !state.seq_algorithm->reset()) {
-        state.seq_algorithm = factory();
-        AVGLOCAL_REQUIRE_MSG(state.seq_algorithm != nullptr,
-                             "view algorithm factory returned null");
+      if (state.algorithm == nullptr || !state.algorithm->reset()) {
+        state.algorithm = factory();
+        AVGLOCAL_REQUIRE_MSG(state.algorithm != nullptr, "view algorithm factory returned null");
       }
-      ViewAlgorithm& algorithm = *state.seq_algorithm;
+      ViewAlgorithm& algorithm = *state.algorithm;
       const std::size_t min_radius = algorithm.min_radius();
       const std::span<const std::uint64_t> sigma = batch[trial].ids();
-      state.seq_ids.resize(1);
-      state.seq_ids[0] = sigma[v];
+      state.ids.resize(1);
+      state.ids[0] = sigma[v];
       std::size_t filled = 1;
       std::size_t rho = 0;
       while (true) {
-        const bool covers = rho >= state.covers_radius;
+        const bool covers = rho >= state.layers.covers_radius();
         if (rho >= min_radius || covers) {
-          state.seq_view.radius = static_cast<int>(rho);
-          state.seq_view.ids = {state.seq_ids.data(), filled};
-          state.seq_view.covers_graph = covers;
-          if (const auto output = algorithm.on_view(state.seq_view)) {
+          state.view.radius = static_cast<int>(rho);
+          state.view.ids = {state.ids.data(), filled};
+          state.view.covers_graph = covers;
+          if (const auto output = algorithm.on_view(state.view)) {
             sink(trial, v, *output, rho);
             timer.lap(&BatchPhaseStats::eval_sec);
             break;
@@ -183,12 +182,12 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
         }
         timer.lap(&BatchPhaseStats::eval_sec);
         ++rho;
-        while (static_cast<std::size_t>(state.grower.view().radius) < rho) state.grow_once();
+        while (state.layers.radius() < rho) state.layers.grow();
         timer.lap(&BatchPhaseStats::grow_sec);
-        const std::size_t s_rho = state.prefix[rho];
-        const std::span<const graph::Vertex> globals = state.grower.global_vertices();
-        state.seq_ids.resize(s_rho);
-        for (std::size_t k = filled; k < s_rho; ++k) state.seq_ids[k] = sigma[globals[k]];
+        const std::size_t s_rho = state.layers.sizes()[rho];
+        const std::span<const graph::Vertex> order = state.layers.order();
+        state.ids.resize(s_rho);
+        for (std::size_t k = filled; k < s_rho; ++k) state.ids[k] = sigma[order[k]];
         filled = s_rho;
         timer.lap(&BatchPhaseStats::gather_sec);
       }
@@ -204,19 +203,19 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
 /// trial pays an id gather and its algorithm; the BFS runs once per vertex,
 /// up to the deepest radius any trial of the batch needs. The gather reads
 /// each survivor's new layers from its own assignment array.
-void run_batched_range(const graph::Graph& g, BatchedWorker& state,
-                       std::span<const graph::IdAssignment> batch,
-                       const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
-                       graph::Vertex begin, graph::Vertex end, const ResultSink& sink) {
+void run_lockstep_range(const graph::Graph& g, LockstepWorker& state,
+                        std::span<const graph::IdAssignment> batch,
+                        const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
+                        graph::Vertex begin, graph::Vertex end, const ResultSink& sink) {
   const std::size_t cap = g.vertex_count();
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
-    state.reroot(v);
+    state.grower.reset(v);
 
     // Evaluates one slot at the current radius: point the shared view's
-    // identifier span at the trial's buffer (two words; grow() re-points it
-    // at the grower's own store) and ask the algorithm. Returns true when
-    // the trial finished (the result goes straight to the sink).
+    // identifier span at the trial's buffer (two words; grow() clears the
+    // binding) and ask the algorithm. Returns true when the trial finished
+    // (the result goes straight to the sink).
     std::size_t radius = 0;
     std::size_t ball_end = 1;  // |ball| at the current radius
     const auto evaluate = [&](TrialSlot& slot, const std::uint64_t* ids) {
@@ -260,23 +259,23 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
         throw std::runtime_error("view engine: radius cap exceeded (non-terminating algorithm?)");
       }
       // One shared BFS step ...
-      state.grow_once();
+      state.grower.grow();
       ++radius;
       // ... plus every further layer a stepwise engine would have grown
       // without a single live evaluate. The cap is checked per layer and the
       // jump stops at the first covering radius, so behaviour (including
       // exceptions) matches per-trial run_views exactly.
-      while (radius < jump_target && state.covers_radius == SIZE_MAX) {
+      while (radius < jump_target && !state.grower.view().covers_graph) {
         if (radius >= cap) {
           throw std::runtime_error(
               "view engine: radius cap exceeded (non-terminating algorithm?)");
         }
-        state.grow_once();
+        state.grower.grow();
         ++radius;
       }
       timer.lap(&BatchPhaseStats::grow_sec);
-      const std::span<const graph::Vertex> globals = state.grower.global_vertices();
-      const std::size_t new_end = globals.size();
+      const std::span<const graph::Vertex> order = state.grower.layers().order();
+      const std::size_t new_end = order.size();
 
       // ... then, for every surviving trial, the new layers' identifiers
       // (the only per-trial view state) gathered from its own assignment
@@ -291,7 +290,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
         TrialSlot& slot = state.slots[k];
         const std::span<const std::uint64_t> sigma = batch[slot.trial].ids();
         std::uint64_t* ids = slot.ids_for(prev_end, new_end);
-        for (std::size_t i = prev_end; i < new_end; ++i) ids[i] = sigma[globals[i]];
+        for (std::size_t i = prev_end; i < new_end; ++i) ids[i] = sigma[order[i]];
         timer.lap(&BatchPhaseStats::gather_sec);
         if (!evaluate(slot, ids)) state.active[kept++] = k;
         timer.lap(&BatchPhaseStats::eval_sec);
@@ -299,6 +298,33 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
       state.active.resize(kept);
     }
   }
+}
+
+/// Sweeps vertices [0, n) through run_range(worker, options, begin, end):
+/// serially on one worker, or in dynamically scheduled pool chunks with
+/// one worker per pool thread, built by make_worker() on its first chunk
+/// and kept across the rest.
+template <class MakeWorker, class RunRange>
+void sweep_vertices(std::size_t n, const ViewEngineOptions& options,
+                    const MakeWorker& make_worker, const RunRange& run_range) {
+  support::ThreadPool* pool = options.pool;
+  if (pool == nullptr || pool->size() == 1 || n == 1) {
+    run_range(*make_worker(), options, 0, checked_u32(n));
+    return;
+  }
+  // phase_stats is a serial-path facility: workers would race on the
+  // accumulator, so the parallel sweep runs with it cleared.
+  ViewEngineOptions parallel_options = options;
+  parallel_options.phase_stats = nullptr;
+  std::vector<decltype(make_worker())> workers(pool->size());
+  // Chunks carry batch.size() runs per vertex, so smaller chunks than the
+  // single-assignment sweep still amortise the scheduling cursor while
+  // balancing the heavy tail.
+  const std::size_t grain = std::max<std::size_t>(4, n / (16 * pool->size()));
+  pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
+    if (!workers[worker]) workers[worker] = make_worker();
+    run_range(*workers[worker], parallel_options, checked_u32(begin), checked_u32(end));
+  });
 }
 
 }  // namespace
@@ -319,46 +345,21 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
     return probe->ids_only_view();
   }();
 
-  // The workers' growers run with this placeholder array in place; geometry
-  // never consults it, and the per-assignment arrays are bound around
-  // algorithm calls only.
-  const graph::IdAssignment geometry_ids = graph::IdAssignment::identity(n);
-
-  const auto run_range_mode = [&](BatchedWorker& state, const ViewEngineOptions& opts,
-                                  graph::Vertex b, graph::Vertex e) {
-    if (ids_only) {
-      run_sequential_range(g, state, batch, factory, opts, b, e, sink);
-    } else {
-      run_batched_range(g, state, batch, factory, opts, b, e, sink);
-    }
-  };
-
-  support::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() == 1 || n == 1) {
-    BatchedWorker state(g, geometry_ids, options.semantics, batch.size());
-    run_range_mode(state, options, 0, checked_u32(n));
-    return;
-  }
-
-  // Parallel sweep over vertices: each worker keeps its grower, id buffers
-  // and algorithm instances alive across its chunks.
   // The sink sees disjoint vertex sets per worker.
-  std::vector<std::unique_ptr<BatchedWorker>> states(pool->size());
-  // Chunks carry batch.size() runs per vertex, so smaller chunks than the
-  // single-assignment sweep still amortise the scheduling cursor while
-  // balancing the heavy tail.
-  // phase_stats is a serial-path facility: workers would race on the
-  // accumulator, so the parallel sweep runs with it cleared.
-  ViewEngineOptions parallel_options = options;
-  parallel_options.phase_stats = nullptr;
-  const std::size_t grain = std::max<std::size_t>(4, n / (16 * pool->size()));
-  pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    auto& state = states[worker];
-    if (!state) {
-      state = std::make_unique<BatchedWorker>(g, geometry_ids, options.semantics, batch.size());
-    }
-    run_range_mode(*state, parallel_options, checked_u32(begin), checked_u32(end));
-  });
+  if (ids_only) {
+    sweep_vertices(
+        n, options, [&] { return std::make_unique<SequentialWorker>(g, options.semantics); },
+        [&](SequentialWorker& worker, const ViewEngineOptions& opts, graph::Vertex b,
+            graph::Vertex e) {
+          run_sequential_range(g, worker, batch, factory, opts, b, e, sink);
+        });
+  } else {
+    sweep_vertices(
+        n, options,
+        [&] { return std::make_unique<LockstepWorker>(g, options.semantics, batch.size()); },
+        [&](LockstepWorker& worker, const ViewEngineOptions& opts, graph::Vertex b,
+            graph::Vertex e) { run_lockstep_range(g, worker, batch, factory, opts, b, e, sink); });
+  }
 }
 
 RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
@@ -372,10 +373,11 @@ RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
   if (n == 0) return result;
 
   BallGrower::Scratch scratch(n);
-  BallGrower grower(g, ids, 0, options.semantics, scratch);
+  BallGrower grower(g, 0, options.semantics, scratch);
+  std::vector<std::uint64_t> view_ids;
   for (graph::Vertex v = 0; v < n; ++v) {
     grower.reset(v);
-    const auto [output, radius] = run_one(g, grower, factory);
+    const auto [output, radius] = run_one(g, grower, ids, view_ids, factory);
     result.outputs[v] = output;
     result.radii[v] = radius;
   }

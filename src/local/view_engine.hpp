@@ -55,9 +55,10 @@ class ViewAlgorithm {
 
   /// Declares that on_view reads only `radius`, `ids`, `size()` and
   /// `covers_graph` - never `dist`, `ports` or anything derived from them
-  /// (degree_of, extract_ring_view, ...). The batched engine finishes
-  /// thinned-out batches of such algorithms on a sequential fast path whose
-  /// views carry exact identifiers, radius and coverage but empty
+  /// (degree_of, extract_ring_view, ...). The batched engine runs such
+  /// algorithms in its sequential mode, which grows only the bare
+  /// BallLayers core (discovery order, per-radius sizes, coverage) and
+  /// hands out views with exact identifiers, radius and coverage but empty
   /// dist/ports. Opt-in and a hard contract: an implementation that reads
   /// edge or distance data after returning true sees empty arrays. The
   /// default (false) always receives complete views.
@@ -72,7 +73,10 @@ using ViewAlgorithmFactory = std::function<std::unique_ptr<ViewAlgorithm>()>;
 /// a throughput regression lives in (bench_regression records it in
 /// BENCH_core.json).
 struct BatchPhaseStats {
-  double grow_sec = 0;    ///< shared BFS growth (incl. layer jumps)
+  /// Shared BFS growth: the bare BallLayers core in sequential mode, the
+  /// BallGrower (core plus dist and port rows) in lockstep mode, layer
+  /// jumps included.
+  double grow_sec = 0;
   double gather_sec = 0;  ///< id gathers (lockstep and sequential)
   double eval_sec = 0;    ///< algorithm on_view calls + result sink
 };
@@ -98,8 +102,10 @@ struct ViewEngineOptions {
 };
 
 /// Runs the algorithm on every vertex of g and returns outputs and radii:
-/// the serial reference sweep, one BallGrower and its buffers reused across
-/// all vertices (allocation-free steady state). options.pool must be null;
+/// the serial reference sweep, one BallGrower, its buffers and one id
+/// buffer (gathered per layer over the discovery order and bound before
+/// each on_view call) reused across all vertices (allocation-free steady
+/// state). options.pool must be null;
 /// parallel sweeps go through run_views_batched. A vertex whose radius
 /// reaches the vertex count without output (a non-terminating algorithm)
 /// throws std::runtime_error, here and in run_views_batched.
@@ -108,12 +114,14 @@ RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,
 
 /// Runs the algorithm on every vertex under every id-assignment of `batch`
 /// in one pass, vertices as the outer loop: each vertex's ball geometry is
-/// grown once on a shared BallGrower and every assignment is evaluated over
-/// it (lockstep, or sequentially through the recorded per-radius ball sizes
-/// for ids_only_view algorithms), so the per-trial cost is an identifier
-/// gather plus the algorithm itself - rather than a full BFS regrowth as in
-/// per-trial run_views calls. Every
-/// assignment must match the graph. Results stream through `sink` instead of
+/// grown once and every assignment is evaluated over it, so the per-trial
+/// cost is an identifier gather plus the algorithm itself - rather than a
+/// full BFS regrowth as in per-trial run_views calls. ids_only_view
+/// algorithms run in sequential mode: one assignment at a time over a bare
+/// BallLayers core (discovery order, per-radius sizes, coverage), replayed
+/// through the recorded sizes. Other algorithms run in lockstep mode: every
+/// assignment advances in step over one BallGrower's full view. A worker
+/// builds only its mode's state. Every assignment must match the graph. Results stream through `sink` instead of
 /// materialising batch.size() RunResults; outputs and radii are
 /// bit-identical to run_views on each assignment, for every pool size.
 /// `trial` in the sink is the index within `batch`. With a pool, workers

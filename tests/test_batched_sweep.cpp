@@ -15,10 +15,12 @@
 #include "algo/cole_vishkin.hpp"
 #include "algo/largest_id.hpp"
 #include "algo/mis_ring.hpp"
+#include "algo/registry.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/measure.hpp"
 #include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
+#include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view.hpp"
@@ -160,6 +162,33 @@ TEST(RunViewsBatched, MatchesPerTrialRunsOnIrregularGraphs) {
                                    local::ViewSemantics::kInducedBall, 5);
   expect_batched_matches_per_trial(gnp, algo::make_largest_id_view(),
                                    local::ViewSemantics::kFloodingKnowledge, 5);
+}
+
+TEST(RunViewsBatched, SequentialModeMatchesPerTrialRunsOnEveryFamily) {
+  // largest-id and largest-id-ua take the sequential mode, which grows the
+  // bare BallLayers core; run_views grows a full BallGrower. Outputs and
+  // radii must agree for every family, size and semantics.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 24; ++n) sizes.push_back(n);
+  sizes.push_back(257);
+  const graph::FamilyRegistry& families = graph::FamilyRegistry::global();
+  for (const std::string& name : families.names()) {
+    for (const std::size_t requested : sizes) {
+      support::Xoshiro256 rng(requested);
+      const graph::Graph g = families.build({name, {}}, requested, rng);
+      const std::size_t n = g.vertex_count();
+      for (const char* algorithm : {"largest-id", "largest-id-ua"}) {
+        SCOPED_TRACE(name + " n=" + std::to_string(n) + " " + algorithm);
+        const local::ViewAlgorithmFactory factory =
+            algo::AlgorithmRegistry::global().at(algorithm).view(n);
+        ASSERT_TRUE(factory()->ids_only_view());
+        for (const auto semantics :
+             {local::ViewSemantics::kInducedBall, local::ViewSemantics::kFloodingKnowledge}) {
+          expect_batched_matches_per_trial(g, factory, semantics, 3);
+        }
+      }
+    }
+  }
 }
 
 TEST(RunViewsBatched, ColeVishkinUsesPortsAndStillMatches) {

@@ -117,12 +117,18 @@ TEST_P(GrowerProperty, MatchesNaiveBfsReconstruction) {
   const auto ids = graph::IdAssignment::random(n, rng);
 
   local::BallGrower::Scratch scratch(n);
+  std::vector<std::uint64_t> view_ids;
   for (int root_trial = 0; root_trial < 5; ++root_trial) {
     const auto root = static_cast<graph::Vertex>(rng.below(n));
-    local::BallGrower grower(g, ids, root, param.semantics, scratch);
+    local::BallGrower grower(g, root, param.semantics, scratch);
     const auto all_dist = graph::bfs_distances(g, root);
 
     for (int r = 0; r <= 6; ++r) {
+      // The grower reads no identifiers; bind them over its discovery
+      // order, as the view engines do before every on_view call.
+      view_ids.clear();
+      for (const graph::Vertex v : grower.layers().order()) view_ids.push_back(ids.id_of(v));
+      grower.bind_ids(view_ids);
       const local::BallView& view = grower.view();
       // (1) Vertex set == BFS ball of radius r (as an id multiset).
       std::set<std::uint64_t> expected_ids;

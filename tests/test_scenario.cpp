@@ -64,6 +64,22 @@ TEST(FamilyRegistry, RealisedSizesRespectFamilyConstraints) {
   EXPECT_EQ(registry.realised_size({"random-regular", {{"degree", 4}}}, 2), 5u);
 }
 
+TEST(FamilyRegistry, EveryFamilyRunsALargestIdTrialAtSizeOne) {
+  // min_size is the smallest size a family's generator accepts, so a sweep
+  // asking for one vertex resolves up to it and runs, for every family.
+  for (const std::string& name : graph::FamilyRegistry::global().names()) {
+    core::ScenarioSpec spec;
+    spec.family = {name, {}};
+    spec.algorithm = "largest-id";
+    spec.ns = {1};
+    spec.schedule.max_trials = 1;
+    const core::ScenarioResult result = core::run_scenario(spec, {.threads = 1});
+    ASSERT_EQ(result.points.size(), 1u) << name;
+    EXPECT_GE(result.points[0].point.n, 2u) << name;
+    EXPECT_EQ(result.points[0].point.trials, 1u) << name;
+  }
+}
+
 TEST(FamilyRegistry, RandomisedFamiliesAreDeterministicPerStream) {
   const auto& registry = graph::FamilyRegistry::global();
   for (const std::string name : {"random-tree", "gnp", "random-regular"}) {

@@ -1,10 +1,15 @@
-// Tests of the ball-view machinery: BallGrower under both knowledge
+// Tests of the ball-view machinery: the BallLayers geometry core against a
+// plain BFS on every registered family, BallGrower under both knowledge
 // semantics, ring view extraction, and the view engine loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view.hpp"
@@ -15,15 +20,125 @@ namespace {
 
 using namespace avglocal;
 using local::BallGrower;
+using local::BallLayers;
 using local::BallView;
 using local::ViewSemantics;
+
+/// The grower's view with `ids` gathered over its discovery order and bound
+/// into `buffer`, as the view engines bind identifiers before every on_view
+/// call (a grower never reads identifiers itself).
+const BallView& bound_view(BallGrower& grower, const graph::IdAssignment& ids,
+                           std::vector<std::uint64_t>& buffer) {
+  buffer.clear();
+  for (const graph::Vertex v : grower.layers().order()) buffer.push_back(ids.id_of(v));
+  grower.bind_ids(buffer);
+  return grower.view();
+}
+
+// ---- BallLayers vs a plain BFS ---------------------------------------------
+
+/// A plain FIFO breadth-first search from `root` in port order.
+struct ReferenceBall {
+  std::vector<graph::Vertex> order;  // discovery order
+  std::vector<std::size_t> dist;     // SIZE_MAX = not reached
+};
+
+ReferenceBall reference_bfs(const graph::Graph& g, graph::Vertex root) {
+  ReferenceBall ball;
+  ball.dist.assign(g.vertex_count(), SIZE_MAX);
+  ball.dist[root] = 0;
+  ball.order.push_back(root);
+  for (std::size_t head = 0; head < ball.order.size(); ++head) {
+    const graph::Vertex a = ball.order[head];
+    for (const graph::Vertex b : g.neighbours(a)) {
+      if (ball.dist[b] != SIZE_MAX) continue;
+      ball.dist[b] = ball.dist[a] + 1;
+      ball.order.push_back(b);
+    }
+  }
+  return ball;
+}
+
+/// BallView::covers_graph from its definition: every port of every vertex
+/// within distance r is visible - under induced semantics when its far end
+/// is within r too, under flooding semantics when one end is within r - 1.
+bool reference_covers(const graph::Graph& g, const std::vector<std::size_t>& dist, std::size_t r,
+                      ViewSemantics semantics) {
+  for (graph::Vertex a = 0; a < g.vertex_count(); ++a) {
+    if (dist[a] > r) continue;
+    for (const graph::Vertex b : g.neighbours(a)) {
+      const bool visible = semantics == ViewSemantics::kInducedBall
+                               ? dist[b] <= r
+                               : std::min(dist[a], dist[b]) + 1 <= r;
+      if (!visible) return false;
+    }
+  }
+  return true;
+}
+
+TEST(BallLayers, MatchesPlainBfsOnEveryFamily) {
+  // For every family, size, semantics and root: the core's discovery order,
+  // ball size at each radius and first covering radius equal the plain
+  // BFS's, one radius past coverage; the grower built on it agrees.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 24; ++n) sizes.push_back(n);
+  sizes.push_back(257);
+  const graph::FamilyRegistry& families = graph::FamilyRegistry::global();
+  for (const std::string& name : families.names()) {
+    for (const std::size_t requested : sizes) {
+      support::Xoshiro256 rng(requested);
+      const graph::Graph g = families.build({name, {}}, requested, rng);
+      const std::size_t n = g.vertex_count();
+      for (const auto semantics :
+           {ViewSemantics::kInducedBall, ViewSemantics::kFloodingKnowledge}) {
+        BallLayers::Scratch scratch(n);
+        BallLayers layers(g, 0, semantics, scratch);
+        BallGrower::Scratch grower_scratch(n);
+        BallGrower grower(g, 0, semantics, grower_scratch);
+        for (graph::Vertex root = 0; root < n; ++root) {
+          layers.reset(root);
+          grower.reset(root);
+          const ReferenceBall ref = reference_bfs(g, root);
+          ASSERT_EQ(ref.order.size(), n) << name << " is connected";
+          std::size_t first_cover = SIZE_MAX;
+          std::size_t in_ball = 0;
+          for (std::size_t r = 0; first_cover == SIZE_MAX || r <= first_cover + 1; ++r) {
+            ASSERT_LE(r, n) << name << " n=" << n << " root " << root;
+            if (r > 0) {
+              layers.grow();
+              grower.grow();
+            }
+            while (in_ball < n && ref.dist[ref.order[in_ball]] <= r) ++in_ball;
+            if (first_cover == SIZE_MAX && reference_covers(g, ref.dist, r, semantics)) {
+              first_cover = r;
+            }
+            ASSERT_EQ(layers.radius(), r);
+            ASSERT_EQ(layers.sizes().size(), r + 1);
+            ASSERT_EQ(layers.sizes()[r], in_ball)
+                << name << " n=" << n << " " << local::to_string(semantics) << " root " << root
+                << " r=" << r;
+            ASSERT_EQ(layers.covers_radius(), first_cover)
+                << name << " n=" << n << " " << local::to_string(semantics) << " root " << root
+                << " r=" << r;
+            ASSERT_EQ(grower.view().covers_graph, first_cover != SIZE_MAX);
+            ASSERT_EQ(grower.view().dist.size(), in_ball);
+          }
+          ASSERT_TRUE(std::ranges::equal(layers.order(), ref.order))
+              << name << " n=" << n << " " << local::to_string(semantics) << " root " << root;
+          ASSERT_TRUE(std::ranges::equal(grower.layers().order(), ref.order));
+        }
+      }
+    }
+  }
+}
 
 TEST(BallGrower, RadiusZeroIsJustTheRoot) {
   const auto g = graph::make_cycle(5);
   const auto ids = graph::IdAssignment::identity(5);
   BallGrower::Scratch scratch(5);
-  BallGrower grower(g, ids, 2, ViewSemantics::kInducedBall, scratch);
-  const BallView& view = grower.view();
+  BallGrower grower(g, 2, ViewSemantics::kInducedBall, scratch);
+  std::vector<std::uint64_t> buffer;
+  const BallView& view = bound_view(grower, ids, buffer);
   EXPECT_EQ(view.radius, 0);
   EXPECT_EQ(view.size(), 1u);
   EXPECT_EQ(view.root_id(), 3u);
@@ -36,7 +151,7 @@ TEST(BallGrower, InducedCoversCycleAtCeilHalf) {
     const auto g = graph::make_cycle(n);
     const auto ids = graph::IdAssignment::identity(n);
     BallGrower::Scratch scratch(n);
-    BallGrower grower(g, ids, 0, ViewSemantics::kInducedBall, scratch);
+    BallGrower grower(g, 0, ViewSemantics::kInducedBall, scratch);
     std::size_t r = 0;
     while (!grower.view().covers_graph) {
       grower.grow();
@@ -44,16 +159,16 @@ TEST(BallGrower, InducedCoversCycleAtCeilHalf) {
       ASSERT_LE(r, n);
     }
     EXPECT_EQ(r, n / 2) << "induced closure at ceil((n-1)/2), n = " << n;
-    EXPECT_EQ(grower.view().size(), n);
+    std::vector<std::uint64_t> buffer;
+    EXPECT_EQ(bound_view(grower, ids, buffer).size(), n);
   }
 }
 
 TEST(BallGrower, FloodingCoversCycleLater) {
   for (const std::size_t n : {4u, 5u, 6u, 7u, 9u, 12u}) {
     const auto g = graph::make_cycle(n);
-    const auto ids = graph::IdAssignment::identity(n);
     BallGrower::Scratch scratch(n);
-    BallGrower grower(g, ids, 1, ViewSemantics::kFloodingKnowledge, scratch);
+    BallGrower grower(g, 1, ViewSemantics::kFloodingKnowledge, scratch);
     std::size_t r = 0;
     while (!grower.view().covers_graph) {
       grower.grow();
@@ -69,10 +184,11 @@ TEST(BallGrower, LayerSizesOnCycle) {
   const auto g = graph::make_cycle(n);
   const auto ids = graph::IdAssignment::identity(n);
   BallGrower::Scratch scratch(n);
-  BallGrower grower(g, ids, 0, ViewSemantics::kInducedBall, scratch);
+  BallGrower grower(g, 0, ViewSemantics::kInducedBall, scratch);
+  std::vector<std::uint64_t> buffer;
   for (std::size_t r = 1; r <= 5; ++r) {
     grower.grow();
-    EXPECT_EQ(grower.view().size(), std::min(n, 2 * r + 1));
+    EXPECT_EQ(bound_view(grower, ids, buffer).size(), std::min(n, 2 * r + 1));
   }
 }
 
@@ -82,11 +198,13 @@ TEST(BallGrower, ViewIdsAreAppendOnly) {
   avglocal::support::Xoshiro256 rng(11);
   const auto ids = graph::IdAssignment::random(n, rng);
   BallGrower::Scratch scratch(n);
-  BallGrower grower(g, ids, 3, ViewSemantics::kInducedBall, scratch);
-  std::vector<std::uint64_t> prefix(grower.view().ids.begin(), grower.view().ids.end());
+  BallGrower grower(g, 3, ViewSemantics::kInducedBall, scratch);
+  std::vector<std::uint64_t> buffer;
+  const auto first = bound_view(grower, ids, buffer).ids;
+  std::vector<std::uint64_t> prefix(first.begin(), first.end());
   for (int r = 1; r <= 8; ++r) {
     grower.grow();
-    const auto now = grower.view().ids;
+    const auto now = bound_view(grower, ids, buffer).ids;
     ASSERT_GE(now.size(), prefix.size());
     for (std::size_t i = 0; i < prefix.size(); ++i) {
       EXPECT_EQ(now[i], prefix[i]) << "prefix must be stable";
@@ -101,10 +219,12 @@ TEST(BallGrower, ScratchIsReusableAcrossGrowers) {
   const auto ids = graph::IdAssignment::identity(n);
   BallGrower::Scratch scratch(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    BallGrower grower(g, ids, v, ViewSemantics::kInducedBall, scratch);
+    BallGrower grower(g, v, ViewSemantics::kInducedBall, scratch);
     grower.grow();
-    EXPECT_EQ(grower.view().size(), 3u);
-    EXPECT_EQ(grower.view().root_id(), v + 1);
+    std::vector<std::uint64_t> buffer;
+    const BallView& view = bound_view(grower, ids, buffer);
+    EXPECT_EQ(view.size(), 3u);
+    EXPECT_EQ(view.root_id(), v + 1);
   }
 }
 
@@ -112,20 +232,21 @@ TEST(BallGrower, StarGeometry) {
   const auto g = graph::make_star(7);
   const auto ids = graph::IdAssignment::identity(7);
   BallGrower::Scratch scratch(7);
+  std::vector<std::uint64_t> buffer;
   {
-    BallGrower centre(g, ids, 0, ViewSemantics::kInducedBall, scratch);
+    BallGrower centre(g, 0, ViewSemantics::kInducedBall, scratch);
     centre.grow();
     EXPECT_TRUE(centre.view().covers_graph);
-    EXPECT_EQ(centre.view().size(), 7u);
+    EXPECT_EQ(bound_view(centre, ids, buffer).size(), 7u);
   }
   {
-    BallGrower leaf(g, ids, 1, ViewSemantics::kInducedBall, scratch);
+    BallGrower leaf(g, 1, ViewSemantics::kInducedBall, scratch);
     leaf.grow();
-    EXPECT_EQ(leaf.view().size(), 2u);
+    EXPECT_EQ(bound_view(leaf, ids, buffer).size(), 2u);
     EXPECT_FALSE(leaf.view().covers_graph);
     leaf.grow();
     EXPECT_TRUE(leaf.view().covers_graph);
-    EXPECT_EQ(leaf.view().size(), 7u);
+    EXPECT_EQ(bound_view(leaf, ids, buffer).size(), 7u);
   }
 }
 
@@ -133,9 +254,10 @@ TEST(BallView, MaxAndGreaterQueries) {
   const auto g = graph::make_cycle(6);
   const auto ids = graph::IdAssignment::reversed(6);  // ids 6,5,4,3,2,1
   BallGrower::Scratch scratch(6);
-  BallGrower grower(g, ids, 3, ViewSemantics::kInducedBall, scratch);  // own id 3
+  BallGrower grower(g, 3, ViewSemantics::kInducedBall, scratch);  // own id 3
   grower.grow();
-  const BallView& view = grower.view();
+  std::vector<std::uint64_t> buffer;
+  const BallView& view = bound_view(grower, ids, buffer);
   EXPECT_EQ(view.max_id(), 4u);
   EXPECT_TRUE(view.contains_id_greater_than(3));
   EXPECT_FALSE(view.contains_id_greater_than(4));
@@ -155,10 +277,11 @@ TEST_P(RingViewExtraction, WalksMatchArcOrder) {
   const auto ids = graph::IdAssignment::identity(n);
   BallGrower::Scratch scratch(n);
   const graph::Vertex root = 0;
-  BallGrower grower(g, ids, root, semantics, scratch);
+  BallGrower grower(g, root, semantics, scratch);
   for (std::size_t r = 0; r < radius; ++r) grower.grow();
+  std::vector<std::uint64_t> buffer;
   local::RingView ring;
-  ASSERT_TRUE(local::extract_ring_view(grower.view(), ring));
+  ASSERT_TRUE(local::extract_ring_view(bound_view(grower, ids, buffer), ring));
   EXPECT_EQ(ring.own, 1u);
   if (ring.closed) {
     EXPECT_EQ(ring.seen_count(), n);
@@ -190,10 +313,11 @@ TEST(RingView, NonRingRootIsRejected) {
   const auto g = graph::make_star(5);
   const auto ids = graph::IdAssignment::identity(5);
   BallGrower::Scratch scratch(5);
-  BallGrower grower(g, ids, 0, ViewSemantics::kInducedBall, scratch);
+  BallGrower grower(g, 0, ViewSemantics::kInducedBall, scratch);
   grower.grow();
+  std::vector<std::uint64_t> buffer;
   local::RingView ring;
-  EXPECT_FALSE(local::extract_ring_view(grower.view(), ring));
+  EXPECT_FALSE(local::extract_ring_view(bound_view(grower, ids, buffer), ring));
 }
 
 // ---- view engine ----------------------------------------------------------
@@ -281,19 +405,21 @@ TEST(BallGrower, ResetReRootsAndMatchesFreshGrower) {
   const auto g = graph::make_grid(4, 5);
   const auto ids = graph::IdAssignment::reversed(20);
   BallGrower::Scratch scratch(20);
-  BallGrower reused(g, ids, 0, ViewSemantics::kInducedBall, scratch);
+  BallGrower reused(g, 0, ViewSemantics::kInducedBall, scratch);
   for (avglocal::graph::Vertex root = 0; root < 20; ++root) {
     reused.reset(root);
     reused.grow();
     reused.grow();
 
     BallGrower::Scratch fresh_scratch(20);
-    BallGrower fresh(g, ids, root, ViewSemantics::kInducedBall, fresh_scratch);
+    BallGrower fresh(g, root, ViewSemantics::kInducedBall, fresh_scratch);
     fresh.grow();
     fresh.grow();
 
-    const auto& a = reused.view();
-    const auto& b = fresh.view();
+    std::vector<std::uint64_t> reused_ids;
+    std::vector<std::uint64_t> fresh_ids;
+    const auto& a = bound_view(reused, ids, reused_ids);
+    const auto& b = bound_view(fresh, ids, fresh_ids);
     ASSERT_EQ(a.size(), b.size()) << "root " << root;
     EXPECT_TRUE(std::equal(a.ids.begin(), a.ids.end(), b.ids.begin(), b.ids.end()));
     EXPECT_EQ(a.dist, b.dist);
