@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "graph/properties.hpp"
 #include "local/view.hpp"
-#include "local/wire.hpp"
 #include "support/assert.hpp"
-#include "support/math.hpp"
 #include "support/narrow.hpp"
 
 namespace avglocal::algo {
@@ -70,151 +67,61 @@ class LargestIdUniverseAwareView final : public local::ViewAlgorithm {
   std::size_t scanned_ = 0;
 };
 
-/// Origin identifier -> the hop counts of its token as heard on port 0 and
-/// port 1 (0 = not heard yet; a token arrives with hops >= 1). Open
-/// addressing with linear probing at load <= 1/2, owned by one node's
-/// instance and reused across trials: capacity grows only until the table
-/// has held the largest trial's origins, and reset() is O(1) - it bumps a
-/// generation stamp, so every slot stamped earlier reads as empty. Any
-/// 64-bit identifier is a key; there is no sentinel.
-class OriginTable {
- public:
-  using Hops = std::array<std::uint32_t, 2>;
-
-  /// The entry of `origin`, inserted unheard on both ports if absent.
-  Hops& at(std::uint64_t origin) {
-    if (slots_.empty()) grow();
-    Slot* slot = &probe(origin);
-    if (slot->stamp != generation_) {
-      if (2 * (size_ + 1) > slots_.size()) {
-        grow();
-        slot = &probe(origin);
-      }
-      *slot = Slot{origin, generation_, {0, 0}};
-      ++size_;
-    }
-    return slot->hops;
-  }
-
-  /// Distinct origins inserted since the last reset().
-  std::size_t size() const noexcept { return size_; }
-
-  void reset() noexcept {
-    size_ = 0;
-    if (++generation_ == 0) {
-      // The stamp wrapped: a slot stamped 2^32 resets ago would read as
-      // live, so empty every slot explicitly.
-      for (Slot& slot : slots_) slot.stamp = 0;
-      generation_ = 1;
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t stamp = 0;  ///< live iff == generation_
-    Hops hops{};
-  };
-
-  /// The slot holding `origin`, else the empty slot ending its probe run.
-  Slot& probe(std::uint64_t origin) {
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hashing: the top bits of origin * 2^64/phi spread
-    // consecutive identifiers (the common 1..n permutation) evenly.
-    std::size_t i = (origin * 0x9e3779b97f4a7c15ULL) >> shift_;
-    while (slots_[i].stamp == generation_ && slots_[i].key != origin) i = (i + 1) & mask;
-    return slots_[i];
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
-    shift_ = 64 - std::countr_zero(slots_.size());
-    for (const Slot& slot : old) {
-      if (slot.stamp == generation_) probe(slot.key) = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  int shift_ = 64;  ///< 64 - log2(capacity)
-  std::uint32_t generation_ = 1;
-  std::size_t size_ = 0;
-};
-
-/// Message-passing variant: floods (origin, hops) tokens. See header.
-/// Allocation-free after warm-up: the relay payloads and the origin table
-/// keep their capacity across rounds and trials.
+/// Message-passing variant on a cycle. See header. In round k port p
+/// delivers the origin at distance k on that side, so the antipode arrives on
+/// both ports in round n/2 (even n), or on one in round (n-1)/2 and on the
+/// other in the next (odd n). Before that no origin arrives twice, so only the
+/// previous round's arrivals need remembering. Relays never stop: the engine
+/// stops once every node has output, by round ceil(n/2).
 class LargestIdMessages final : public local::Algorithm {
  public:
   void on_start(local::NodeContext& ctx) override {
     AVGLOCAL_REQUIRE_MSG(ctx.degree() == 2, "message largest-ID runs on cycles");
-    const std::array<std::uint64_t, 3> token{1, ctx.id(), 1};  // one token: (self, hops=1)
+    const std::array<std::uint64_t, 1> token{ctx.id()};
     ctx.broadcast(token);
   }
 
   void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
-    // forward_[q] collects the tokens to relay out of port q this round,
-    // behind a count word patched once the inbox is drained.
-    for (local::Payload& out : forward_) out.assign(1, 0);
+    Heard heard;
     for (const local::Message& msg : inbox) {
-      local::Decoder d(msg.payload);
-      const std::uint64_t count = d.u64();
-      local::Payload& out = forward_[1 - msg.from_port];
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t origin = d.u64();
-        const std::uint64_t hops = d.u64();
-        if (ingest(ctx, origin, hops, msg.from_port)) {
-          out.push_back(origin);
-          out.push_back(hops + 1);
-        }
+      const std::uint64_t origin = msg.payload[0];
+      heard[msg.from_port] = origin;
+      best_ = std::max(best_, origin);
+      const std::array<std::uint64_t, 1> token{origin};
+      ctx.send(1 - msg.from_port, token);
+    }
+    if (!ctx.has_output()) {
+      if (best_ > ctx.id()) {
+        ctx.output(kNo);
+      } else if (closes(heard)) {
+        ctx.output(kYes);
       }
     }
-    for (std::size_t q = 0; q < 2; ++q) {
-      local::Payload& out = forward_[q];
-      if (out.size() == 1) continue;
-      out[0] = (out.size() - 1) / 2;
-      ctx.send(q, out);
-    }
-    decide(ctx);
+    previous_ = heard;
   }
 
   bool reset() noexcept override {
     best_ = 0;
-    n_.reset();
-    seen_.reset();
+    previous_ = {};
     return true;
   }
 
  private:
-  /// Records a token heard on port `side`; true when it must be relayed.
-  bool ingest(const local::NodeContext& ctx, std::uint64_t origin, std::uint64_t hops,
-              std::size_t side) {
-    best_ = std::max(best_, origin);
-    if (origin == ctx.id()) {
-      // Our own token went all the way around: hops == n.
-      n_ = hops;
-      return false;
+  /// The origin delivered on each port in one round, if any. Every 64-bit
+  /// value is an identifier, so absence needs its own flag.
+  using Heard = std::array<std::optional<std::uint64_t>, 2>;
+
+  /// Whether one origin has now arrived on both ports: in this round, or on
+  /// one port in the previous round and on the other in this one.
+  bool closes(const Heard& heard) const noexcept {
+    for (std::size_t p = 0; p < 2; ++p) {
+      if (heard[p] && (heard[p] == heard[1 - p] || heard[p] == previous_[1 - p])) return true;
     }
-    OriginTable::Hops& sides = seen_.at(origin);
-    sides[side] = support::checked_u32(hops);
-    if (sides[0] == 0 || sides[1] == 0) return true;
-    n_ = std::size_t{sides[0]} + sides[1];
     return false;
   }
 
-  void decide(local::NodeContext& ctx) {
-    if (ctx.has_output()) return;
-    if (best_ > ctx.id()) {
-      ctx.output(kNo);
-    } else if (n_ && seen_.size() + 1 == *n_) {
-      ctx.output(kYes);
-    }
-  }
-
   std::uint64_t best_ = 0;
-  std::optional<std::size_t> n_;
-  OriginTable seen_;
-  std::array<local::Payload, 2> forward_;
+  Heard previous_;
 };
 
 }  // namespace

@@ -40,11 +40,14 @@ local::ViewAlgorithmFactory make_largest_id_view();
 /// its average radius against the paper's algorithm.
 local::ViewAlgorithmFactory make_largest_id_universe_aware_view();
 
-/// Message-passing implementation for cycles: floods (origin, hops) tokens;
-/// a node outputs No as soon as the running maximum exceeds its own
-/// identifier, and Yes once it can prove it has seen every vertex (it learns
-/// the cycle length from a token received on both sides). Radii match the
-/// flooding-knowledge view semantics.
+/// Message-passing implementation for cycles: every node floods its
+/// identifier as a one-word token, relayed out of the opposite port, so each
+/// port delivers one new origin per round. A node outputs No as soon as the
+/// running maximum exceeds its own identifier, and Yes once one origin has
+/// arrived on both ports (in one round for even n, in consecutive rounds for
+/// odd n): that origin is the antipode, so every vertex has been heard. Each
+/// node holds a constant number of words. Radii match the flooding-knowledge
+/// view semantics.
 local::AlgorithmFactory make_largest_id_messages();
 
 /// Analytic per-vertex radius of the view algorithm on a cycle under

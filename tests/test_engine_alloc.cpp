@@ -195,15 +195,22 @@ TEST(ViewCallbackAlloc, BatchedSweepAllocatesOnlyWhileWarmingUp) {
 // partials (about 1 per trial for message algorithms) - never per node or
 // per round: a callback that allocated per node would overshoot the bound
 // at the smaller size already.
+//
+// The warm-up batch is where per-node state grows, so its bytes are metered
+// too: bytes per node at 4n may exceed bytes per node at n by at most
+// kStateGrowth. State that grows with n at every node (a per-node table of
+// all origins, say) is quadratic in total and reads about 4x.
 TEST(TrialAlloc, EveryAlgorithmStopsAllocatingAfterWarmUp) {
   constexpr std::size_t kBatch = 4;
   constexpr std::size_t kMeasuredTrials = 3 * kBatch;
   constexpr std::size_t kAllocsPerTrial = 64;
   constexpr std::size_t kSmallN = 256;
+  constexpr double kStateGrowth = 1.5;
   const algo::AlgorithmRegistry& registry = algo::AlgorithmRegistry::global();
   const std::vector<std::string> names = registry.names();
   ASSERT_EQ(names.size(), 9u) << "a new algorithm joins this gate";
   for (const std::string& name : names) {
+    std::array<double, 2> warm_up_bytes_per_node{};
     for (const std::size_t n : {kSmallN, 4 * kSmallN}) {
       core::ScenarioSpec spec;
       spec.algorithm = name;
@@ -218,9 +225,12 @@ TEST(TrialAlloc, EveryAlgorithmStopsAllocatingAfterWarmUp) {
       const core::SweepDriver driver(*backend, options);
       const graph::Graph g = resolved.graphs(n);
       core::SweepDriver::Point point = driver.prepare(g, 0);
+      const auto cold = support::alloc_counts();
       driver.run_trials(point, 0, kBatch);  // warm-up batch
-
       const auto before = support::alloc_counts();
+      warm_up_bytes_per_node[n == kSmallN ? 0 : 1] =
+          static_cast<double>(before.bytes - cold.bytes) / static_cast<double>(n);
+
       const core::PointAccumulator acc =
           driver.run_trials(point, kBatch, kBatch + kMeasuredTrials);
       const auto after = support::alloc_counts();
@@ -230,6 +240,9 @@ TEST(TrialAlloc, EveryAlgorithmStopsAllocatingAfterWarmUp) {
           << name << " n=" << n << ": " << allocations << " allocations over "
           << kMeasuredTrials << " trials";
     }
+    EXPECT_LE(warm_up_bytes_per_node[1], kStateGrowth * warm_up_bytes_per_node[0])
+        << name << ": warm-up bytes per node " << warm_up_bytes_per_node[0] << " at n="
+        << kSmallN << ", " << warm_up_bytes_per_node[1] << " at n=" << 4 * kSmallN;
   }
 }
 

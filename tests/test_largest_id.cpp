@@ -21,6 +21,18 @@ namespace {
 
 using namespace avglocal;
 
+/// n distinct identifiers spread over the whole 64-bit range, 0 and
+/// UINT64_MAX among them, in random positions: no identifier is special.
+graph::IdAssignment sparse_ids(std::size_t n, support::Xoshiro256& rng) {
+  std::vector<std::uint64_t> sparse = {0, UINT64_MAX};
+  while (sparse.size() < n) {
+    const std::uint64_t id = rng.next();
+    if (std::find(sparse.begin(), sparse.end(), id) == sparse.end()) sparse.push_back(id);
+  }
+  support::shuffle(std::span<std::uint64_t>(sparse), rng);
+  return graph::IdAssignment(std::move(sparse));
+}
+
 class LargestIdOnCycles : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
 TEST_P(LargestIdOnCycles, CorrectAndPointwiseMinimal) {
@@ -112,26 +124,33 @@ INSTANTIATE_TEST_SUITE_P(Families, LargestIdOnFamilies,
                            return param_info.param.family + std::to_string(param_info.param.n);
                          });
 
+// The message variant against the flooding-knowledge views at every cycle
+// length in 3..257, odd and even: three random assignments per n, plus a
+// sparse one holding the extreme identifiers 0 and UINT64_MAX.
 TEST(LargestId, MessageVariantMatchesFloodingViews) {
   support::Xoshiro256 rng(5);
-  for (const std::size_t n : {4u, 5u, 9u, 16u, 27u}) {
+  local::ViewEngineOptions flooding;
+  flooding.semantics = local::ViewSemantics::kFloodingKnowledge;
+  for (std::size_t n = 3; n <= 257; ++n) {
     const auto g = graph::make_cycle(n);
-    const auto ids = graph::IdAssignment::random(n, rng);
-    local::ViewEngineOptions options;
-    options.semantics = local::ViewSemantics::kFloodingKnowledge;
-    const auto views = local::run_views(g, ids, algo::make_largest_id_view(), options);
-    const auto messages = local::run_messages(g, ids, algo::make_largest_id_messages());
-    for (std::size_t v = 0; v < n; ++v) {
-      EXPECT_EQ(messages.outputs[v], views.outputs[v]) << "n " << n << " v " << v;
-      EXPECT_EQ(messages.radii[v], views.radii[v]) << "n " << n << " v " << v;
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto ids = trial < 3 ? graph::IdAssignment::random(n, rng) : sparse_ids(n, rng);
+      const auto views = local::run_views(g, ids, algo::make_largest_id_view(), flooding);
+      const auto messages = local::run_messages(g, ids, algo::make_largest_id_messages());
+      for (std::size_t v = 0; v < n; ++v) {
+        ASSERT_EQ(messages.outputs[v], views.outputs[v])
+            << "n " << n << " trial " << trial << " v " << v;
+        ASSERT_EQ(messages.radii[v], views.radii[v])
+            << "n " << n << " trial " << trial << " v " << v;
+      }
     }
   }
 }
 
 // One persistent runner per cycle length serves every trial, so each node's
-// origin table is reset and reused, grows during the first trial, and must
-// hash arbitrary 64-bit ids: a sparse assignment holding 0 and UINT64_MAX
-// runs mid-batch. Every trial must equal a fresh engine and the views.
+// instance is reset and reused, and no identifier may stand for "nothing
+// heard": a sparse assignment holding 0 and UINT64_MAX runs mid-batch.
+// Every trial must equal a fresh engine and the views.
 TEST(LargestId, BatchRunnerReuseMatchesFreshEngines) {
   constexpr std::size_t kTrials = 64;
   constexpr std::size_t kSparseTrial = 21;
@@ -140,17 +159,7 @@ TEST(LargestId, BatchRunnerReuseMatchesFreshEngines) {
     const auto g = graph::make_cycle(n);
     std::vector<graph::IdAssignment> batch;
     for (std::size_t t = 0; t < kTrials; ++t) {
-      if (t != kSparseTrial) {
-        batch.push_back(graph::IdAssignment::random(n, rng));
-        continue;
-      }
-      std::vector<std::uint64_t> sparse = {0, UINT64_MAX};
-      while (sparse.size() < n) {
-        const std::uint64_t id = rng.next();
-        if (std::find(sparse.begin(), sparse.end(), id) == sparse.end()) sparse.push_back(id);
-      }
-      support::shuffle(std::span<std::uint64_t>(sparse), rng);
-      batch.emplace_back(std::move(sparse));
+      batch.push_back(t == kSparseTrial ? sparse_ids(n, rng) : graph::IdAssignment::random(n, rng));
     }
 
     local::MessageBatchRunner runner(g, algo::make_largest_id_messages());
