@@ -11,12 +11,17 @@ struct ResultCache::Entry {
   Entry(const ResolvedScenario& resolved, const ScenarioExecution& execution)
       : session(resolved, execution) {}
 
+  /// Held while the entry is served or offered partials; guards every
+  /// member below. Compute and finalize run under it, never under the
+  /// cache's mutex, so other identities are served meanwhile.
+  std::mutex mutex;
   /// Engines kept across requests. Its scenario is the creating request's;
   /// only identity fields of it matter, so any schedule is served right.
   ScenarioSession session;
-  /// Exact-integer partials covering trials [0, E) per point. E only ever
-  /// grows (via PointAccumulator::append), so everything served from here
-  /// is a prefix of the one canonical trial stream.
+  /// Exact-integer partials covering trials [0, E) per point: empty, or one
+  /// per point. E only ever grows (via PointAccumulator::append), so
+  /// everything served from here is a prefix of the one canonical trial
+  /// stream.
   std::vector<PointAccumulator> partials;
   /// Finalized report bytes keyed by the full canonical scenario JSON
   /// (identity plus schedule - the schedule appears in the report, so two
@@ -29,15 +34,17 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Entry& ResultCache::entry_for(const std::string& key,
-                                           const ResolvedScenario& resolved) {
+std::shared_ptr<ResultCache::Entry> ResultCache::entry_for(const std::string& key,
+                                                           const ResolvedScenario& resolved,
+                                                           bool& created) {
   const auto found = entries_.find(key);
-  if (found != entries_.end()) return *found->second;
+  created = found == entries_.end();
+  if (!created) return found->second;
   const ScenarioExecution execution{options_.threads, options_.batch_size, pool_.get()};
-  auto entry = std::make_unique<Entry>(resolved, execution);
-  Entry& ref = *entry;
-  entries_.emplace(key, std::move(entry));
-  return ref;
+  auto entry = std::make_shared<Entry>(resolved, execution);
+  entries_.emplace(key, entry);
+  stats_.entries = entries_.size();
+  return entry;
 }
 
 ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
@@ -55,82 +62,97 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   ResultCacheOutcome outcome;
   outcome.key = scenario_cache_key(resolved.spec);
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.requests;
-  const bool created = entries_.find(outcome.key) == entries_.end();
-  Entry& entry = entry_for(outcome.key, resolved);
-  try {
-    serve_locked(entry, resolved, outcome);
-  } catch (...) {
-    // A failed request leaves no residue: an entry it created holds no
-    // partials anyone could be served from, only resident engines.
-    if (created) entries_.erase(outcome.key);
-    stats_.entries = entries_.size();
-    throw;
+  bool created = false;
+  std::shared_ptr<Entry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.requests;
+    entry = entry_for(outcome.key, resolved, created);
   }
-  stats_.entries = entries_.size();
+
+  Served served = Served::kHit;
+  {
+    const std::lock_guard<std::mutex> entry_lock(entry->mutex);
+    try {
+      served = serve_locked(*entry, resolved, outcome);
+    } catch (...) {
+      // A failed request leaves no residue: it commits no partials, and an
+      // entry it created goes unless a request that reached it first has
+      // filled it. A same-identity request still waiting holds its own
+      // reference, so dropping the map's is safe.
+      if (created && entry->partials.empty()) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto found = entries_.find(outcome.key);
+        if (found != entries_.end() && found->second == entry) entries_.erase(found);
+        stats_.entries = entries_.size();
+      }
+      throw;
+    }
+  }
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  switch (served) {
+    case Served::kHit: ++stats_.full_hits; break;
+    case Served::kExtension: ++stats_.extensions; break;
+    case Served::kMiss: ++stats_.misses; break;
+  }
+  stats_.trials_computed += outcome.trials_computed;
   return outcome;
 }
 
-void ResultCache::serve_locked(Entry& entry, const ResolvedScenario& request,
-                               ResultCacheOutcome& outcome) {
+ResultCache::Served ResultCache::serve_locked(Entry& entry, const ResolvedScenario& request,
+                                              ResultCacheOutcome& outcome) {
   const std::size_t requested = request.spec.schedule.max_trials;
   const std::string memo_key = scenario_to_json(request.spec);
   const auto memo = entry.reports.find(memo_key);
   if (memo != entry.reports.end()) {
-    ++stats_.full_hits;
     outcome.report = memo->second;
     outcome.warm = true;
-    return;
+    return Served::kHit;
   }
 
-  const std::size_t cached_before =
-      entry.partials.empty() ? 0 : entry.partials.front().trial_count();
+  const std::size_t point_count = request.spec.ns.size();
+  const std::size_t cached = entry.partials.empty() ? 0 : entry.partials.front().trial_count();
 
-  std::vector<ScenarioPoint> points;
-  points.reserve(request.spec.ns.size());
+  // Compute everything first and commit after, so a request that throws
+  // midway leaves the entry's partials as they were.
+  std::vector<PointAccumulator> fresh(point_count);
   std::uint64_t computed = 0;
-  for (std::size_t index = 0; index < request.spec.ns.size(); ++index) {
-    if (index >= entry.partials.size()) {
-      // Nothing cached for this point yet: run the full range and keep it.
-      entry.partials.push_back(entry.session.run_trials(index, 0, requested));
-      computed += requested;
-    } else if (entry.partials[index].trial_count() < requested) {
-      // The heart of the cache: compute only the missing tail and extend
-      // the exact-integer partial. append() verifies the ranges abut, so
-      // the result is bit-identical to a monolithic `requested`-trial run.
-      const std::size_t have = entry.partials[index].trial_count();
-      entry.partials[index].append(entry.session.run_trials(index, have, requested));
-      computed += requested - have;
+  if (cached != requested) {
+    // Fewer cached trials: the heart of the cache - compute only the
+    // missing tail; append() verifies the ranges abut, so the result is
+    // bit-identical to a monolithic `requested`-trial run. More cached
+    // trials: the aggregated fields (histograms, node sums) cannot be
+    // truncated, so [0, requested) is recomputed on the resident prepared
+    // point and the cached partial stays for future longer requests.
+    const std::size_t begin = cached < requested ? cached : 0;
+    for (std::size_t index = 0; index < point_count; ++index) {
+      fresh[index] = entry.session.run_trials(index, begin, requested);
     }
+    computed = (requested - begin) * point_count;
+  }
 
+  if (cached == 0) {
+    entry.partials = std::move(fresh);
+  } else if (cached < requested) {
+    for (std::size_t index = 0; index < point_count; ++index) {
+      entry.partials[index].append(std::move(fresh[index]));
+    }
+  }
+  const std::vector<PointAccumulator>& finished = cached > requested ? fresh : entry.partials;
+  std::vector<ScenarioPoint> points;
+  points.reserve(point_count);
+  for (const PointAccumulator& acc : finished) {
     // Fixed schedules always run to their count, hence converged.
-    if (entry.partials[index].trial_count() == requested) {
-      points.push_back(request.finish_point(entry.partials[index], /*converged=*/true));
-    } else {
-      // Cached range is longer than the request. The aggregated fields
-      // (histograms, node sums) cannot be truncated, so recompute [0,
-      // requested) on the resident prepared point - the cached partial
-      // stays untouched for future longer requests.
-      const PointAccumulator fresh = entry.session.run_trials(index, 0, requested);
-      points.push_back(request.finish_point(fresh, /*converged=*/true));
-      computed += requested;
-    }
+    points.push_back(request.finish_point(acc, /*converged=*/true));
   }
-
-  if (computed == 0) {
-    ++stats_.full_hits;
-  } else if (cached_before == 0 || cached_before >= requested) {
-    ++stats_.misses;
-  } else {
-    ++stats_.extensions;
-  }
-  stats_.trials_computed += computed;
 
   outcome.report = sweep_report_json(request.spec, points);
   outcome.trials_computed = computed;
   outcome.warm = computed == 0;
   entry.reports.emplace(memo_key, outcome.report);
+  if (computed == 0) return Served::kHit;
+  return cached == 0 || cached >= requested ? Served::kMiss : Served::kExtension;
 }
 
 bool ResultCache::offer_partials(const ScenarioSpec& spec,
@@ -148,13 +170,17 @@ bool ResultCache::offer_partials(const ScenarioSpec& spec,
     if (!resolved.matches_partial(partials[index], index, 0, covered)) return false;
   }
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_for(scenario_cache_key(resolved.spec), resolved);
-  stats_.entries = entries_.size();
+  bool created = false;
+  std::shared_ptr<Entry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    entry = entry_for(scenario_cache_key(resolved.spec), resolved, created);
+  }
+  const std::lock_guard<std::mutex> entry_lock(entry->mutex);
   const std::size_t cached =
-      entry.partials.empty() ? 0 : entry.partials.front().trial_count();
+      entry->partials.empty() ? 0 : entry->partials.front().trial_count();
   if (covered <= cached) return false;  // nothing the cache doesn't have
-  entry.partials = std::move(partials);
+  entry->partials = std::move(partials);
   return true;
 }
 

@@ -29,10 +29,12 @@
 // sweep() rejects them with std::invalid_argument; run them through
 // run_scenario.
 //
-// Thread safety: sweep()/stats()/entry_count() are safe to call from any
-// thread. Compute is serialised internally (one sweep at a time - the
-// shared worker pool runs one job at a time by contract); concurrency
-// above the cache comes from queueing requests, not from parallel sweeps.
+// Thread safety: sweep()/offer_partials()/stats()/entry_count() are safe
+// to call from any thread, and requests run concurrently. The cache's
+// mutex guards only the entry map and the stats; each entry has its own,
+// held while that entry is served, so requests for one identity queue
+// behind each other while other identities compute beside them on the
+// shared worker pool (which takes concurrent jobs).
 #pragma once
 
 #include <cstdint>
@@ -106,18 +108,24 @@ class ResultCache {
  private:
   struct Entry;
 
-  Entry& entry_for(const std::string& key, const ResolvedScenario& resolved);
-  /// sweep()'s work once the entry exists: memo lookup, the missing
-  /// trials, finalize. Called with mutex_ held.
-  void serve_locked(Entry& entry, const ResolvedScenario& request, ResultCacheOutcome& outcome);
+  enum class Served { kHit, kExtension, kMiss };
 
-  mutable std::mutex mutex_;
+  /// The entry for `key`, created if absent (`created` says whether).
+  /// Called with mutex_ held.
+  std::shared_ptr<Entry> entry_for(const std::string& key, const ResolvedScenario& resolved,
+                                   bool& created);
+  /// sweep()'s work once the entry exists: memo lookup, the missing
+  /// trials, finalize. Called with the entry's mutex held, not mutex_.
+  Served serve_locked(Entry& entry, const ResolvedScenario& request, ResultCacheOutcome& outcome);
+
   ResultCacheOptions options_;
   std::unique_ptr<support::ThreadPool> pool_;
   // Ordered map: lint forbids unordered iteration, and entry counts are
   // tiny (one per distinct workload) - lookup cost is irrelevant next to
-  // a single trial.
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  // a single trial. Shared: a request keeps its entry alive even if a
+  // failing request erases it from the map meanwhile.
+  mutable std::mutex mutex_;  // guards entries_ and stats_
+  std::map<std::string, std::shared_ptr<Entry>> entries_;
   ResultCacheStats stats_;
 };
 

@@ -21,8 +21,9 @@
 // Concurrency and lifetime come from support::LineServer: one handler
 // thread per connection (at most ServeOptions::max_clients at once; one
 // more gets a {"ok":false,"error":"busy"} line and is closed), all
-// funnelling into the shared ResultCache, which serialises sweeps
-// internally. The shutdown op and request_stop() - async-signal-safe, for
+// funnelling into the shared ResultCache, which runs requests for
+// different workloads concurrently on one worker pool and queues requests
+// for the same workload behind each other. The shutdown op and request_stop() - async-signal-safe, for
 // SIGTERM handlers - both end run() through LineServer's draining stop.
 #pragma once
 

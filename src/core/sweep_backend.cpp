@@ -28,6 +28,18 @@ struct MessagePointState final : BackendPointState {
   std::size_t n;
 };
 
+/// Whether the view engine runs the provider's algorithms at size n in its
+/// sequential (ids-only) mode, which keeps no per-trial spill buffer. A
+/// provider that throws is priced as lockstep, the larger charge.
+bool runs_sequential(const AlgorithmProvider& algorithms, std::size_t n) noexcept {
+  try {
+    const auto probe = algorithms(n)();
+    return probe != nullptr && probe->ids_only_view();
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
 
 ViewBackend::ViewBackend(AlgorithmProvider algorithms, local::ViewSemantics semantics)
@@ -69,21 +81,23 @@ SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept
   // is charged at its size.
   //
   // Per resident trial: the id assignment (8n, allocated once), its
-  // radius-matrix row (4n) and, in lockstep mode, the trial's spill id
+  // radius-matrix row (4n) and, in lockstep mode only, the trial's spill id
   // buffer, doubled up to n ids should its ball reach the whole graph
-  // (2 * 8n). 28n.
-  model.bytes_per_trial = n * (8 + 4 + 2 * 8);
+  // (2 * 8n). 28n lockstep, 12n sequential.
+  const bool sequential = runs_sequential(algorithms_, n);
+  model.bytes_per_trial = n * (8 + 4 + (sequential ? 0 : 2 * 8));
   // Per lane, allocated once: the CSR tables, the canonical edge list (8
   // bytes per edge), PointAccumulator::node_sum (8n) and the
   // epoch-stamped ball scratch (local_of + stamps, 8n).
   const std::size_t allocated_once = g.memory_bytes() + 8 * edges + 16 * n;
   // Per lane, doubled up to full coverage: the geometry core's discovery
-  // order and per-radius ball sizes (at most n radii; 8n), the lockstep
-  // grower's dist (4n), port-row offsets (4n) and targets (4 bytes per
-  // arc), which also bound the sequential mode's id buffer (8n), and three
-  // radius histograms of at most n buckets (the driver's flat node-radius
-  // counts, the accumulator's and the edge times', 24n).
-  const std::size_t doubled = 8 * n + (8 * n + 4 * arcs) + 24 * n;
+  // order and per-radius ball sizes (at most n radii; 8n); in lockstep mode
+  // the grower's dist (4n), port-row offsets (4n) and targets (4 bytes per
+  // arc), in sequential mode the one id buffer (8n); and three radius
+  // histograms of at most n buckets (the driver's flat node-radius counts,
+  // the accumulator's and the edge times', 24n).
+  const std::size_t mode_rows = sequential ? 8 * n : 8 * n + 4 * arcs;
+  const std::size_t doubled = 8 * n + mode_rows + 24 * n;
   model.fixed_bytes = allocated_once + 2 * doubled;
   return model;
 }

@@ -1,11 +1,47 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <exception>
 
 #include "support/assert.hpp"
 
 namespace avglocal::support {
+
+/// One for_range call, on its caller's stack until every helper inside it
+/// has left.
+struct ThreadPool::Job {
+  Job(const RangeFn& body, std::size_t total, std::size_t chunk)
+      : fn(body), count(total), grain(chunk) {}
+
+  bool has_chunks() const { return cursor.load(std::memory_order_relaxed) < count; }
+
+  const RangeFn& fn;
+  const std::size_t count;
+  const std::size_t grain;
+  std::atomic<std::size_t> cursor{0};
+  std::size_t helpers = 0;   // helpers inside run_chunks; guarded by mutex_
+  std::exception_ptr error;  // first failure; guarded by mutex_
+};
+
+namespace {
+
+/// The pools whose chunks this thread is running, innermost first: a
+/// for_range on any of them from here would be nested.
+struct ChunkFrame {
+  const ThreadPool* pool;
+  const ChunkFrame* outer;
+};
+thread_local const ChunkFrame* t_running = nullptr;
+
+bool running_chunk_of(const ThreadPool* pool) {
+  for (const ChunkFrame* frame = t_running; frame != nullptr; frame = frame->outer) {
+    if (frame->pool == pool) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
     : worker_count_(threads != 0 ? threads
@@ -37,78 +73,69 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::run_chunks(std::size_t worker) {
+ThreadPool::Job* ThreadPool::open_job() const {
+  for (Job* job : jobs_) {
+    if (job->has_chunks()) return job;
+  }
+  return nullptr;
+}
+
+void ThreadPool::run_chunks(Job& job, std::size_t worker) {
+  const ChunkFrame frame{this, t_running};
+  t_running = &frame;
   try {
     std::size_t begin;
-    while ((begin = cursor_.fetch_add(grain_, std::memory_order_relaxed)) < count_) {
-      (*fn_)(worker, begin, std::min(begin + grain_, count_));
+    while ((begin = job.cursor.fetch_add(job.grain, std::memory_order_relaxed)) < job.count) {
+      job.fn(worker, begin, std::min(begin + job.grain, job.count));
     }
   } catch (...) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!error_) error_ = std::current_exception();
+    if (!job.error) job.error = std::current_exception();
     // Drain the remaining chunks so other workers stop quickly.
-    cursor_.store(count_, std::memory_order_relaxed);
+    job.cursor.store(job.count, std::memory_order_relaxed);
   }
+  t_running = frame.outer;
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {
-  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-    }
-    run_chunks(worker);
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++helpers_done_;
-    }
-    done_cv_.notify_one();
+    Job* job = nullptr;
+    wake_cv_.wait(lock, [&] { return stopping_ || (job = open_job()) != nullptr; });
+    if (stopping_) return;
+    ++job->helpers;
+    lock.unlock();
+    run_chunks(*job, worker);
+    lock.lock();
+    if (--job->helpers == 0) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::for_range(std::size_t count, std::size_t grain, const RangeFn& fn) {
   AVGLOCAL_EXPECTS_MSG(grain >= 1, "for_range: grain must be positive");
   if (count == 0) return;
-  // One job at a time: concurrent or re-entrant for_range would clobber the
-  // shared job state, so fail loudly instead.
-  AVGLOCAL_REQUIRE_MSG(!job_active_.exchange(true),
-                       "for_range: pool already running a job (concurrent or nested call)");
+  // A nested call's worker indices would alias those of the enclosing call,
+  // whose chunk is still running on this thread, so it fails loudly instead.
+  AVGLOCAL_REQUIRE_MSG(!running_chunk_of(this),
+                       "for_range: nested call from inside a chunk of the same pool");
+  Job job(fn, count, grain);
   if (worker_count_ == 1) {
-    // Inline fast path: no helpers, no synchronisation.
-    for (std::size_t begin = 0; begin < count; begin += grain) {
-      try {
-        fn(0, begin, std::min(begin + grain, count));
-      } catch (...) {
-        job_active_.store(false);
-        throw;
-      }
+    // Inline fast path: no helpers, nothing published.
+    run_chunks(job, 0);
+  } else {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      jobs_.push_back(&job);
     }
-    job_active_.store(false);
-    return;
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    count_ = count;
-    grain_ = grain;
-    cursor_.store(0, std::memory_order_relaxed);
-    error_ = nullptr;
-    helpers_done_ = 0;
-    ++generation_;
-  }
-  wake_cv_.notify_all();
-  run_chunks(0);
-  {
+    wake_cv_.notify_all();
+    run_chunks(job, 0);
+    // The cursor is exhausted, so no helper joins from here on; wait only
+    // for the ones already inside.
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return helpers_done_ == worker_count_ - 1; });
-    fn_ = nullptr;
-    job_active_.store(false);
-    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+    done_cv_.wait(lock, [&] { return job.helpers == 0; });
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
   }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace avglocal::support

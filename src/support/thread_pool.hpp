@@ -2,16 +2,15 @@
 //
 // Threads are created once (per pool) and reused across any number of
 // for_range calls, so callers can hoist thread creation out of hot loops -
-// e.g. one pool per sweep instead of one thread spawn per sweep point. Work
-// is handed out in dynamically scheduled chunks through a shared atomic
-// cursor; the calling thread participates as worker 0, so a pool of size 1
-// runs everything inline with zero synchronisation overhead.
+// e.g. one pool per sweep instead of one thread spawn per sweep point. Each
+// call publishes a job with its own atomic cursor; the calling thread runs
+// its job as worker 0 and idle helpers take chunks from the oldest job that
+// still has some, so several threads can share one pool. A pool of size 1
+// runs every call inline on its caller.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -39,32 +38,30 @@ class ThreadPool {
   /// Runs fn over [0, count) in chunks of `grain`, blocking until done.
   /// Chunk order across workers is unspecified; callers needing determinism
   /// must write to disjoint, index-addressed outputs. The first exception
-  /// thrown by fn is rethrown here (remaining chunks may be skipped).
-  /// One job at a time: calling for_range while another is running - from a
-  /// second thread or from inside fn - throws std::logic_error.
+  /// thrown by fn is rethrown here (remaining chunks may be skipped) and
+  /// reaches no other call.
+  /// Concurrent calls from different threads are allowed: each is its own
+  /// job, and the worker-index guarantee holds per call (no two chunks of
+  /// one call run at once under one index). A call from inside fn on the
+  /// same pool (nested) throws std::logic_error.
   void for_range(std::size_t count, std::size_t grain, const RangeFn& fn);
 
  private:
+  struct Job;
+
   void worker_loop(std::size_t worker);
-  void run_chunks(std::size_t worker);
+  void run_chunks(Job& job, std::size_t worker);
+  /// The oldest published job with chunks left, or null. Needs mutex_.
+  Job* open_job() const;
 
   std::size_t worker_count_;
   std::vector<std::thread> threads_;  // worker_count_ - 1 helpers
 
   std::mutex mutex_;
-  std::condition_variable wake_cv_;   // helpers wait for a new job
-  std::condition_variable done_cv_;   // for_range waits for helpers
-  std::uint64_t generation_ = 0;      // bumped per job
-  std::size_t helpers_done_ = 0;
+  std::condition_variable wake_cv_;  // helpers wait for an open job
+  std::condition_variable done_cv_;  // callers wait for their job's helpers
+  std::vector<Job*> jobs_;           // published jobs, oldest first
   bool stopping_ = false;
-  std::atomic<bool> job_active_{false};
-
-  // Current job (valid while helpers run generation_).
-  const RangeFn* fn_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t grain_ = 1;
-  std::atomic<std::size_t> cursor_{0};
-  std::exception_ptr error_;
 };
 
 }  // namespace avglocal::support

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/cole_vishkin.hpp"
 #include "algo/largest_id.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/memory_model.hpp"
@@ -154,13 +155,19 @@ TEST(MemoryBudget, MillionNodeRingStaysInsideDeclaredBudget) {
   }
 }
 
-TEST(MemoryBudget, ViewModelEnvelopeCoversMeasuredAllocation) {
+/// One full-width view lane on a 10^5-cycle: the model's predicted bytes
+/// for 4 resident trials and what the lane actually allocated.
+struct LaneBytes {
+  std::size_t predicted = 0;
+  std::size_t measured = 0;
+};
+
+LaneBytes measure_view_lane(const core::AlgorithmProvider& algorithms) {
   const graph::Graph g = graph::make_cycle(100'000);
   core::BatchedSweepOptions opt;
   opt.trials = 4;
   opt.seed = 13;
-  const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); },
-                                  local::ViewSemantics::kInducedBall);
+  const core::ViewBackend backend(algorithms, local::ViewSemantics::kInducedBall);
   const core::SweepMemoryModel model = backend.memory_model(g);
 
   core::SweepDriver driver(backend, opt, nullptr);
@@ -168,7 +175,10 @@ TEST(MemoryBudget, ViewModelEnvelopeCoversMeasuredAllocation) {
   const support::AllocCounts before = support::alloc_counts();
   (void)driver.run_trials(point, 0, opt.trials);
   const support::AllocCounts after = support::alloc_counts();
+  return {model.predicted_lane_bytes(opt.trials), after.bytes - before.bytes};
+}
 
+TEST(MemoryBudget, ViewModelEnvelopeCoversMeasuredAllocation) {
   // The lane runs at full width (no budget set), so the whole range is ONE
   // batch and every buffer is allocated exactly once - which makes the
   // hook's cumulative byte count equal the resident need (the hook never
@@ -177,8 +187,22 @@ TEST(MemoryBudget, ViewModelEnvelopeCoversMeasuredAllocation) {
   // instead). prepare() costs (graph, edge list) are inside fixed_bytes but
   // pre-date the measurement - slack on the safe side; the test fails only
   // when the model genuinely undershoots reality.
-  EXPECT_LE(after.bytes - before.bytes, model.predicted_lane_bytes(opt.trials))
-      << "bytes-per-trial model undershoots the measured lane allocation";
+  //
+  // largest-id runs in the sequential (ids-only) mode, cv3 in the lockstep
+  // mode with its per-trial spill buffers: both must be covered.
+  const LaneBytes largest_id =
+      measure_view_lane([](std::size_t) { return algo::make_largest_id_view(); });
+  EXPECT_LE(largest_id.measured, largest_id.predicted)
+      << "bytes-per-trial model undershoots the measured largest-id lane allocation";
+  const LaneBytes cv3 = measure_view_lane(algo::make_cole_vishkin_view);
+  EXPECT_LE(cv3.measured, cv3.predicted)
+      << "bytes-per-trial model undershoots the measured cv3 lane allocation";
+
+  // And the sequential mode is not charged for buffers it never builds: a
+  // price far above the need narrows budgeted batches for nothing.
+  EXPECT_LE(largest_id.predicted, largest_id.measured * 3 / 2)
+      << "predicted " << largest_id.predicted << " bytes against " << largest_id.measured
+      << " measured for a largest-id lane";
 }
 
 // ------------------------------------------------------------------------

@@ -11,10 +11,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -228,6 +230,85 @@ TEST(ResultCache, DistinctWorkloadsGetDistinctEntries) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+/// Runs body(t) on `threads` threads released together.
+template <class Body>
+void run_threads(std::size_t threads, const Body& body) {
+  std::latch start(static_cast<std::ptrdiff_t>(threads));
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      body(t);
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+}
+
+TEST(ResultCache, ConcurrentIdentitiesMatchMonolithicAndCountExactly) {
+  // Four identities: two view workloads and one message workload owned by
+  // threads 0-2, and one view workload shared by threads 2 and 3. Every
+  // thread walks its identities through 4, 8 and 12 trials, asking for
+  // each schedule twice: a cold fill, then warm repeats and extensions.
+  core::ScenarioSpec view = base_spec(0);
+  core::ScenarioSpec cv3 = base_spec(0);
+  cv3.algorithm = "cv3";
+  cv3.ns = {96, 200};
+  cv3.seed = 3;
+  core::ScenarioSpec message;
+  message.family = {"cycle", {}};
+  message.algorithm = "largest-id-msg";
+  message.ns = {64};
+  message.seed = 5;
+  core::ScenarioSpec shared;
+  shared.family = {"torus", {}};
+  shared.algorithm = "greedy";
+  shared.ns = {64, 100};
+  shared.seed = 11;
+  const std::vector<core::ScenarioSpec> identities = {view, cv3, message, shared};
+  const std::vector<std::vector<std::size_t>> walks = {{0}, {1}, {2, 3}, {3}};
+  const std::vector<std::size_t> schedules = {4, 8, 12};
+
+  auto with_trials = [](core::ScenarioSpec spec, std::size_t trials) {
+    spec.schedule.max_trials = trials;
+    return spec;
+  };
+  std::vector<std::vector<std::string>> references(identities.size());
+  for (std::size_t i = 0; i < identities.size(); ++i) {
+    for (const std::size_t trials : schedules) {
+      references[i].push_back(monolithic_report(with_trials(identities[i], trials)));
+    }
+  }
+
+  core::ResultCache cache(core::ResultCacheOptions{3, 0});
+  std::atomic<std::size_t> mismatches{0};
+  run_threads(walks.size(), [&](std::size_t t) {
+    for (std::size_t step = 0; step < schedules.size(); ++step) {
+      for (const std::size_t i : walks[t]) {
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          const core::ResultCacheOutcome outcome =
+              cache.sweep(with_trials(identities[i], schedules[step]));
+          if (outcome.report != references[i][step]) mismatches.fetch_add(1);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  // Each schedule's first request computes (a miss at 4 trials, extensions
+  // at 8 and 12, whichever thread gets there first); every other request
+  // is a warm hit - whatever the interleaving.
+  std::uint64_t points = 0;
+  for (const core::ScenarioSpec& spec : identities) points += spec.ns.size();
+  const core::ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.requests, 30u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.extensions, 8u);
+  EXPECT_EQ(stats.full_hits, 18u);
+  EXPECT_EQ(stats.trials_computed, 12u * points);
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(cache.entry_count(), 4u);
+}
+
 // --------------------------------------------------------------- Server ----
 
 std::string sweep_request_line(const core::ScenarioSpec& spec) {
@@ -330,6 +411,36 @@ TEST(Server, FailedRequestLeavesNoCacheEntry) {
   EXPECT_TRUE(server.cache().sweep(base_spec(4)).warm);
 }
 
+TEST(Server, RacingFailedRequestsLeaveNoCacheEntry) {
+  // A failing request and a same-identity request waiting on its entry:
+  // whichever creates the entry erases it, the other holds its own
+  // reference to it, and neither touches freed memory (asan, tsan).
+  core::ServeOptions options;
+  options.socket_path = "/tmp/unused-protocol-test.sock";  // never bound
+  options.threads = 2;
+  core::Server server(options);
+  ASSERT_NE(server.handle_request(sweep_request_line(base_spec(4))).line.find("\"ok\":true"),
+            std::string::npos);
+
+  core::ScenarioSpec failing = base_spec(4);
+  failing.family = {"path", {}};
+  failing.algorithm = "local3";
+  for (std::size_t round = 0; round < 20; ++round) {
+    std::vector<std::string> replies(2);
+    run_threads(replies.size(), [&](std::size_t t) {
+      core::ScenarioSpec spec = failing;
+      spec.schedule.max_trials = 4 + t;  // one identity, two schedules
+      replies[t] = server.handle_request(sweep_request_line(spec)).line;
+    });
+    for (const std::string& line : replies) {
+      EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+    }
+    EXPECT_EQ(server.cache().entry_count(), 1u) << "round " << round;
+    EXPECT_EQ(server.cache().stats().entries, 1u) << "round " << round;
+  }
+  EXPECT_TRUE(server.cache().sweep(base_spec(4)).warm);
+}
+
 TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
@@ -346,8 +457,8 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   const std::string request = sweep_request_line(spec);
 
   // Two clients race the same workload; both must get the reference bytes
-  // (the cache serialises compute internally, so one computes and the
-  // other hits - order unspecified, result identical).
+  // (one identity's requests queue on its entry's mutex, so one computes
+  // and the other hits - order unspecified, result identical).
   std::vector<std::string> replies(2);
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < replies.size(); ++c) {

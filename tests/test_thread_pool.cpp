@@ -1,11 +1,13 @@
 // Tests of the persistent worker pool: coverage (every index exactly
 // once), worker identification, reuse across jobs, the inline size-1 path,
-// and exception propagation.
+// exception propagation, and concurrent calls from several threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -154,6 +156,107 @@ TEST(ThreadPool, NestedForRangeThrowsInsteadOfCorrupting) {
   std::atomic<int> done{0};
   pool.for_range(6, 1, [&](std::size_t, std::size_t, std::size_t) { done.fetch_add(1); });
   EXPECT_EQ(done.load(), 6);
+}
+
+// ---------------------------------------------------------------------
+// Concurrent calls: several threads share one pool, each call its own job.
+// ---------------------------------------------------------------------
+
+/// One job's checks: every index of [0, count) exactly once, every worker
+/// index below size(), and never two chunks at once under one index.
+struct JobProbe {
+  JobProbe(std::size_t count, std::size_t workers) : hits(count), busy(workers) {}
+
+  ThreadPool::RangeFn body(const ThreadPool& pool) {
+    return [this, &pool](std::size_t worker, std::size_t begin, std::size_t end) {
+      ASSERT_LT(worker, pool.size());
+      EXPECT_EQ(busy[worker].fetch_add(1), 0) << "worker " << worker << " ran two chunks at once";
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      std::this_thread::yield();  // widen the window another chunk could overlap
+      busy[worker].fetch_sub(1);
+    };
+  }
+
+  bool covered_once() const {
+    for (const std::atomic<int>& hit : hits) {
+      if (hit.load() != 1) return false;
+    }
+    return true;
+  }
+
+  std::vector<std::atomic<int>> hits;
+  std::vector<std::atomic<int>> busy;
+};
+
+/// Runs caller(c) on `callers` threads released together.
+template <class Caller>
+void run_callers(std::size_t callers, const Caller& caller) {
+  std::latch start(static_cast<std::ptrdiff_t>(callers));
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      caller(c);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(ThreadPool, ConcurrentJobsFromManyThreadsEachCoverTheirRange) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> failures{0};
+  run_callers(4, [&](std::size_t c) {
+    for (std::size_t job = 0; job < 200; ++job) {
+      const std::size_t count = 17 + (job * 7 + c * 13) % 90;
+      JobProbe probe(count, pool.size());
+      pool.for_range(count, 1 + job % 4, probe.body(pool));
+      if (!probe.covered_once()) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0u);
+}
+
+TEST(ThreadPool, ThrowingJobDoesNotLeakIntoAConcurrentJob) {
+  ThreadPool pool(3);
+  for (std::size_t round = 0; round < 50; ++round) {
+    std::atomic<int> thrown{0};
+    std::atomic<int> completed{0};
+    run_callers(2, [&](std::size_t c) {
+      if (c == 0) {
+        try {
+          pool.for_range(64, 1, [](std::size_t, std::size_t begin, std::size_t) {
+            if (begin == 20) throw std::runtime_error("boom");
+            std::this_thread::yield();
+          });
+        } catch (const std::runtime_error&) {
+          thrown.fetch_add(1);
+        }
+      } else {
+        JobProbe probe(64, pool.size());
+        try {
+          pool.for_range(64, 1, probe.body(pool));
+          if (probe.covered_once()) completed.fetch_add(1);
+        } catch (...) {
+          ADD_FAILURE() << "an exception leaked into the concurrent job";
+        }
+      }
+    });
+    EXPECT_EQ(thrown.load(), 1) << "round " << round;
+    EXPECT_EQ(completed.load(), 1) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, SizeOnePoolRunsConcurrentCallsInline) {
+  ThreadPool pool(1);
+  std::atomic<std::size_t> failures{0};
+  run_callers(4, [&](std::size_t c) {
+    for (std::size_t job = 0; job < 50; ++job) {
+      JobProbe probe(40 + c, 1);
+      pool.for_range(40 + c, 3, probe.body(pool));
+      if (!probe.covered_once()) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0u);
 }
 
 }  // namespace
