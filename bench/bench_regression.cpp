@@ -566,8 +566,8 @@ MessageParallelThroughput bench_message_parallel(std::size_t n, std::size_t roun
 }
 
 // ------------------------------------------------------------------------
-// Message-arena word paths: the library arena (memcpy push, ctz bitmask
-// drain) against a frozen replica of the pre-SIMD code (per-word copy
+// Message-arena word paths: the library arena (inline store + bind, ctz
+// bitmask drain) against a frozen replica of the pre-SIMD code (per-word copy
 // loops, per-arc presence tests). Deliberately kept faithful to the old
 // cost profile - do not modernise.
 // ------------------------------------------------------------------------
@@ -655,7 +655,8 @@ ArenaWordNumbers bench_arena_words(bool smoke) {
     for (std::size_t round = 0; round < rounds; ++round) {
       arena.begin_round();
       for (const std::size_t arc : send_arcs) {
-        if (!arena.push(arc, payload_of(arc))) std::abort();
+        const auto words = payload_of(arc);
+        if (!arena.bind(arc, arena.store(words), kPayloadWords)) std::abort();
       }
       arena.for_each_present(0, kArcs, [&](std::size_t arc) {
         for (const std::uint64_t w : arena.payload(arc)) arena_checksum += w;

@@ -2,9 +2,11 @@
 
 #include <array>
 #include <optional>
+#include <span>
+#include <stdexcept>
 
 #include "algo/colour_reduction.hpp"
-#include "local/wire.hpp"
+#include "local/message.hpp"
 #include "support/assert.hpp"
 
 namespace avglocal::algo {
@@ -21,22 +23,18 @@ struct NodeState {
 };
 
 /// The wire form of a NodeState: five words, sent from the stack.
-using StateWords = std::array<std::uint64_t, 5>;
+constexpr std::size_t kStateWords = 5;
+using StateWords = std::array<std::uint64_t, kStateWords>;
 
 StateWords encode(const NodeState& s) {
   return {s.id, s.colour, std::uint64_t{s.frozen}, std::uint64_t{s.candidate},
           std::uint64_t{s.sixfinal}};
 }
 
+/// Reads a StateWords payload in place: one length check, no decoder.
 NodeState decode(std::span<const std::uint64_t> payload) {
-  local::Decoder d(payload);
-  NodeState s;
-  s.id = d.u64();
-  s.colour = d.u64();
-  s.frozen = d.flag();
-  s.candidate = d.flag();
-  s.sixfinal = d.flag();
-  return s;
+  if (payload.size() < kStateWords) throw std::out_of_range("wire: truncated payload");
+  return NodeState{payload[0], payload[1], payload[2] != 0, payload[3] != 0, payload[4] != 0};
 }
 
 /// Smallest colour in [0, limit) different from both exclusions.
@@ -59,13 +57,13 @@ class LocalThreeColouring final : public local::Algorithm {
   }
 
   void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
-    std::array<std::optional<NodeState>, 2> received;
-    for (const local::Message& msg : inbox) {
-      received[msg.from_port] = decode(msg.payload);
-    }
-    AVGLOCAL_REQUIRE_MSG(received[0] && received[1], "ring colouring expects both neighbours");
-    const NodeState succ = *received[0];
-    const NodeState pred = *received[1];
+    // One message per port, so two messages on a degree-2 node are one
+    // from each neighbour.
+    AVGLOCAL_REQUIRE_MSG(inbox.size() == 2, "ring colouring expects both neighbours");
+    std::array<NodeState, 2> received;
+    for (const local::Message& msg : inbox) received[msg.from_port] = decode(msg.payload);
+    const NodeState& succ = received[0];
+    const NodeState& pred = received[1];
 
     const std::size_t phase = ctx.round() % 3;
     if (phase == 1) {

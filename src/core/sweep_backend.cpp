@@ -111,7 +111,11 @@ SweepMemoryModel MessageBackend::memory_model(const graph::Graph& g) const noexc
   model.bytes_per_trial = n * (8 + 4);
   // Per lane: the CSR tables, edge list, per-node contexts and the two
   // ping-pong arenas (8-byte slot + presence bit per arc each, plus
-  // payload words at one word per arc as the steady-state floor).
+  // payload words at one word per arc as the steady-state floor). A
+  // broadcast stores its words once for all its ports, so for
+  // broadcast-only algorithms (local3, cv3-msg, greedy-msg) the payload
+  // floor overstates the buffer by up to the degree; the charge stays,
+  // since unicast relays (largest-id-msg) do store a word per arc.
   model.fixed_bytes = g.memory_bytes() + 8 * (arcs / 2) + 48 * n + 2 * (17 * arcs / 2);
   return model;
 }

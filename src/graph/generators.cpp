@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -219,32 +220,39 @@ Graph make_random_regular(std::size_t n, std::size_t d, support::Xoshiro256& rng
                           int max_attempts) {
   AVGLOCAL_EXPECTS(d >= 1 && d < n);
   AVGLOCAL_EXPECTS_MSG((n * d) % 2 == 0, "n*d must be even for a d-regular graph");
+  // Per-vertex neighbour slots, reused across attempts: vertex v's
+  // partners so far are slots[v*d, v*d + filled[v]). A multi-edge shows as
+  // a repeat in a scan of at most d slots, so only the accepted sample is
+  // sorted; the rng stream, the accept/reject decisions and the CSR are
+  // those of sorting every sample's edge list.
+  std::vector<Vertex> stubs(n * d);
+  std::vector<Vertex> slots(n * d);
+  std::vector<std::size_t> filled(n);
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     // Configuration model: pair up d stubs per vertex uniformly at random.
-    std::vector<Vertex> stubs;
-    stubs.reserve(n * d);
-    for (Vertex v = 0; v < n; ++v) {
-      for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
-    }
+    auto stub = stubs.begin();
+    for (Vertex v = 0; v < n; ++v) stub = std::fill_n(stub, d, v);
     support::shuffle(stubs, rng);
+    std::fill(filled.begin(), filled.end(), 0);
     bool simple = true;
-    std::vector<std::pair<Vertex, Vertex>> edges;
-    edges.reserve(stubs.size() / 2);
-    for (std::size_t i = 0; i < stubs.size(); i += 2) {
-      Vertex u = stubs[i], v = stubs[i + 1];
-      if (u == v) {
-        simple = false;
-        break;
-      }
-      if (u > v) std::swap(u, v);
-      edges.emplace_back(u, v);
+    for (std::size_t i = 0; i < stubs.size() && simple; i += 2) {
+      const Vertex u = stubs[i], v = stubs[i + 1];
+      const std::span<const Vertex> seen(slots.data() + u * d, filled[u]);
+      simple = u != v && std::find(seen.begin(), seen.end(), v) == seen.end();
+      slots[u * d + filled[u]++] = v;
+      slots[v * d + filled[v]++] = u;
     }
     if (!simple) continue;
-    std::sort(edges.begin(), edges.end());
-    if (std::adjacent_find(edges.begin(), edges.end()) != edges.end()) continue;
+    // Sorted rows list every edge (u, v), u < v, in lexicographic order.
     GraphBuilder b(n);
     b.reserve_arcs(n * d);
-    for (const auto& [u, v] : edges) b.add_edge(u, v);
+    for (Vertex u = 0; u < n; ++u) {
+      const std::span<Vertex> row(slots.data() + u * d, d);
+      std::sort(row.begin(), row.end());
+      for (const Vertex v : row) {
+        if (u < v) b.add_edge(u, v);
+      }
+    }
     Graph g = b.build();
     if (is_connected(g)) return g;
   }

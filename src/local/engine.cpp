@@ -42,7 +42,7 @@ class Engine {
     }
     // mirror_arc_[arc(v, q)] = arc(u, mirror_port(v, q)): the receiver-side
     // arc of a send from v on port q, resolved once via the graph's O(1)
-    // table. Sends push straight to this slot, so each round's delivery at
+    // table. Sends bind straight to this slot, so each round's delivery at
     // a vertex is a wide bitmask scan over its own contiguous arc window -
     // no indirection per arc on the read side. 32 bits per entry (the
     // builder rejects graphs over 2^32 arcs).
@@ -171,7 +171,7 @@ class Engine {
 
  private:
   // Per-round message/word totals come straight from the delivering arena:
-  // the mirror mapping is a bijection on arcs, so every pushed message is
+  // the mirror mapping is a bijection on arcs, so every bound message is
   // delivered exactly once during the round. (Round 0 delivers nothing and
   // reads the freshly attached, empty arena.)
   void record_round(std::size_t round, std::size_t outputs_set) {

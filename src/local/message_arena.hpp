@@ -4,17 +4,25 @@
 // the round-k sends into one while the engine delivers the round-(k-1)
 // sends from the other. A slot exists per directed arc of the graph (CSR
 // arc index = Graph::arc_index(v, port)); presence is a bitmask, payload
-// words live back-to-back in a single buffer. begin_round() resets cursors
-// without releasing capacity, so after a warm-up phase in which the buffers
-// grow to the round high-water mark, rounds perform zero heap allocations.
+// words live back-to-back in a single buffer. A message is two steps:
+// store() appends its words once and returns their offset, bind() points an
+// arc's slot at them. A broadcast stores once and binds every port, so
+// slots may share words; receivers only read them. begin_round() resets
+// cursors without releasing capacity, so after a warm-up phase in which the
+// buffers grow to the round high-water mark, rounds perform zero heap
+// allocations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "support/annotations.hpp"
+#include "support/assert.hpp"
+#include "support/narrow.hpp"
 #include "support/simd.hpp"
 
 namespace avglocal::local {
@@ -27,9 +35,37 @@ class MessageArena {
   /// Forgets all messages; keeps capacity. O(arc_count / 64).
   void begin_round() noexcept;
 
-  /// Stores a payload in `arc`'s slot; false if the slot is already taken
-  /// this round (one message per port per round).
-  bool push(std::size_t arc, std::span<const std::uint64_t> words);
+  /// Appends `words` to this round's payload buffer and returns their
+  /// offset; no slot refers to them until bind(). Slot offsets and lengths
+  /// are 32 bits, so a payload and a whole round's buffer are each capped at
+  /// 2^32 words (mirroring the 2^32-arc guard of GraphBuilder::build); a
+  /// payload over either cap throws and stores nothing.
+  std::uint32_t store(std::span<const std::uint64_t> words) {
+    AVGLOCAL_EXPECTS_MSG(words.size() <= std::numeric_limits<std::uint32_t>::max(),
+                         "payload exceeds 2^32 words");
+    const std::size_t needed = used_words_ + words.size();
+    AVGLOCAL_EXPECTS_MSG(needed <= std::numeric_limits<std::uint32_t>::max(),
+                         "round payload exceeds 2^32 words");
+    if (needed > words_.size()) [[unlikely]] grow(needed);
+    std::copy(words.begin(), words.end(), words_.data() + used_words_);
+    const std::uint32_t offset = support::checked_u32(used_words_);
+    used_words_ = needed;
+    return offset;
+  }
+
+  /// Puts the `length` words stored at `offset` in `arc`'s slot; false, and
+  /// nothing changes, if the slot is already taken this round (one message
+  /// per port per round). Any number of slots may bind the same words.
+  AVGLOCAL_HOT bool bind(std::size_t arc, std::uint32_t offset, std::uint32_t length) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (arc & 63);
+    std::uint64_t& mask = present_[arc >> 6];
+    if (mask & bit) return false;
+    mask |= bit;
+    slots_[arc] = Slot{offset, length};
+    ++messages_;
+    bound_words_ += length;
+    return true;
+  }
 
   AVGLOCAL_HOT bool has(std::size_t arc) const noexcept {
     return (present_[arc >> 6] >> (arc & 63)) & 1u;
@@ -52,18 +88,27 @@ class MessageArena {
     support::simd::for_each_set_bit(present_.data(), arc_begin, arc_end, std::forward<Fn>(fn));
   }
 
-  /// Messages pushed since begin_round.
+  /// Messages bound since begin_round.
   std::size_t message_count() const noexcept { return messages_; }
 
-  /// Total payload words pushed since begin_round.
-  std::size_t word_count() const noexcept { return used_words_; }
+  /// Payload words of every message bound since begin_round, counted per
+  /// message: a broadcast to d ports counts its words d times.
+  std::size_t word_count() const noexcept { return bound_words_; }
+
+  /// Words stored since begin_round: the write cursor of the payload
+  /// buffer. A broadcast's words are stored once.
+  std::size_t stored_word_count() const noexcept { return used_words_; }
 
  private:
+  // Geometric growth of the payload buffer; out of line, since it runs
+  // only while warming up.
+  void grow(std::size_t needed);
+
   // 8-byte slots (was 16 with a size_t offset): the slot table is touched
   // once per send and once per delivery, so at 2m slots per arena the
   // narrow offset halves the table's cache traffic. A round's payload
-  // arena is capped at 2^32 words by push() - 32 GiB of payload per
-  // round - mirroring the 2^32-arc cap of GraphBuilder::build.
+  // buffer is capped at 2^32 words by store() - 32 GiB of payload per
+  // round.
   struct Slot {
     std::uint32_t offset = 0;
     std::uint32_t length = 0;
@@ -72,7 +117,8 @@ class MessageArena {
   std::vector<std::uint64_t> words_;    // payload arena, first used_words_ live
   std::vector<Slot> slots_;             // per arc, valid where present
   std::vector<std::uint64_t> present_;  // bitmask, one bit per arc
-  std::size_t used_words_ = 0;
+  std::size_t used_words_ = 0;    // store() cursor
+  std::size_t bound_words_ = 0;   // words of bound messages, per message
   std::size_t messages_ = 0;
 };
 

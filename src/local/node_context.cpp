@@ -2,24 +2,9 @@
 
 #include <stdexcept>
 
-#include "support/assert.hpp"
-
 namespace avglocal::local {
 
-void NodeContext::send(std::size_t port, std::span<const std::uint64_t> payload) {
-  if (port >= degree_) throw std::invalid_argument("send: port out of range");
-  AVGLOCAL_ASSERT(outgoing_ != nullptr && *outgoing_ != nullptr && mirror_arcs_ != nullptr);
-  // Receiver-side slot: port q's payload lands at the mirror arc, so the
-  // receiving node drains one contiguous arc window. The mirror mapping is
-  // a bijection on arcs, so the one-message-per-port rule is unchanged.
-  if (!(*outgoing_)->push(mirror_arcs_[port], payload)) {
-    throw std::invalid_argument("send: one message per port per round");
-  }
-}
-
-void NodeContext::broadcast(std::span<const std::uint64_t> payload) {
-  for (std::size_t port = 0; port < degree_; ++port) send(port, payload);
-}
+void NodeContext::reject(const char* what) { throw std::invalid_argument(what); }
 
 void NodeContext::output(std::int64_t value) {
   if (output_.has_value()) throw std::logic_error("output: node already output");

@@ -7,6 +7,7 @@
 
 #include "local/message.hpp"
 #include "local/message_arena.hpp"
+#include "support/narrow.hpp"
 
 namespace avglocal::local {
 
@@ -19,7 +20,9 @@ class Engine;
 ///
 /// Sends are written straight into the engine's flat message arena (no
 /// per-node outbox buffers): an algorithm that assembles its payloads in
-/// reused storage sends without any heap allocation.
+/// reused storage sends without any heap allocation. send() and
+/// broadcast() are inline: they run once per node per round, and a
+/// broadcast stores its words once however many ports it reaches.
 class NodeContext {
  public:
   /// This node's identifier.
@@ -37,11 +40,35 @@ class NodeContext {
   /// Queues a message on `port` for delivery next round; the words are
   /// copied immediately, so the span may point at caller-owned scratch. At
   /// most one message per port per round; violations throw
-  /// std::invalid_argument.
-  void send(std::size_t port, std::span<const std::uint64_t> payload);
+  /// std::invalid_argument and queue nothing.
+  void send(std::size_t port, std::span<const std::uint64_t> payload) {
+    if (port >= degree_) reject("send: port out of range");
+    MessageArena& out = **outgoing_;
+    // Receiver-side slot: port q's payload lands at the mirror arc, so the
+    // receiving node drains one contiguous arc window. The mirror mapping
+    // is a bijection on arcs, so the one-message-per-port rule is
+    // unchanged.
+    const std::size_t arc = mirror_arcs_[port];
+    if (out.has(arc)) reject(kPortTaken);
+    // The slot is free, so bind cannot fail.
+    const std::uint32_t offset = out.store(payload);
+    out.bind(arc, offset, support::checked_u32(payload.size()));
+  }
 
-  /// Queues the same payload on every port.
-  void broadcast(std::span<const std::uint64_t> payload);
+  /// Queues the same payload on every port. The words are stored once and
+  /// every port's slot binds them. If any port already holds a message this
+  /// round, throws std::invalid_argument and queues nothing.
+  void broadcast(std::span<const std::uint64_t> payload) {
+    if (degree_ == 0) return;
+    MessageArena& out = **outgoing_;
+    for (std::size_t port = 0; port < degree_; ++port) {
+      if (out.has(mirror_arcs_[port])) reject(kPortTaken);
+    }
+    // Every slot is free, so no bind can fail.
+    const std::uint32_t offset = out.store(payload);
+    const std::uint32_t length = support::checked_u32(payload.size());
+    for (std::size_t port = 0; port < degree_; ++port) out.bind(mirror_arcs_[port], offset, length);
+  }
 
   /// Commits this node's output at the current round. A node outputs exactly
   /// once; a second call throws std::logic_error. Per the unknown-n variant
@@ -59,6 +86,12 @@ class NodeContext {
  private:
   friend class Engine;
 
+  static constexpr const char* kPortTaken = "send: one message per port per round";
+
+  /// Throws std::invalid_argument(what); out of line so the inline send
+  /// paths stay small.
+  [[noreturn]] static void reject(const char* what);
+
   std::uint64_t id_ = 0;
   std::optional<std::size_t> n_;
   std::size_t round_ = 0;
@@ -69,7 +102,7 @@ class NodeContext {
   std::size_t arc_base_ = 0;  ///< Graph::arc_index(v, 0) of this node.
   /// Engine-owned mirror-arc table at this node's arc base:
   /// mirror_arcs_[q] is the receiver-side arc of a send on port q. Sends
-  /// push straight to the receiver's slot, so each round's delivery is a
+  /// bind straight to the receiver's slot, so each round's delivery is a
   /// wide bitmask scan over the receiver's contiguous arc window.
   const std::uint32_t* mirror_arcs_ = nullptr;
   std::optional<std::int64_t> output_;

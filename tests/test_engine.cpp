@@ -3,11 +3,19 @@
 // engine under flooding semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "algo/largest_id.hpp"
+#include "algo/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
 #include "local/full_info.hpp"
+#include "local/message_arena.hpp"
 #include "local/view_engine.hpp"
 #include "local/wire.hpp"
 #include "support/rng.hpp"
@@ -172,6 +180,189 @@ TEST(Engine, TraceRecordsRounds) {
   std::size_t total_outputs = 0;
   for (const auto& r : trace.rounds()) total_outputs += r.outputs_set;
   EXPECT_EQ(total_outputs, 5u);
+}
+
+// ---- message arena: stored once, bound many times --------------------------
+
+TEST(MessageArena, OneStoreBoundToThreeArcsAliases) {
+  local::MessageArena arena;
+  arena.attach(8);
+  const std::array<std::uint64_t, 4> words{3, 1, 4, 1};
+  const std::uint32_t offset = arena.store(words);
+  for (const std::size_t arc : {1u, 5u, 6u}) EXPECT_TRUE(arena.bind(arc, offset, 4));
+  EXPECT_EQ(arena.message_count(), 3u);
+  EXPECT_EQ(arena.word_count(), 3u * words.size());
+  EXPECT_EQ(arena.stored_word_count(), words.size());
+  for (const std::size_t arc : {1u, 5u, 6u}) {
+    const auto payload = arena.payload(arc);
+    EXPECT_EQ(payload.data(), arena.payload(1).data()) << "arc " << arc;
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), words.begin(), words.end()));
+  }
+  EXPECT_FALSE(arena.has(0));
+}
+
+TEST(MessageArena, RejectedBindChangesNothing) {
+  local::MessageArena arena;
+  arena.attach(4);
+  const std::array<std::uint64_t, 2> words{8, 9};
+  const std::uint32_t offset = arena.store(words);
+  ASSERT_TRUE(arena.bind(2, offset, 2));
+  EXPECT_FALSE(arena.bind(2, offset, 2));
+  EXPECT_FALSE(arena.bind(2, 0, 0));
+  EXPECT_EQ(arena.message_count(), 1u);
+  EXPECT_EQ(arena.word_count(), 2u);
+  EXPECT_EQ(arena.stored_word_count(), 2u);
+  ASSERT_EQ(arena.payload(2).size(), 2u);
+  EXPECT_EQ(arena.payload(2)[1], 9u);
+}
+
+/// What the neighbours of vertex 0 heard in round 1: the first word and the
+/// address of each payload, by receiving vertex.
+struct Heard {
+  std::array<std::uint64_t, 3> word{};
+  std::array<const std::uint64_t*, 3> data{};
+  std::array<std::size_t, 3> count{};
+};
+
+/// Vertex 0 of a 3-cycle queues {10} on `first_port`, then tries a second
+/// send on that port and a broadcast (both must throw the port-taken
+/// error), then queues {13} on the other port. Every vertex outputs in
+/// round 1 after logging what it received.
+class RejectedSends final : public local::Algorithm {
+ public:
+  RejectedSends(std::size_t first_port, Heard* heard) : first_port_(first_port), heard_(heard) {}
+
+  void on_start(NodeContext& ctx) override {
+    if (ctx.id() != 1) return;
+    const std::array<std::uint64_t, 1> first{10};
+    const std::array<std::uint64_t, 2> second{11, 11};
+    const std::array<std::uint64_t, 3> all{12, 12, 12};
+    const std::array<std::uint64_t, 1> last{13};
+    ctx.send(first_port_, first);
+    expect_port_taken([&] { ctx.send(first_port_, second); });
+    expect_port_taken([&] { ctx.broadcast(all); });
+    ctx.send(1 - first_port_, last);
+  }
+
+  void on_round(NodeContext& ctx, std::span<const Message> inbox) override {
+    const std::size_t v = ctx.id() - 1;
+    heard_->count[v] = inbox.size();
+    for (const Message& msg : inbox) {
+      heard_->word[v] = msg.payload[0];
+      heard_->data[v] = msg.payload.data();
+    }
+    ctx.output(0);
+  }
+
+ private:
+  template <typename Fn>
+  static void expect_port_taken(Fn&& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << "expected the port-taken rejection";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "send: one message per port per round");
+    }
+  }
+
+  std::size_t first_port_;
+  Heard* heard_;
+};
+
+TEST(Engine, RejectedSendOrBroadcastLeavesTheArenaUnchanged) {
+  const auto g = graph::make_cycle(3);
+  const auto ids = graph::IdAssignment::identity(3);
+  // Port 0 of vertex 0 leads to vertex 1, port 1 to vertex 2. Taking port
+  // 0 first is the broadcast-after-send-on-port-0 case; taking port 1 first
+  // checks that the broadcast bound nothing on port 0 before it threw.
+  for (const std::size_t first_port : {0u, 1u}) {
+    Heard heard;
+    local::Trace trace;
+    local::EngineOptions options;
+    options.trace = &trace;
+    const auto run = local::run_messages(
+        g, ids, [&] { return std::make_unique<RejectedSends>(first_port, &heard); }, options);
+    EXPECT_EQ(run.messages, 2u);
+    EXPECT_EQ(run.words, 2u);
+    ASSERT_EQ(trace.rounds().size(), 2u);
+    EXPECT_EQ(trace.rounds()[1].messages, 2u);
+    EXPECT_EQ(trace.rounds()[1].words, 2u);
+    const std::size_t first = first_port == 0 ? 1 : 2;
+    const std::size_t last = 3 - first;
+    EXPECT_EQ(heard.count[0], 0u);
+    EXPECT_EQ(heard.count[first], 1u);
+    EXPECT_EQ(heard.count[last], 1u);
+    EXPECT_EQ(heard.word[first], 10u);
+    EXPECT_EQ(heard.word[last], 13u);
+    // The word cursor did not move for the rejected calls: {13} was stored
+    // right after {10}.
+    EXPECT_EQ(heard.data[last], heard.data[first] + 1) << "first port " << first_port;
+  }
+}
+
+// ---- message counters ----------------------------------------------------
+
+/// Per-round trace of one registered message algorithm on a fixed graph and
+/// id assignment. `words` counts the words of every delivered message,
+/// however the arena shares their storage, so these values do not depend
+/// on how a broadcast is stored.
+struct CounterCase {
+  const char* algorithm;
+  const char* graph;  // "cycle" or "regular4"
+  std::size_t n;
+  std::uint64_t seed;
+  std::uint64_t messages;
+  std::uint64_t words;
+  std::vector<std::uint64_t> round_messages;
+  std::vector<std::uint64_t> round_words;
+  std::vector<std::size_t> round_outputs;
+};
+
+TEST(Engine, RegisteredMessageAlgorithmCountersArePinned) {
+  const std::vector<CounterCase> cases = {
+      {"largest-id-msg", "cycle", 16, 11, 256, 256,
+       {0, 32, 32, 32, 32, 32, 32, 32, 32},
+       {0, 32, 32, 32, 32, 32, 32, 32, 32},
+       {0, 11, 2, 2, 0, 0, 0, 0, 1}},
+      {"local3", "cycle", 16, 12, 448, 2240,
+       {0, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32},
+       {0, 160, 160, 160, 160, 160, 160, 160, 160, 160, 160, 160, 160, 160, 160},
+       {0, 0, 0, 0, 6, 0, 0, 3, 2, 0, 0, 3, 0, 0, 2}},
+      {"cv3-msg", "cycle", 16, 13, 192, 192,
+       {0, 32, 32, 32, 32, 32, 32},
+       {0, 32, 32, 32, 32, 32, 32},
+       {0, 0, 0, 0, 0, 0, 16}},
+      {"greedy-msg", "regular4", 16, 14, 384, 1152,
+       {0, 64, 64, 64, 64, 64, 64},
+       {0, 192, 192, 192, 192, 192, 192},
+       {0, 3, 4, 3, 2, 2, 2}},
+  };
+  for (const CounterCase& c : cases) {
+    support::Xoshiro256 rng(c.seed);
+    const graph::Graph g = std::string(c.graph) == "cycle"
+                               ? graph::make_cycle(c.n)
+                               : graph::make_random_regular(c.n, 4, rng);
+    const auto ids = graph::IdAssignment::random(c.n, rng);
+    const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(c.algorithm);
+    local::Trace trace;
+    local::EngineOptions options;
+    options.knowledge = info.knowledge;
+    options.trace = &trace;
+    const auto run = local::run_messages(g, ids, info.messages(c.n), options);
+    std::vector<std::uint64_t> round_messages;
+    std::vector<std::uint64_t> round_words;
+    std::vector<std::size_t> round_outputs;
+    for (const local::RoundStats& r : trace.rounds()) {
+      round_messages.push_back(r.messages);
+      round_words.push_back(r.words);
+      round_outputs.push_back(r.outputs_set);
+    }
+    EXPECT_EQ(run.messages, c.messages) << c.algorithm;
+    EXPECT_EQ(run.words, c.words) << c.algorithm;
+    EXPECT_EQ(round_messages, c.round_messages) << c.algorithm;
+    EXPECT_EQ(round_words, c.round_words) << c.algorithm;
+    EXPECT_EQ(round_outputs, c.round_outputs) << c.algorithm;
+  }
 }
 
 // ---- full-information adapter ---------------------------------------------

@@ -286,12 +286,18 @@ TEST(IdAssignmentAlloc, RefillAllocatesNothing) {
   expect_stream(batch, 3);
 }
 
-TEST(MessageArena, PushHasPayloadRoundTrip) {
+/// One unicast message: store the words, then bind them to `arc`.
+bool send_to(local::MessageArena& arena, std::size_t arc, std::span<const std::uint64_t> words) {
+  if (arena.has(arc)) return false;
+  return arena.bind(arc, arena.store(words), support::checked_u32(words.size()));
+}
+
+TEST(MessageArena, StoreBindHasPayloadRoundTrip) {
   local::MessageArena arena;
   arena.attach(10);
   const std::array<std::uint64_t, 3> words{7, 8, 9};
   EXPECT_FALSE(arena.has(4));
-  EXPECT_TRUE(arena.push(4, words));
+  EXPECT_TRUE(send_to(arena, 4, words));
   EXPECT_TRUE(arena.has(4));
   const auto payload = arena.payload(4);
   ASSERT_EQ(payload.size(), 3u);
@@ -301,12 +307,13 @@ TEST(MessageArena, PushHasPayloadRoundTrip) {
   EXPECT_EQ(arena.word_count(), 3u);
 }
 
-TEST(MessageArena, SecondPushOnSameArcIsRejected) {
+TEST(MessageArena, SecondBindOnSameArcIsRejected) {
   local::MessageArena arena;
   arena.attach(4);
   const std::array<std::uint64_t, 1> words{1};
-  EXPECT_TRUE(arena.push(2, words));
-  EXPECT_FALSE(arena.push(2, words)) << "one message per arc per round";
+  const std::uint32_t offset = arena.store(words);
+  EXPECT_TRUE(arena.bind(2, offset, 1));
+  EXPECT_FALSE(arena.bind(2, offset, 1)) << "one message per arc per round";
   EXPECT_EQ(arena.message_count(), 1u);
 }
 
@@ -314,20 +321,21 @@ TEST(MessageArena, BeginRoundForgetsMessagesAndKeepsGoing) {
   local::MessageArena arena;
   arena.attach(128);
   const std::array<std::uint64_t, 2> words{5, 6};
-  for (std::size_t arc = 0; arc < 128; ++arc) EXPECT_TRUE(arena.push(arc, words));
+  for (std::size_t arc = 0; arc < 128; ++arc) EXPECT_TRUE(send_to(arena, arc, words));
   arena.begin_round();
   EXPECT_EQ(arena.message_count(), 0u);
   EXPECT_EQ(arena.word_count(), 0u);
+  EXPECT_EQ(arena.stored_word_count(), 0u);
   for (std::size_t arc = 0; arc < 128; ++arc) {
     EXPECT_FALSE(arena.has(arc));
-    EXPECT_TRUE(arena.push(arc, words));
+    EXPECT_TRUE(send_to(arena, arc, words));
   }
 }
 
 TEST(MessageArena, EmptyPayloadIsAMessage) {
   local::MessageArena arena;
   arena.attach(2);
-  EXPECT_TRUE(arena.push(1, {}));
+  EXPECT_TRUE(send_to(arena, 1, {}));
   EXPECT_TRUE(arena.has(1));
   EXPECT_EQ(arena.payload(1).size(), 0u);
   EXPECT_EQ(arena.message_count(), 1u);

@@ -39,6 +39,8 @@ const GoldenCase kCases[] = {
     {"view-cv3-cycle.json", "cv3", "cycle", 12},
     {"view-mis-cycle.json", "mis", "cycle", 24},
     {"view-greedy-torus.json", "greedy", "torus", 16},
+    {"message-greedy-gnp.json", "greedy-msg", "gnp", 12},
+    {"message-cv3-cycle.json", "cv3-msg", "cycle", 12},
 };
 
 /// One deterministic full-plan shard artefact per case; every knob pinned

@@ -1,6 +1,7 @@
 // Unit tests for the graph library: builders, generators, balls, IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -135,6 +136,63 @@ TEST(Generators, RandomRegular) {
   EXPECT_EQ(min_degree(g), 3u);
   EXPECT_EQ(max_degree(g), 3u);
   EXPECT_THROW(make_random_regular(5, 3, rng), std::invalid_argument);  // odd n*d
+}
+
+/// The configuration-model sampler as it was first written: it sorts the
+/// edge list of every self-loop-free sample to find multi-edges. Kept as
+/// the reference that make_random_regular's duplicate scan must match.
+Graph random_regular_by_sorting(std::size_t n, std::size_t d, Xoshiro256& rng) {
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    std::vector<Vertex> stubs;
+    for (Vertex v = 0; v < n; ++v) {
+      for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
+    }
+    avglocal::support::shuffle(stubs, rng);
+    bool simple = true;
+    std::vector<std::pair<Vertex, Vertex>> edges;
+    for (std::size_t i = 0; i < stubs.size(); i += 2) {
+      Vertex u = stubs[i], v = stubs[i + 1];
+      if (u == v) {
+        simple = false;
+        break;
+      }
+      if (u > v) std::swap(u, v);
+      edges.emplace_back(u, v);
+    }
+    if (!simple) continue;
+    std::sort(edges.begin(), edges.end());
+    if (std::adjacent_find(edges.begin(), edges.end()) != edges.end()) continue;
+    GraphBuilder b(n);
+    for (const auto& [u, v] : edges) b.add_edge(u, v);
+    Graph g = b.build();
+    if (is_connected(g)) return g;
+  }
+  throw std::runtime_error("no sample");
+}
+
+TEST(Generators, RandomRegularMatchesSortingReference) {
+  for (const std::size_t d : {3u, 4u}) {
+    for (const std::size_t n : {8u, 24u, 100u, 1000u}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Xoshiro256 rng(seed);
+        Xoshiro256 reference_rng(seed);
+        const Graph g = make_random_regular(n, d, rng);
+        const Graph expected = random_regular_by_sorting(n, d, reference_rng);
+        ASSERT_EQ(g.vertex_count(), expected.vertex_count());
+        for (Vertex v = 0; v < n; ++v) {
+          const auto got = g.neighbours(v);
+          const auto want = expected.neighbours(v);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+              << "d=" << d << " n=" << n << " seed=" << seed << " vertex " << v;
+          for (std::size_t q = 0; q < g.degree(v); ++q) {
+            EXPECT_EQ(g.mirror_port(v, q), expected.mirror_port(v, q));
+          }
+        }
+        // Same accept/reject decisions: both consumed the same rng stream.
+        EXPECT_EQ(rng(), reference_rng()) << "d=" << d << " n=" << n << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Ids, RejectsDuplicates) {
