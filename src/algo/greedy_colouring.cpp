@@ -61,6 +61,11 @@ class GreedyColouringMessages final : public local::Algorithm {
     broadcast_state(ctx);
   }
 
+  /// colour_ is set once, together with the output, inside on_round's
+  /// `!ctx.has_output()` branch, and nothing else assigns it; so after
+  /// output every broadcast_state sends {id, 1, colour_}.
+  bool halts_after_output() const noexcept override { return true; }
+
   /// on_start re-assigns the per-port arrays and higher_ is per-round
   /// scratch; only the scalars persist.
   bool reset() noexcept override {

@@ -96,6 +96,19 @@ class LocalThreeColouring final : public local::Algorithm {
     ctx.broadcast(encode(current_state(ctx)));
   }
 
+  /// After output, the broadcast {id, colour_, frozen_, candidate_,
+  /// sixfinal_} is constant:
+  ///  - output needs sixfinal_ and colour_ < 3; sixfinal_ is only ever set
+  ///    (phase 1), and it needs self_snapshot_.frozen, and frozen_ is only
+  ///    ever set, so frozen_ is true too;
+  ///  - candidate_ is false: the phase-1 round that sets sixfinal_ needs
+  ///    !conflict, so it assigns candidate_ false, and every later phase 1
+  ///    reads a self_snapshot_ taken after it, with sixfinal true, and
+  ///    assigns false again;
+  ///  - colour_ stays: cv_reduce runs only while !frozen_, the repair move
+  ///    only while candidate_, and elimination only while colour_ >= 3.
+  bool halts_after_output() const noexcept override { return true; }
+
   bool reset() noexcept override {
     colour_ = 0;
     frozen_ = false;

@@ -1,8 +1,10 @@
 #include "core/sweep_backend.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "local/engine.hpp"
+#include "local/node_context.hpp"
 #include "local/view_engine.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
@@ -37,6 +39,18 @@ bool runs_sequential(const AlgorithmProvider& algorithms, std::size_t n) noexcep
     return probe != nullptr && probe->ids_only_view();
   } catch (...) {
     return false;
+  }
+}
+
+/// Whether the provider's message algorithms at size n halt after output,
+/// which makes the engine keep a standing store and node lists. A provider
+/// that throws is priced as halting, the larger charge.
+bool runs_halting(const MessageAlgorithmProvider& algorithms, std::size_t n) noexcept {
+  try {
+    const auto probe = algorithms(n)();
+    return probe == nullptr || probe->halts_after_output();
+  } catch (...) {
+    return true;
   }
 }
 
@@ -109,14 +123,24 @@ SweepMemoryModel MessageBackend::memory_model(const graph::Graph& g) const noexc
   // Message trials run one at a time through a lane's engine, so a
   // resident trial costs only its id buffer and radius-matrix row.
   model.bytes_per_trial = n * (8 + 4);
-  // Per lane: the CSR tables, edge list, per-node contexts and the two
-  // ping-pong arenas (8-byte slot + presence bit per arc each, plus
-  // payload words at one word per arc as the steady-state floor). A
-  // broadcast stores its words once for all its ports, so for
-  // broadcast-only algorithms (local3, cv3-msg, greedy-msg) the payload
-  // floor overstates the buffer by up to the degree; the charge stays,
-  // since unicast relays (largest-id-msg) do store a word per arc.
-  model.fixed_bytes = g.memory_bytes() + 8 * (arcs / 2) + 48 * n + 2 * (17 * arcs / 2);
+  // One arena: an 8-byte slot and a presence bit per arc, plus payload
+  // words at one word per arc as the steady-state floor. A broadcast
+  // stores its words once for all its ports, so for broadcast-only
+  // algorithms (local3, cv3-msg, greedy-msg) the floor can overstate the
+  // buffer by up to the degree; the charge stays, since unicast relays
+  // (largest-id-msg) do store a word per arc.
+  const std::size_t arena = 8 * arcs + 8 * ((arcs + 63) / 64) + 8 * arcs;
+  // Per lane: the CSR tables, the edge list (8 bytes per edge), a context
+  // and an algorithm pointer per node, the mirror-arc table (4 bytes per
+  // arc) and the two ping-pong arenas. An algorithm that halts after
+  // output adds the standing store, priced as a third arena (its words
+  // are each halted node's last sends, a broadcast's once), and the
+  // active and halted node lists (4 bytes per node each). Per-node
+  // algorithm state is not modelled.
+  const std::size_t per_node =
+      sizeof(local::NodeContext) + sizeof(std::unique_ptr<local::Algorithm>);
+  model.fixed_bytes = g.memory_bytes() + 8 * (arcs / 2) + per_node * n + 4 * arcs + 2 * arena;
+  if (runs_halting(algorithms_, n)) model.fixed_bytes += arena + 8 * n;
   return model;
 }
 

@@ -4,8 +4,13 @@
 // Processors sit at the vertices of a network, have distinct identifiers and
 // work in rounds: each round every processor sends messages to its direct
 // neighbours, receives theirs, and computes. In the unknown-n variant a node
-// may commit its output at any round yet continues to receive and relay. The
-// engine therefore keeps stepping *all* nodes until every node has output.
+// may commit its output at any round yet continues to receive and relay, so
+// the run lasts until every node has output. The engine steps a node after
+// its output only while its sends may still change: an algorithm whose
+// sends are constant from the output round on (halts_after_output) is
+// called Σ_v (r(v) + 1) times per run, the paper's node-averaged cost,
+// instead of n·(max_v r(v) + 1), and its halted nodes' last sends keep
+// being delivered every round.
 #pragma once
 
 #include <functional>
@@ -41,6 +46,18 @@ class Algorithm {
   /// instance instead. MessageBatchRunner calls this once per (node,
   /// assignment), so supporting it removes n allocations per trial.
   virtual bool reset() noexcept { return false; }
+
+  /// Returning true promises that the sends this node makes in its output
+  /// round - the round of its ctx.output() call, after which it may still
+  /// send - are exactly the sends it would make in every later round:
+  /// the same ports, the same words. The engine then stops calling the
+  /// node after its output round, delivers those sends again every later
+  /// round, and counts them as delivered messages, so outputs, radii,
+  /// RunResult counters and Trace stats equal those of a run that keeps
+  /// calling it. What the node would receive after output cannot change
+  /// its sends, so it is not handed over. The engine asks one instance
+  /// per engine; every instance a factory makes must answer alike.
+  virtual bool halts_after_output() const noexcept { return false; }
 };
 
 /// Creates one Algorithm instance per node.

@@ -10,7 +10,8 @@
 // slots may share words; receivers only read them. begin_round() resets
 // cursors without releasing capacity, so after a warm-up phase in which the
 // buffers grow to the round high-water mark, rounds perform zero heap
-// allocations.
+// allocations. The engine's standing store is a third arena that is not
+// cleared between rounds: it holds the constant sends of halted nodes.
 #pragma once
 
 #include <algorithm>
@@ -86,6 +87,17 @@ class MessageArena {
   template <typename Fn>
   AVGLOCAL_HOT void for_each_present(std::size_t arc_begin, std::size_t arc_end, Fn&& fn) const {
     support::simd::for_each_set_bit(present_.data(), arc_begin, arc_end, std::forward<Fn>(fn));
+  }
+
+  /// for_each_present over the arcs that hold a message here or in
+  /// `other`, an arena attached to the same arc count. The engine drains a
+  /// window this way while some halted node's sends stand in a second
+  /// arena: an arc holds a message in at most one of the two.
+  template <typename Fn>
+  AVGLOCAL_HOT void for_each_present_with(const MessageArena& other, std::size_t arc_begin,
+                                          std::size_t arc_end, Fn&& fn) const {
+    support::simd::for_each_set_bit_either(present_.data(), other.present_.data(), arc_begin,
+                                           arc_end, std::forward<Fn>(fn));
   }
 
   /// Messages bound since begin_round.

@@ -33,6 +33,11 @@ struct RunResult {
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
 
+  /// Message engine only: on_start and on_round calls made. n·(rounds + 1)
+  /// when every node is stepped to the end; Σ_v (r(v) + 1) when every node
+  /// halts after output (Algorithm::halts_after_output).
+  std::uint64_t node_steps = 0;
+
   /// max_v r(v) - the classic worst-case measure of this run.
   std::size_t max_radius() const noexcept;
 

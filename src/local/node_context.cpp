@@ -7,7 +7,7 @@ namespace avglocal::local {
 void NodeContext::reject(const char* what) { throw std::invalid_argument(what); }
 
 void NodeContext::output(std::int64_t value) {
-  if (output_.has_value()) throw std::logic_error("output: node already output");
+  if (has_output()) throw std::logic_error("output: node already output");
   output_ = value;
   output_round_ = round_;
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 
@@ -32,7 +33,10 @@ class NodeContext {
   std::size_t degree() const noexcept { return degree_; }
 
   /// Network size, engaged only in Knowledge::kKnowsN runs.
-  std::optional<std::size_t> n() const noexcept { return n_; }
+  std::optional<std::size_t> n() const noexcept {
+    if (n_ == kUnknownN) return std::nullopt;
+    return n_;
+  }
 
   /// Current round: 0 during on_start, k during the k-th on_round.
   std::size_t round() const noexcept { return round_; }
@@ -73,40 +77,57 @@ class NodeContext {
   /// Commits this node's output at the current round. A node outputs exactly
   /// once; a second call throws std::logic_error. Per the unknown-n variant
   /// of the model, the node keeps receiving rounds (to relay messages) after
-  /// outputting.
+  /// outputting, unless its algorithm halts after output
+  /// (Algorithm::halts_after_output): then the engine repeats the sends of
+  /// this round in its place.
   void output(std::int64_t value);
 
-  bool has_output() const noexcept { return output_.has_value(); }
+  bool has_output() const noexcept { return output_round_ != kNoOutput; }
 
-  std::int64_t output_value() const { return output_.value(); }
+  /// The committed value; throws std::bad_optional_access before output().
+  std::int64_t output_value() const {
+    if (!has_output()) throw std::bad_optional_access();
+    return output_;
+  }
 
   /// Round at which output() was called; only valid once has_output().
   std::size_t output_round() const { return output_round_; }
+
+  /// Rounds are 32 bits; the engine stops before the round counter would
+  /// reach this value, which marks "no output yet".
+  static constexpr std::uint32_t kNoOutput = std::numeric_limits<std::uint32_t>::max();
 
  private:
   friend class Engine;
 
   static constexpr const char* kPortTaken = "send: one message per port per round";
+  /// n_ of a kUnknownN run; no graph the engine runs has 0 vertices and a
+  /// node to ask.
+  static constexpr std::uint32_t kUnknownN = 0;
 
   /// Throws std::invalid_argument(what); out of line so the inline send
   /// paths stay small.
   [[noreturn]] static void reject(const char* what);
 
+  // 48 bytes: the engine walks one context per active node per round.
+  // Rounds, degree and n are 32 bits (graphs have at most 2^32 arcs), and
+  // sentinels stand in for the two optionals.
   std::uint64_t id_ = 0;
-  std::optional<std::size_t> n_;
-  std::size_t round_ = 0;
-  std::size_t degree_ = 0;
   /// Engine-owned view of "the arena collecting this round's sends"; the
   /// engine retargets the pointee when it flips its double buffer.
   MessageArena* const* outgoing_ = nullptr;
-  std::size_t arc_base_ = 0;  ///< Graph::arc_index(v, 0) of this node.
   /// Engine-owned mirror-arc table at this node's arc base:
   /// mirror_arcs_[q] is the receiver-side arc of a send on port q. Sends
   /// bind straight to the receiver's slot, so each round's delivery is a
   /// wide bitmask scan over the receiver's contiguous arc window.
   const std::uint32_t* mirror_arcs_ = nullptr;
-  std::optional<std::int64_t> output_;
-  std::size_t output_round_ = 0;
+  std::int64_t output_ = 0;  ///< valid once has_output()
+  std::uint32_t n_ = kUnknownN;
+  std::uint32_t round_ = 0;
+  std::uint32_t degree_ = 0;
+  std::uint32_t output_round_ = kNoOutput;
 };
+
+static_assert(sizeof(NodeContext) <= 48, "the engine walks one context per node per round");
 
 }  // namespace avglocal::local

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -362,6 +364,225 @@ TEST(Engine, RegisteredMessageAlgorithmCountersArePinned) {
     EXPECT_EQ(round_messages, c.round_messages) << c.algorithm;
     EXPECT_EQ(round_words, c.round_words) << c.algorithm;
     EXPECT_EQ(round_outputs, c.round_outputs) << c.algorithm;
+  }
+}
+
+// ---- halting after output --------------------------------------------------
+
+/// Sender id -> the payload it delivered first after its output round.
+struct HaltLog {
+  std::map<std::uint64_t, std::size_t> output_round;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> standing;
+  std::size_t checked = 0;
+};
+
+/// Forwards every call to a registered algorithm's instance but does not
+/// halt, so the engine calls it every round: the always-step reference for
+/// a halting algorithm. Every payload a node receives carries its sender's
+/// id in word 0; whatever a sender delivers after its output round must
+/// equal the first such payload.
+class AlwaysStep final : public local::Algorithm {
+ public:
+  AlwaysStep(std::unique_ptr<local::Algorithm> inner, HaltLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  void on_start(NodeContext& ctx) override {
+    inner_->on_start(ctx);
+    note_output(ctx);
+  }
+
+  void on_round(NodeContext& ctx, std::span<const Message> inbox) override {
+    for (const Message& msg : inbox) {
+      // Sent in round round() - 1, by a sender that had output by then.
+      const auto sender = log_->output_round.find(msg.payload[0]);
+      if (sender == log_->output_round.end() || sender->second + 1 > ctx.round()) continue;
+      const std::vector<std::uint64_t> words(msg.payload.begin(), msg.payload.end());
+      const auto [first, inserted] = log_->standing.try_emplace(msg.payload[0], words);
+      if (!inserted) {
+        EXPECT_EQ(words, first->second) << "sender " << msg.payload[0] << " round "
+                                        << ctx.round() << " changed its sends after output";
+      }
+      ++log_->checked;
+    }
+    inner_->on_round(ctx, inbox);
+    note_output(ctx);
+  }
+
+  bool reset() noexcept override { return inner_->reset(); }
+
+  bool halts_after_output() const noexcept override { return false; }
+
+ private:
+  void note_output(const NodeContext& ctx) {
+    if (ctx.has_output()) log_->output_round.try_emplace(ctx.id(), ctx.output_round());
+  }
+
+  std::unique_ptr<local::Algorithm> inner_;
+  HaltLog* log_;
+};
+
+std::vector<std::array<std::uint64_t, 4>> round_stats(const local::Trace& trace) {
+  std::vector<std::array<std::uint64_t, 4>> rows;
+  for (const local::RoundStats& r : trace.rounds()) {
+    rows.push_back({r.round, r.messages, r.words, r.outputs_set});
+  }
+  return rows;
+}
+
+/// Runs `algorithm` halting and always stepped on (g, ids) and requires
+/// the same run; returns the always-step run's log.
+HaltLog expect_halting_matches_always_step(const char* algorithm, const graph::Graph& g,
+                                           const graph::IdAssignment& ids) {
+  const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(algorithm);
+  const local::AlgorithmFactory factory = info.messages(g.vertex_count());
+  EXPECT_TRUE(factory()->halts_after_output()) << algorithm;
+  local::EngineOptions options;
+  options.knowledge = info.knowledge;
+
+  local::Trace halting_trace;
+  options.trace = &halting_trace;
+  const local::RunResult halting = local::run_messages(g, ids, factory, options);
+
+  HaltLog log;
+  local::Trace stepped_trace;
+  options.trace = &stepped_trace;
+  const local::RunResult stepped = local::run_messages(
+      g, ids, [&] { return std::make_unique<AlwaysStep>(factory(), &log); }, options);
+
+  const std::string where = std::string(algorithm) + " n=" + std::to_string(g.vertex_count());
+  EXPECT_EQ(halting.outputs, stepped.outputs) << where;
+  EXPECT_EQ(halting.radii, stepped.radii) << where;
+  EXPECT_EQ(halting.rounds, stepped.rounds) << where;
+  EXPECT_EQ(halting.messages, stepped.messages) << where;
+  EXPECT_EQ(halting.words, stepped.words) << where;
+  EXPECT_EQ(round_stats(halting_trace), round_stats(stepped_trace)) << where;
+  EXPECT_EQ(stepped.node_steps, g.vertex_count() * (stepped.rounds + 1)) << where;
+  EXPECT_LE(halting.node_steps, stepped.node_steps) << where;
+  return log;
+}
+
+TEST(Engine, HaltedSendsAreConstantAfterOutput) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    support::Xoshiro256 rng(seed);
+    std::vector<std::size_t> ns;
+    for (std::size_t n = 3; n <= 200; ++n) ns.push_back(n);
+    ns.push_back(1024);
+    for (const std::size_t n : ns) {
+      const graph::Graph g = graph::make_cycle(n);
+      checked += expect_halting_matches_always_step("local3", g,
+                                                    graph::IdAssignment::random(n, rng)).checked;
+    }
+    for (const std::size_t n : {16u, 64u, 300u}) {
+      const graph::Graph regular = graph::make_random_regular(n, 4, rng);
+      checked += expect_halting_matches_always_step("greedy-msg", regular,
+                                                    graph::IdAssignment::random(n, rng)).checked;
+      const graph::Graph gnp = graph::make_gnp_connected(n, 8.0 / static_cast<double>(n), rng);
+      checked += expect_halting_matches_always_step("greedy-msg", gnp,
+                                                    graph::IdAssignment::random(n, rng)).checked;
+    }
+  }
+  // Most deliveries of these runs come from nodes that already output.
+  EXPECT_GT(checked, 100'000u);
+}
+
+/// Sends a different payload on each port, {id, port}, and an empty one
+/// on port 0 of odd ids; outputs in round id % 4 (round 0 included). The
+/// sends never change, so the algorithm may halt after output; `log`
+/// records every delivery to a node that has not output yet.
+class PortEcho final : public local::Algorithm {
+ public:
+  using Log = std::vector<std::vector<std::uint64_t>>;
+
+  PortEcho(bool halts, Log* log) : halts_(halts), log_(log) {}
+
+  void on_start(NodeContext& ctx) override { act(ctx); }
+
+  void on_round(NodeContext& ctx, std::span<const Message> inbox) override {
+    if (!ctx.has_output()) {
+      for (const Message& msg : inbox) {
+        std::vector<std::uint64_t> row{ctx.id(), ctx.round(), msg.from_port};
+        row.insert(row.end(), msg.payload.begin(), msg.payload.end());
+        log_->push_back(std::move(row));
+      }
+    }
+    act(ctx);
+  }
+
+  bool halts_after_output() const noexcept override { return halts_; }
+
+ private:
+  void act(NodeContext& ctx) {
+    if (!ctx.has_output() && ctx.round() == ctx.id() % 4) ctx.output(0);
+    for (std::size_t port = 0; port < ctx.degree(); ++port) {
+      const std::array<std::uint64_t, 2> words{ctx.id(), port};
+      const std::size_t length = port == 0 && ctx.id() % 2 == 1 ? 0 : words.size();
+      ctx.send(port, std::span(words).first(length));
+    }
+  }
+
+  bool halts_;
+  Log* log_;
+};
+
+TEST(Engine, StandingUnicastsMatchAlwaysStep) {
+  support::Xoshiro256 rng(5);
+  for (const std::size_t n : {2u, 9u, 40u, 130u}) {
+    const graph::Graph g = graph::make_gnp_connected(n, 0.2, rng);
+    const auto ids = graph::IdAssignment::random(n, rng);
+    std::array<PortEcho::Log, 2> logs;
+    std::array<local::Trace, 2> traces;
+    std::array<local::RunResult, 2> runs;
+    for (const bool halts : {false, true}) {
+      local::EngineOptions options;
+      options.trace = &traces[halts];
+      PortEcho::Log* log = &logs[halts];
+      runs[halts] = local::run_messages(
+          g, ids, [=] { return std::make_unique<PortEcho>(halts, log); }, options);
+    }
+    EXPECT_EQ(logs[0], logs[1]) << "n=" << n;
+    EXPECT_FALSE(logs[1].empty()) << "n=" << n;
+    EXPECT_EQ(round_stats(traces[0]), round_stats(traces[1])) << "n=" << n;
+    EXPECT_EQ(runs[0].radii, runs[1].radii) << "n=" << n;
+    EXPECT_EQ(runs[0].messages, runs[1].messages) << "n=" << n;
+    EXPECT_EQ(runs[0].words, runs[1].words) << "n=" << n;
+    EXPECT_EQ(runs[1].node_steps, runs[1].sum_radius() + n) << "n=" << n;
+  }
+}
+
+TEST(Engine, HaltingNodesAreSteppedOnlyUntilTheyOutput) {
+  struct StepCase {
+    const char* algorithm;
+    const char* graph;  // "cycle" or "regular4"
+    std::size_t n;
+    bool halts;
+  };
+  const StepCase cases[] = {{"local3", "cycle", 32768, true},
+                            {"greedy-msg", "regular4", 8192, true},
+                            {"cv3-msg", "cycle", 4096, false},
+                            {"largest-id-msg", "cycle", 256, false}};
+  for (const StepCase& c : cases) {
+    support::Xoshiro256 rng(42);
+    const graph::Graph g = std::string(c.graph) == "cycle"
+                               ? graph::make_cycle(c.n)
+                               : graph::make_random_regular(c.n, 4, rng);
+    const auto ids = graph::IdAssignment::random(c.n, rng);
+    const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(c.algorithm);
+    local::EngineOptions options;
+    options.knowledge = info.knowledge;
+    const local::RunResult run = local::run_messages(g, ids, info.messages(c.n), options);
+    if (!c.halts) {
+      EXPECT_EQ(run.node_steps, c.n * (run.rounds + 1)) << c.algorithm;
+      continue;
+    }
+    // Σ_v (r(v) + 1): each node is stepped in rounds 0..r(v) and no more,
+    // well inside 1.2·n·(avg + 1) and far below n·(max + 1).
+    const std::uint64_t average_cost = run.sum_radius() + c.n;
+    EXPECT_EQ(run.node_steps, average_cost) << c.algorithm;
+    EXPECT_LE(static_cast<double>(run.node_steps),
+              1.2 * static_cast<double>(c.n) * (run.average_radius() + 1.0))
+        << c.algorithm;
+    EXPECT_LT(2 * run.node_steps, c.n * (run.rounds + 1)) << c.algorithm;
   }
 }
 

@@ -41,6 +41,10 @@ const GoldenCase kCases[] = {
     {"view-greedy-torus.json", "greedy", "torus", 16},
     {"message-greedy-gnp.json", "greedy-msg", "gnp", 12},
     {"message-cv3-cycle.json", "cv3-msg", "cycle", 12},
+    // Large enough that most nodes output long before the last one, so the
+    // message engine's halted nodes stand for many rounds.
+    {"message-local3-cycle-512.json", "local3", "cycle", 512},
+    {"message-greedy-regular4-256.json", "greedy-msg", "random-regular:degree=4", 256},
 };
 
 /// One deterministic full-plan shard artefact per case; every knob pinned

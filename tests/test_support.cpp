@@ -465,6 +465,21 @@ TEST(Simd, ForEachSetBitMatchesPerBitScan) {
   }
 }
 
+TEST(Simd, ForEachSetBitEitherScansTheUnion) {
+  support::Xoshiro256 rng(16);
+  const auto a = random_words(3, rng);
+  const auto b = random_words(3, rng);
+  std::vector<std::uint64_t> both(a.size());
+  for (std::size_t w = 0; w < a.size(); ++w) both[w] = a[w] | b[w];
+  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 192}, {3, 70},
+                                   {64, 65}, {100, 100}}) {
+    std::vector<std::size_t> got;
+    simd::for_each_set_bit_either(a.data(), b.data(), begin, end,
+                                  [&](std::size_t bit) { got.push_back(bit); });
+    EXPECT_EQ(got, collect_bits(both, begin, end)) << "[" << begin << ", " << end << ")";
+  }
+}
+
 TEST(Simd, ForEachSetBitOnSolidAndEmptyMasks) {
   const std::vector<std::uint64_t> solid(3, ~std::uint64_t{0});
   EXPECT_EQ(collect_bits(solid, 0, 192).size(), 192u);

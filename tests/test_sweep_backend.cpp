@@ -26,6 +26,7 @@
 #include "core/batched_sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_backend.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "local/engine.hpp"
@@ -154,6 +155,24 @@ TEST(SweepBackend, CapabilityProbes) {
   EXPECT_EQ(message->name(), "message");
   EXPECT_TRUE(message->supports_batching());
   EXPECT_EQ(message->parallel_granularity(), core::SweepBackend::Granularity::kTrials);
+}
+
+TEST(SweepBackend, MessageModelPricesTheStandingStoreOnlyForHaltingAlgorithms) {
+  const graph::Graph g = graph::make_cycle(4096);
+  const auto model = [&g](const char* algorithm) {
+    const algo::AlgorithmInfo& info = algo::AlgorithmRegistry::global().at(algorithm);
+    return core::MessageBackend(info.messages, info.knowledge).memory_model(g);
+  };
+  const core::SweepMemoryModel local3 = model("local3");  // halts after output
+  const core::SweepMemoryModel cv3 = model("cv3-msg");    // does not
+  const std::size_t n = g.vertex_count();
+  EXPECT_EQ(local3.bytes_per_trial, cv3.bytes_per_trial);
+  // Every engine: a context per node and two arenas of at least a slot
+  // and a payload word per arc.
+  EXPECT_GE(cv3.fixed_bytes, n * sizeof(local::NodeContext) + 2 * 16 * g.arc_count());
+  // A halting engine adds the standing store (a slot and a payload word
+  // per arc) and the active and halted lists.
+  EXPECT_GE(local3.fixed_bytes, cv3.fixed_bytes + 16 * g.arc_count() + 8 * n);
 }
 
 // -------------------------------------------- the run_batch contract ----
