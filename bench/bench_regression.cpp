@@ -20,7 +20,7 @@
 //    replica (message_arena_word_speedup, gated >= 1.2), bit-identity
 //    asserted on every run;
 //  * a per-phase breakdown of the serial batched sweep (BFS growth, id
-//    gather, algorithm eval) and a machine/ISA block so future regressions
+//    gather, algorithm eval) and a machine block so future regressions
 //    are attributable;
 //  * the million-node large_scale block, the serve cache and the
 //    distributed fabric (see their sections below).
@@ -48,14 +48,13 @@
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/flood_probe.hpp"
 #include "local/engine.hpp"
-#include "local/flood_probe.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 AVGLOCAL_DEFINE_ALLOC_HOOK();
@@ -1096,7 +1095,6 @@ int main(int argc, char** argv) {
   json.key("bench").value("core");
   json.key("mode").value(smoke ? "smoke" : "full");
   json.key("machine").begin_object();
-  json.key("simd_isa").value(support::simd::active_isa());
   json.key("hardware_concurrency")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.end_object();

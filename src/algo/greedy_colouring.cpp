@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -173,31 +172,6 @@ local::AlgorithmFactory make_greedy_colouring_messages() {
 
 local::ViewAlgorithmFactory make_greedy_colouring_view() {
   return [] { return std::make_unique<GreedyColouringView>(); };
-}
-
-std::vector<std::size_t> greedy_colouring_radii(const graph::Graph& g,
-                                                const graph::IdAssignment& ids) {
-  AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
-  const std::size_t n = g.vertex_count();
-  // L(v) = longest strictly-increasing identifier path from v, by dynamic
-  // programming over vertices in decreasing identifier order.
-  std::vector<graph::Vertex> order(n);
-  std::iota(order.begin(), order.end(), graph::Vertex{0});
-  std::sort(order.begin(), order.end(), [&ids](graph::Vertex a, graph::Vertex b) {
-    return ids.id_of(a) > ids.id_of(b);
-  });
-  std::vector<std::size_t> longest(n, 0);
-  for (const graph::Vertex v : order) {
-    for (const graph::Vertex u : g.neighbours(v)) {
-      if (ids.id_of(u) > ids.id_of(v)) {
-        longest[v] = std::max(longest[v], longest[u] + 1);
-      }
-    }
-  }
-  // A vertex must at least learn its neighbours' identifiers: one round.
-  std::vector<std::size_t> radii(n);
-  for (graph::Vertex v = 0; v < n; ++v) radii[v] = longest[v] + 1;
-  return radii;
 }
 
 }  // namespace avglocal::algo

@@ -29,10 +29,4 @@ local::AlgorithmFactory make_greedy_colouring_messages();
 /// the greedy order locally). Radii match the message variant exactly.
 local::ViewAlgorithmFactory make_greedy_colouring_view();
 
-/// Analytic per-vertex radius: the length of the longest strictly-increasing
-/// identifier path starting at v (0 when v is a local maximum). Used by
-/// tests; O((n + m) log n) via DAG dynamic programming.
-std::vector<std::size_t> greedy_colouring_radii(const graph::Graph& g,
-                                                const graph::IdAssignment& ids);
-
 }  // namespace avglocal::algo

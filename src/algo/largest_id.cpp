@@ -168,10 +168,4 @@ std::vector<std::size_t> largest_id_radii_on_cycle(const graph::IdAssignment& id
   return radii;
 }
 
-std::uint64_t largest_id_radius_sum_on_cycle(const graph::IdAssignment& ids) {
-  std::uint64_t sum = 0;
-  for (std::size_t r : largest_id_radii_on_cycle(ids)) sum += r;
-  return sum;
-}
-
 }  // namespace avglocal::algo

@@ -56,8 +56,4 @@ local::AlgorithmFactory make_largest_id_messages();
 /// (it avoids running the engine in inner loops).
 std::vector<std::size_t> largest_id_radii_on_cycle(const graph::IdAssignment& ids);
 
-/// Sum of largest_id_radii_on_cycle - the quantity whose worst case over
-/// permutations the paper's recurrence a(p) characterises.
-std::uint64_t largest_id_radius_sum_on_cycle(const graph::IdAssignment& ids);
-
 }  // namespace avglocal::algo

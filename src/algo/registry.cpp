@@ -156,13 +156,6 @@ const AlgorithmInfo& AlgorithmRegistry::at(std::string_view name) const {
   return *info;
 }
 
-std::vector<std::string> AlgorithmRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(algorithms_.size());
-  for (const AlgorithmInfo& info : algorithms_) out.push_back(info.name);
-  return out;
-}
-
 std::vector<std::string> AlgorithmRegistry::names(AlgorithmKind kind) const {
   std::vector<std::string> out;
   for (const AlgorithmInfo& info : algorithms_) {

@@ -66,8 +66,7 @@ class AlgorithmRegistry {
   /// algorithms.
   const AlgorithmInfo& at(std::string_view name) const;
 
-  /// Registry keys in registration order; optionally only one kind.
-  std::vector<std::string> names() const;
+  /// Registry keys of one kind, in registration order.
   std::vector<std::string> names(AlgorithmKind kind) const;
 
   /// Probes one instance of a view algorithm (throws on message entries).

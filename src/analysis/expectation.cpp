@@ -1,8 +1,6 @@
 #include "analysis/expectation.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include "support/assert.hpp"
 
@@ -53,39 +51,6 @@ double expected_universe_aware_average(std::size_t n) {
 std::size_t deterministic_largest_id_max(std::size_t n) {
   AVGLOCAL_EXPECTS(n >= 3);
   return n / 2;
-}
-
-double brute_force_expected_average(std::size_t n, bool universe_aware) {
-  AVGLOCAL_EXPECTS(n >= 3 && n <= 10);
-  const std::size_t cover = n / 2;
-  std::vector<std::uint64_t> ids(n);
-  ids[0] = n;
-  std::vector<std::uint64_t> rest(n - 1);
-  std::iota(rest.begin(), rest.end(), std::uint64_t{1});
-
-  double total = 0.0;
-  std::uint64_t count = 0;
-  do {
-    std::copy(rest.begin(), rest.end(), ids.begin() + 1);
-    std::uint64_t sum = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      std::size_t r = cover;
-      for (std::size_t d = 1; d < cover; ++d) {
-        if (ids[(v + d) % n] > ids[v] || ids[(v + n - d) % n] > ids[v]) {
-          r = d;
-          break;
-        }
-      }
-      if (universe_aware) {
-        // The open ball spans x vertices at radius ceil((x-1)/2).
-        r = std::min(r, (static_cast<std::size_t>(ids[v]) - 1 + 1) / 2);
-      }
-      sum += r;
-    }
-    total += static_cast<double>(sum) / static_cast<double>(n);
-    ++count;
-  } while (std::next_permutation(rest.begin(), rest.end()));
-  return total / static_cast<double>(count);
 }
 
 }  // namespace avglocal::analysis

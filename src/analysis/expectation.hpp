@@ -31,8 +31,4 @@ double expected_universe_aware_average(std::size_t n);
 /// ceil((n-1)/2).
 std::size_t deterministic_largest_id_max(std::size_t n);
 
-/// Brute-force E[average radius] by enumerating all (n-1)! cyclic
-/// arrangements; n <= 10. Used to validate the closed forms exactly.
-double brute_force_expected_average(std::size_t n, bool universe_aware);
-
 }  // namespace avglocal::analysis

@@ -58,13 +58,6 @@ void fill_segment(const Recurrence& rec, std::span<std::uint64_t> out, std::size
 
 }  // namespace
 
-std::vector<std::uint64_t> worst_case_segment_ids(const Recurrence& rec, std::size_t p) {
-  AVGLOCAL_EXPECTS(p <= rec.max_p());
-  std::vector<std::uint64_t> out(p, 0);
-  fill_segment(rec, out, 0, p, 1);
-  return out;
-}
-
 graph::IdAssignment worst_case_cycle_ids(const Recurrence& rec, std::size_t n) {
   AVGLOCAL_EXPECTS(n >= 3);
   AVGLOCAL_EXPECTS(n - 1 <= rec.max_p());

@@ -40,14 +40,10 @@ class Recurrence {
   std::vector<std::size_t> best_k_;
 };
 
-/// Worst-case arrangement of ranks {1..p} on a p-vertex segment (positions
-/// 0..p-1, both walls larger than p): recursively places the segment
-/// maximum at distance best_k from the nearer wall. The returned values are
-/// ranks; any order-isomorphic identifier set behaves identically.
-std::vector<std::uint64_t> worst_case_segment_ids(const Recurrence& rec, std::size_t p);
-
 /// Worst-case identifier assignment on the n-cycle (identifiers {1..n}):
-/// id n at vertex 0, and the worst-case segment on vertices 1..n-1.
+/// id n at vertex 0, and on vertices 1..n-1 the worst-case segment: the
+/// segment maximum sits at distance best_k from the nearer wall, and each
+/// side recurses. Any order-isomorphic identifier set behaves identically.
 graph::IdAssignment worst_case_cycle_ids(const Recurrence& rec, std::size_t n);
 
 /// ceil((n-1)/2) + a(n-1): the predicted worst-case radius sum on the

@@ -52,12 +52,6 @@ std::vector<std::pair<graph::Vertex, graph::Vertex>> canonical_edges(const graph
   return edges;
 }
 
-std::uint64_t accumulate_edge_times(std::span<const std::pair<graph::Vertex, graph::Vertex>> edges,
-                                    std::span<const std::size_t> radii,
-                                    local::RadiusHistogram& histogram) {
-  return for_each_edge_time(edges, radii, [&histogram](std::size_t t) { histogram.add(t); });
-}
-
 EdgeMeasurement measure_edges(const graph::Graph& g, std::span<const std::size_t> radii) {
   AVGLOCAL_EXPECTS(radii.size() == g.vertex_count());
   EdgeMeasurement m;

@@ -102,13 +102,4 @@ AVGLOCAL_HOT std::uint64_t for_each_edge_time(
   return sum;
 }
 
-/// Adds every edge time of one run into `histogram` and returns their sum.
-/// `edges` must come from canonical_edges(g) for the graph that produced
-/// the radii. The sweep hot loops use flat count arrays instead (one
-/// increment per sample, converted to a histogram once per point) but
-/// stream through the same for_each_edge_time.
-std::uint64_t accumulate_edge_times(std::span<const std::pair<graph::Vertex, graph::Vertex>> edges,
-                                    std::span<const std::size_t> radii,
-                                    local::RadiusHistogram& histogram);
-
 }  // namespace avglocal::core

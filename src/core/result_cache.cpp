@@ -189,9 +189,4 @@ ResultCacheStats ResultCache::stats() const {
   return stats_;
 }
 
-std::size_t ResultCache::entry_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 }  // namespace avglocal::core

@@ -29,7 +29,7 @@
 // sweep() rejects them with std::invalid_argument; run them through
 // run_scenario.
 //
-// Thread safety: sweep()/offer_partials()/stats()/entry_count() are safe
+// Thread safety: sweep()/offer_partials()/stats() are safe
 // to call from any thread, and requests run concurrently. The cache's
 // mutex guards only the entry map and the stats; each entry has its own,
 // held while that entry is served, so requests for one identity queue
@@ -103,7 +103,6 @@ class ResultCache {
   bool offer_partials(const ScenarioSpec& spec, std::vector<PointAccumulator> partials);
 
   ResultCacheStats stats() const;
-  std::size_t entry_count() const;
 
  private:
   struct Entry;

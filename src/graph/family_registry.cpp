@@ -313,12 +313,6 @@ std::size_t FamilyRegistry::checked_realised_size(const GraphFamily& family,
   return realised;
 }
 
-std::size_t FamilyRegistry::realised_size(const FamilySpec& spec, std::size_t n) const {
-  const GraphFamily& family = at(spec.family);
-  const std::vector<double> params = resolve_params(family, spec.params);
-  return checked_realised_size(family, params, n);
-}
-
 Graph FamilyRegistry::build(const FamilySpec& spec, std::size_t n,
                             support::Xoshiro256& rng) const {
   const GraphFamily& family = at(spec.family);

@@ -99,16 +99,13 @@ class FamilyRegistry {
   /// `params` resolved by resolve_params. The one size gate: throws
   /// std::invalid_argument, naming the value and the limit, when n or the
   /// realised size exceeds kMaxVertices - before any graph work, and
-  /// before a family's size arithmetic can wrap. realised_size, build and
-  /// core::resolve_scenario all size graphs through it.
+  /// before a family's size arithmetic can wrap. build and
+  /// core::resolve_scenario both size graphs through it.
   static std::size_t checked_realised_size(const GraphFamily& family,
                                            std::span<const double> params, std::size_t n);
 
-  /// The exact vertex count the family realises for a requested size.
-  std::size_t realised_size(const FamilySpec& spec, std::size_t n) const;
-
   /// Builds the realised-size member of the family. The returned graph has
-  /// exactly realised_size(spec, n) vertices.
+  /// exactly checked_realised_size(family, params, n) vertices.
   Graph build(const FamilySpec& spec, std::size_t n, support::Xoshiro256& rng) const;
 
   void register_family(GraphFamily family);

@@ -41,12 +41,6 @@ IdAssignment IdAssignment::identity(std::size_t n) {
   return IdAssignment(std::move(ids), Trusted{});
 }
 
-IdAssignment IdAssignment::reversed(std::size_t n) {
-  std::vector<std::uint64_t> ids(n);
-  for (std::size_t v = 0; v < n; ++v) ids[v] = n - v;
-  return IdAssignment(std::move(ids), Trusted{});
-}
-
 IdAssignment IdAssignment::random(std::size_t n, support::Xoshiro256& rng) {
   // Fill {1..n} straight into the storage and shuffle in place: one
   // allocation (pinned by test_engine_alloc).

@@ -25,9 +25,6 @@ class IdAssignment {
   /// Identity permutation: vertex v gets ID v+1.
   static IdAssignment identity(std::size_t n);
 
-  /// Reversed permutation: vertex v gets ID n-v.
-  static IdAssignment reversed(std::size_t n);
-
   /// Uniformly random permutation of {1..n}. Constructed through the
   /// trusted path: a Fisher-Yates shuffle of {1..n} is distinct by
   /// construction, so the O(n log n) sort-and-check of the public
@@ -58,7 +55,7 @@ class IdAssignment {
   struct Trusted {};
 
   /// Trusted path: skips the duplicate check in release builds (a debug
-  /// assert keeps the contract honest). Used by identity/reversed/random,
+  /// assert keeps the contract honest). Used by identity and random,
   /// whose outputs are permutations by construction.
   IdAssignment(std::vector<std::uint64_t> ids, Trusted);
 

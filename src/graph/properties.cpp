@@ -1,47 +1,30 @@
 #include "graph/properties.hpp"
 
 #include <algorithm>
-
-#include "graph/ball.hpp"
+#include <vector>
 
 namespace avglocal::graph {
 
 bool is_connected(const Graph& g) {
-  if (g.vertex_count() == 0) return false;
-  const auto dist = bfs_distances(g, 0);
-  return std::none_of(dist.begin(), dist.end(), [](int d) { return d == kUnreachable; });
-}
-
-bool is_cycle(const Graph& g) {
-  if (g.vertex_count() < 3) return false;
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    if (g.degree(v) != 2) return false;
-  }
-  return is_connected(g);
-}
-
-bool is_path(const Graph& g) {
   const std::size_t n = g.vertex_count();
-  if (n < 2) return false;
-  std::size_t endpoints = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    if (g.degree(v) == 1) {
-      ++endpoints;
-    } else if (g.degree(v) != 2) {
-      return false;
+  if (n == 0) return false;
+  // Depth-first reachability from vertex 0.
+  std::vector<char> seen(n, 0);
+  std::vector<Vertex> stack{0};
+  seen[0] = 1;
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const Vertex v = stack.back();
+    stack.pop_back();
+    for (Vertex u : g.neighbours(v)) {
+      if (seen[u] == 0) {
+        seen[u] = 1;
+        ++reached;
+        stack.push_back(u);
+      }
     }
   }
-  return endpoints == 2 && is_connected(g);
-}
-
-bool is_tree(const Graph& g) {
-  return g.vertex_count() >= 1 && g.edge_count() == g.vertex_count() - 1 && is_connected(g);
-}
-
-std::size_t min_degree(const Graph& g) {
-  std::size_t best = g.vertex_count() == 0 ? 0 : g.degree(0);
-  for (Vertex v = 1; v < g.vertex_count(); ++v) best = std::min(best, g.degree(v));
-  return best;
+  return reached == n;
 }
 
 std::size_t max_degree(const Graph& g) {

@@ -10,17 +10,6 @@ namespace avglocal::graph {
 /// True when the graph is connected (single-vertex graphs are connected).
 bool is_connected(const Graph& g);
 
-/// True when the graph is a simple cycle (connected, all degrees 2, n >= 3).
-bool is_cycle(const Graph& g);
-
-/// True when the graph is a simple path (connected, two degree-1 endpoints,
-/// all other degrees 2; a single edge counts).
-bool is_path(const Graph& g);
-
-/// True when the graph is acyclic and connected.
-bool is_tree(const Graph& g);
-
-std::size_t min_degree(const Graph& g);
 std::size_t max_degree(const Graph& g);
 
 }  // namespace avglocal::graph

@@ -322,7 +322,6 @@ MessageBatchRunner::MessageBatchRunner(const graph::Graph& g, AlgorithmFactory f
 
 MessageBatchRunner::~MessageBatchRunner() = default;
 MessageBatchRunner::MessageBatchRunner(MessageBatchRunner&&) noexcept = default;
-MessageBatchRunner& MessageBatchRunner::operator=(MessageBatchRunner&&) noexcept = default;
 
 void MessageBatchRunner::run(std::span<const graph::IdAssignment> batch,
                              const ResultSink& sink) {

@@ -104,7 +104,6 @@ class MessageBatchRunner {
                      const EngineOptions& options = {});
   ~MessageBatchRunner();
   MessageBatchRunner(MessageBatchRunner&&) noexcept;
-  MessageBatchRunner& operator=(MessageBatchRunner&&) noexcept;
 
   /// Runs every id-assignment of `batch` through the persistent engine;
   /// `trial` in the sink is the index within this batch, and the sink sees

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -24,9 +26,49 @@
 #include "support/annotations.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
-#include "support/simd.hpp"
 
 namespace avglocal::local {
+
+/// Invokes fn(bit_index) for every set bit in [begin, end) of the mask
+/// whose 64-bit word i is load(i), ascending. One count_trailing_zeros per
+/// set bit, one load per 64 bits - never a per-bit test.
+template <typename Load, typename Fn>
+AVGLOCAL_HOT inline void for_each_set_bit_of(Load&& load, std::size_t begin, std::size_t end,
+                                             Fn&& fn) {
+  if (begin >= end) return;
+  std::size_t w = begin >> 6;
+  const std::size_t w_last = (end - 1) >> 6;
+  std::uint64_t mask = load(w) & (~std::uint64_t{0} << (begin & 63));
+  while (true) {
+    if (w == w_last && (end & 63) != 0) {
+      mask &= ~std::uint64_t{0} >> (64 - (end & 63));
+    }
+    while (mask != 0) {
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(mask)));
+      mask &= mask - 1;
+    }
+    if (w == w_last) return;
+    mask = load(++w);
+  }
+}
+
+/// for_each_set_bit_of over the mask whose i-th bit is words[i >> 6] bit
+/// (i & 63). This is how the message engine drains a vertex's contiguous
+/// presence window.
+template <typename Fn>
+AVGLOCAL_HOT inline void for_each_set_bit(const std::uint64_t* words, std::size_t begin,
+                                          std::size_t end, Fn&& fn) {
+  for_each_set_bit_of([words](std::size_t w) { return words[w]; }, begin, end,
+                      std::forward<Fn>(fn));
+}
+
+/// for_each_set_bit over the union of two masks of equal layout.
+template <typename Fn>
+AVGLOCAL_HOT inline void for_each_set_bit_either(const std::uint64_t* a, const std::uint64_t* b,
+                                                 std::size_t begin, std::size_t end, Fn&& fn) {
+  for_each_set_bit_of([a, b](std::size_t w) { return a[w] | b[w]; }, begin, end,
+                      std::forward<Fn>(fn));
+}
 
 class MessageArena {
  public:
@@ -86,7 +128,7 @@ class MessageArena {
   /// receive window each round.
   template <typename Fn>
   AVGLOCAL_HOT void for_each_present(std::size_t arc_begin, std::size_t arc_end, Fn&& fn) const {
-    support::simd::for_each_set_bit(present_.data(), arc_begin, arc_end, std::forward<Fn>(fn));
+    for_each_set_bit(present_.data(), arc_begin, arc_end, std::forward<Fn>(fn));
   }
 
   /// for_each_present over the arcs that hold a message here or in
@@ -96,8 +138,8 @@ class MessageArena {
   template <typename Fn>
   AVGLOCAL_HOT void for_each_present_with(const MessageArena& other, std::size_t arc_begin,
                                           std::size_t arc_end, Fn&& fn) const {
-    support::simd::for_each_set_bit_either(present_.data(), other.present_.data(), arc_begin,
-                                           arc_end, std::forward<Fn>(fn));
+    for_each_set_bit_either(present_.data(), other.present_.data(), arc_begin, arc_end,
+                            std::forward<Fn>(fn));
   }
 
   /// Messages bound since begin_round.

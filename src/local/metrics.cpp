@@ -28,17 +28,6 @@ RadiusHistogram::RadiusHistogram(std::vector<std::uint64_t> counts) : counts_(st
   for (std::uint64_t c : counts_) samples_ += c;
 }
 
-void RadiusHistogram::add(std::size_t radius, std::uint64_t count) {
-  if (count == 0) return;
-  if (radius >= counts_.size()) counts_.resize(radius + 1, 0);
-  counts_[radius] += count;
-  samples_ += count;
-}
-
-void RadiusHistogram::add_profile(const RadiusProfile& radii) {
-  for (std::size_t r : radii) add(r);
-}
-
 void RadiusHistogram::merge(const RadiusHistogram& other) {
   if (other.counts_.size() > counts_.size()) counts_.resize(other.counts_.size(), 0);
   for (std::size_t r = 0; r < other.counts_.size(); ++r) counts_[r] += other.counts_[r];

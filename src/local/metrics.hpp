@@ -70,12 +70,6 @@ class RadiusHistogram {
   /// representation-independent.
   explicit RadiusHistogram(std::vector<std::uint64_t> counts);
 
-  /// Records `count` samples of the given radius.
-  void add(std::size_t radius, std::uint64_t count = 1);
-
-  /// Records every radius of a run's profile.
-  void add_profile(const RadiusProfile& radii);
-
   /// Adds another histogram's counts into this one (exact).
   void merge(const RadiusHistogram& other);
 

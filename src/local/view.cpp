@@ -1,7 +1,5 @@
 #include "local/view.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
 
@@ -15,14 +13,6 @@ std::optional<ViewSemantics> view_semantics_from_name(std::string_view name) noe
   if (name == "induced") return ViewSemantics::kInducedBall;
   if (name == "flooding") return ViewSemantics::kFloodingKnowledge;
   return std::nullopt;
-}
-
-bool BallView::contains_id_greater_than(std::uint64_t x) const noexcept {
-  return std::any_of(ids.begin(), ids.end(), [x](std::uint64_t id) { return id > x; });
-}
-
-std::uint64_t BallView::max_id() const noexcept {
-  return *std::max_element(ids.begin(), ids.end());
 }
 
 bool extract_ring_view(const BallView& view, RingView& out) {

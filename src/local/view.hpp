@@ -134,12 +134,6 @@ struct BallView {
   bool empty() const noexcept { return ids.empty(); }
   std::uint64_t root_id() const noexcept { return ids[0]; }
   std::size_t degree_of(LocalVertex v) const noexcept { return ports[v].size(); }
-
-  /// True when some visible identifier is strictly greater than `x`.
-  bool contains_id_greater_than(std::uint64_t x) const noexcept;
-
-  /// Largest visible identifier.
-  std::uint64_t max_id() const noexcept;
 };
 
 /// A ball view specialised to (a segment of) an oriented cycle, extracted

@@ -31,16 +31,4 @@ int log_star(double x) noexcept {
   return k;
 }
 
-std::uint64_t tower(int k) noexcept {
-  AVGLOCAL_ASSERT(k >= 0 && k <= 5);
-  std::uint64_t value = 1;
-  for (int i = 0; i < k; ++i) {
-    AVGLOCAL_ASSERT(value < 64);
-    value = std::uint64_t{1} << value;
-  }
-  return value;
-}
-
-int popcount_u64(std::uint64_t x) noexcept { return std::popcount(x); }
-
 }  // namespace avglocal::support

@@ -1,5 +1,5 @@
-// Integer / combinatorial math helpers used across the reproduction:
-// iterated logarithm (log*), power towers, bit utilities, safe ceilings.
+// Integer math helpers used across the reproduction: iterated logarithm
+// (log*) and bit utilities.
 #pragma once
 
 #include <cstdint>
@@ -19,20 +19,5 @@ int bit_width_u64(std::uint64_t x) noexcept;
 /// Uses the real-valued log2 on the first step and integer floors afterwards;
 /// log* is so flat that the convention only shifts values by at most 1.
 int log_star(double x) noexcept;
-
-/// Power tower ("tetration"): tower(k) = 2^2^...^2 with k twos.
-/// tower(0) = 1, tower(1) = 2, tower(2) = 4, tower(3) = 16, tower(4) = 65536.
-/// Saturates at the largest k with tower(k) representable (k <= 5 overflows
-/// 64 bits); requires k <= 5 would overflow, so k must be <= 5 for exact
-/// values and the function asserts k <= 5.
-std::uint64_t tower(int k) noexcept;
-
-/// ceil(a / b) for b > 0.
-constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
-  return (a + b - 1) / b;
-}
-
-/// Population count of x (number of set bits).
-int popcount_u64(std::uint64_t x) noexcept;
 
 }  // namespace avglocal::support

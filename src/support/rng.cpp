@@ -1,7 +1,5 @@
 #include "support/rng.hpp"
 
-#include <numeric>
-
 namespace avglocal::support {
 
 namespace {
@@ -41,13 +39,6 @@ AVGLOCAL_HOT std::uint64_t Xoshiro256::below(std::uint64_t bound) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::vector<std::uint64_t> random_permutation(std::size_t n, Xoshiro256& rng) {
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::uint64_t{1});
-  shuffle(perm, rng);
-  return perm;
 }
 
 std::uint64_t derive_seed(std::uint64_t master, std::uint64_t stream) noexcept {

@@ -78,9 +78,6 @@ void shuffle(std::vector<T>& values, Xoshiro256& rng) {
   shuffle(std::span<T>(values), rng);
 }
 
-/// Random permutation of {1, 2, ..., n} (the paper's ID universe).
-std::vector<std::uint64_t> random_permutation(std::size_t n, Xoshiro256& rng);
-
 /// Derives a fresh, statistically independent seed for a sub-experiment:
 /// mixes the master seed with a stream index through SplitMix64.
 std::uint64_t derive_seed(std::uint64_t master, std::uint64_t stream) noexcept;

@@ -185,16 +185,6 @@ Stream Stream::connect(const std::string& path) {
   }
 }
 
-Stream Stream::connect(const Endpoint& endpoint) {
-  int error = 0;
-  Stream stream = try_connect(endpoint, error);
-  if (!stream.valid()) {
-    errno = error;
-    throw_errno("connect(" + endpoint.to_string() + ")");
-  }
-  return stream;
-}
-
 Stream Stream::try_connect(const Endpoint& endpoint, int& error) {
   error = 0;
   if (endpoint.kind == Endpoint::Kind::kUnix) {
@@ -304,10 +294,6 @@ bool Stream::write_line(std::string_view line) {
   framed.append(line);
   framed.push_back('\n');
   return write_all(framed);
-}
-
-void Stream::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 void Stream::close() noexcept {

@@ -66,9 +66,6 @@ class Stream {
   /// (with errno text) when the path is absent or nothing is accepting.
   static Stream connect(const std::string& path);
 
-  /// Connects to either endpoint kind. Throws like connect(path).
-  static Stream connect(const Endpoint& endpoint);
-
   /// Non-throwing connect: returns an invalid stream and sets `error` to
   /// the failing errno (0 on success). DNS failures for TCP hosts report
   /// as ENOENT (the "daemon not there yet" class callers retry on).
@@ -93,10 +90,6 @@ class Stream {
 
   /// Frames and sends one message line (appends the '\n' terminator).
   bool write_line(std::string_view line);
-
-  /// Half-closes the read side (releases a peer blocked in read_line)
-  /// without discarding writes still in flight.
-  void shutdown_read() noexcept;
 
   void close() noexcept;
 

@@ -37,24 +37,6 @@ double RunningStats::max() const noexcept {
   return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double percentile_sorted(const std::vector<double>& sorted, double q) {
   AVGLOCAL_EXPECTS(!sorted.empty());
   AVGLOCAL_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -83,25 +65,6 @@ Summary summarize(const std::vector<double>& values) {
   s.p99 = percentile_sorted(sorted, 0.99);
   s.max = sorted.back();
   return s;
-}
-
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
-  AVGLOCAL_EXPECTS(x.size() == y.size());
-  AVGLOCAL_EXPECTS(x.size() >= 2);
-  const auto n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  AVGLOCAL_REQUIRE_MSG(denom != 0.0, "degenerate x values in linear fit");
-  LinearFit fit;
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  return fit;
 }
 
 }  // namespace avglocal::support

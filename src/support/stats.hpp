@@ -31,11 +31,6 @@ class RunningStats {
   double max() const noexcept;
   double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator into this one (parallel reduction). Either
-  /// side may be empty: merging an empty accumulator is a no-op, and merging
-  /// into an empty one copies `other` (including its extrema).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -64,12 +59,5 @@ Summary summarize(const std::vector<double>& values);
 
 /// Linear-interpolation percentile of a *sorted* vector, q in [0, 1].
 double percentile_sorted(const std::vector<double>& sorted, double q);
-
-/// Least-squares fit of y = a + b*x. Returns {a, b}. Requires >= 2 points.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace avglocal::support

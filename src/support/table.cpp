@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
-#include <sstream>
 
 #include "support/assert.hpp"
 
@@ -21,7 +19,6 @@ void Table::add_row(std::vector<std::string> cells) {
 std::string Table::cell(std::int64_t v) { return std::to_string(v); }
 std::string Table::cell(std::uint64_t v) { return std::to_string(v); }
 std::string Table::cell(int v) { return std::to_string(v); }
-std::string Table::cell(unsigned v) { return std::to_string(v); }
 
 std::string Table::cell(double v, int precision) {
   char buf[64];
@@ -72,28 +69,6 @@ std::string Table::to_markdown() const {
     out += "\n";
   }
   return out;
-}
-
-std::string Table::to_text() const {
-  const auto widths = column_widths(headers_, rows_);
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    append_padded(out, headers_[c], widths[c]);
-    out += "  ";
-  }
-  out += "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      append_padded(out, row[c], widths[c]);
-      out += "  ";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-void print_section(std::ostream& out, const std::string& title, const Table& table) {
-  out << "\n## " << title << "\n\n" << table.to_markdown() << "\n";
 }
 
 }  // namespace avglocal::support

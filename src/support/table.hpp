@@ -1,13 +1,12 @@
-// Aligned text / markdown table rendering for experiment output.
+// Markdown table rendering for experiment output.
 //
-// Benches print the tables and series that stand in for the paper's
-// evaluation; this renderer keeps them readable in a terminal and pasteable
-// into markdown (EXPERIMENTS.md).
+// `avglocal_cli experiments` prints the tables that stand in for the
+// paper's evaluation; this renderer keeps them readable in a terminal and
+// pasteable into markdown.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ class Table {
   static std::string cell(std::int64_t v);
   static std::string cell(std::uint64_t v);
   static std::string cell(int v);
-  static std::string cell(unsigned v);
   static std::string cell(double v, int precision = 3);
   static std::string cell(std::string s) { return s; }
 
@@ -39,15 +37,9 @@ class Table {
   /// Renders as a GitHub-flavoured markdown table.
   std::string to_markdown() const;
 
-  /// Renders with space padding only (no pipes), for terminal scanning.
-  std::string to_text() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Writes `table.to_markdown()` preceded by a `## title` line to `out`.
-void print_section(std::ostream& out, const std::string& title, const Table& table);
 
 }  // namespace avglocal::support

@@ -1,4 +1,4 @@
-#include "graph/ball.hpp"
+#include "kit/ball.hpp"
 
 #include <algorithm>
 #include <queue>

@@ -1,6 +1,7 @@
 // Breadth-first distances and balls: the geometric primitives behind the
 // paper's "a node gathers all information in a ball around itself" view of
-// the LOCAL model.
+// the LOCAL model, as plain references. The engines grow balls through
+// local::BallLayers; tests check them (and the generators) against these.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-#include "analysis/tabular.hpp"
+#include "kit/tabular.hpp"
 
 #include <algorithm>
 #include <stdexcept>

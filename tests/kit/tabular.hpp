@@ -16,6 +16,8 @@
 //    instance;
 //  * Lemma2Improved - the transformed algorithm A', runnable on instances,
 //    whose validity and dominance tests verify the proof's claims.
+//
+// It lives in the test kit: test_lemma2 is its one caller.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include "core/measure.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "kit/oracles.hpp"
 #include "local/view_engine.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"

@@ -23,6 +23,7 @@
 #include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
@@ -478,7 +479,7 @@ TEST(EdgeAccumulation, MatrixRowsMatchPerRunEdgeTimes) {
       EXPECT_EQ(acc.trial_edge_sum[kBatchBegin + i],
                 core::accumulate_edge_times(edges, run.radii, want_edges))
           << "n " << n << " row " << i;
-      want_nodes.add_profile(run.radii);
+      local::add_profile(want_nodes, run.radii);
       for (std::size_t v = 0; v < n; ++v) column_sums[v] += run.radii[v];
     }
     for (std::size_t t = 0; t < kBatchBegin; ++t) {

@@ -10,6 +10,7 @@
 #include "algo/validity.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
 #include "local/engine.hpp"
 #include "local/view_engine.hpp"
 #include "support/math.hpp"

@@ -9,6 +9,7 @@
 #include "core/measure.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
+#include "kit/oracles.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
 
@@ -45,7 +46,7 @@ std::vector<core::BatchedSweepPoint> largest_id_cycle_sweep(
 
 TEST(ViewRun, MeasureMatchesEngine) {
   const auto g = graph::make_cycle(32);
-  const auto ids = graph::IdAssignment::reversed(32);
+  const auto ids = graph::reversed_ids(32);
   const auto m = core::measure(local::run_views(g, ids, algo::make_largest_id_view()));
   EXPECT_EQ(m.n, 32u);
   EXPECT_EQ(m.max_radius, 16u);  // the max vertex must close the ball

@@ -1,6 +1,6 @@
 // Tests of the message-passing engine: synchrony, guards, knowledge modes,
-// tracing, and the full-information adapter's equivalence with the ball
-// engine under flooding semantics.
+// tracing, the message arena's bit scans, and the full-information
+// adapter's equivalence with the ball engine under flooding semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/largest_id.hpp"
@@ -629,5 +630,59 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.family + "_" + std::to_string(param_info.param.n) + "_s" +
              std::to_string(param_info.param.seed);
     });
+
+// The presence-bitmask scans behind MessageArena::for_each_present.
+std::vector<std::uint64_t> random_words(std::size_t count, support::Xoshiro256& rng) {
+  std::vector<std::uint64_t> words(count);
+  for (auto& w : words) w = rng.next();
+  return words;
+}
+
+std::vector<std::size_t> collect_bits(const std::vector<std::uint64_t>& words, std::size_t begin,
+                                      std::size_t end) {
+  std::vector<std::size_t> got;
+  local::for_each_set_bit(words.data(), begin, end, [&](std::size_t bit) { got.push_back(bit); });
+  return got;
+}
+
+TEST(Simd, ForEachSetBitMatchesPerBitScan) {
+  support::Xoshiro256 rng(15);
+  const auto words = random_words(5, rng);
+  const std::size_t total = words.size() * 64;
+  const std::size_t ranges[][2] = {{0, 0},     {0, 1},   {0, 64},   {0, 128},  {1, 64},
+                                   {63, 64},   {63, 65}, {64, 128}, {10, 250}, {100, 101},
+                                   {128, 192}, {0, total}};
+  for (const auto& [begin, end] : ranges) {
+    std::vector<std::size_t> want;
+    for (std::size_t i = begin; i < end; ++i) {
+      if ((words[i >> 6] >> (i & 63)) & 1u) want.push_back(i);
+    }
+    EXPECT_EQ(collect_bits(words, begin, end), want) << "[" << begin << ", " << end << ")";
+  }
+}
+
+TEST(Simd, ForEachSetBitEitherScansTheUnion) {
+  support::Xoshiro256 rng(16);
+  const auto a = random_words(3, rng);
+  const auto b = random_words(3, rng);
+  std::vector<std::uint64_t> both(a.size());
+  for (std::size_t w = 0; w < a.size(); ++w) both[w] = a[w] | b[w];
+  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 192}, {3, 70},
+                                   {64, 65}, {100, 100}}) {
+    std::vector<std::size_t> got;
+    local::for_each_set_bit_either(a.data(), b.data(), begin, end,
+                                   [&](std::size_t bit) { got.push_back(bit); });
+    EXPECT_EQ(got, collect_bits(both, begin, end)) << "[" << begin << ", " << end << ")";
+  }
+}
+
+TEST(Simd, ForEachSetBitOnSolidAndEmptyMasks) {
+  const std::vector<std::uint64_t> solid(3, ~std::uint64_t{0});
+  EXPECT_EQ(collect_bits(solid, 0, 192).size(), 192u);
+  EXPECT_EQ(collect_bits(solid, 5, 67).size(), 62u);
+  const std::vector<std::uint64_t> empty(3, 0);
+  EXPECT_TRUE(collect_bits(empty, 0, 192).empty());
+  EXPECT_TRUE(collect_bits(empty, 63, 129).empty());
+}
 
 }  // namespace

@@ -22,8 +22,8 @@
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/flood_probe.hpp"
 #include "local/engine.hpp"
-#include "local/flood_probe.hpp"
 #include "local/message_arena.hpp"
 #include "local/view_engine.hpp"
 #include "support/alloc_hook.hpp"
@@ -207,7 +207,9 @@ TEST(TrialAlloc, EveryAlgorithmStopsAllocatingAfterWarmUp) {
   constexpr std::size_t kSmallN = 256;
   constexpr double kStateGrowth = 1.5;
   const algo::AlgorithmRegistry& registry = algo::AlgorithmRegistry::global();
-  const std::vector<std::string> names = registry.names();
+  std::vector<std::string> names = registry.names(algo::AlgorithmKind::kView);
+  const std::vector<std::string> message = registry.names(algo::AlgorithmKind::kMessage);
+  names.insert(names.end(), message.begin(), message.end());
   ASSERT_EQ(names.size(), 9u) << "a new algorithm joins this gate";
   for (const std::string& name : names) {
     std::array<double, 2> warm_up_bytes_per_node{};

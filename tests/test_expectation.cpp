@@ -9,6 +9,7 @@
 #include "analysis/expectation.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
+#include "kit/oracles.hpp"
 
 namespace {
 

@@ -1,16 +1,15 @@
-// Unit tests for the graph library: builders, generators, balls, IO.
+// Unit tests for the graph library: builders, generators, balls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "graph/ball.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
-#include "graph/io.hpp"
 #include "graph/properties.hpp"
+#include "kit/ball.hpp"
+#include "kit/oracles.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -205,7 +204,7 @@ TEST(Ids, FactoriesAndArgmax) {
   EXPECT_EQ(ident.id_of(0), 1u);
   EXPECT_EQ(ident.id_of(4), 5u);
   EXPECT_EQ(ident.argmax(), 4u);
-  const auto rev = IdAssignment::reversed(5);
+  const auto rev = reversed_ids(5);
   EXPECT_EQ(rev.id_of(0), 5u);
   EXPECT_EQ(rev.argmax(), 0u);
   Xoshiro256 rng(6);
@@ -262,31 +261,6 @@ TEST(Ball, DistanceBetweenVertices) {
   const Graph g = make_grid(4, 4);
   EXPECT_EQ(distance(g, 0, 15), 6);
   EXPECT_EQ(distance(g, 0, 0), 0);
-}
-
-TEST(Io, EdgeListRoundTrip) {
-  const Graph g = make_grid(3, 3);
-  std::stringstream buffer;
-  write_edge_list(buffer, g);
-  const Graph parsed = read_edge_list(buffer);
-  EXPECT_EQ(parsed.vertex_count(), g.vertex_count());
-  EXPECT_EQ(parsed.edge_count(), g.edge_count());
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    for (Vertex u : g.neighbours(v)) EXPECT_TRUE(parsed.has_edge(v, u));
-  }
-}
-
-TEST(Io, EdgeListRejectsMalformed) {
-  std::stringstream bad("3 1\n0 9\n");
-  EXPECT_THROW(read_edge_list(bad), std::invalid_argument);
-}
-
-TEST(Io, DotContainsLabels) {
-  const Graph g = make_cycle(3);
-  const auto ids = IdAssignment::reversed(3);
-  const std::string dot = to_dot(g, &ids);
-  EXPECT_NE(dot.find("label=\"3\""), std::string::npos);
-  EXPECT_NE(dot.find("--"), std::string::npos);
 }
 
 TEST(Properties, Classification) {

@@ -14,11 +14,11 @@
 #include "algo/greedy_colouring.hpp"
 #include "algo/registry.hpp"
 #include "algo/validity.hpp"
-#include "graph/ball.hpp"
 #include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "graph/properties.hpp"
+#include "kit/oracles.hpp"
 #include "local/engine.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"

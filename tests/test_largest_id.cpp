@@ -10,9 +10,10 @@
 
 #include "algo/largest_id.hpp"
 #include "algo/validity.hpp"
-#include "graph/ball.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/ball.hpp"
+#include "kit/oracles.hpp"
 #include "local/engine.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"

@@ -4,9 +4,10 @@
 
 #include "algo/cole_vishkin.hpp"
 #include "algo/validity.hpp"
-#include "analysis/tabular.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
+#include "kit/tabular.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
 

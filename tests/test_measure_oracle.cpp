@@ -20,6 +20,7 @@
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"

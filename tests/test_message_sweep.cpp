@@ -17,6 +17,7 @@
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
 #include "local/engine.hpp"
 #include "local/full_info.hpp"
 #include "support/rng.hpp"
@@ -135,7 +136,7 @@ TEST(MessageSweep, AccumulatorsMatchPerTrialRunsUnderSweepSeeds) {
       max = std::max(max, r);
       expected_node_sum[v] += r;
     }
-    expected_hist.add_profile(run.radii);
+    local::add_profile(expected_hist, run.radii);
     EXPECT_EQ(acc.trial_sum[t], sum) << "trial " << t;
     EXPECT_EQ(acc.trial_max[t], max) << "trial " << t;
     EXPECT_EQ(acc.trial_edge_sum[t],

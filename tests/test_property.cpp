@@ -6,9 +6,9 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/ball.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/ball.hpp"
 #include "local/view.hpp"
 #include "local/wire.hpp"
 #include "support/rng.hpp"

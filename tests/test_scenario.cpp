@@ -18,6 +18,7 @@
 #include "core/sweep_backend.hpp"
 #include "graph/family_registry.hpp"
 #include "graph/properties.hpp"
+#include "kit/oracles.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -39,7 +40,7 @@ TEST(FamilyRegistry, CoversEveryGeneratorAndBuildsConnectedGraphs) {
 
   for (const std::string& name : names) {
     const graph::FamilySpec spec{name, {}};
-    const std::size_t realised = registry.realised_size(spec, 20);
+    const std::size_t realised = graph::realised_size(registry, spec, 20);
     support::Xoshiro256 rng(7);
     const graph::Graph g = registry.build(spec, 20, rng);
     EXPECT_EQ(g.vertex_count(), realised) << name;
@@ -47,21 +48,21 @@ TEST(FamilyRegistry, CoversEveryGeneratorAndBuildsConnectedGraphs) {
     // Realised sizes are exact fixed points: requesting a realised size
     // realises it unchanged, which is what lets resolved scenarios satisfy
     // the engine's vertex_count() == n contract.
-    EXPECT_EQ(registry.realised_size(spec, realised), realised) << name;
+    EXPECT_EQ(graph::realised_size(registry, spec, realised), realised) << name;
   }
 }
 
 TEST(FamilyRegistry, RealisedSizesRespectFamilyConstraints) {
   const auto& registry = graph::FamilyRegistry::global();
   // A torus snaps to the nearest square with side >= 3.
-  EXPECT_EQ(registry.realised_size({"torus", {}}, 250), 256u);
-  EXPECT_EQ(registry.realised_size({"torus", {}}, 2), 9u);
+  EXPECT_EQ(graph::realised_size(registry, {"torus", {}}, 250), 256u);
+  EXPECT_EQ(graph::realised_size(registry, {"torus", {}}, 2), 9u);
   // A complete binary tree snaps up to the next full level.
-  EXPECT_EQ(registry.realised_size({"kary-tree", {}}, 8), 15u);
-  EXPECT_EQ(registry.realised_size({"kary-tree", {{"arity", 3}}}, 5), 13u);
+  EXPECT_EQ(graph::realised_size(registry, {"kary-tree", {}}, 8), 15u);
+  EXPECT_EQ(graph::realised_size(registry, {"kary-tree", {{"arity", 3}}}, 5), 13u);
   // random-regular bumps n so n*d is even and d < n.
-  EXPECT_EQ(registry.realised_size({"random-regular", {{"degree", 3}}}, 7), 8u);
-  EXPECT_EQ(registry.realised_size({"random-regular", {{"degree", 4}}}, 2), 5u);
+  EXPECT_EQ(graph::realised_size(registry, {"random-regular", {{"degree", 3}}}, 7), 8u);
+  EXPECT_EQ(graph::realised_size(registry, {"random-regular", {{"degree", 4}}}, 2), 5u);
 }
 
 TEST(FamilyRegistry, EveryFamilyRunsALargestIdTrialAtSizeOne) {
@@ -110,7 +111,7 @@ TEST(FamilyRegistry, UnknownNamesAndParamsThrowWithKnownLists) {
       registry.build({"gnp", {{"avg-degree", 2.0}, {"avg-degree", 3.0}}}, 16, rng),
       std::invalid_argument);
   // Count-like parameters must be positive integers.
-  EXPECT_THROW(registry.realised_size({"random-regular", {{"degree", 2.5}}}, 16),
+  EXPECT_THROW(graph::realised_size(registry, {"random-regular", {{"degree", 2.5}}}, 16),
                std::invalid_argument);
 }
 
@@ -250,13 +251,13 @@ TEST(Scenario, SizesBeyondTheVertexRangeThrowBeforeAnyGraphWork) {
       support::Xoshiro256 rng(1);
       EXPECT_THROW(families.build({family, {}}, n, rng), std::invalid_argument)
           << family << " n=" << n;
-      EXPECT_THROW(families.realised_size({family, {}}, n), std::invalid_argument)
+      EXPECT_THROW(graph::realised_size(families, {family, {}}, n), std::invalid_argument)
           << family << " n=" << n;
     }
   }
   // A request inside the range whose realised size is not: the nearest
   // square to 2^32-1 is 65536^2 = 2^32.
-  EXPECT_THROW(families.realised_size({"torus", {}}, limit), std::invalid_argument);
+  EXPECT_THROW(graph::realised_size(families, {"torus", {}}, limit), std::invalid_argument);
 }
 
 TEST(Scenario, ResolveRoutesAlgorithmsToTheirEngine) {

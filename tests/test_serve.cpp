@@ -132,7 +132,7 @@ TEST(ResultCache, ColdThenWarmIsByteIdenticalWithZeroRecomputation) {
   EXPECT_EQ(stats.full_hits, 1u);
   EXPECT_EQ(stats.extensions, 0u);
   EXPECT_EQ(stats.trials_computed, 64u * spec.ns.size());
-  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(ResultCache, ExtensionMatchesMonolithicBitForBit) {
@@ -153,7 +153,7 @@ TEST(ResultCache, ExtensionMatchesMonolithicBitForBit) {
   const core::ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.extensions, 1u);
-  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(ResultCache, ShorterThanCachedRecomputesThenMemoises) {
@@ -192,7 +192,7 @@ TEST(ResultCache, DifferentZSameTrialsServedWithoutSweepWork) {
   EXPECT_EQ(outcome.trials_computed, 0u);
   EXPECT_EQ(outcome.report, monolithic_report(wider));
   EXPECT_EQ(cache.stats().full_hits, 1u);
-  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(ResultCache, AdaptiveSchedulesAreRejected) {
@@ -200,7 +200,7 @@ TEST(ResultCache, AdaptiveSchedulesAreRejected) {
   core::ScenarioSpec adaptive = base_spec(100);
   adaptive.schedule.target_half_width = 0.05;
   EXPECT_THROW((void)cache.sweep(adaptive), std::invalid_argument);
-  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(ResultCache, MessageEngineWorkloadsCacheAndExtendToo) {
@@ -226,7 +226,7 @@ TEST(ResultCache, DistinctWorkloadsGetDistinctEntries) {
   core::ScenarioSpec other = base_spec(8);
   other.seed = 123;
   (void)cache.sweep(other);
-  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -306,7 +306,7 @@ TEST(ResultCache, ConcurrentIdentitiesMatchMonolithicAndCountExactly) {
   EXPECT_EQ(stats.full_hits, 18u);
   EXPECT_EQ(stats.trials_computed, 12u * points);
   EXPECT_EQ(stats.entries, 4u);
-  EXPECT_EQ(cache.entry_count(), 4u);
+  EXPECT_EQ(cache.stats().entries, 4u);
 }
 
 // --------------------------------------------------------------- Server ----
@@ -406,7 +406,7 @@ TEST(Server, FailedRequestLeavesNoCacheEntry) {
   const support::JsonValue stats =
       support::parse_json(server.handle_request("{\"op\":\"stats\"}").line);
   EXPECT_EQ(stats.at("entries").as_u64(), 1u);
-  EXPECT_EQ(server.cache().entry_count(), 1u);
+  EXPECT_EQ(server.cache().stats().entries, 1u);
   // The surviving entry still serves warm.
   EXPECT_TRUE(server.cache().sweep(base_spec(4)).warm);
 }
@@ -435,7 +435,7 @@ TEST(Server, RacingFailedRequestsLeaveNoCacheEntry) {
     for (const std::string& line : replies) {
       EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
     }
-    EXPECT_EQ(server.cache().entry_count(), 1u) << "round " << round;
+    EXPECT_EQ(server.cache().stats().entries, 1u) << "round " << round;
     EXPECT_EQ(server.cache().stats().entries, 1u) << "round " << round;
   }
   EXPECT_TRUE(server.cache().sweep(base_spec(4)).warm);

@@ -1,5 +1,5 @@
-// Unit tests for the support layer: RNG, math, statistics, tables, CSV,
-// JSON and the bit scan of support/simd.hpp.
+// Unit tests for the support layer: RNG, math, statistics, tables, CSV
+// and JSON.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,13 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "kit/oracles.hpp"
 #include "local/metrics.hpp"
 #include "support/csv.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -107,20 +107,6 @@ TEST(Math, LogStarAtTowerValues) {
   EXPECT_EQ(log_star(65537.0), 5);
 }
 
-TEST(Math, Tower) {
-  EXPECT_EQ(tower(0), 1u);
-  EXPECT_EQ(tower(1), 2u);
-  EXPECT_EQ(tower(2), 4u);
-  EXPECT_EQ(tower(3), 16u);
-  EXPECT_EQ(tower(4), 65536u);
-}
-
-TEST(Math, LogStarInverseOfTower) {
-  for (int k = 1; k <= 4; ++k) {
-    EXPECT_EQ(log_star(static_cast<double>(tower(k))), k);
-  }
-}
-
 TEST(Stats, RunningMatchesNaive) {
   RunningStats rs;
   const std::vector<double> xs = {1.5, -2.0, 3.25, 0.0, 10.0, -7.5};
@@ -140,19 +126,6 @@ TEST(Stats, RunningMatchesNaive) {
   EXPECT_EQ(rs.max(), 10.0);
 }
 
-TEST(Stats, MergeEqualsSequential) {
-  RunningStats left, right, whole;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10;
-    (i < 20 ? left : right).add(x);
-    whole.add(x);
-  }
-  left.merge(right);
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.count(), whole.count());
-}
-
 TEST(Stats, PercentileInterpolates) {
   const std::vector<double> sorted = {0, 10, 20, 30, 40};
   EXPECT_NEAR(percentile_sorted(sorted, 0.0), 0, 1e-12);
@@ -166,22 +139,6 @@ TEST(Stats, SummarizeEmptyIsZero) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Stats, FitLinearRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.5 * i);
-  }
-  const LinearFit fit = fit_linear(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.5, 1e-9);
-}
-
-TEST(Stats, FitLinearRejectsDegenerate) {
-  EXPECT_THROW(fit_linear({1.0}, {1.0}), std::invalid_argument);
-  EXPECT_THROW(fit_linear({2.0, 2.0}, {1.0, 3.0}), std::logic_error);
 }
 
 TEST(Table, MarkdownShape) {
@@ -200,7 +157,7 @@ TEST(Table, MarkdownShape) {
 TEST(Table, ShortRowsArePadded) {
   Table t({"a", "b"});
   t.add_row({"only"});
-  EXPECT_NE(t.to_text().find("only"), std::string::npos);
+  EXPECT_NE(t.to_markdown().find("only"), std::string::npos);
 }
 
 TEST(Csv, EscapesSpecialCharacters) {
@@ -299,35 +256,6 @@ TEST(Stats, EmptyExtremaAreNaN) {
   EXPECT_DOUBLE_EQ(one.max(), -3.5);
 }
 
-TEST(Stats, MergeHandlesEmptySides) {
-  support::RunningStats filled;
-  filled.add(2.0);
-  filled.add(-4.0);
-
-  // Empty into filled: a no-op (extrema must not absorb the empty side's
-  // indeterminate state).
-  support::RunningStats a = filled;
-  a.merge(support::RunningStats());
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.min(), -4.0);
-  EXPECT_DOUBLE_EQ(a.max(), 2.0);
-  EXPECT_DOUBLE_EQ(a.mean(), filled.mean());
-
-  // Filled into empty: copies everything, including extrema.
-  support::RunningStats b;
-  b.merge(filled);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.min(), -4.0);
-  EXPECT_DOUBLE_EQ(b.max(), 2.0);
-
-  // Empty into empty: still empty, extrema still NaN.
-  support::RunningStats c;
-  c.merge(support::RunningStats());
-  EXPECT_EQ(c.count(), 0u);
-  EXPECT_TRUE(std::isnan(c.min()));
-  EXPECT_TRUE(std::isnan(c.max()));
-}
-
 TEST(JsonReader, ParsesScalarsArraysAndObjects) {
   const auto doc = support::parse_json(
       "  {\"name\": \"a\\\"b\\n\", \"flag\": true, \"none\": null,\n"
@@ -410,9 +338,9 @@ TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   EXPECT_TRUE(hist.empty());
   EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
 
-  hist.add(0, 4);
-  hist.add(2, 4);
-  hist.add(10);
+  local::add_samples(hist, 0, 4);
+  local::add_samples(hist, 2, 4);
+  local::add_samples(hist, 10);
   EXPECT_EQ(hist.samples(), 9u);
   EXPECT_EQ(hist.max_radius(), 10u);
   EXPECT_DOUBLE_EQ(hist.mean(), (0.0 * 4 + 2.0 * 4 + 10.0) / 9.0);
@@ -424,7 +352,7 @@ TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   EXPECT_EQ(hist.quantile(1.0), 10u);
 
   local::RadiusHistogram other;
-  other.add(1, 2);
+  local::add_samples(other, 1, 2);
   hist.merge(other);
   EXPECT_EQ(hist.samples(), 11u);
   EXPECT_EQ(hist.counts()[1], 2u);
@@ -434,59 +362,6 @@ TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   local::RadiusHistogram padded(std::vector<std::uint64_t>{4, 2, 4, 0, 0});
   local::RadiusHistogram tight(std::vector<std::uint64_t>{4, 2, 4});
   EXPECT_EQ(padded, tight);
-}
-
-std::vector<std::uint64_t> random_words(std::size_t count, support::Xoshiro256& rng) {
-  std::vector<std::uint64_t> words(count);
-  for (auto& w : words) w = rng.next();
-  return words;
-}
-
-std::vector<std::size_t> collect_bits(const std::vector<std::uint64_t>& words, std::size_t begin,
-                                      std::size_t end) {
-  std::vector<std::size_t> got;
-  simd::for_each_set_bit(words.data(), begin, end, [&](std::size_t bit) { got.push_back(bit); });
-  return got;
-}
-
-TEST(Simd, ForEachSetBitMatchesPerBitScan) {
-  support::Xoshiro256 rng(15);
-  const auto words = random_words(5, rng);
-  const std::size_t total = words.size() * 64;
-  const std::size_t ranges[][2] = {{0, 0},     {0, 1},   {0, 64},   {0, 128},  {1, 64},
-                                   {63, 64},   {63, 65}, {64, 128}, {10, 250}, {100, 101},
-                                   {128, 192}, {0, total}};
-  for (const auto& [begin, end] : ranges) {
-    std::vector<std::size_t> want;
-    for (std::size_t i = begin; i < end; ++i) {
-      if ((words[i >> 6] >> (i & 63)) & 1u) want.push_back(i);
-    }
-    EXPECT_EQ(collect_bits(words, begin, end), want) << "[" << begin << ", " << end << ")";
-  }
-}
-
-TEST(Simd, ForEachSetBitEitherScansTheUnion) {
-  support::Xoshiro256 rng(16);
-  const auto a = random_words(3, rng);
-  const auto b = random_words(3, rng);
-  std::vector<std::uint64_t> both(a.size());
-  for (std::size_t w = 0; w < a.size(); ++w) both[w] = a[w] | b[w];
-  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 192}, {3, 70},
-                                   {64, 65}, {100, 100}}) {
-    std::vector<std::size_t> got;
-    simd::for_each_set_bit_either(a.data(), b.data(), begin, end,
-                                  [&](std::size_t bit) { got.push_back(bit); });
-    EXPECT_EQ(got, collect_bits(both, begin, end)) << "[" << begin << ", " << end << ")";
-  }
-}
-
-TEST(Simd, ForEachSetBitOnSolidAndEmptyMasks) {
-  const std::vector<std::uint64_t> solid(3, ~std::uint64_t{0});
-  EXPECT_EQ(collect_bits(solid, 0, 192).size(), 192u);
-  EXPECT_EQ(collect_bits(solid, 5, 67).size(), 62u);
-  const std::vector<std::uint64_t> empty(3, 0);
-  EXPECT_TRUE(collect_bits(empty, 0, 192).empty());
-  EXPECT_TRUE(collect_bits(empty, 63, 129).empty());
 }
 
 }  // namespace

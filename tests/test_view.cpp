@@ -12,6 +12,7 @@
 #include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
+#include "kit/oracles.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
@@ -250,19 +251,6 @@ TEST(BallGrower, StarGeometry) {
   }
 }
 
-TEST(BallView, MaxAndGreaterQueries) {
-  const auto g = graph::make_cycle(6);
-  const auto ids = graph::IdAssignment::reversed(6);  // ids 6,5,4,3,2,1
-  BallGrower::Scratch scratch(6);
-  BallGrower grower(g, 3, ViewSemantics::kInducedBall, scratch);  // own id 3
-  grower.grow();
-  std::vector<std::uint64_t> buffer;
-  const BallView& view = bound_view(grower, ids, buffer);
-  EXPECT_EQ(view.max_id(), 4u);
-  EXPECT_TRUE(view.contains_id_greater_than(3));
-  EXPECT_FALSE(view.contains_id_greater_than(4));
-}
-
 struct RingViewCase {
   std::size_t n;
   std::size_t radius;
@@ -403,7 +391,7 @@ TEST(PortTable, RowsSpansAndReuse) {
 
 TEST(BallGrower, ResetReRootsAndMatchesFreshGrower) {
   const auto g = graph::make_grid(4, 5);
-  const auto ids = graph::IdAssignment::reversed(20);
+  const auto ids = graph::reversed_ids(20);
   BallGrower::Scratch scratch(20);
   BallGrower reused(g, 0, ViewSemantics::kInducedBall, scratch);
   for (avglocal::graph::Vertex root = 0; root < 20; ++root) {
