@@ -40,10 +40,11 @@
 //   avglocal_cli drive --algo largest-id --graph gnp:avg-degree=6
 //                      --ns 1024,4096 --trials 1000 --shards 4 --json sweep.json
 //
-// Or keep the engines resident: `serve` runs a daemon over a Unix-domain
-// socket with a content-addressed result cache (repeat requests are free,
-// trial extensions compute only the missing range), `request` is its
-// client - the saved report is byte-identical to a one-shot sweep's:
+// Or keep the engines resident: `serve` runs a daemon on a socket endpoint
+// (unix:PATH, a bare path, or tcp:HOST:PORT) with a content-addressed
+// result cache (repeat requests are free, trial extensions compute only
+// the missing range), `request` is its client - the saved report is
+// byte-identical to a one-shot sweep's:
 //   avglocal_cli serve --socket /tmp/avglocal.sock --threads 4 &
 //   avglocal_cli request --socket /tmp/avglocal.sock --algo largest-id
 //                        --graph cycle --ns 1024 --trials 500 --json sweep.json
@@ -94,6 +95,7 @@
 #include "support/csv.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/line_server.hpp"
 #include "support/rng.hpp"
 #include "support/socket.hpp"
 
@@ -839,11 +841,13 @@ int run_drive_command(int argc, char** argv) {
 
 void serve_usage() {
   std::cout
-      << "usage: avglocal_cli serve --socket PATH [--threads W] [--batch B]\n"
+      << "usage: avglocal_cli serve --socket ENDPOINT [--threads W] [--batch B]\n"
          "                          [--max-clients C]\n"
-         "       avglocal_cli request --socket PATH [--op sweep|ping|stats|shutdown]\n"
+         "       avglocal_cli request --socket ENDPOINT [--op sweep|ping|stats|shutdown]\n"
          "                            [--connect-timeout-ms MS] ...sweep flags... [--json FILE]\n"
-         "  serve keeps sweep engines resident behind a Unix-domain socket with a\n"
+         "  ENDPOINT is unix:PATH (or a bare path) or tcp:HOST:PORT; serve prints the\n"
+         "  endpoint it bound, with tcp port 0 resolved to the ephemeral port.\n"
+         "  serve keeps sweep engines resident behind that socket with a\n"
          "  content-addressed result cache: a repeated request is served from cache\n"
          "  with zero recomputation, a request for more trials of a cached workload\n"
          "  computes only the missing trial range, and every report is byte-identical\n"
@@ -864,7 +868,7 @@ int run_serve_command(int argc, char** argv) {
     return 2;
   }
   if (options.socket_path.empty()) {
-    std::cerr << "serve needs --socket PATH\n";
+    std::cerr << "serve needs --socket ENDPOINT\n";
     serve_usage();
     return 2;
   }
@@ -878,7 +882,7 @@ int run_serve_command(int argc, char** argv) {
   g_server = &server;
   install_stop_handlers();
 
-  std::cout << "serving on " << options.socket_path << "\n" << std::flush;
+  std::cout << "serving on " << server.endpoint().to_string() << "\n" << std::flush;
   server.run();
   g_server = nullptr;
   const core::ResultCacheStats stats = server.cache().stats();
@@ -1029,7 +1033,7 @@ int run_request_command(int argc, char** argv) {
     return 2;
   }
   if (socket_path.empty()) {
-    std::cerr << "request needs --socket PATH\n";
+    std::cerr << "request needs --socket ENDPOINT\n";
     serve_usage();
     return 2;
   }
@@ -1062,11 +1066,8 @@ int run_request_command(int argc, char** argv) {
     std::cerr << "daemon closed the connection without a response\n";
     return 1;
   }
-  const support::JsonValue response = support::parse_json(line);
-  if (!response.at("ok").as_bool()) {
-    std::cerr << "error: " << response.at("error").as_string() << "\n";
-    return 1;
-  }
+  // A rejected request throws its error text: run_guarded prints it, exit 1.
+  const support::JsonValue response = support::parse_reply(line);
   if (op != "sweep") {
     std::cout << line << "\n";
     return 0;

@@ -1,6 +1,6 @@
 #include "core/fabric.hpp"
 
-#include <exception>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,14 +13,8 @@ namespace avglocal::core {
 
 namespace {
 
-std::string error_reply(const std::string& message) {
-  support::JsonWriter json;
-  json.begin_object();
-  json.key("ok").value(false);
-  json.key("error").value(message);
-  json.end_object();
-  return json.str();
-}
+using support::JsonValue;
+using support::JsonWriter;
 
 /// How long a drained worker waits before asking again. Short next to the
 /// straggler deadline so a freed unit is picked up promptly, long enough
@@ -130,9 +124,10 @@ FabricCoordinator::FabricCoordinator(ResolvedScenario resolved, const FabricOpti
       unit_results_(work_units_.size()),
       server_(
           options.max_workers,
-          [this](std::uint64_t session, const std::string& line) {
-            Reply reply = handle_request(session, line);
-            return support::LineServer::Reply{std::move(reply.line), reply.disconnect};
+          {
+              {"hello", std::bind_front(&FabricCoordinator::hello, this)},
+              {"work-request", std::bind_front(&FabricCoordinator::work_request, this)},
+              {"result", std::bind_front(&FabricCoordinator::result, this)},
           },
           // Whatever a closed connection still held goes back into
           // circulation: a vanished worker must not stall the sweep for a
@@ -170,109 +165,74 @@ std::uint64_t FabricCoordinator::now_ms() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count());
 }
 
-FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session,
-                                                           const std::string& line) {
-  Reply reply;
-  try {
-    const support::JsonValue request = support::parse_json(line);
-    const std::string& op = request.at("op").as_string();
-    support::JsonWriter json;
-    if (op == "hello") {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.workers_seen;
-      }
-      json.begin_object();
-      json.key("ok").value(true);
-      json.key("op").value("hello");
-      json.key("scenario");
-      write_scenario_json(json, resolved_.spec);
-      json.end_object();
-    } else if (op == "work-request") {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping() || queue_.complete()) {
-        // A stop before completion is a drain, and says so: the worker
-        // must not mistake it for a finished sweep.
-        json.begin_object();
-        json.key("ok").value(true);
-        json.key("op").value("shutdown");
-        if (!queue_.complete()) json.key("drained").value(true);
-        json.end_object();
-        reply.disconnect = true;
-      } else if (const std::optional<WorkUnit> unit = queue_.grant(session, now_ms())) {
-        ++stats_.units_granted;
-        json.begin_object();
-        json.key("ok").value(true);
-        json.key("op").value("work-grant");
-        json.key("unit").begin_object();
-        json.key("id").value(static_cast<std::uint64_t>(unit->id));
-        json.key("point").value(static_cast<std::uint64_t>(unit->point));
-        json.key("trial_begin").value(static_cast<std::uint64_t>(unit->trial_begin));
-        json.key("trial_end").value(static_cast<std::uint64_t>(unit->trial_end));
-        json.end_object();
-        json.end_object();
-      } else {
-        json.begin_object();
-        json.key("ok").value(true);
-        json.key("op").value("drain");
-        json.key("retry_ms").value(kDrainRetryMs);
-        json.end_object();
-      }
-    } else if (op == "result") {
-      const std::size_t unit_id = request.at("unit").as_u64();
-      if (unit_id >= work_units_.size()) {
-        reply.line = error_reply("unknown unit id " + std::to_string(unit_id));
-        return reply;
-      }
-      const WorkUnit& unit = work_units_[unit_id];
-      ShardDocument doc = parse_shard_json(request.at("artefact").as_string());
-      if (doc.meta != resolved_.spec) {
-        reply.line = error_reply("artefact meta does not match this sweep's plan");
-        return reply;
-      }
-      const SweepShard expected{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
-      if (doc.shard != expected || doc.points.size() != 1) {
-        reply.line = error_reply("artefact rectangle does not match unit " +
-                                 std::to_string(unit_id));
-        return reply;
-      }
-      // The body, not the header, is what would be merged.
-      if (!resolved_.matches_partial(doc.points.front(), unit.point, unit.trial_begin,
-                                     unit.trial_end)) {
-        reply.line = error_reply("artefact body does not match unit " + std::to_string(unit_id));
-        return reply;
-      }
-      bool accepted = false;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        accepted = queue_.accept(unit_id);
-        if (accepted) {
-          // Keyed by unit id, never by session or arrival order: the
-          // merge below reads this vector front to back.
-          unit_results_[unit_id] = std::move(doc.points.front());
-          ++stats_.results_accepted;
-        } else {
-          ++stats_.duplicates_discarded;
-        }
-        // Completion ends the accept loop without a drain: every connected
-        // worker leaves after the shutdown reply to its next work-request.
-        if (queue_.complete()) server_.stop_accepting();
-      }
-      json.begin_object();
-      json.key("ok").value(true);
-      json.key("op").value("result");
-      json.key("accepted").value(accepted);
-      json.end_object();
-    } else {
-      reply.line = error_reply("unknown op '" + op + "'");
-      return reply;
-    }
-    reply.line = json.str();
-  } catch (const std::exception& error) {
-    reply.line = error_reply(error.what());
-    reply.disconnect = false;
+void FabricCoordinator::hello(std::uint64_t, const JsonValue&, OpReply& reply) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.workers_seen;
   }
-  return reply;
+  JsonWriter& json = reply.fields();
+  json.key("scenario");
+  write_scenario_json(json, resolved_.spec);
+}
+
+void FabricCoordinator::work_request(std::uint64_t session, const JsonValue&, OpReply& reply) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping() || queue_.complete()) {
+    // A stop before completion is a drain, and says so: the worker must
+    // not mistake it for a finished sweep.
+    JsonWriter& json = reply.fields("shutdown");
+    if (!queue_.complete()) json.key("drained").value(true);
+    reply.close = true;
+  } else if (const std::optional<WorkUnit> unit = queue_.grant(session, now_ms())) {
+    ++stats_.units_granted;
+    JsonWriter& json = reply.fields("work-grant");
+    json.key("unit").begin_object();
+    json.key("id").value(static_cast<std::uint64_t>(unit->id));
+    json.key("point").value(static_cast<std::uint64_t>(unit->point));
+    json.key("trial_begin").value(static_cast<std::uint64_t>(unit->trial_begin));
+    json.key("trial_end").value(static_cast<std::uint64_t>(unit->trial_end));
+    json.end_object();
+  } else {
+    reply.fields("drain").key("retry_ms").value(kDrainRetryMs);
+  }
+}
+
+void FabricCoordinator::result(std::uint64_t, const JsonValue& request, OpReply& reply) {
+  const std::size_t unit_id = request.at("unit").as_u64();
+  if (unit_id >= work_units_.size()) {
+    throw std::runtime_error("unknown unit id " + std::to_string(unit_id));
+  }
+  const WorkUnit& unit = work_units_[unit_id];
+  ShardDocument doc = parse_shard_json(request.at("artefact").as_string());
+  if (doc.meta != resolved_.spec) {
+    throw std::runtime_error("artefact meta does not match this sweep's plan");
+  }
+  const SweepShard expected{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
+  if (doc.shard != expected || doc.points.size() != 1) {
+    throw std::runtime_error("artefact rectangle does not match unit " + std::to_string(unit_id));
+  }
+  // The body, not the header, is what would be merged.
+  if (!resolved_.matches_partial(doc.points.front(), unit.point, unit.trial_begin,
+                                 unit.trial_end)) {
+    throw std::runtime_error("artefact body does not match unit " + std::to_string(unit_id));
+  }
+  bool accepted = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accepted = queue_.accept(unit_id);
+    if (accepted) {
+      // Keyed by unit id, never by session or arrival order: the merge
+      // below reads this vector front to back.
+      unit_results_[unit_id] = std::move(doc.points.front());
+      ++stats_.results_accepted;
+    } else {
+      ++stats_.duplicates_discarded;
+    }
+    // Completion ends the accept loop without a drain: every connected
+    // worker leaves after the shutdown reply to its next work-request.
+    if (queue_.complete()) server_.stop_accepting();
+  }
+  reply.fields().key("accepted").value(accepted);
 }
 
 void FabricCoordinator::release_session(std::uint64_t session) {
@@ -281,19 +241,6 @@ void FabricCoordinator::release_session(std::uint64_t session) {
 }
 
 // ------------------------------------------------------ run_fabric_worker ----
-
-namespace {
-
-support::JsonValue parse_reply(const std::string& line, const char* context) {
-  const support::JsonValue reply = support::parse_json(line);
-  if (!reply.at("ok").as_bool()) {
-    throw std::runtime_error(std::string("fabric ") + context +
-                             " rejected: " + reply.at("error").as_string());
-  }
-  return reply;
-}
-
-}  // namespace
 
 FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
   FabricWorkerOutcome outcome;
@@ -304,7 +251,7 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
   // workload-agnostic and resolves the canonical scenario block exactly
   // like every other consumer.
   {
-    support::JsonWriter hello;
+    JsonWriter hello;
     hello.begin_object();
     hello.key("op").value("hello");
     hello.key("worker").value(options.name);
@@ -317,14 +264,14 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
   if (!stream.read_line(line)) {
     throw std::runtime_error("fabric hello: no reply from coordinator");
   }
-  const support::JsonValue hello_reply = parse_reply(line, "hello");
+  const JsonValue hello_reply = support::parse_reply(line, "fabric hello rejected: ");
   // One session for the whole run: a point is prepared on its first unit.
   ScenarioSession session(resolve_scenario(scenario_from_json(hello_reply.at("scenario"))),
                           ScenarioExecution{options.threads, options.batch, nullptr});
   const ScenarioSpec& spec = session.resolved().spec;
 
   for (;;) {
-    support::JsonWriter request;
+    JsonWriter request;
     request.begin_object();
     request.key("op").value("work-request");
     request.end_object();
@@ -332,10 +279,10 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
       outcome.drained = true;  // coordinator drained us (SIGTERM teardown)
       return outcome;
     }
-    const support::JsonValue reply = parse_reply(line, "work-request");
+    const JsonValue reply = support::parse_reply(line, "fabric work-request rejected: ");
     const std::string& op = reply.at("op").as_string();
     if (op == "shutdown") {
-      const support::JsonValue* drained = reply.find("drained");
+      const JsonValue* drained = reply.find("drained");
       outcome.drained = drained != nullptr && drained->as_bool();
       return outcome;
     }
@@ -347,7 +294,7 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
       throw std::runtime_error("fabric work-request: unexpected reply op '" + op + "'");
     }
 
-    const support::JsonValue& granted = reply.at("unit");
+    const JsonValue& granted = reply.at("unit");
     WorkUnit unit;
     unit.id = granted.at("id").as_u64();
     unit.point = granted.at("point").as_u64();
@@ -364,7 +311,7 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
     doc.shard = SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
     doc.points.push_back(session.run_trials(unit.point, unit.trial_begin, unit.trial_end));
 
-    support::JsonWriter result;
+    JsonWriter result;
     result.begin_object();
     result.key("op").value("result");
     result.key("unit").value(static_cast<std::uint64_t>(unit.id));
@@ -374,7 +321,7 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
       outcome.drained = true;  // hung up between our submit and its ack
       return outcome;
     }
-    parse_reply(line, "result");  // accepted or duplicate - both fine
+    support::parse_reply(line, "fabric result rejected: ");  // accepted or duplicate - both fine
     ++outcome.units;
     outcome.trials += unit.trial_end - unit.trial_begin;
   }

@@ -4,9 +4,9 @@
 //
 // The coordinator decomposes one fixed-schedule scenario sweep into
 // (point, trial-range) WorkUnits and streams them to worker processes
-// over a pull-based newline-JSON protocol - workers request work when
-// idle, so load balance emerges from the pull pattern instead of a static
-// pre-partition. One request or reply object per line:
+// over a pull-based protocol - workers request work when idle, so load
+// balance emerges from the pull pattern instead of a static
+// pre-partition. The ops, in support::LineServer's envelope:
 //
 //   {"op":"hello","worker":NAME}
 //     -> {"ok":true,"op":"hello","scenario":{...}}
@@ -151,10 +151,10 @@ struct FabricStats {
   std::uint64_t duplicates_discarded = 0;  ///< later artefacts per unit id
 };
 
-/// The coordinator: a support::LineServer handler owning the WorkQueue and
-/// the accepted per-unit accumulators. run() returns once every unit is
-/// accepted (normal completion: the server stops accepting, and each
-/// worker leaves after its shutdown reply) or a stop was requested
+/// The coordinator: the ops above on a support::LineServer, over the
+/// WorkQueue and the accepted per-unit accumulators. run() returns once
+/// every unit is accepted (normal completion: the server stops accepting,
+/// and each worker leaves after its shutdown reply) or a stop was requested
 /// (SIGTERM drain - workers see EOF and exit cleanly).
 class FabricCoordinator {
  public:
@@ -187,24 +187,24 @@ class FabricCoordinator {
   /// aborted run). Call after run() returned.
   std::vector<std::optional<PointAccumulator>> take_unit_results();
 
-  /// One handled request line. `disconnect` marks a shutdown reply: the
-  /// handler sends the line, then closes the connection.
-  struct Reply {
-    std::string line;
-    bool disconnect = false;
-  };
-
-  /// Parses and executes one request line from `session` and builds the
-  /// reply line. Never throws: malformed input becomes {"ok":false,...}.
-  /// Public so protocol tests can drive the coordinator without sockets.
-  Reply handle_request(std::uint64_t session, const std::string& line);
+  /// LineServer::handle on the coordinator's ops (a shutdown reply has
+  /// `close` set). Public so protocol tests can run without sockets.
+  support::LineServer::Reply handle_request(std::uint64_t session, const std::string& line) {
+    return server_.handle(session, line);
+  }
 
   /// Releases every unit `session` still holds (its connection dropped).
   /// Public for the same socket-free tests.
   void release_session(std::uint64_t session);
 
  private:
+  using OpReply = support::LineServer::OpReply;
+
   std::uint64_t now_ms() const;
+  // The op table's handlers.
+  void hello(std::uint64_t session, const support::JsonValue& request, OpReply& reply);
+  void work_request(std::uint64_t session, const support::JsonValue& request, OpReply& reply);
+  void result(std::uint64_t session, const support::JsonValue& request, OpReply& reply);
 
   FabricOptions options_;
   ResolvedScenario resolved_;          ///< every artefact's header must equal its spec

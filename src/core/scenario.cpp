@@ -323,6 +323,10 @@ ScenarioSpec scenario_from_json(const support::JsonValue& value) {
   return spec;
 }
 
+SweepPool shared_pool(const ScenarioExecution& execution) {
+  return SweepPool({.threads = execution.threads, .pool = execution.pool});
+}
+
 ScenarioSession::ScenarioSession(ResolvedScenario resolved, const ScenarioExecution& execution)
     : resolved_(std::move(resolved)),
       backend_(resolved_.make_backend()),
@@ -351,11 +355,13 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& e
   ScenarioResult result;
   result.spec = resolved.spec;
   result.points.reserve(resolved.spec.ns.size());
+  const SweepPool pool = shared_pool(execution);
+  const ScenarioExecution per_point{execution.threads, execution.batch_size, pool.get()};
   for (std::size_t index = 0; index < resolved.spec.ns.size(); ++index) {
     // A session per point: every adaptive round reuses its prepared point,
     // and a finished point's graph and engines are freed before the next
     // point's are built, so peak memory is the largest point's, not the sum.
-    ScenarioSession session(resolved, execution);
+    ScenarioSession session(resolved, per_point);
     const std::size_t first =
         schedule.adaptive() ? std::min(schedule.min_trials, schedule.max_trials)
                             : schedule.max_trials;

@@ -186,12 +186,17 @@ struct ScenarioExecution {
   support::ThreadPool* pool = nullptr;
 };
 
+/// The pool all per-point sessions of one run share: `execution.pool`, or
+/// one owned pool of execution.threads workers.
+SweepPool shared_pool(const ScenarioExecution& execution);
+
 /// The one owner of a resolved scenario's engines: backend, pool, driver,
 /// and per point a graph and prepared SweepDriver::Point, built on the
 /// point's first run_trials call and kept until the session ends. Every
 /// scenario-level path runs through sessions: result-cache entries and
 /// fabric workers keep one; run_scenario and run_scenario_shard
-/// (core/shard.hpp) open one per point, so memory peaks at one point's.
+/// (core/shard.hpp) open one per point on one shared_pool, so memory
+/// peaks at one point's.
 /// Not thread-safe.
 class ScenarioSession {
  public:

@@ -1,8 +1,8 @@
 // Sweep-as-a-service: a resident daemon over core::ResultCache.
 //
-// The server listens on a Unix-domain stream socket and speaks
-// newline-delimited JSON - one request object per line, one response
-// object per line, in order, per connection. Ops:
+// The server listens on any endpoint support::parse_endpoint reads
+// (unix:PATH, a bare path or tcp:HOST:PORT) and speaks LineServer's
+// newline-JSON envelope, one reply per request line, in order. Its ops:
 //
 //   {"op":"ping"}                     -> {"ok":true,"op":"ping"}
 //   {"op":"stats"}                    -> {"ok":true,"op":"stats", ...counters}
@@ -15,16 +15,16 @@
 // The scenario block is exactly the canonical block sweep reports embed
 // (core/scenario.hpp), and the returned report string is byte-identical to
 // what `avglocal_cli sweep --json` writes for the same spec - CI compares
-// them with cmp. Any malformed line or failed request yields
-// {"ok":false,"error":"..."} and the connection stays open.
+// them with cmp. Any malformed line or failed request yields LineServer's
+// error reply and the connection stays open.
 //
-// Concurrency and lifetime come from support::LineServer: one handler
-// thread per connection (at most ServeOptions::max_clients at once; one
-// more gets a {"ok":false,"error":"busy"} line and is closed), all
+// Concurrency and lifetime come from support::LineServer too: one handler
+// thread per connection (at most ServeOptions::max_clients at once), all
 // funnelling into the shared ResultCache, which runs requests for
 // different workloads concurrently on one worker pool and queues requests
-// for the same workload behind each other. The shutdown op and request_stop() - async-signal-safe, for
-// SIGTERM handlers - both end run() through LineServer's draining stop.
+// for the same workload behind each other. The shutdown op and
+// request_stop() - async-signal-safe, for SIGTERM handlers - both end
+// run() through LineServer's draining stop.
 #pragma once
 
 #include <string>
@@ -35,13 +35,13 @@
 namespace avglocal::core {
 
 struct ServeOptions {
-  std::string socket_path;
+  std::string socket_path;  ///< any support::parse_endpoint spelling
   /// ResultCacheOptions::threads for the shared sweep pool.
   std::size_t threads = 0;
   /// ResultCacheOptions::batch_size for cache-run sweeps.
   std::size_t batch_size = 0;
   /// Concurrent connections served at once; a connection beyond this gets
-  /// a {"ok":false,"error":"busy"} reply and is closed.
+  /// the "busy" error reply and is closed.
   std::size_t max_clients = 16;
 };
 
@@ -52,10 +52,13 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds and listens on options.socket_path. Throws std::runtime_error
-  /// when the path is unusable or already served. Separate from run() so
-  /// callers can install signal handlers between "the socket exists" and
-  /// "requests are being accepted".
+  /// when the endpoint is malformed, unusable or already served. Separate
+  /// from run() so callers can install signal handlers between "the
+  /// socket exists" and "requests are being accepted".
   void start();
+
+  /// The bound endpoint, with TCP port 0 resolved to the real port.
+  const support::Endpoint& endpoint() const noexcept { return server_.endpoint(); }
 
   /// Accept loop; returns only after a stop request, with every handler
   /// joined and the socket file unlinked.
@@ -69,17 +72,11 @@ class Server {
 
   ResultCache& cache() noexcept { return cache_; }
 
-  /// One handled request line. `shutdown` marks the response to a shutdown
-  /// op: the handler sends the line, then stops the server.
-  struct Reply {
-    std::string line;
-    bool shutdown = false;
-  };
+  using Reply = support::LineServer::Reply;  ///< perfbench/serve.cpp's spelling
 
-  /// Parses and executes one request line and builds the response line.
-  /// Never throws: malformed input becomes an {"ok":false,...} reply.
-  /// Public so protocol tests can drive it without a socket.
-  Reply handle_request(const std::string& line);
+  /// LineServer::handle on this server's ops (a shutdown reply has `close`
+  /// set and has asked the server to stop). Public for protocol tests.
+  Reply handle_request(const std::string& line) { return server_.handle(0, line); }
 
  private:
   ServeOptions options_;

@@ -7,6 +7,7 @@
 #include "support/assert.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/math.hpp"
 
 namespace avglocal::core {
 
@@ -40,16 +41,9 @@ std::vector<SweepShard> plan_shards(std::size_t points, std::size_t trials,
   AVGLOCAL_EXPECTS(points >= 1 && trials >= 1 && shard_count >= 1);
   const std::size_t shards = std::min(shard_count, trials);
   std::vector<SweepShard> plan;
-  plan.reserve(shards);
-  // Near-equal contiguous ranges: the first (trials % shards) shards take
-  // one extra trial, so sizes differ by at most one.
-  const std::size_t base = trials / shards;
-  const std::size_t extra = trials % shards;
-  std::size_t begin = 0;
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t size = base + (s < extra ? 1 : 0);
-    plan.push_back({0, points, begin, begin + size});
-    begin += size;
+    const auto [begin, end] = support::near_equal_range(trials, shards, s);
+    plan.push_back({0, points, begin, end});
   }
   return plan;
 }
@@ -146,9 +140,11 @@ std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolve
 
   std::vector<PointAccumulator> partials;
   partials.reserve(shard.point_end - shard.point_begin);
+  const SweepPool pool = shared_pool(execution);
+  const ScenarioExecution per_point{execution.threads, execution.batch_size, pool.get()};
   for (std::size_t point = shard.point_begin; point < shard.point_end; ++point) {
     // A session per point, as in run_scenario: peak memory stays one point's.
-    ScenarioSession session(resolved, execution);
+    ScenarioSession session(resolved, per_point);
     partials.push_back(session.run_trials(point, shard.trial_begin, shard.trial_end));
   }
   return partials;

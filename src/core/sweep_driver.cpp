@@ -1,10 +1,10 @@
 #include "core/sweep_driver.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "support/assert.hpp"
+#include "support/math.hpp"
 #include "support/rng.hpp"
 
 namespace avglocal::core {
@@ -14,10 +14,7 @@ SweepPool::SweepPool(const BatchedSweepOptions& options) {
     pool_ = options.pool;
     return;
   }
-  const std::size_t workers = options.threads != 0
-                                  ? options.threads
-                                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  owned_ = std::make_unique<support::ThreadPool>(workers);
+  owned_ = std::make_unique<support::ThreadPool>(options.threads);  // 0 = hardware concurrency
   pool_ = owned_.get();
 }
 
@@ -104,11 +101,11 @@ PointAccumulator SweepDriver::run_trials(Point& point, std::size_t trial_begin,
     return run_lane(point, 0, trial_begin, trial_end, share_vertices ? pool_ : nullptr, 1);
   }
 
-  // Parallel trial split: contiguous near-equal chunks (the first
-  // total % chunks take one extra trial), one private lane - and hence one
-  // private engine - per chunk, partials appended in trial order. Every
-  // trial's stream derives from (seed, point, trial), so the merged
-  // accumulator is bit-identical to the serial path for any worker count.
+  // Parallel trial split: contiguous near-equal chunks (near_equal_range),
+  // one private lane - and hence one private engine - per chunk, partials
+  // appended in trial order. Every trial's stream derives from (seed,
+  // point, trial), so the merged accumulator is bit-identical to the
+  // serial path for any worker count.
   const std::size_t chunks = std::min(pool_->size(), total);
   if (point.lanes_.size() < chunks) point.lanes_.resize(chunks);
   // Lane states are prepared on the calling thread, never inside the pool:
@@ -119,22 +116,13 @@ PointAccumulator SweepDriver::run_trials(Point& point, std::size_t trial_begin,
     Point::Lane& lane = point.lanes_[c];
     if (lane.state == nullptr) lane.state = backend_->prepare(*point.g_, point.point_index_);
   }
-  const std::size_t base = total / chunks;
-  const std::size_t extra = total % chunks;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  ranges.reserve(chunks);
-  std::size_t begin = trial_begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t size = base + (c < extra ? 1 : 0);
-    ranges.emplace_back(begin, begin + size);
-    begin += size;
-  }
 
   std::vector<PointAccumulator> partials(chunks);
   pool_->for_range(chunks, 1, [&](std::size_t /*worker*/, std::size_t chunk_begin,
                                   std::size_t chunk_end) {
     for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-      partials[c] = run_lane(point, c, ranges[c].first, ranges[c].second, nullptr, chunks);
+      const auto [begin, end] = support::near_equal_range(total, chunks, c);
+      partials[c] = run_lane(point, c, trial_begin + begin, trial_begin + end, nullptr, chunks);
     }
   });
 

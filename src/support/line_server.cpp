@@ -2,6 +2,9 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -10,15 +13,48 @@ namespace avglocal::support {
 
 namespace {
 
-constexpr const char* kBusyReply = "{\"ok\":false,\"error\":\"busy\"}";
+std::string error_line(std::string_view message) {
+  JsonWriter json;
+  json.begin_object().key("ok").value(false).key("error").value(message).end_object();
+  return json.str();
+}
 
 }  // namespace
 
-LineServer::LineServer(std::size_t max_connections, Handler handler, CloseHook on_close)
-    : max_connections_(max_connections),
-      handler_(std::move(handler)),
-      on_close_(std::move(on_close)) {
+JsonWriter& LineServer::OpReply::fields(std::string_view op) {
+  AVGLOCAL_EXPECTS_MSG(!open_, "an op reply is opened once");
+  open_ = true;
+  return json_.begin_object().key("ok").value(true).key("op").value(op);
+}
+
+JsonValue parse_reply(const std::string& line, std::string_view rejected) {
+  JsonValue reply = parse_json(line);
+  if (!reply.at("ok").as_bool()) {
+    throw std::runtime_error(std::string(rejected) + reply.at("error").as_string());
+  }
+  return reply;
+}
+
+LineServer::LineServer(std::size_t max_connections, Ops ops, CloseHook on_close)
+    : max_connections_(max_connections), ops_(std::move(ops)), on_close_(std::move(on_close)) {
   AVGLOCAL_EXPECTS_MSG(max_connections_ >= 1, "a line server needs at least one connection slot");
+}
+
+LineServer::Reply LineServer::handle(std::uint64_t session, const std::string& line) const {
+  try {
+    const JsonValue request = parse_json(line);
+    const std::string& name = request.at("op").as_string();
+    const auto op = std::find_if(ops_.begin(), ops_.end(),
+                                 [&name](const Op& candidate) { return candidate.name == name; });
+    if (op == ops_.end()) return Reply{error_line("unknown op '" + name + "'"), false};
+    OpReply reply(name);
+    op->run(session, request, reply);
+    if (!reply.open_) reply.fields();
+    reply.json_.end_object();
+    return Reply{reply.json_.str(), reply.close};
+  } catch (const std::exception& error) {
+    return Reply{error_line(error.what()), false};
+  }
 }
 
 LineServer::~LineServer() {
@@ -49,7 +85,7 @@ bool LineServer::accepting() const noexcept {
 void LineServer::serve(Stream stream, Connection* connection, std::uint64_t session) {
   std::string line;
   while (!stopping() && stream.read_line(line)) {
-    const Reply reply = handler_(session, line);
+    const Reply reply = handle(session, line);
     if (!stream.write_line(reply.line) || reply.close) break;
   }
   if (on_close_) on_close_(session);
@@ -99,7 +135,7 @@ void LineServer::run() {
     reap_finished_locked();
     if (connections_.size() >= max_connections_) {
       lock.unlock();
-      stream.write_line(kBusyReply);
+      stream.write_line(error_line("busy"));
       continue;
     }
     auto connection = std::make_unique<Connection>();

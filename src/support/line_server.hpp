@@ -1,17 +1,21 @@
-// One socket-server skeleton for every newline-JSON service in the repo:
-// the sweep daemon (core/serve.hpp) and the fabric coordinator
-// (core/fabric.hpp) are both a LineServer plus a handler.
+// One server skeleton and one request envelope for every newline-JSON
+// service in the repo: the sweep daemon (core/serve.hpp) and the fabric
+// coordinator (core/fabric.hpp) are both a LineServer plus an op table.
+//
+// The envelope is written here and nowhere else: a request line is an
+// object naming its "op", a reply line is {"ok":true,"op":<op>,...} or
+// {"ok":false,"error":"<text>"}. handle() parses the line (nesting capped
+// at 64 levels) and runs the op's handler, which picks the reply's op and
+// writes only its own fields. A malformed line, an unknown op or a
+// handler's exception becomes the error line; the connection stays open.
+// parse_reply() is the client half.
 //
 // The server owns the Listener, the accept loop and one handler thread per
-// connection. Each connection reads request lines, hands each one to the
-// handler as (session, line) and writes the reply line back; a reply with
-// `close` set ends the connection after it is written. Session ids are
-// assigned in accept order and are unique for the server's lifetime; the
-// on-close hook sees the same id once the connection is over.
-//
-// At most `max_connections` connections are served at once. A connection
-// accepted while every slot is taken gets one {"ok":false,"error":"busy"}
-// line and is closed, so clients see an explicit reply to back off on,
+// connection, which answers each line through handle() with the
+// connection's session id (unique, in accept order; the on-close hook sees
+// it once the connection ends). A reply with `close` set ends the
+// connection after it is written. At most `max_connections` connections
+// are served at once; one more gets the error line "busy" and is closed,
 // never a silent drop. Finished connections are reaped on the next accept.
 //
 // Two ways to end run():
@@ -32,30 +36,61 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "support/json_reader.hpp"
+#include "support/json_writer.hpp"
 #include "support/socket.hpp"
 
 namespace avglocal::support {
 
 class LineServer {
  public:
-  /// The handler's answer to one request line.
+  /// The answer to one request line.
   struct Reply {
     std::string line;
     bool close = false;  ///< end the connection once `line` is written
   };
 
-  using Handler = std::function<Reply(std::uint64_t session, const std::string& line)>;
+  /// What an op handler fills in; handle() writes the envelope around it.
+  class OpReply {
+   public:
+    /// Opens the reply under `op` (default: the request's op) and returns
+    /// the writer for the handler's fields. At most one call; a handler
+    /// that makes none replies under the request's op with no fields.
+    JsonWriter& fields(std::string_view op);
+    JsonWriter& fields() { return fields(request_op_); }
+
+    bool close = false;  ///< end the connection once the reply is written
+
+   private:
+    friend class LineServer;
+    explicit OpReply(std::string_view request_op) : request_op_(request_op) {}
+
+    std::string_view request_op_;
+    JsonWriter json_;
+    bool open_ = false;
+  };
+
+  /// One op of a service. `run` runs on connection threads, concurrently
+  /// with other handlers, and reports a failed request by throwing.
+  struct Op {
+    std::string name;
+    std::function<void(std::uint64_t session, const JsonValue& request, OpReply& reply)> run;
+  };
+  using Ops = std::vector<Op>;
   using CloseHook = std::function<void(std::uint64_t session)>;
 
-  /// Handlers run on connection threads, concurrently with each other,
-  /// and must not throw: a failed request is a reply line.
-  LineServer(std::size_t max_connections, Handler handler, CloseHook on_close = {});
+  LineServer(std::size_t max_connections, Ops ops, CloseHook on_close = {});
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
   ~LineServer();
+
+  /// Answers one request line from `session`; never throws. Protocol
+  /// tests call it without a socket.
+  Reply handle(std::uint64_t session, const std::string& line) const;
 
   /// Binds and listens. Throws std::runtime_error like Listener::bind.
   void start(const Endpoint& endpoint);
@@ -91,7 +126,7 @@ class LineServer {
   void join_all(bool drain);
 
   std::size_t max_connections_;
-  Handler handler_;
+  Ops ops_;
   CloseHook on_close_;
   Listener listener_;
   std::atomic<bool> stop_{false};
@@ -101,5 +136,9 @@ class LineServer {
   std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t next_session_ = 0;
 };
+
+/// Parses a reply line; a rejected request throws std::runtime_error with
+/// `rejected` followed by the reply's "error" text.
+JsonValue parse_reply(const std::string& line, std::string_view rejected = {});
 
 }  // namespace avglocal::support

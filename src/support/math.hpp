@@ -1,8 +1,11 @@
 // Integer math helpers used across the reproduction: iterated logarithm
-// (log*) and bit utilities.
+// (log*), bit utilities and the near-equal split of an index range.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace avglocal::support {
 
@@ -19,5 +22,15 @@ int bit_width_u64(std::uint64_t x) noexcept;
 /// Uses the real-valued log2 on the first step and integer floors afterwards;
 /// log* is so flat that the convention only shifts values by at most 1.
 int log_star(double x) noexcept;
+
+/// Range `part` of [0, total) cut into `parts` contiguous ranges: the
+/// first total % parts take one element more than the rest.
+inline std::pair<std::size_t, std::size_t> near_equal_range(std::size_t total, std::size_t parts,
+                                                            std::size_t part) noexcept {
+  const std::size_t base = total / parts;
+  const std::size_t extra = total % parts;
+  const std::size_t begin = part * base + std::min(part, extra);
+  return {begin, begin + base + (part < extra ? 1 : 0)};
+}
 
 }  // namespace avglocal::support

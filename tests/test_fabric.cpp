@@ -23,6 +23,7 @@
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
+#include "kit/bad_request_lines.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/line_server.hpp"
@@ -206,12 +207,18 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   EXPECT_NE(malformed.line.find("\"ok\":false"), std::string::npos);
   const auto unknown = coordinator.handle_request(0, "{\"op\":\"frobnicate\"}");
   EXPECT_NE(unknown.line.find("\"ok\":false"), std::string::npos);
+  // The shared table: the same error line the sweep daemon answers with.
+  for (const support::BadRequestLine& bad : support::bad_request_lines()) {
+    const auto reply = coordinator.handle_request(0, bad.request);
+    EXPECT_EQ(reply.line, bad.reply) << bad.request.substr(0, 40);
+    EXPECT_FALSE(reply.close);
+  }
 
   const auto grant = coordinator.handle_request(0, work_request_line());
   const support::JsonValue grant_reply = support::parse_json(grant.line);
   EXPECT_EQ(grant_reply.at("op").as_string(), "work-grant");
   EXPECT_EQ(grant_reply.at("unit").at("id").as_u64(), 0u);
-  EXPECT_FALSE(grant.disconnect);
+  EXPECT_FALSE(grant.close);
 
   // A stop before completion (SIGTERM): the next work-request gets the
   // drain form of the shutdown reply, so the worker reports a drain, not a
@@ -222,7 +229,7 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   EXPECT_EQ(stopped_reply.at("op").as_string(), "shutdown");
   ASSERT_NE(stopped_reply.find("drained"), nullptr) << stopped.line;
   EXPECT_TRUE(stopped_reply.at("drained").as_bool());
-  EXPECT_TRUE(stopped.disconnect);
+  EXPECT_TRUE(stopped.close);
 }
 
 TEST(FabricCoordinator, DiscardsTheStragglersDuplicateExactlyOnce) {
@@ -258,7 +265,7 @@ TEST(FabricCoordinator, DiscardsTheStragglersDuplicateExactlyOnce) {
   // With the sweep complete, the next work-request is a shutdown.
   const auto shutdown = coordinator.handle_request(2, work_request_line());
   EXPECT_EQ(support::parse_json(shutdown.line).at("op").as_string(), "shutdown");
-  EXPECT_TRUE(shutdown.disconnect);
+  EXPECT_TRUE(shutdown.close);
 }
 
 TEST(FabricCoordinator, RejectsArtefactsFromTheWrongWorkload) {
@@ -492,27 +499,25 @@ TEST(Fabric, WorkerRejectsAGrantBeyondTheHellosTrials) {
   core::ScenarioSpec spec = base_spec(4);
   spec.ns = {64};
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-  support::LineServer server(1, [&resolved](std::uint64_t, const std::string& line) {
-    const bool hello = support::parse_json(line).at("op").as_string() == "hello";
-    support::JsonWriter json;
-    json.begin_object();
-    json.key("ok").value(true);
-    if (hello) {
-      json.key("op").value("hello");
-      json.key("scenario");
-      core::write_scenario_json(json, resolved.spec);
-    } else {
-      json.key("op").value("work-grant");
-      json.key("unit").begin_object();
-      json.key("id").value(std::uint64_t{0});
-      json.key("point").value(std::uint64_t{0});
-      json.key("trial_begin").value(std::uint64_t{0});
-      json.key("trial_end").value(std::uint64_t{8});
-      json.end_object();
-    }
-    json.end_object();
-    return support::LineServer::Reply{json.str(), /*close=*/!hello};
-  });
+  using support::JsonValue;
+  using support::LineServer;
+  LineServer server(
+      1, {{"hello",
+           [&resolved](std::uint64_t, const JsonValue&, LineServer::OpReply& reply) {
+             support::JsonWriter& json = reply.fields();
+             json.key("scenario");
+             core::write_scenario_json(json, resolved.spec);
+           }},
+          {"work-request", [](std::uint64_t, const JsonValue&, LineServer::OpReply& reply) {
+             support::JsonWriter& json = reply.fields("work-grant");
+             json.key("unit").begin_object();
+             json.key("id").value(std::uint64_t{0});
+             json.key("point").value(std::uint64_t{0});
+             json.key("trial_begin").value(std::uint64_t{0});
+             json.key("trial_end").value(std::uint64_t{8});
+             json.end_object();
+             reply.close = true;
+           }}});
   server.start(endpoint);
   std::thread accept_loop([&server] { server.run(); });
 

@@ -3,7 +3,8 @@
 // allocation-asserted), extends cached exact-integer partials with only
 // the missing trial range bit-identically to a monolithic run, and
 // core::Server speaks the newline-delimited JSON protocol over a real
-// Unix-domain socket - including concurrent clients and clean shutdown.
+// Unix-domain socket - including concurrent clients and clean shutdown -
+// and over an ephemeral TCP port.
 //
 // This binary installs the allocation-counting global operator new/delete
 // (to pin "warm means no sweep work"), so it stays its own executable.
@@ -25,6 +26,7 @@
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "core/serve.hpp"
+#include "kit/bad_request_lines.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -328,18 +330,18 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
 
   const auto ping = server.handle_request("{\"op\":\"ping\"}");
   EXPECT_EQ(ping.line, "{\"ok\":true,\"op\":\"ping\"}");
-  EXPECT_FALSE(ping.shutdown);
+  EXPECT_FALSE(ping.close);
 
   const auto malformed = server.handle_request("this is not json");
   EXPECT_NE(malformed.line.find("\"ok\":false"), std::string::npos);
-  EXPECT_FALSE(malformed.shutdown);
+  EXPECT_FALSE(malformed.close);
 
   // A line nested past the parser's depth cap is an error reply, not a
   // stack overflow, and the server keeps answering.
   const auto deep = server.handle_request(std::string(200'000, '['));
   EXPECT_NE(deep.line.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(deep.line.find("nesting"), std::string::npos);
-  EXPECT_FALSE(deep.shutdown);
+  EXPECT_FALSE(deep.close);
   EXPECT_EQ(server.handle_request("{\"op\":\"ping\"}").line, "{\"ok\":true,\"op\":\"ping\"}");
 
   const auto unknown = server.handle_request("{\"op\":\"frobnicate\"}");
@@ -357,8 +359,16 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
   EXPECT_FALSE(response.at("warm").as_bool());
   EXPECT_EQ(response.at("report").as_string(), monolithic_report(spec));
 
+  // Every malformed line gets the shared table's error line, the same one
+  // the fabric coordinator answers it with, and the connection stays open.
+  for (const support::BadRequestLine& bad : support::bad_request_lines()) {
+    const auto reply = server.handle_request(bad.request);
+    EXPECT_EQ(reply.line, bad.reply) << bad.request.substr(0, 40);
+    EXPECT_FALSE(reply.close);
+  }
+
   const auto shutdown = server.handle_request("{\"op\":\"shutdown\"}");
-  EXPECT_TRUE(shutdown.shutdown);
+  EXPECT_TRUE(shutdown.close);
   EXPECT_NE(shutdown.line.find("\"ok\":true"), std::string::npos);
 }
 
@@ -510,6 +520,33 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   ::rmdir(dir_template);
 }
 
+TEST(Server, ListensOnAnEphemeralTcpPort) {
+  // The endpoint goes through parse_endpoint like every other listener's:
+  // a tcp: spelling binds TCP, not a Unix socket file named after it.
+  const std::string spelled = "tcp:127.0.0.1:0";
+  core::ServeOptions options;
+  options.socket_path = spelled;
+  RunningServer running(options);
+  EXPECT_NE(::access(spelled.c_str(), F_OK), 0) << "a Unix socket file named " << spelled;
+  const support::Endpoint bound = running.server().endpoint();
+  EXPECT_EQ(bound.kind, support::Endpoint::Kind::kTcp);
+  EXPECT_NE(bound.port, 0);
+
+  const core::ScenarioSpec spec = base_spec(6);
+  {
+    support::Stream stream = support::Stream::connect_with_retry(bound, 5000);
+    std::string line;
+    ASSERT_TRUE(stream.write_line("{\"op\":\"ping\"}"));
+    ASSERT_TRUE(stream.read_line(line));
+    EXPECT_EQ(line, "{\"ok\":true,\"op\":\"ping\"}");
+    ASSERT_TRUE(stream.write_line(sweep_request_line(spec)));
+    ASSERT_TRUE(stream.read_line(line));
+    EXPECT_EQ(support::parse_reply(line).at("report").as_string(), monolithic_report(spec));
+  }
+  running.server().request_stop();
+  running.join();
+}
+
 TEST(Server, RequestStopInterruptsABlockedAcceptLoop) {
   char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
@@ -583,10 +620,9 @@ TEST(Stream, ConnectWithRetryOutwaitsADaemonStillBinding) {
   // The daemon-startup race, reproduced deterministically: the listener
   // appears only after the client has already started connecting. The
   // bounded-backoff retry must ride out the ENOENT window.
-  // An echo server, proving a usable stream.
-  support::LineServer echo(1, [](std::uint64_t, const std::string& line) {
-    return support::LineServer::Reply{line, false};
-  });
+  // A one-op server whose reply proves a usable stream.
+  support::LineServer echo(1, {{"echo", [](std::uint64_t, const support::JsonValue&,
+                                           support::LineServer::OpReply&) {}}});
   std::thread late_binder([&echo, &endpoint] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     echo.start(endpoint);
@@ -597,10 +633,10 @@ TEST(Stream, ConnectWithRetryOutwaitsADaemonStillBinding) {
   {
     support::Stream stream = support::Stream::connect_with_retry(endpoint, 5000);
     EXPECT_TRUE(stream.valid());
-    EXPECT_TRUE(stream.write_line("hello"));
+    EXPECT_TRUE(stream.write_line(R"({"op":"echo"})"));
     EXPECT_TRUE(stream.read_line(echoed));
   }
-  EXPECT_EQ(echoed, "hello");
+  EXPECT_EQ(echoed, R"({"ok":true,"op":"echo"})");
   echo.request_stop();
   late_binder.join();
 
@@ -621,9 +657,8 @@ TEST(Stream, ConnectWithRetrySaturatesAnUnboundedTimeout) {
   // now + LONG_MAX ms overflows steady_clock's nanosecond count; an
   // unsaturated deadline lands in the past and the first ENOENT throws
   // instead of waiting for the listener bound 100 ms later.
-  support::LineServer echo(1, [](std::uint64_t, const std::string& line) {
-    return support::LineServer::Reply{line, false};
-  });
+  support::LineServer echo(1, {{"echo", [](std::uint64_t, const support::JsonValue&,
+                                           support::LineServer::OpReply&) {}}});
   std::thread late_binder([&echo, &endpoint] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     echo.start(endpoint);
@@ -632,12 +667,12 @@ TEST(Stream, ConnectWithRetrySaturatesAnUnboundedTimeout) {
   std::string echoed;
   try {
     support::Stream stream = support::Stream::connect_with_retry(endpoint, LONG_MAX);
-    EXPECT_TRUE(stream.write_line("hello"));
+    EXPECT_TRUE(stream.write_line(R"({"op":"echo"})"));
     EXPECT_TRUE(stream.read_line(echoed));
   } catch (const std::runtime_error& error) {
     ADD_FAILURE() << error.what();
   }
-  EXPECT_EQ(echoed, "hello");
+  EXPECT_EQ(echoed, R"({"ok":true,"op":"echo"})");
   echo.request_stop();
   late_binder.join();
   ::rmdir(dir_template);

@@ -133,6 +133,22 @@ serve_pid=$!
 must "$CLI" request --socket stale.sock --op shutdown
 wait "$serve_pid"
 
+echo "coverage: serve and request over an ephemeral TCP port"
+"$CLI" serve --socket tcp:127.0.0.1:0 > serve-tcp.log 2>&1 &
+serve_pid=$!
+for _ in $(seq 200); do
+  grep -q '^serving on ' serve-tcp.log && break
+  sleep 0.05
+done
+endpoint=$(sed -n 's/^serving on //p' serve-tcp.log)
+must "$CLI" request --socket "$endpoint" --op ping
+must "$CLI" request --socket "$endpoint" "${workload[@]}" --trials 8 --json served-tcp.json
+must cmp mono-largest-id.json served-tcp.json
+must "$CLI" request --socket "$endpoint" --op shutdown
+wait "$serve_pid"
+# The endpoint is TCP, not a Unix socket file named after its spelling.
+must test ! -e tcp:127.0.0.1:0
+
 echo "coverage: the fabric, two local workers over TCP and over a Unix socket"
 must "$ROOT/tools/fabric_launch.sh" --cli "$CLI" --listen tcp:127.0.0.1:0 \
   --workers "local local" --json fabric-tcp.json -- \
