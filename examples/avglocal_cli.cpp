@@ -417,7 +417,6 @@ int run_single_command(int argc, char** argv) {
   } else {
     local::EngineOptions engine_options;
     engine_options.knowledge = info.knowledge;
-    engine_options.max_rounds = 1'000'000;
     run = local::run_messages(g, ids, info.messages(n), engine_options);
   }
   const std::string validity =
@@ -985,8 +984,8 @@ int run_fabric_worker_command(int argc, char** argv) {
   options.endpoint = support::parse_endpoint(connect);
 
   // Test-only failure injection for the straggler re-dispatch and drive
-  // respawn paths (exercised by tests/test_cli_process.cpp and the cli-e2e
-  // and fabric-e2e CI jobs): with AVGLOCAL_TEST_FAIL_MARKER set, this
+  // respawn paths (exercised by tests/test_cli_process.cpp and
+  // tools/front_doors.sh): with AVGLOCAL_TEST_FAIL_MARKER set, this
   // worker's first granted unit drops a marker file and dies mid-unit -
   // after the grant, before any artefact - which is exactly the straggler
   // the coordinator must re-dispatch. MODE=kill dies by SIGKILL, anything

@@ -29,17 +29,6 @@ std::uint64_t JsonValue::as_u64() const {
   return value;
 }
 
-std::int64_t JsonValue::as_i64() const {
-  if (type_ != Type::kNumber) fail("expected a number");
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), value);
-  if (ec != std::errc{} || ptr != scalar_.data() + scalar_.size()) {
-    fail("number '" + scalar_ + "' is not a signed 64-bit integer");
-  }
-  return value;
-}
-
 double JsonValue::as_double() const {
   if (type_ != Type::kNumber) fail("expected a number");
   errno = 0;

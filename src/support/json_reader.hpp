@@ -2,8 +2,8 @@
 //
 // Counterpart of json_writer: a recursive-descent parser over the JSON
 // grammar with no external dependency. Numbers keep their source text so
-// 64-bit integers round-trip exactly - as_u64/as_i64 parse the token
-// directly instead of going through a double. Malformed input and type or
+// 64-bit integers round-trip exactly - as_u64 parses the token directly
+// instead of going through a double. Malformed input and type or
 // key lookup mismatches throw std::runtime_error with a position.
 #pragma once
 
@@ -26,7 +26,6 @@ class JsonValue {
   /// (and, for the integer accessors, on range or syntax errors).
   bool as_bool() const;
   std::uint64_t as_u64() const;
-  std::int64_t as_i64() const;
   double as_double() const;
   const std::string& as_string() const;
 

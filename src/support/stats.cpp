@@ -9,12 +9,7 @@
 namespace avglocal::support {
 
 void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = count_ == 0 ? x : std::max(max_, x);
   ++count_;
   sum_ += x;
   const double delta = x - mean_;
@@ -28,10 +23,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::min() const noexcept {
-  return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : min_;
-}
 
 double RunningStats::max() const noexcept {
   return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;

@@ -24,10 +24,9 @@ class RunningStats {
   /// Sample standard deviation.
   double stddev() const noexcept;
 
-  /// Smallest / largest observation. An empty accumulator has no extrema:
-  /// both return quiet NaN (which propagates loudly through comparisons and
-  /// arithmetic instead of leaking an indeterminate stale value).
-  double min() const noexcept;
+  /// Largest observation. An empty accumulator has none: it returns quiet
+  /// NaN (which propagates loudly through comparisons and arithmetic
+  /// instead of leaking an indeterminate stale value).
   double max() const noexcept;
   double sum() const noexcept { return sum_; }
 
@@ -35,7 +34,6 @@ class RunningStats {
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
 };
