@@ -1,8 +1,8 @@
 #include "core/fabric.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -16,10 +16,11 @@ namespace {
 using support::JsonValue;
 using support::JsonWriter;
 
-/// How long a drained worker waits before asking again. Short next to the
-/// straggler deadline so a freed unit is picked up promptly, long enough
-/// that an idle worker is not a busy-loop on the coordinator.
-constexpr std::uint64_t kDrainRetryMs = 50;
+/// How often a waiting work-request re-checks for a stop request.
+/// request_stop() runs inside a signal handler and cannot notify, so this
+/// bounds only how late a waiting worker learns of a SIGTERM drain; every
+/// other event that decides a wait notifies it.
+constexpr std::uint64_t kStopCheckMs = 20;
 
 }  // namespace
 
@@ -95,6 +96,15 @@ bool WorkQueue::accept(std::size_t unit_id) {
   state.holders.clear();
   ++done_;
   return true;
+}
+
+std::optional<std::uint64_t> WorkQueue::next_deadline_ms() const {
+  std::optional<std::uint64_t> earliest;
+  for (const UnitState& state : states_) {
+    if (state.status != UnitState::Status::kInFlight) continue;
+    if (!earliest || state.deadline_ms < *earliest) earliest = state.deadline_ms;
+  }
+  return earliest;
 }
 
 void WorkQueue::release(std::uint64_t session) {
@@ -176,24 +186,37 @@ void FabricCoordinator::hello(std::uint64_t, const JsonValue&, OpReply& reply) {
 }
 
 void FabricCoordinator::work_request(std::uint64_t session, const JsonValue&, OpReply& reply) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping() || queue_.complete()) {
-    // A stop before completion is a drain, and says so: the worker must
-    // not mistake it for a finished sweep.
-    JsonWriter& json = reply.fields("shutdown");
-    if (!queue_.complete()) json.key("drained").value(true);
-    reply.close = true;
-  } else if (const std::optional<WorkUnit> unit = queue_.grant(session, now_ms())) {
-    ++stats_.units_granted;
-    JsonWriter& json = reply.fields("work-grant");
-    json.key("unit").begin_object();
-    json.key("id").value(static_cast<std::uint64_t>(unit->id));
-    json.key("point").value(static_cast<std::uint64_t>(unit->point));
-    json.key("trial_begin").value(static_cast<std::uint64_t>(unit->trial_begin));
-    json.key("trial_end").value(static_cast<std::uint64_t>(unit->trial_end));
-    json.end_object();
-  } else {
-    reply.fields("drain").key("retry_ms").value(kDrainRetryMs);
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    if (stopping() || queue_.complete()) {
+      // A stop before completion is a drain, and says so: the worker must
+      // not mistake it for a finished sweep.
+      JsonWriter& json = reply.fields("shutdown");
+      if (!queue_.complete()) json.key("drained").value(true);
+      reply.close = true;
+      return;
+    }
+    const std::uint64_t now = now_ms();
+    if (const std::optional<WorkUnit> unit = queue_.grant(session, now)) {
+      ++stats_.units_granted;
+      JsonWriter& json = reply.fields("work-grant");
+      json.key("unit").begin_object();
+      json.key("id").value(static_cast<std::uint64_t>(unit->id));
+      json.key("point").value(static_cast<std::uint64_t>(unit->point));
+      json.key("trial_begin").value(static_cast<std::uint64_t>(unit->trial_begin));
+      json.key("trial_end").value(static_cast<std::uint64_t>(unit->trial_end));
+      json.end_object();
+      return;
+    }
+    // Nothing grantable: every remaining unit is in flight and none is
+    // overdue. Sleep until an accepted result or a released session
+    // notifies, the earliest deadline passes, or the stop re-check is due,
+    // then decide again.
+    std::uint64_t wait_ms = kStopCheckMs;
+    if (const std::optional<std::uint64_t> deadline = queue_.next_deadline_ms()) {
+      wait_ms = std::min(wait_ms, *deadline > now ? *deadline - now : 0);
+    }
+    work_changed_.wait_for(lock, std::chrono::milliseconds(wait_ms));
   }
 }
 
@@ -229,15 +252,20 @@ void FabricCoordinator::result(std::uint64_t, const JsonValue& request, OpReply&
       ++stats_.duplicates_discarded;
     }
     // Completion ends the accept loop without a drain: every connected
-    // worker leaves after the shutdown reply to its next work-request.
+    // worker leaves after the shutdown reply to its next (or waiting)
+    // work-request.
     if (queue_.complete()) server_.stop_accepting();
   }
+  if (accepted) work_changed_.notify_all();
   reply.fields().key("accepted").value(accepted);
 }
 
 void FabricCoordinator::release_session(std::uint64_t session) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  queue_.release(session);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    queue_.release(session);
+  }
+  work_changed_.notify_all();
 }
 
 // ------------------------------------------------------ run_fabric_worker ----
@@ -285,10 +313,6 @@ FabricWorkerOutcome run_fabric_worker(const FabricWorkerOptions& options) {
       const JsonValue* drained = reply.find("drained");
       outcome.drained = drained != nullptr && drained->as_bool();
       return outcome;
-    }
-    if (op == "drain") {
-      std::this_thread::sleep_for(std::chrono::milliseconds(reply.at("retry_ms").as_u64()));
-      continue;
     }
     if (op != "work-grant") {
       throw std::runtime_error("fabric work-request: unexpected reply op '" + op + "'");

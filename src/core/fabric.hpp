@@ -16,13 +16,17 @@
 //   {"op":"work-request"}
 //     -> {"ok":true,"op":"work-grant",
 //         "unit":{"id":I,"point":P,"trial_begin":A,"trial_end":B}}
-//     -> {"ok":true,"op":"drain","retry_ms":R}   nothing grantable right
-//        now (every remaining unit is in flight and none is overdue);
-//        retry after R ms
 //     -> {"ok":true,"op":"shutdown"}             all units accepted; the
 //        worker exits
 //     -> {"ok":true,"op":"shutdown","drained":true}  the coordinator is
 //        stopping before completion (SIGTERM); the worker exits drained
+//   A work-request that finds nothing grantable (every remaining unit is in
+//   flight and none is overdue) is not answered at once: it waits in the
+//   coordinator and takes whichever of the replies above the next event
+//   allows - an accepted result (maybe the last one), a released session,
+//   or the earliest straggler deadline passing. The wait also re-checks a
+//   stop request every few milliseconds (a SIGTERM handler cannot notify),
+//   which bounds only how late a waiting worker learns of the drain.
 //   {"op":"result","unit":I,"artefact":"<shard artefact JSON>"}
 //     -> {"ok":true,"op":"result","accepted":true|false}
 //
@@ -36,8 +40,9 @@
 //
 // Straggler policy: every grant stamps a deadline (steady_clock,
 // FabricOptions::straggler_ms ahead). A unit past its deadline - or held
-// only by a worker whose connection dropped - becomes grantable again to
-// the next idle worker. The first artefact accepted for a unit id wins;
+// only by a worker whose connection dropped - becomes grantable again: an
+// idle worker already waiting takes it at that moment, otherwise the next
+// work-request does. The first artefact accepted for a unit id wins;
 // later copies are discarded (counted, never merged), so a straggler that
 // eventually delivers is harmless.
 //
@@ -51,6 +56,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -93,9 +99,14 @@ class WorkQueue {
 
   /// Picks the unit to grant `session`: the lowest-id pending unit, else
   /// the most re-dispatch-worthy overdue in-flight unit (fewest dispatches
-  /// first, lowest id to break ties), else nothing (the caller replies
-  /// drain). Stamps the deadline and records the holder.
+  /// first, lowest id to break ties), else nothing (the caller waits for
+  /// the next event). Stamps the deadline and records the holder.
   std::optional<WorkUnit> grant(std::uint64_t session, std::uint64_t now_ms);
+
+  /// The earliest deadline among in-flight units, nullopt when none is in
+  /// flight: from then on grant() has an overdue unit to hand out. A unit
+  /// whose holder was released reads 0.
+  std::optional<std::uint64_t> next_deadline_ms() const;
 
   /// First result for a unit wins: returns true exactly once per unit id;
   /// every later call is a duplicate to discard.
@@ -154,8 +165,9 @@ struct FabricStats {
 /// The coordinator: the ops above on a support::LineServer, over the
 /// WorkQueue and the accepted per-unit accumulators. run() returns once
 /// every unit is accepted (normal completion: the server stops accepting,
-/// and each worker leaves after its shutdown reply) or a stop was requested
-/// (SIGTERM drain - workers see EOF and exit cleanly).
+/// and each worker - waiting ones included - leaves after its shutdown
+/// reply) or a stop was requested (SIGTERM drain - waiting workers get the
+/// drained shutdown, the rest see EOF, and all exit cleanly).
 class FabricCoordinator {
  public:
   FabricCoordinator(ResolvedScenario resolved, const FabricOptions& options);
@@ -188,7 +200,8 @@ class FabricCoordinator {
   std::vector<std::optional<PointAccumulator>> take_unit_results();
 
   /// LineServer::handle on the coordinator's ops (a shutdown reply has
-  /// `close` set). Public so protocol tests can run without sockets.
+  /// `close` set). Public so protocol tests can run without sockets; a
+  /// work-request with nothing grantable blocks until an event decides it.
   support::LineServer::Reply handle_request(std::uint64_t session, const std::string& line) {
     return server_.handle(session, line);
   }
@@ -212,6 +225,10 @@ class FabricCoordinator {
   std::chrono::steady_clock::time_point epoch_;  ///< origin of now_ms()
 
   mutable std::mutex mutex_;  ///< guards queue_, unit_results_, stats_
+  /// Notified once a result is accepted or a session is released (both
+  /// change queue_ under mutex_): the events that can decide a waiting
+  /// work-request, besides a deadline passing and a stop request.
+  std::condition_variable work_changed_;
   WorkQueue queue_;
   std::vector<std::optional<PointAccumulator>> unit_results_;
   FabricStats stats_;
@@ -235,14 +252,17 @@ struct FabricWorkerOptions {
 struct FabricWorkerOutcome {
   std::size_t units = 0;   ///< artefacts submitted (accepted or not)
   std::size_t trials = 0;  ///< trials computed, summed over units
-  /// The coordinator stopped before completion: a drained shutdown reply,
-  /// or the connection closed before any shutdown op - the orderly
-  /// SIGTERM-drain (or completion-race) exit, not an error.
+  /// The coordinator stopped before completion: a drained shutdown reply
+  /// (what a worker waiting for a grant gets), or the connection closed
+  /// before any shutdown op - the orderly SIGTERM-drain (or
+  /// completion-race) exit, not an error.
   bool drained = false;
 };
 
 /// Runs one worker against a coordinator: hello, resolve the scenario the
-/// coordinator sent, then pull-execute-submit until shutdown or drain.
+/// coordinator sent, then pull-execute-submit until shutdown or drain. A
+/// work-request's reply may take as long as the coordinator has nothing to
+/// grant; the worker just blocks on it.
 /// Units run on one ScenarioSession for the whole connection, so a point's
 /// graph and engines are built once and reused by all its units. Throws
 /// std::runtime_error on connection failures before hello completes and on

@@ -255,13 +255,17 @@ Stream Stream::connect_with_retry(const Endpoint& endpoint, long timeout_ms) {
 }
 
 bool Stream::read_line(std::string& line) {
+  // Bytes before `scanned` hold no '\n': each search starts where the last
+  // one stopped, so a line split over many recv()s costs linear time.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       line.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       return true;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
     if (got > 0) {

@@ -4,14 +4,16 @@
 // sweep. Covers the endpoint grammar, the WorkQueue dispatch policy
 // (pure bookkeeping, no sockets), the coordinator protocol driven
 // socket-free through handle_request (duplicate discard, artefact
-// validation), real coordinator+worker runs over both transports, a
-// worker that vanishes mid-unit, and the ResultCache hand-off.
+// validation, work-requests that wait for the event deciding them), real
+// coordinator+worker runs over both transports, a worker that vanishes
+// mid-unit, and the ResultCache hand-off.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -119,7 +121,7 @@ TEST(WorkQueue, GrantsPendingUnitsInIdOrderThenDrains) {
   ASSERT_TRUE(first && second);
   EXPECT_EQ(first->id, 0u);
   EXPECT_EQ(second->id, 1u);
-  // Everything in flight, nothing overdue: the next idle worker drains.
+  // Everything in flight, nothing overdue: the next idle worker waits.
   EXPECT_FALSE(queue.grant(2, 100).has_value());
   EXPECT_EQ(queue.redispatches(), 0u);
 }
@@ -147,6 +149,20 @@ TEST(WorkQueue, ReleaseMakesAVanishedWorkersUnitsImmediatelyGrantable) {
   const auto regranted = queue.grant(8, 2);
   ASSERT_TRUE(regranted);
   EXPECT_EQ(regranted->id, 0u);
+}
+
+TEST(WorkQueue, NextDeadlineTracksInFlightUnits) {
+  core::WorkQueue queue(core::plan_work_units(1, 12, 4), /*straggler_ms=*/100);
+  EXPECT_FALSE(queue.next_deadline_ms().has_value());  // nothing in flight
+  (void)queue.grant(/*session=*/0, /*now_ms=*/10);     // unit 0, deadline 110
+  (void)queue.grant(1, 40);                            // unit 1, deadline 140
+  EXPECT_EQ(queue.next_deadline_ms(), std::optional<std::uint64_t>(110));
+  EXPECT_TRUE(queue.accept(0));
+  EXPECT_EQ(queue.next_deadline_ms(), std::optional<std::uint64_t>(140));
+  queue.release(1);  // overdue at once
+  EXPECT_EQ(queue.next_deadline_ms(), std::optional<std::uint64_t>(0));
+  EXPECT_TRUE(queue.accept(1));
+  EXPECT_FALSE(queue.next_deadline_ms().has_value());  // unit 2 is still pending
 }
 
 TEST(WorkQueue, AcceptsEachUnitExactlyOnce) {
@@ -307,51 +323,151 @@ TEST(FabricCoordinator, RejectsArtefactsFromTheWrongWorkload) {
   EXPECT_TRUE(coordinator.complete());
 }
 
-TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
+/// A work-request on its own thread, the way a connection handler runs it
+/// while nothing is grantable. A request that never returns fails the test
+/// instead of stalling the suite: after a generous timeout it stops the
+/// coordinator, which ends every wait with the drained shutdown.
+class WaitingRequest {
+ public:
+  WaitingRequest(core::FabricCoordinator& coordinator, std::uint64_t session)
+      : coordinator_(coordinator),
+        reply_(std::async(std::launch::async, [&coordinator, session] {
+          return coordinator.handle_request(session, work_request_line());
+        })) {}
+  WaitingRequest(const WaitingRequest&) = delete;
+  WaitingRequest& operator=(const WaitingRequest&) = delete;
+  ~WaitingRequest() {
+    if (reply_.valid()) (void)reply();
+  }
+
+  /// Still unanswered after 100 ms.
+  bool waiting() const {
+    return reply_.wait_for(std::chrono::milliseconds(100)) == std::future_status::timeout;
+  }
+
+  support::LineServer::Reply reply() {
+    if (reply_.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      ADD_FAILURE() << "work-request still waiting after 30 s";
+      coordinator_.request_stop();
+    }
+    return reply_.get();
+  }
+
+ private:
+  core::FabricCoordinator& coordinator_;
+  std::future<support::LineServer::Reply> reply_;
+};
+
+core::ScenarioSpec one_unit_spec() {
   core::ScenarioSpec spec = base_spec(4);
   spec.ns = {64};
+  return spec;
+}
+
+/// Plans one_unit_spec() as a single unit, never overdue unless
+/// `straggler_ms` says otherwise.
+core::FabricCoordinator one_unit_coordinator(std::uint64_t straggler_ms = 1000000) {
   core::FabricOptions options;
   options.unit_trials = 4;
-  options.straggler_ms = 1000000;  // never overdue on its own
-  core::FabricCoordinator coordinator(core::resolve_scenario(spec), options);
+  options.straggler_ms = straggler_ms;
+  return core::FabricCoordinator(core::resolve_scenario(one_unit_spec()), options);
+}
 
+TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
+  core::FabricCoordinator coordinator = one_unit_coordinator();
   (void)coordinator.handle_request(0, work_request_line());
-  const auto drained = coordinator.handle_request(1, work_request_line());
-  EXPECT_EQ(support::parse_json(drained.line).at("op").as_string(), "drain");
+  WaitingRequest idle(coordinator, 1);
+  EXPECT_TRUE(idle.waiting());     // session 0 holds the only unit
   coordinator.release_session(0);  // worker 0's connection dropped
-  const auto regranted = coordinator.handle_request(1, work_request_line());
+  const auto regranted = idle.reply();
   EXPECT_EQ(support::parse_json(regranted.line).at("op").as_string(), "work-grant");
+  EXPECT_FALSE(regranted.close);
+}
+
+TEST(FabricCoordinator, AWaitingRequestShutsDownWhenTheLastResultLands) {
+  core::FabricCoordinator coordinator = one_unit_coordinator();
+  (void)coordinator.handle_request(0, work_request_line());
+  WaitingRequest idle(coordinator, 1);
+  EXPECT_TRUE(idle.waiting());
+
+  const core::ResolvedScenario resolved = core::resolve_scenario(one_unit_spec());
+  const auto accepted =
+      coordinator.handle_request(0, result_line(resolved, coordinator.work_units().front()));
+  EXPECT_TRUE(support::parse_json(accepted.line).at("accepted").as_bool());
+
+  // Completion, not a drain: the worker leaves as from a finished sweep.
+  const auto shutdown = idle.reply();
+  const support::JsonValue reply = support::parse_json(shutdown.line);
+  EXPECT_EQ(reply.at("op").as_string(), "shutdown");
+  EXPECT_EQ(reply.find("drained"), nullptr) << shutdown.line;
+  EXPECT_TRUE(shutdown.close);
+}
+
+TEST(FabricCoordinator, AWaitingRequestTakesTheOverdueUnitAtItsDeadline) {
+  core::FabricCoordinator coordinator = one_unit_coordinator(/*straggler_ms=*/50);
+  (void)coordinator.handle_request(0, work_request_line());
+  // No result, no release, no stop: only the deadline can decide this.
+  WaitingRequest idle(coordinator, 1);
+  const auto stolen = idle.reply();
+  const support::JsonValue reply = support::parse_json(stolen.line);
+  EXPECT_EQ(reply.at("op").as_string(), "work-grant") << stolen.line;
+  EXPECT_EQ(coordinator.stats().redispatches, 1u);
+}
+
+TEST(FabricCoordinator, RequestStopDuringAWaitDrains) {
+  core::FabricCoordinator coordinator = one_unit_coordinator();
+  (void)coordinator.handle_request(0, work_request_line());
+  WaitingRequest idle(coordinator, 1);
+  EXPECT_TRUE(idle.waiting());
+  coordinator.request_stop();  // what the SIGTERM handler does; it cannot notify
+  const auto stopped = idle.reply();
+  const support::JsonValue reply = support::parse_json(stopped.line);
+  EXPECT_EQ(reply.at("op").as_string(), "shutdown");
+  ASSERT_NE(reply.find("drained"), nullptr) << stopped.line;
+  EXPECT_TRUE(reply.at("drained").as_bool());
+  EXPECT_TRUE(stopped.close);
 }
 
 // ------------------------------------------------- sockets, end to end ----
 
 /// A worker on a test thread: exceptions become test failures instead of
 /// escaping the thread (which would terminate the whole suite).
-void run_worker_thread(const core::FabricWorkerOptions& options) {
+core::FabricWorkerOutcome run_worker_thread(const core::FabricWorkerOptions& options) {
+  core::FabricWorkerOutcome outcome;
   try {
-    const core::FabricWorkerOutcome outcome = core::run_fabric_worker(options);
+    outcome = core::run_fabric_worker(options);
     EXPECT_FALSE(outcome.drained) << options.name;
   } catch (const std::exception& error) {
     ADD_FAILURE() << "worker " << options.name << " failed: " << error.what();
   }
+  return outcome;
 }
 
+struct FabricRun {
+  std::string report;
+  core::FabricStats stats;
+  std::vector<core::FabricWorkerOutcome> outcomes;  ///< by worker index
+};
+
 /// Runs a full fabric sweep: a RemoteBackend coordinator on `endpoint`
-/// plus `workers` in-process workers, returning the merged report.
-std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
-                          const support::Endpoint& endpoint, core::ResultCache* cache = nullptr,
-                          core::FabricStats* stats_out = nullptr) {
+/// plus `workers` in-process workers. The default of 3 trials per unit
+/// gives enough units per point for real interleaving.
+FabricRun run_fabric(const core::ScenarioSpec& spec, std::size_t workers,
+                     const support::Endpoint& endpoint, std::size_t unit_trials = 3,
+                     core::ResultCache* cache = nullptr) {
   core::FabricOptions options;
   options.endpoint = endpoint;
-  options.unit_trials = 3;  // enough units per point for real interleaving
+  options.unit_trials = unit_trials;
   core::RemoteBackend backend(spec, options);
   backend.start();
   const support::Endpoint bound = backend.endpoint();
 
+  FabricRun run;
+  run.outcomes.resize(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t index = 0; index < workers; ++index) {
-    threads.emplace_back([&backend, bound, index, workers] {
+    threads.emplace_back([&backend, &run, bound, index, workers] {
       core::FabricWorkerOptions worker;
       worker.endpoint = bound;
       worker.name = "w" + std::to_string(index);
@@ -367,14 +483,15 @@ std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       };
-      run_worker_thread(worker);
+      run.outcomes[index] = run_worker_thread(worker);
     });
   }
   const core::RemoteSweepOutcome outcome = backend.run(cache);
   for (std::thread& thread : threads) thread.join();
   EXPECT_TRUE(outcome.complete);
-  if (stats_out != nullptr) *stats_out = outcome.stats;
-  return outcome.report;
+  run.report = outcome.report;
+  run.stats = outcome.stats;
+  return run;
 }
 
 std::string scratch_socket(char (&dir_template)[30]) {
@@ -389,11 +506,11 @@ TEST(Fabric, OneWorkerOverUnixSocketMatchesMonolithicByteForByte) {
   endpoint.path = scratch_socket(dir_template);
 
   const core::ScenarioSpec spec = base_spec(10);
-  core::FabricStats stats;
-  EXPECT_EQ(fabric_report(spec, 1, endpoint, nullptr, &stats), monolithic_report(spec));
-  EXPECT_EQ(stats.workers_seen, 1u);
-  EXPECT_EQ(stats.results_accepted, 8u);  // 2 points x ceil(10/3) units
-  EXPECT_EQ(stats.duplicates_discarded, 0u);
+  const FabricRun run = run_fabric(spec, 1, endpoint);
+  EXPECT_EQ(run.report, monolithic_report(spec));
+  EXPECT_EQ(run.stats.workers_seen, 1u);
+  EXPECT_EQ(run.stats.results_accepted, 8u);  // 2 points x ceil(10/3) units
+  EXPECT_EQ(run.stats.duplicates_discarded, 0u);
   ::rmdir(dir_template);
 }
 
@@ -404,17 +521,39 @@ TEST(Fabric, ThreeWorkersStealingOverUnixSocketMatchMonolithic) {
   endpoint.path = scratch_socket(dir_template);
 
   const core::ScenarioSpec spec = base_spec(16);
-  core::FabricStats stats;
-  EXPECT_EQ(fabric_report(spec, 3, endpoint, nullptr, &stats), monolithic_report(spec));
-  EXPECT_EQ(stats.workers_seen, 3u);
-  EXPECT_EQ(stats.results_accepted, 12u);  // 2 points x ceil(16/3) units
+  const FabricRun run = run_fabric(spec, 3, endpoint);
+  EXPECT_EQ(run.report, monolithic_report(spec));
+  EXPECT_EQ(run.stats.workers_seen, 3u);
+  EXPECT_EQ(run.stats.results_accepted, 12u);  // 2 points x ceil(16/3) units
+  ::rmdir(dir_template);
+}
+
+TEST(Fabric, IdleWorkersWaitThenLeaveCleanly) {
+  char dir_template[30] = "/tmp/avglocal-fabric-XXXXXX";
+  support::Endpoint endpoint;
+  endpoint.kind = support::Endpoint::Kind::kUnix;
+  endpoint.path = scratch_socket(dir_template);
+
+  // One unit for three workers: two of them find nothing grantable on
+  // their first request and wait until the sweep completes, then leave on
+  // the plain (not drained) shutdown like the worker that computed it.
+  const core::ScenarioSpec spec = one_unit_spec();
+  const FabricRun run = run_fabric(spec, 3, endpoint, /*unit_trials=*/4);
+  EXPECT_EQ(run.report, monolithic_report(spec));
+  EXPECT_EQ(run.stats.units_granted, 1u);
+  std::size_t units = 0;
+  for (const core::FabricWorkerOutcome& outcome : run.outcomes) {
+    EXPECT_FALSE(outcome.drained);
+    units += outcome.units;
+  }
+  EXPECT_EQ(units, 1u);
   ::rmdir(dir_template);
 }
 
 TEST(Fabric, TcpEphemeralPortWorksLikeUnixDomain) {
   support::Endpoint endpoint = support::parse_endpoint("tcp:127.0.0.1:0");
   const core::ScenarioSpec spec = base_spec(8);
-  EXPECT_EQ(fabric_report(spec, 2, endpoint), monolithic_report(spec));
+  EXPECT_EQ(run_fabric(spec, 2, endpoint).report, monolithic_report(spec));
 }
 
 TEST(Fabric, MessageEngineScenariosTravelTheFabricToo) {
@@ -429,7 +568,7 @@ TEST(Fabric, MessageEngineScenariosTravelTheFabricToo) {
   spec.ns = {64};
   spec.seed = 5;
   spec.schedule.max_trials = 8;
-  EXPECT_EQ(fabric_report(spec, 2, endpoint), monolithic_report(spec));
+  EXPECT_EQ(run_fabric(spec, 2, endpoint).report, monolithic_report(spec));
   ::rmdir(dir_template);
 }
 
@@ -570,7 +709,7 @@ TEST(Fabric, RemotePartialsLandInTheResultCache) {
 
   const core::ScenarioSpec spec = base_spec(10);
   core::ResultCache cache(core::ResultCacheOptions{1, 0});
-  const std::string remote = fabric_report(spec, 2, endpoint, &cache);
+  const std::string remote = run_fabric(spec, 2, endpoint, 3, &cache).report;
   EXPECT_EQ(remote, monolithic_report(spec));
 
   // The fabric's trials are in the resident cache now: the same request

@@ -10,6 +10,7 @@
 // (to pin "warm means no sweep work"), so it stays its own executable.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -676,6 +677,29 @@ TEST(Stream, ConnectWithRetrySaturatesAnUnboundedTimeout) {
   echo.request_stop();
   late_binder.join();
   ::rmdir(dir_template);
+}
+
+TEST(Stream, ReadsAMultiMegabyteLineAndTheNextOneFromTheSameBuffer) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  support::Stream reader(fds[0]);
+
+  // 6 MB arrive over hundreds of recv()s; the second line shares its first
+  // byte's buffer with the first line's tail.
+  std::string big(6u << 20, 'x');
+  for (std::size_t at = 0; at < big.size(); at += 4099) big[at] = static_cast<char>('a' + at % 26);
+  std::thread writer([&big, fd = fds[1]] {
+    support::Stream stream(fd);
+    EXPECT_TRUE(stream.write_all(big + "\nsecond\n"));
+  });
+
+  std::string line;
+  ASSERT_TRUE(reader.read_line(line));
+  EXPECT_EQ(line, big);
+  ASSERT_TRUE(reader.read_line(line));
+  EXPECT_EQ(line, "second");
+  writer.join();  // the writer's stream closed: orderly EOF
+  EXPECT_FALSE(reader.read_line(line));
 }
 
 TEST(Server, BindRefusesALiveDaemonAndReplacesAStaleSocket) {
